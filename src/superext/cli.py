@@ -21,7 +21,7 @@ from .superlie import (
     SuperLieAlgebra,
     center,
     derivations,
-    out_quotient,
+    outer_algebra,
     validate_algebra,
 )
 from .cochains import arity_cap, set_arity_cap
@@ -133,6 +133,20 @@ def _datum_file_doc(d: ExtensionDatum, gname: str, hname: str) -> dict:
     )
 
 
+def _datum_lines(d: ExtensionDatum, output: str | None) -> list[str]:
+    """Human report lines of a datum: alpha, rho, the output note and the convention."""
+    lines = [f"  alpha[{d.g.space.names[i]}] = {_fmt_matrix(op.matrix)}"
+             for i, op in enumerate(d.alpha)]
+    for tup, v in d.rho.values:
+        names = ",".join(d.g.space.names[i] for i in tup)
+        lines.append(f"  rho({names}) = {_fmt_vec(v, d.h.space)}")
+    if not d.rho.values:
+        lines.append("  rho = 0")
+    if output:
+        lines.append(f"written to {output}")
+    return lines + [f"note: {COCHAIN_NOTE}"]
+
+
 def _emit(args, report: dict, lines: list[str]) -> None:
     if args.json:
         sys.stdout.write(formats.dump_json(report))
@@ -213,8 +227,8 @@ def cmd_derivations(args) -> int:
 
 def cmd_out(args) -> int:
     name, alg = _load_algebra(args.algebra, args.allow_large)
-    out_alg, proj = out_quotient(alg)
-    ds = derivations(alg)
+    outer = outer_algebra(alg)
+    ds, out_alg = outer.ds, outer.out
     out_doc = formats.format_algebra(f"out({name})", out_alg)
     report = {
         "command": "out",
@@ -222,7 +236,7 @@ def cmd_out(args) -> int:
         "der_dim": len(ds.basis),
         "inner_dim": ds.inner_count,
         "out": out_doc,
-        "projection": formats.format_matrix(proj.matrix),
+        "projection": formats.format_matrix(outer.proj.matrix),
     }
     _write_output(args.output, out_doc)
     lines = [
@@ -312,17 +326,7 @@ def cmd_section_data(args) -> int:
         "convention": COCHAIN_NOTE,
     }
     lines = [f"induced data of the section {gname} -> {ename}:"]
-    for i, op in enumerate(datum.alpha):
-        lines.append(f"  alpha[{galg.space.names[i]}] = {_fmt_matrix(op.matrix)}")
-    for tup, v in datum.rho.values:
-        names = ",".join(galg.space.names[i] for i in tup)
-        lines.append(f"  rho({names}) = {_fmt_vec(v, halg.space)}")
-    if not datum.rho.values:
-        lines.append("  rho = 0")
-    if args.output:
-        lines.append(f"written to {args.output}")
-    lines.append(f"note: {COCHAIN_NOTE}")
-    _emit(args, report, lines)
+    _emit(args, report, lines + _datum_lines(datum, args.output))
     return EXIT_OK
 
 
@@ -391,18 +395,7 @@ def cmd_transform(args) -> int:
     doc = _datum_doc(moved, gref, href)
     _write_output(args.output, _datum_file_doc(moved, gname, hname))
     report = {"command": "transform", "datum": doc, "convention": COCHAIN_NOTE}
-    lines = ["transformed datum:"]
-    for i, op in enumerate(moved.alpha):
-        lines.append(f"  alpha[{moved.g.space.names[i]}] = {_fmt_matrix(op.matrix)}")
-    for tup, v in moved.rho.values:
-        names = ",".join(moved.g.space.names[i] for i in tup)
-        lines.append(f"  rho({names}) = {_fmt_vec(v, moved.h.space)}")
-    if not moved.rho.values:
-        lines.append("  rho = 0")
-    if args.output:
-        lines.append(f"written to {args.output}")
-    lines.append(f"note: {COCHAIN_NOTE}")
-    _emit(args, report, lines)
+    _emit(args, report, ["transformed datum:"] + _datum_lines(moved, args.output))
     return EXIT_OK
 
 
@@ -453,9 +446,8 @@ def _load_obstruction_inputs(args):
     for label, alg, path in (("h", halg, args.h), ("g", galg, args.g)):
         if not validate_algebra(alg).ok:
             raise CheckFailed(f"{path}: not a valid super Lie algebra")
-    out_alg, _ = out_quotient(halg)
     abar = _load_named_map(args.alpha_bar, (gname, galg.space),
-                           (f"out({hname})", out_alg.space))
+                           (f"out({hname})", outer_algebra(halg).out.space))
     return (hname, halg), (gname, galg), abar
 
 

@@ -85,9 +85,17 @@ def multigraded_sign(sigma: Sequence[int], parities: Sequence[int]) -> int:
         raise ValueError("parity word entries must be 0 or 1")
     if sorted(sigma) != list(range(k)):
         raise ValueError(f"not a permutation of 0..{k - 1}: {sigma!r}")
-    work = list(sigma)
+    return _sort_sign(list(sigma), parities)
+
+
+def _sort_sign(work: list[int], parities: Sequence[int]) -> int:
+    """Insertion-sort `work` in place; the product of the adjacent-swap signs.
+
+    Entries index into `parities`; swapping entries of parities x, x'
+    contributes -(-1)^(x x').
+    """
     sign = 1
-    for i in range(1, k):
+    for i in range(1, len(work)):
         j = i
         while j > 0 and work[j - 1] > work[j]:
             if (parities[work[j - 1]] * parities[work[j]]) % 2 == 0:
@@ -134,14 +142,7 @@ def sort_indices(space: SuperVectorSpace, indices: Sequence[int]) -> tuple[tuple
     (graded antisymmetry forces the value to vanish there).
     """
     work = list(indices)
-    sign = 1
-    for i in range(1, len(work)):
-        j = i
-        while j > 0 and work[j - 1] > work[j]:
-            if (space.parities[work[j - 1]] * space.parities[work[j]]) % 2 == 0:
-                sign = -sign
-            work[j - 1], work[j] = work[j], work[j - 1]
-            j -= 1
+    sign = _sort_sign(work, space.parities)
     for a, b in zip(work, work[1:]):
         if a == b and space.parities[a] == EVEN:
             return tuple(work), 0
@@ -330,30 +331,10 @@ def wedge(psi: Cochain, phi: Cochain) -> Cochain:
         raise ValueError("left factor of a wedge must be valued in the trivial line")
     if psi.source != phi.source:
         raise ValueError("wedge factors have different sources")
-    q, p = psi.arity, phi.arity
-    arity = q + p
+    arity = psi.arity + phi.arity
     if arity > arity_cap():
         raise ValueError(f"wedge arity {arity} exceeds the cap {arity_cap()}")
-    weight = (psi.weight + phi.weight) % 2
-    src = psi.source
-    table: dict[tuple[int, ...], Vector] = {}
-    for tup in canonical_tuples(src, arity):
-        word = tuple(src.parities[i] for i in tup)
-        acc = zero_vec(phi.target.dim)
-        for subset in combinations(range(arity), q):
-            rest = tuple(i for i in range(arity) if i not in subset)
-            sigma = subset + rest
-            sign = multigraded_sign(sigma, word)
-            if (phi.weight * sum(word[i] for i in subset)) % 2:
-                sign = -sign
-            c = psi.evaluate([tup[i] for i in subset])[0]
-            if c == 0:
-                continue
-            v = phi.evaluate([tup[i] for i in rest])
-            acc = vec_add(acc, vec_scale(Fraction(sign) * c, v))
-        if not is_zero_vec(acc):
-            table[tup] = acc
-    return make_cochain(src, phi.target, arity, weight, table)
+    return _shuffle_sum(psi, phi, phi.target, lambda c, v: vec_scale(c[0], v))
 
 
 def nr_bracket(phi: Cochain, psi: Cochain, algebra: SuperLieAlgebra) -> Cochain:
@@ -367,32 +348,40 @@ def nr_bracket(phi: Cochain, psi: Cochain, algebra: SuperLieAlgebra) -> Cochain:
         raise ValueError("bracket requires both cochains valued in the given algebra")
     if phi.source != psi.source:
         raise ValueError("bracket factors have different sources")
-    p, q = phi.arity, psi.arity
-    arity = p + q
+    arity = phi.arity + psi.arity
     if arity > arity_cap():
         raise ValueError(f"bracket arity {arity} exceeds the cap {arity_cap()}")
-    weight = (phi.weight + psi.weight) % 2
-    src = phi.source
+    return _shuffle_sum(phi, psi, algebra.space, algebra.bracket_vec)
+
+
+def _shuffle_sum(left: Cochain, right: Cochain, target: SuperVectorSpace, pair) -> Cochain:
+    """Sum over shuffles of pair(left(first block), right(second block)).
+
+    The first block of each shuffle has `left.arity` positions.  A summand
+    carries the shuffle's sign times (-1)^(right.weight * b), b counting
+    the odd arguments in the first block.
+    """
+    arity = left.arity + right.arity
+    src = left.source
     table: dict[tuple[int, ...], Vector] = {}
     for tup in canonical_tuples(src, arity):
         word = tuple(src.parities[i] for i in tup)
-        acc = zero_vec(algebra.dim)
-        for subset in combinations(range(arity), p):
+        acc = zero_vec(target.dim)
+        for subset in combinations(range(arity), left.arity):
+            u = left.evaluate([tup[i] for i in subset])
+            if is_zero_vec(u):
+                continue
             rest = tuple(i for i in range(arity) if i not in subset)
-            sigma = subset + rest
-            sign = multigraded_sign(sigma, word)
-            if (psi.weight * sum(word[i] for i in subset)) % 2:
+            v = right.evaluate([tup[i] for i in rest])
+            if is_zero_vec(v):
+                continue
+            sign = _sort_sign(list(subset + rest), word)
+            if (right.weight * sum(word[i] for i in subset)) % 2:
                 sign = -sign
-            left = phi.evaluate([tup[i] for i in subset])
-            if is_zero_vec(left):
-                continue
-            right = psi.evaluate([tup[i] for i in rest])
-            if is_zero_vec(right):
-                continue
-            acc = vec_add(acc, vec_scale(Fraction(sign), algebra.bracket_vec(left, right)))
+            acc = vec_add(acc, vec_scale(Fraction(sign), pair(u, v)))
         if not is_zero_vec(acc):
             table[tup] = acc
-    return make_cochain(src, algebra.space, arity, weight, table)
+    return make_cochain(src, target, arity, (left.weight + right.weight) % 2, table)
 
 
 def _a_exponent(word: Sequence[int], i: int) -> int:

@@ -17,7 +17,6 @@ from .gvs import (
     IncrementalSpan,
     SuperVectorSpace,
     Vector,
-    graded_commutator,
     is_zero_vec,
     kernel_basis,
     rref,
@@ -27,16 +26,26 @@ from .gvs import (
     vec_scale,
     zero_vec,
 )
-from .superlie import SuperLieAlgebra, ad, center, derivations, is_homomorphism, out_quotient
+from .superlie import (
+    OuterAlgebra,
+    SuperLieAlgebra,
+    ad,
+    center,
+    commutator_defect,
+    is_homomorphism,
+    outer_algebra,
+)
 from .cochains import (
     Cochain,
     TRIVIAL_LINE,
     arity_cap,
+    canonical_tuples,
     cochain_coordinates,
     cochain_from_coordinates,
     covariant_delta,
     make_cochain,
     space_basis,
+    zero_ops,
 )
 from .extensions import ExtensionDatum, build_extension, check_datum
 
@@ -46,14 +55,13 @@ class GModule:
     """A graded g-module: a space with one action operator per g generator.
 
     The assignment is degree 0 (operator parity = generator parity) and a
-    homomorphism into the graded commutator algebra; `gmodule` verifies
-    both and sets the flag.
+    homomorphism into the graded commutator algebra.  `gmodule` verifies
+    both; the bare constructor checks nothing.
     """
 
     g: SuperLieAlgebra
     space: SuperVectorSpace
     action: tuple[GradedLinearMap, ...]
-    verified: bool = False
 
 
 def gmodule(g: SuperLieAlgebra, space: SuperVectorSpace,
@@ -67,25 +75,16 @@ def gmodule(g: SuperLieAlgebra, space: SuperVectorSpace,
             raise ValueError(f"action[{i}] has the wrong parity")
     for i in range(g.dim):
         for j in range(g.dim):
-            acc = GradedLinearMap.zero(
-                space, space, (g.space.parities[i] + g.space.parities[j]) % 2
-            )
-            for m, c in enumerate(g.brackets[i][j]):
-                if c != 0:
-                    acc = acc + action[m].scale(c)
-            if graded_commutator(action[i], action[j]) != acc:
+            if not commutator_defect(g, action, i, j).is_zero():
                 raise ValueError(
                     f"action is not a homomorphism on the pair "
                     f"({g.space.names[i]},{g.space.names[j]})"
                 )
-    return GModule(g, space, action, True)
+    return GModule(g, space, action)
 
 
 def trivial_module(g: SuperLieAlgebra, space: SuperVectorSpace = TRIVIAL_LINE) -> GModule:
-    action = tuple(
-        GradedLinearMap.zero(space, space, g.space.parities[i]) for i in range(g.dim)
-    )
-    return gmodule(g, space, action)
+    return gmodule(g, space, zero_ops(g.space, space))
 
 
 def module_delta(mod: GModule, phi: Cochain) -> Cochain:
@@ -105,43 +104,27 @@ def center_embedding(h: SuperLieAlgebra) -> GradedLinearMap:
 
 
 def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
-                  abar: GradedLinearMap) -> tuple[GModule, GradedLinearMap]:
-    """Z(h) as a g-module through abar: g -> out(h); returns (module, inclusion).
+                  alpha: tuple[GradedLinearMap, ...]) -> tuple[GModule, GradedLinearMap]:
+    """Z(h) as a g-module through a lifted outer action; returns (module, inclusion).
 
-    Each abar(e_i) is lifted to its complement representative in der(h)
-    and restricted to the center.  Inner derivations kill the center (this
-    is checked), so the action does not depend on the lift; the
-    homomorphism property is verified by `gmodule`.
+    `alpha` holds one derivation of h per g basis element, e.g. the
+    operators of `lift_alpha_bar`; each is restricted to the center.
+    Inner derivations kill the center, so the action does not depend on
+    the lift, only on the outer action it projects to; the homomorphism
+    property is verified by `gmodule`.  Nothing is cached across calls.
     """
-    out_alg, _proj = out_quotient(h)
-    if abar.domain != g.space or abar.codomain != out_alg.space or abar.degree != 0:
-        raise ValueError("abar must be a degree-0 map g -> out(h)")
-    if not is_homomorphism(abar, g, out_alg):
-        raise ValueError("abar is not a homomorphism into out(h)")
     incl = center_embedding(h)
     zdim = incl.domain.dim
-    ds = derivations(h)
-    for k in range(h.dim):
-        for c in range(zdim):
-            if not is_zero_vec(ad(h, unit_vec(h.dim, k)).apply(incl.column(c))):
-                raise RuntimeError("internal fault: inner derivation acts on the center")
     ops = []
-    for i in range(g.dim):
-        deg = g.space.parities[i]
+    for op in alpha:
         cols = []
         for c in range(zdim):
-            v = zero_vec(h.dim)
-            for t in range(out_alg.dim):
-                coeff = abar.matrix[t][i]
-                if coeff != 0:
-                    rep = ds.basis[ds.inner_count + t]
-                    v = vec_add(v, vec_scale(coeff, rep.apply(incl.column(c))))
-            z = solve_linear(incl.matrix, v)
+            z = solve_linear(incl.matrix, op.apply(incl.column(c)))
             if z is None:
                 raise RuntimeError("internal fault: lifted derivation leaves the center")
             cols.append(z)
         m = tuple(tuple(cols[c][r] for c in range(zdim)) for r in range(zdim))
-        ops.append(GradedLinearMap(incl.domain, incl.domain, deg, m))
+        ops.append(GradedLinearMap(incl.domain, incl.domain, op.degree, m))
     return gmodule(g, incl.domain, tuple(ops)), incl
 
 
@@ -231,26 +214,29 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
     return CohomologyReport(n, (reports[0], reports[1]))
 
 
-def lift_alpha_bar(h: SuperLieAlgebra, g: SuperLieAlgebra,
+def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
                    abar: GradedLinearMap) -> tuple[GradedLinearMap, ...]:
-    """The deterministic linear lift of abar through the derivation basis.
+    """The deterministic linear lift of abar: g -> out(h) to operators on h.
 
-    Each out(h) basis element corresponds to one complement member of the
-    inner-first derivation basis; abar(e_i) maps to that combination, so
-    the projection of the lift is abar again.
+    `outer` is the caller's `outer_algebra(h)`.  Each out(h) basis element
+    corresponds to one complement member of the inner-first derivation
+    basis, so abar(e_i) lifts to the combination with coordinates
+    `outer.lift_coordinates(abar(e_i))` and the projection of the lift is
+    abar again.  This is the one check on abar: it must be a degree-0
+    homomorphism g -> out(h), or ValueError is raised.  Nothing is cached
+    across calls.
     """
-    out_alg, _ = out_quotient(h)
-    if abar.domain != g.space or abar.codomain != out_alg.space or abar.degree != 0:
+    if abar.domain != g.space or abar.codomain != outer.out.space or abar.degree != 0:
         raise ValueError("abar must be a degree-0 map g -> out(h)")
-    ds = derivations(h)
+    if not is_homomorphism(abar, g, outer.out):
+        raise ValueError("abar is not a homomorphism into out(h)")
+    hspace = outer.ds.algebra.space
     ops = []
     for i in range(g.dim):
-        deg = g.space.parities[i]
-        acc = GradedLinearMap.zero(h.space, h.space, deg)
-        for t in range(out_alg.dim):
-            c = abar.matrix[t][i]
+        acc = GradedLinearMap.zero(hspace, hspace, g.space.parities[i])
+        for d, c in zip(outer.ds.basis, outer.lift_coordinates(abar.column(i))):
             if c != 0:
-                acc = acc + ds.basis[ds.inner_count + t].scale(c)
+                acc = acc + d.scale(c)
         ops.append(acc)
     return tuple(ops)
 
@@ -264,15 +250,10 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     homomorphism); the canonical solution zeroes the free (central)
     coordinates, which pins rho down.
     """
-    from .cochains import canonical_tuples
-
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         deg = (g.space.parities[i] + g.space.parities[j]) % 2
-        defect = graded_commutator(alpha[i], alpha[j])
-        for m, c in enumerate(g.brackets[i][j]):
-            if c != 0:
-                defect = defect - alpha[m].scale(c)
+        defect = commutator_defect(g, alpha, i, j)
         gens = [k for k in range(h.dim) if h.space.parities[k] == deg]
         cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens]
         rows = tuple(tuple(col[r] for col in cols) for r in range(h.dim * h.dim))
@@ -324,10 +305,10 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
     The pipeline asserts the two facts the construction guarantees: the
     cocycle is valued in the center and is closed for the module
     differential.  Its class in weight-0 H^3 decides whether any extension
-    induces abar.
+    induces abar.  der(h) and out(h) are built once, here.
     """
-    mod, incl = center_module(h, g, abar)
-    alpha = lift_alpha_bar(h, g, abar)
+    alpha = lift_alpha_bar(outer_algebra(h), g, abar)
+    mod, incl = center_module(h, g, alpha)
     rho = rho_from_lift(h, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
     table = {}
@@ -385,7 +366,7 @@ class ClassificationReport:
 def classify_extensions(h: SuperLieAlgebra, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ClassificationReport:
     obs = obstruction_class(h, g, abar)
-    centerless = not center(h)
+    centerless = obs.center_incl.domain.dim == 0
     abelian_kernel = h.is_abelian()
     if not obs.vanishes:
         return ClassificationReport(obs, None, None, (), (), centerless, abelian_kernel)

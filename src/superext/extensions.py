@@ -19,7 +19,6 @@ from .gvs import (
     GradedLinearMap,
     SuperVectorSpace,
     Vector,
-    graded_commutator,
     is_zero_vec,
     kernel_basis,
     rank,
@@ -33,15 +32,23 @@ from .superlie import (
     SuperLieAlgebra,
     ad,
     center,
-    derivation_algebra,
-    derivations,
+    commutator_defect,
     is_derivation,
     is_homomorphism,
     make_algebra,
-    out_quotient,
+    outer_algebra,
     validate_algebra,
 )
-from .cochains import Cochain, canonical_tuples, covariant_delta, make_cochain, nr_bracket
+from .cochains import (
+    Cochain,
+    canonical_tuples,
+    cochain_coordinates,
+    covariant_delta,
+    make_cochain,
+    nr_bracket,
+    space_basis,
+    zero_ops,
+)
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,7 @@ class ExtensionDatum:
 
 def trivial_datum(g: SuperLieAlgebra, h: SuperLieAlgebra) -> ExtensionDatum:
     """The datum of the direct sum: alpha = 0, rho = 0."""
-    alpha = tuple(
-        GradedLinearMap.zero(h.space, h.space, g.space.parities[i]) for i in range(g.dim)
-    )
-    return ExtensionDatum(g, h, alpha, make_cochain(g.space, h.space, 2, 0))
+    return ExtensionDatum(g, h, zero_ops(g.space, h.space), make_cochain(g.space, h.space, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -214,14 +218,8 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
     conn_ok = True
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = graded_commutator(d.alpha[i], d.alpha[j])
             deg = (g.space.parities[i] + g.space.parities[j]) % 2
-            acc = GradedLinearMap.zero(h.space, h.space, deg)
-            for m, c in enumerate(g.brackets[i][j]):
-                if c != 0:
-                    acc = acc + d.alpha[m].scale(c)
-            rhs = acc + ad(h, d.rho.evaluate((i, j)), degree=deg)
-            if lhs != rhs:
+            if commutator_defect(g, d.alpha, i, j) != ad(h, d.rho.evaluate((i, j)), degree=deg):
                 conn_ok = False
                 fails.append(
                     f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) "
@@ -380,14 +378,7 @@ def check_split_witness(d: ExtensionDatum, b: GradedLinearMap) -> bool:
         raise RuntimeError("internal fault: split witness did not flatten the curvature")
     for i in range(d.g.dim):
         for j in range(d.g.dim):
-            acc = GradedLinearMap.zero(
-                d.h.space, d.h.space,
-                (d.g.space.parities[i] + d.g.space.parities[j]) % 2,
-            )
-            for m, c in enumerate(d.g.brackets[i][j]):
-                if c != 0:
-                    acc = acc + flat.alpha[m].scale(c)
-            if graded_commutator(flat.alpha[i], flat.alpha[j]) != acc:
+            if not commutator_defect(d.g, flat.alpha, i, j).is_zero():
                 raise RuntimeError("internal fault: flattened connection is not a homomorphism")
     return True
 
@@ -407,8 +398,6 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
         for j in range(g.dim)
         if h.space.parities[k] == g.space.parities[j]
     ]
-    from .cochains import cochain_coordinates, space_basis
-
     basis2 = space_basis(g.space, h.space, 2, 0)
     cols = []
     for (k, j) in slots:
@@ -436,23 +425,22 @@ def pullback_extension(
     The total algebra is the subalgebra {(D, X) : pi(D) = abar(X)} of
     der(h) x g with the product bracket; h embeds as H -> (ad_H, 0) and
     the projection forgets the derivation part.  The carried section is
-    the canonical one through the complement representatives, so the
-    datum it induces is exactly (lifted abar, its curvature).
+    the canonical one through the lift coordinates of `lift_alpha_bar`, so
+    the datum it induces is exactly (lifted abar, its curvature).  der(h)
+    and out(h) are built once, here.
     """
+    from .cohomology import lift_alpha_bar
+
     if center(h):
         raise ValueError("pullback construction requires a centerless kernel")
-    out_alg, proj = out_quotient(h)
-    if abar.domain != g.space or abar.codomain != out_alg.space:
-        raise ValueError("abar must map g to out(h)")
-    if not is_homomorphism(abar, g, out_alg):
-        raise ValueError("abar is not a homomorphism into out(h)")
-    ds = derivations(h)
-    der_alg = derivation_algebra(ds)
+    outer = outer_algebra(h)
+    lift_alpha_bar(outer, g, abar)  # checks abar; the section reuses its coordinates
+    ds, der_alg = outer.ds, outer.der
     m, n = len(ds.basis), g.dim
     cond = tuple(
-        tuple(proj.matrix[r][c] for c in range(m))
+        tuple(outer.proj.matrix[r][c] for c in range(m))
         + tuple(-abar.matrix[r][c] for c in range(n))
-        for r in range(out_alg.dim)
+        for r in range(outer.out.dim)
     )
     kern = kernel_basis(cond, ncols=m + n)
     prod_parities = ds.space.parities + g.space.parities
@@ -505,12 +493,8 @@ def pullback_extension(
         e_space, g.space, 0,
         tuple(tuple(kern[c][m + r] for c in range(len(kern))) for r in range(n)),
     )
-    sec_cols = []
-    for j in range(n):
-        lift = [Fraction(0)] * m
-        for t in range(out_alg.dim):
-            lift[ds.inner_count + t] = abar.matrix[t][j]
-        sec_cols.append(to_e_coords(tuple(lift) + unit_vec(n, j)))
+    sec_cols = [to_e_coords(outer.lift_coordinates(abar.column(j)) + unit_vec(n, j))
+                for j in range(n)]
     section = GradedLinearMap(
         g.space, e_space, 0,
         tuple(tuple(sec_cols[j][i] for j in range(n)) for i in range(len(kern))),

@@ -195,14 +195,6 @@ def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
     return basis
 
 
-def image_basis(A) -> list[Vector]:
-    """Canonical basis of the column span: RREF of the transposed matrix."""
-    A = _as_matrix(A)
-    cols = list(zip(*A)) if A else []
-    red, _ = rref([tuple(c) for c in cols])
-    return [tuple(r) for r in red]
-
-
 def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vector]:
     """Standard basis vectors at the non-pivot positions of span(vectors).
 
@@ -235,9 +227,6 @@ class IncrementalSpan:
                 w = [a - f * b for a, b in zip(w, row)]
         return w
 
-    def contains(self, v: Sequence) -> bool:
-        return all(a == 0 for a in self.reduce(v))
-
     def add(self, v: Sequence) -> bool:
         """Add a vector; True if it enlarged the span."""
         w = self.reduce(v)
@@ -252,16 +241,6 @@ class IncrementalSpan:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-
-def extend_to_basis(base: Sequence[Vector], candidates: Sequence[Vector]) -> list[int]:
-    """Indices of the candidates that extend span(base) to a larger span.
-
-    Greedy left to right; deterministic.  Used for inner-first derivation
-    bases and for cohomology representatives.
-    """
-    span = IncrementalSpan(base)
-    return [idx for idx, cand in enumerate(candidates) if span.add(cand)]
 
 
 def _as_matrix(A) -> Matrix:
@@ -319,10 +298,6 @@ class SuperVectorSpace:
         return f"({self.dim_even}|{self.dim_odd})[{', '.join(self.names)}]"
 
 
-def make_space(names: Sequence[str], parities: Sequence[int]) -> SuperVectorSpace:
-    return SuperVectorSpace(tuple(names), tuple(int(p) for p in parities))
-
-
 @dataclass(frozen=True)
 class GradedLinearMap:
     """A rational matrix between super spaces, homogeneous of a fixed degree.
@@ -351,10 +326,6 @@ class GradedLinearMap:
                     raise ValueError(
                         f"entry ({i},{j}) violates homogeneity of degree {self.degree}"
                     )
-
-    @staticmethod
-    def from_rows(domain, codomain, degree, rows) -> "GradedLinearMap":
-        return GradedLinearMap(domain, codomain, degree, mat(rows))
 
     @staticmethod
     def zero(domain, codomain, degree=0) -> "GradedLinearMap":

@@ -3,14 +3,15 @@
 An algebra is an ordered graded basis plus the bracket table
 c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 (validation, ad, center, derivations, out = der/ad, homomorphism checks)
-is exact linear algebra on that table.
+is exact linear algebra on that table.  Nothing is cached across calls:
+a pipeline that needs der(h) or out(h) builds one `OuterAlgebra` and
+passes it along.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .gvs import (
@@ -57,9 +58,6 @@ class SuperLieAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.brackets[i][j]
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> Vector:
         u, v = vec(u), vec(v)
@@ -340,13 +338,13 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     return basis
 
 
-@lru_cache(maxsize=None)
 def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
     """All graded derivations of the algebra, solved per parity.
 
     Basis order: inner derivations (parities 0 then 1, in reduced echelon
     form of the span of the ad matrices), then complement members taken
-    from the per-parity solution bases.
+    from the per-parity solution bases.  Every call solves the system
+    afresh; nothing is cached across calls.
     """
     n = alg.dim
     inner_maps: list[GradedLinearMap] = []
@@ -356,14 +354,12 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
         gens = [i for i in range(n) if alg.space.parities[i] == deg]
         ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
         inner_rows, _ = rref(ad_flat) if ad_flat else ([], [])
+        # columns ad_{e_i}: solving against them expresses a member as ad_H
+        sys_rows = tuple(tuple(c[r] for c in ad_flat) for r in range(n * n))
         deg_inner: list[GradedLinearMap] = []
         for row in inner_rows:
             m = tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n))
-            member = GradedLinearMap(alg.space, alg.space, deg, m)
-            deg_inner.append(member)
-            # express the member as ad_H for an explicit H
-            cols = [tuple(f) for f in ad_flat]
-            sys_rows = tuple(tuple(c[r] for c in cols) for r in range(n * n))
+            deg_inner.append(GradedLinearMap(alg.space, alg.space, deg, m))
             y = solve_linear(sys_rows, tuple(row))
             assert y is not None
             h = zero_vec(n)
@@ -395,13 +391,28 @@ def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     return make_algebra(ds.space, table)
 
 
-def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap]:
-    """The quotient out(h) = der(h)/ad(h) with its projection from der(h).
+@dataclass(frozen=True)
+class OuterAlgebra:
+    """der(h) with its bracket algebra, and out(h) = der(h)/ad(h) with the projection.
 
-    The projection is a surjective homomorphism of super Lie algebras with
-    kernel ad(h); out(h) carries the induced bracket of the complement
-    representatives.
+    `outer_algebra` builds the record once per call; whatever needs der(h)
+    or out(h) within that call receives it explicitly.  The projection is
+    a surjective homomorphism of super Lie algebras with kernel ad(h), and
+    out(h) carries the induced bracket of the complement representatives.
     """
+
+    ds: DerivationSpace
+    der: SuperLieAlgebra
+    out: SuperLieAlgebra
+    proj: GradedLinearMap
+
+    def lift_coordinates(self, x: Sequence) -> Vector:
+        """der(h) coordinates of the complement representative of x in out(h)."""
+        return zero_vec(self.ds.inner_count) + vec(x)
+
+
+def outer_algebra(alg: SuperLieAlgebra) -> OuterAlgebra:
+    """Solve der(h), build its bracket algebra and the quotient out(h), once."""
     ds = derivations(alg)
     der_alg = derivation_algebra(ds)
     sub = [unit_vec(len(ds.basis), k) for k in range(ds.inner_count)]
@@ -413,8 +424,27 @@ def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap
             v = proj.apply(der_alg.brackets[ia][ib])
             if not is_zero_vec(v):
                 table[(a, b)] = v
-    out_alg = make_algebra(out_space, table)
-    return out_alg, proj
+    return OuterAlgebra(ds, der_alg, make_algebra(out_space, table), proj)
+
+
+def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap]:
+    """The quotient out(h) = der(h)/ad(h) with its projection from der(h)."""
+    outer = outer_algebra(alg)
+    return outer.out, outer.proj
+
+
+def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],
+                      i: int, j: int) -> GradedLinearMap:
+    """[op_i, op_j] - sum_m c^m_ij op_m for operators attached to the basis of g.
+
+    It vanishes on every pair exactly when e_i -> op_i respects the
+    bracket of g, i.e. is a homomorphism into the graded commutator algebra.
+    """
+    defect = graded_commutator(ops[i], ops[j])
+    for m, c in enumerate(g.brackets[i][j]):
+        if c != 0:
+            defect = defect - ops[m].scale(c)
+    return defect
 
 
 def is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgebra) -> bool:

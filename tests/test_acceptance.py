@@ -51,6 +51,7 @@ from superext.cohomology import (
     trivial_module,
 )
 
+from child_env import cli_env
 from cli_cases import CASES
 from oracles import (
     brute_jacobi,
@@ -292,13 +293,13 @@ def test_criterion_9_cli_goldens():
     subcommands = set()
     for name, argv, want_exit in CASES:
         r = subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                           cwd=INPUTS, capture_output=True)
+                           cwd=INPUTS, capture_output=True, env=cli_env())
         assert r.returncode == want_exit, (name, r.stderr.decode())
         assert r.stdout == (EXPECTED / f"{name}.out").read_bytes(), name
         subcommands.add(argv[0])
         if "--json" in argv:
             r2 = subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                                cwd=INPUTS, capture_output=True)
+                                cwd=INPUTS, capture_output=True, env=cli_env())
             assert r2.stdout == r.stdout, f"{name} not byte-stable"
     assert subcommands == {
         "validate", "center", "derivations", "out", "cohomology", "section-data",

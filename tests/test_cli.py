@@ -1,7 +1,6 @@
 """CLI golden files, exit codes, byte determinism, exact-rational reports."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from child_env import cli_env
 from cli_cases import CASES
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -17,7 +17,7 @@ EXPECTED = Path(__file__).parent / "golden" / "expected"
 
 def run_cli(argv, cwd=INPUTS):
     return subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                          cwd=cwd, capture_output=True)
+                          cwd=cwd, capture_output=True, env=cli_env())
 
 
 @pytest.mark.parametrize("name,argv,want_exit", CASES, ids=[c[0] for c in CASES])
@@ -119,7 +119,7 @@ def test_dimension_guard(tmp_path):
 
 
 def test_arity_cap_env_var(tmp_path):
-    env = dict(os.environ, SUPEREXT_ARITY_CAP="3")
+    env = cli_env(SUPEREXT_ARITY_CAP="3")
     r = subprocess.run(
         [sys.executable, "-m", "superext.cli", "cohomology", "a01.json", "--degree", "6"],
         cwd=INPUTS, capture_output=True, env=env)

@@ -1,5 +1,6 @@
 """Modules, cohomology spaces, lifts, the obstruction and classification."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from superext.superlie import (
     ad,
     center,
     derivations,
+    direct_sum,
     is_homomorphism,
     out_quotient,
+    outer_algebra,
 )
 from superext.extensions import (
     ExtensionDatum,
@@ -57,7 +60,8 @@ def test_gmodule_rejects_non_homomorphism():
 
 
 def test_center_module_centerless_is_zero():
-    mod, incl = center_module(sl2(), abelian(1, 0, "t"), zero_abar(sl2(), abelian(1, 0, "t")))
+    h, g = sl2(), abelian(1, 0, "t")
+    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g)))
     assert mod.space.dim == 0
 
 
@@ -67,14 +71,14 @@ def test_center_module_abelian_kernel_is_whole_space():
     # a nonzero action: t acts by the identity on the even part
     ds = derivations(h)
     abar = GradedLinearMap.zero(g.space, out_alg.space, 0)
-    mod, incl = center_module(h, g, abar)
+    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, abar))
     assert mod.space.dim == 2
     assert sorted(mod.space.parities) == [0, 1]
 
 
 def test_center_module_heis3_trivial_action():
     h, g = heis3(), abelian(1, 0, "t")
-    mod, incl = center_module(h, g, zero_abar(h, g))
+    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g)))
     assert mod.space.dim == 1
     assert all(op.is_zero() for op in mod.action)
     assert incl.column(0) == (0, 0, 1)
@@ -91,7 +95,7 @@ def test_center_module_nonzero_action():
     assert coords is not None
     abar = GradedLinearMap(g.space, out_alg.space, 0,
                            tuple((c,) for c in coords[ds.inner_count:]))
-    mod, incl = center_module(h, g, abar)
+    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, abar))
     assert mod.action[0].matrix == ((1, 0), (0, 2))
 
 
@@ -160,7 +164,8 @@ def test_module_delta_squares_to_zero(rng):
     ops = tuple(GradedLinearMap(nat, nat, g2.space.parities[i], mats[i]) for i in range(4))
     cases.append((g2, gmodule(g2, nat, ops)))
     h, g3 = heis3(), abelian(1, 0, "t")
-    cases.append((g3, center_module(h, g3, zero_abar(h, g3))[0]))
+    alpha3 = lift_alpha_bar(outer_algebra(h), g3, zero_abar(h, g3))
+    cases.append((g3, center_module(h, g3, alpha3)[0]))
     for g, mod in cases:
         for arity in range(0, 4):
             for w in (0, 1):
@@ -189,11 +194,61 @@ def test_representatives_are_cocycles_independent_mod_boundaries():
                 assert module_delta(mod, c).is_zero()
 
 
+def test_center_module_does_not_depend_on_the_lift(rng):
+    # adding an inner ad_H of matching parity to each lifted operator leaves
+    # the center module unchanged; g has an odd generator, so odd H occur
+    h = gl11()
+    outer = outer_algebra(h)
+    g = direct_sum(outer.out, abelian(0, 1, "q"))
+    k = outer.out.dim
+    abar = GradedLinearMap(g.space, outer.out.space, 0,
+                           tuple(tuple(F(int(r == c)) for c in range(g.dim)) for r in range(k)))
+    alpha = lift_alpha_bar(outer, g, abar)
+    mod, incl = center_module(h, g, alpha)
+    assert not all(op.is_zero() for op in mod.action)
+    for _ in range(5):
+        shifted = []
+        for i, op in enumerate(alpha):
+            p = g.space.parities[i]
+            x = tuple(F(rng.randint(-3, 3)) if h.space.parities[m] == p else F(0)
+                      for m in range(h.dim))
+            shifted.append(op + ad(h, x, degree=p))
+        assert center_module(h, g, tuple(shifted)) == (mod, incl)
+
+
+@pytest.mark.parametrize("kind", ["classify", "pullback"])
+def test_der_and_out_built_once_per_call(monkeypatch, kind):
+    # every superext namespace binding derivations or derivation_algebra
+    # gets a counting wrapper, so no call path escapes the count
+    from superext import superlie
+    from superext.extensions import pullback_extension
+    h = heis3() if kind == "classify" else sl2()
+    g = abelian(1, 0, "t")
+    abar = zero_abar(h, g)
+    counts = {}
+    for name in ("derivations", "derivation_algebra"):
+        fn = getattr(superlie, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.split(".")[0] == "superext" and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    if kind == "classify":
+        classify_extensions(h, g, abar)
+    else:
+        pullback_extension(h, g, abar)
+    assert counts == {"derivations": 1, "derivation_algebra": 1}
+
+
 # ---------- lift and curvature from a lift ----------
 
 def test_lift_zero():
     h, g = sl2(), abelian(1, 0, "t")
-    alpha = lift_alpha_bar(h, g, zero_abar(h, g))
+    alpha = lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g))
     assert all(op.is_zero() for op in alpha)
 
 
@@ -202,7 +257,7 @@ def test_lift_point_kernel_identity():
     h, g = abelian(1, 0, "w"), abelian(1, 0, "t")
     out_alg, _ = out_quotient(h)
     abar = GradedLinearMap(g.space, out_alg.space, 0, ((F(3),),))
-    alpha = lift_alpha_bar(h, g, abar)
+    alpha = lift_alpha_bar(outer_algebra(h), g, abar)
     assert alpha[0].matrix == ((3,),)
 
 
@@ -219,7 +274,7 @@ def test_lift_projects_back(rng):
         m = tuple((c0 * xi[r], c1 * xi[r]) for r in range(out_alg.dim))
         abar = GradedLinearMap(g.space, out_alg.space, 0, m)
         assert is_homomorphism(abar, g, out_alg)
-        alpha = lift_alpha_bar(h, g, abar)
+        alpha = lift_alpha_bar(outer_algebra(h), g, abar)
         for j in range(g.dim):
             coords = ds.coordinates_of(alpha[j])
             assert coords is not None
@@ -228,7 +283,7 @@ def test_lift_projects_back(rng):
 
 def test_rho_from_lift_zero_for_homomorphism():
     h, g = sl2(), abelian(1, 0, "t")
-    alpha = lift_alpha_bar(h, g, zero_abar(h, g))
+    alpha = lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g))
     rho = rho_from_lift(h, g, alpha)
     assert rho.is_zero()
 
