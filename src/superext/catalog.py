@@ -40,3 +40,19 @@ def gl11() -> SuperLieAlgebra:
             ("x", "y"): {"a": 1, "d": 1},
         },
     )
+
+
+def osp12() -> SuperLieAlgebra:
+    """osp(1|2): sl(2) on H, E, F and odd Q+, Q- with [Q+,Q-] = H.
+
+    Also [Q+,Q+] = 2E, [Q-,Q-] = -2F, and the Q's span the natural sl(2) module.
+    """
+    return algebra_from_table(
+        ("H", "E", "F", "Q+", "Q-"), (0, 0, 0, 1, 1),
+        {
+            ("H", "E"): {"E": 2}, ("H", "F"): {"F": -2}, ("E", "F"): {"H": 1},
+            ("Q+", "Q+"): {"E": 2}, ("Q-", "Q-"): {"F": -2}, ("Q+", "Q-"): {"H": 1},
+            ("H", "Q+"): {"Q+": 1}, ("H", "Q-"): {"Q-": -1},
+            ("E", "Q-"): {"Q+": -1}, ("F", "Q+"): {"Q-": -1},
+        },
+    )

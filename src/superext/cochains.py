@@ -38,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .gvs import (
@@ -384,54 +385,57 @@ def _shuffle_sum(left: Cochain, right: Cochain, target: SuperVectorSpace, pair) 
     return make_cochain(src, target, arity, (left.weight + right.weight) % 2, table)
 
 
-def _a_exponent(word: Sequence[int], i: int) -> int:
-    return word[i] * sum(word[:i]) + i
+def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
+    """The terms of (delta Phi)(X_tup) for a canonical tuple and a Phi of `weight`.
+
+    Yields (coefficient, source tuple, generator): (delta Phi)(X_tup) is
+    the sum over the terms of coefficient * alpha_generator(Phi(source
+    tuple)), where generator None means no operator.  Source tuples are
+    canonical.  The action term i drops argument i and carries
+    (-1)^(x_i y + a_i); the bracket term (i < j, m) inserts e_m, m running
+    over the support of [X_i, X_j], and carries (-1)^a_ij times the sign
+    of sorting (m, rest).  This is the one place the signs of the
+    differential are written down; `covariant_delta` applies the terms to
+    a cochain and `differential_matrix` writes them into a matrix.
+    """
+    space = alg.space
+    word = [space.parities[t] for t in tup]
+    a = []
+    before = 0
+    for i, x in enumerate(word):
+        a.append(x * before + i)
+        before += x
+    for i, t in enumerate(tup):
+        yield (-1 if (word[i] * weight + a[i]) % 2 else 1), tup[:i] + tup[i + 1:], t
+    for i in range(len(tup)):
+        for j in range(i + 1, len(tup)):
+            rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+            odd = (a[i] + a[j] + word[i] * word[j]) % 2 == 1
+            for m, c in enumerate(alg.brackets[tup[i]][tup[j]]):
+                if c:
+                    srt, sign = sort_indices(space, (m,) + rest)
+                    if sign:
+                        yield (-c if (sign < 0) != odd else c), srt, None
 
 
-def _delta_terms(
-    source_alg: SuperLieAlgebra,
-    phi: Cochain,
-    alpha_ops: Sequence[GradedLinearMap] | None,
-) -> Cochain:
-    src = source_alg.space
-    if phi.source != src:
-        raise ValueError("cochain source does not match the algebra")
-    p1 = phi.arity + 1
-    if p1 > arity_cap() + 1:
-        raise ValueError(f"differential arity {p1} exceeds the cap {arity_cap()} + 1")
-    table: dict[tuple[int, ...], Vector] = {}
-    for tup in canonical_tuples(src, p1):
-        word = tuple(src.parities[i] for i in tup)
-        acc = zero_vec(phi.target.dim)
-        if alpha_ops is not None:
-            for i in range(p1):
-                rest = tup[:i] + tup[i + 1:]
-                v = phi.evaluate(rest)
-                if is_zero_vec(v):
-                    continue
-                exp = (word[i] * phi.weight + _a_exponent(word, i)) % 2
-                term = alpha_ops[tup[i]].apply(v)
-                acc = vec_add(acc, vec_scale(Fraction(-1 if exp else 1), term))
-        for i in range(p1):
-            for j in range(i + 1, p1):
-                w = source_alg.brackets[tup[i]][tup[j]]
-                if is_zero_vec(w):
-                    continue
-                exp = (_a_exponent(word, i) + _a_exponent(word, j) + word[i] * word[j]) % 2
-                rest = tuple(t for k, t in enumerate(tup) if k not in (i, j))
-                term = zero_vec(phi.target.dim)
-                for m, c in enumerate(w):
-                    if c != 0:
-                        term = vec_add(term, vec_scale(c, phi.evaluate((m,) + rest)))
-                acc = vec_add(acc, vec_scale(Fraction(-1 if exp else 1), term))
-        if not is_zero_vec(acc):
-            table[tup] = acc
-    return make_cochain(src, phi.target, p1, phi.weight, table)
+def _check_delta_args(src: SuperVectorSpace, target: SuperVectorSpace,
+                      alpha_ops: Sequence[GradedLinearMap], arity: int) -> None:
+    if len(alpha_ops) != src.dim:
+        raise ValueError("need one operator per source basis element")
+    for i, op in enumerate(alpha_ops):
+        if op.domain != target or op.codomain != target:
+            raise ValueError(f"operator {i} does not act on the cochain target")
+        if op.degree != src.parities[i]:
+            raise ValueError(
+                f"operator {i} has degree {op.degree}, the assignment is not degree 0"
+            )
+    if arity > arity_cap():
+        raise ValueError(f"differential arity {arity + 1} exceeds the cap {arity_cap()} + 1")
 
 
 def chevalley_delta(source_alg: SuperLieAlgebra, phi: Cochain) -> Cochain:
     """Coboundary with only the bracket-insertion term (zero action)."""
-    return _delta_terms(source_alg, phi, None)
+    return covariant_delta(source_alg, zero_ops(source_alg.space, phi.target), phi)
 
 
 def covariant_delta(
@@ -445,18 +449,76 @@ def covariant_delta(
     assignment must be degree 0, i.e. the operator parity equals the basis
     element's parity.  With all alpha zero this is `chevalley_delta`; it
     squares to [rho, .]_wedge when (alpha, rho) come from an extension.
+    The value on each canonical target tuple is the sum over the terms of
+    `_delta_stencil`, the same terms `differential_matrix` assembles.
     """
     src = source_alg.space
-    if len(alpha_ops) != src.dim:
-        raise ValueError("need one operator per source basis element")
-    for i, op in enumerate(alpha_ops):
-        if op.domain != phi.target or op.codomain != phi.target:
-            raise ValueError(f"operator {i} does not act on the cochain target")
-        if op.degree != src.parities[i]:
-            raise ValueError(
-                f"operator {i} has degree {op.degree}, the assignment is not degree 0"
-            )
-    return _delta_terms(source_alg, phi, alpha_ops)
+    if phi.source != src:
+        raise ValueError("cochain source does not match the algebra")
+    _check_delta_args(src, phi.target, alpha_ops, phi.arity)
+    values = phi._table
+    table: dict[tuple[int, ...], Vector] = {}
+    for tup in canonical_tuples(src, phi.arity + 1):
+        acc = zero_vec(phi.target.dim)
+        for coef, rest, gen in _delta_stencil(source_alg, tup, phi.weight):
+            v = values.get(rest)
+            if v is not None:
+                if gen is not None:
+                    v = alpha_ops[gen].apply(v)
+                acc = vec_add(acc, vec_scale(coef, v))
+        if not is_zero_vec(acc):
+            table[tup] = acc
+    return make_cochain(src, phi.target, phi.arity + 1, phi.weight, table)
+
+
+def differential_matrix(
+    source_alg: SuperLieAlgebra,
+    alpha_ops: Sequence[GradedLinearMap],
+    target: SuperVectorSpace,
+    arity: int,
+    weight: int,
+):
+    """Matrix of `covariant_delta` from (arity, weight) cochains to arity + 1.
+
+    Returns (rows, source basis, target basis): columns follow
+    `space_basis` of the source, rows that of the target.  The matrix is
+    assembled by target tuple: each term of `_delta_stencil` at a target
+    tuple hits one canonical source tuple, so row (tuple, r) is a sparse
+    sum of +-alpha entries and +-structure constants, written out densely
+    at the end.  Apart from that write-out, the work is linear in the
+    number of nonzero entries; no unit cochain is differentiated.
+    """
+    src = source_alg.space
+    _check_delta_args(src, target, alpha_ops, arity)
+    src_basis = space_basis(src, target, arity, weight)
+    dst_basis = space_basis(src, target, arity + 1, weight)
+    col = {key: k for k, key in enumerate(src_basis)}
+    # action[i][r]: the nonzero entries (m, c) of row r of alpha_i
+    action = [[[(m, c) for m, c in enumerate(row) if c] for row in op.matrix]
+              for op in alpha_ops]
+    zero = Fraction(0)
+    rows = []
+    try:
+        for tup, group in groupby(dst_basis, key=itemgetter(0)):
+            stencil = list(_delta_stencil(source_alg, tup, weight))
+            for _tup, r in group:
+                entries: dict[int, Fraction] = {}
+                for coef, rest, gen in stencil:
+                    if gen is None:
+                        k = col[(rest, r)]
+                        entries[k] = entries.get(k, zero) + coef
+                    else:
+                        for m, c in action[gen][r]:
+                            k = col[(rest, m)]
+                            entries[k] = entries.get(k, zero) + coef * c
+                row = [zero] * len(src_basis)
+                for k, x in entries.items():
+                    row[k] = x
+                rows.append(tuple(row))
+    except KeyError:
+        raise ValueError("the bracket is not degree 0: the differential leaves "
+                         "the cochain space") from None
+    return tuple(rows), src_basis, dst_basis
 
 
 def zero_ops(source: SuperVectorSpace, target: SuperVectorSpace) -> tuple[GradedLinearMap, ...]:

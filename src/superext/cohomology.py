@@ -43,6 +43,7 @@ from .cochains import (
     cochain_coordinates,
     cochain_from_coordinates,
     covariant_delta,
+    differential_matrix,
     make_cochain,
     space_basis,
     zero_ops,
@@ -161,16 +162,26 @@ def delta_matrix(mod: GModule, arity: int, weight: int):
     """Matrix of the module differential L^{arity,weight} -> L^{arity+1,weight}.
 
     Columns follow `space_basis` of the source, rows that of the target.
+    It is `cochains.differential_matrix` for the module's action:
+    assembled by target tuple from the terms `covariant_delta` sums, one
+    canonical source tuple per term, never column by column.
     """
-    src_basis = space_basis(mod.g.space, mod.space, arity, weight)
-    dst_basis = space_basis(mod.g.space, mod.space, arity + 1, weight)
-    cols = []
-    for (tup, m) in src_basis:
-        elem = make_cochain(mod.g.space, mod.space, arity, weight,
-                            {tup: unit_vec(mod.space.dim, m)})
-        cols.append(cochain_coordinates(module_delta(mod, elem), dst_basis))
-    rows = tuple(tuple(cols[c][r] for c in range(len(cols))) for r in range(len(dst_basis)))
-    return rows, src_basis, dst_basis
+    return differential_matrix(mod.g, mod.action, mod.space, arity, weight)
+
+
+def _check_squares_to_zero(outer, inner, n: int) -> None:
+    """Raise an internal fault unless outer * inner = 0, summing over nonzeros."""
+    inner_rows = [[(k, x) for k, x in enumerate(row) if x] for row in inner]
+    for row in outer:
+        acc: dict[int, object] = {}
+        for j, a in enumerate(row):
+            if a:
+                for k, b in inner_rows[j]:
+                    acc[k] = acc.get(k, 0) + a * b
+        if any(acc.values()):
+            raise RuntimeError(
+                f"internal fault: the differential does not square to zero at degree {n}"
+            )
 
 
 def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyReport:
@@ -178,7 +189,9 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
 
     Representatives are the cocycle-basis vectors that enlarge the span of
     the coboundaries, picked greedily in kernel-basis order; everything is
-    deterministic for fixed input.
+    deterministic for fixed input.  With both differentials at hand the
+    complex checks itself: D_n D_{n-1} must vanish, or RuntimeError
+    reports an internal fault.
     """
     if mod.g != g:
         raise ValueError("module is over a different algebra")
@@ -194,6 +207,7 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
             cobound_coords: list[Vector] = []
         else:
             prev, prev_basis, _ = delta_matrix(mod, n - 1, y)
+            _check_squares_to_zero(dmat, prev, n)
             img_cols = [tuple(prev[r][c] for r in range(len(src_basis)))
                         for c in range(len(prev_basis))]
             cobound_coords = [tuple(r) for r in rref(img_cols)[0]] if img_cols else []

@@ -44,9 +44,9 @@ from .cochains import (
     canonical_tuples,
     cochain_coordinates,
     covariant_delta,
+    differential_matrix,
     make_cochain,
     nr_bracket,
-    space_basis,
     zero_ops,
 )
 
@@ -398,15 +398,11 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
         for j in range(g.dim)
         if h.space.parities[k] == g.space.parities[j]
     ]
-    basis2 = space_basis(g.space, h.space, 2, 0)
-    cols = []
-    for (k, j) in slots:
-        m = [[Fraction(0)] * g.dim for _ in range(h.dim)]
-        m[k][j] = Fraction(1)
-        eb = GradedLinearMap(g.space, h.space, 0, tuple(tuple(r) for r in m))
-        image = covariant_delta(g, d.alpha, witness_cochain(eb))
-        cols.append(cochain_coordinates(image, basis2))
-    rows = tuple(tuple(c[r] for c in cols) for r in range(len(basis2)))
+    # the columns of delta_alpha on witnesses, taken into slot order (k-major)
+    dmat, basis1, basis2 = differential_matrix(g, d.alpha, h.space, 1, 0)
+    col = {key: c for c, key in enumerate(basis1)}
+    order = [col[((j,), k)] for (k, j) in slots]
+    rows = tuple(tuple(row[c] for c in order) for row in dmat)
     rhs = cochain_coordinates(d.rho, basis2)
     x = solve_linear(rows, rhs, ncols=len(slots))
     if x is None:

@@ -112,33 +112,69 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     fixes every canonical choice in the library: particular solutions,
     kernel bases, complements and cohomology representatives all come
     from it.
+
+    Elimination runs on sparse rows, {column: nonzero Fraction} dicts, fed
+    in one at a time to `_absorb`, which keeps the rows seen so far in
+    fully reduced form.  Only the output is dense.  Any exact elimination
+    gives the same result: the RREF of a matrix depends only on its row
+    space (its nonzero rows are the unique basis of that space with a
+    leading 1 in each pivot column and zeros in the other pivot columns,
+    and the pivot columns are the leftmost-nonzero positions), so the
+    order of row operations cannot change a returned byte.
     """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
+    ncols = len(rows[0]) if rows else 0
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        _absorb(echelon, {j: x for j, x in enumerate(row) if x})
+    pivots = sorted(echelon)
+    zero = Fraction(0)
+    reduced = []
+    for p in pivots:
+        dense = [zero] * ncols
+        for j, x in echelon[p].items():
+            dense[j] = x
+        reduced.append(dense)
+    return reduced, pivots
+
+
+def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
+    """Add a sparse row to a fully reduced echelon basis; True if it is new.
+
+    `echelon` maps each pivot column to its row, which holds 1 there and 0
+    in every other pivot column.  The row (a dict this call consumes) is
+    reduced against it, and one pass suffices because of that invariant.
+    A nonzero remainder is scaled to a leading 1 at its leftmost column,
+    that column is cleared from the other rows, and the remainder joins
+    the basis.
+    """
+    for c in [c for c in row if c in echelon]:
+        _axpy(row, -row[c], echelon[c])
+    if not row:
+        return False
+    p = min(row)
+    pv = row[p]
+    if pv != 1:
+        row = {j: x / pv for j, x in row.items()}
+    for other in echelon.values():
+        f = other.get(p)
+        if f is not None:
+            _axpy(other, -f, row)
+    echelon[p] = row
+    return True
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row += f * other on sparse rows, dropping entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = f * y
+        else:
+            x += f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
 
 
 def rank(A: Sequence[Vector]) -> int:
@@ -212,35 +248,20 @@ def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vect
 
 
 class IncrementalSpan:
-    """Row span maintained by incremental elimination with leftmost pivots."""
+    """Row span grown one vector at a time by the elimination of `rref`."""
 
     def __init__(self, rows: Iterable[Sequence] = ()):  # noqa: B008
-        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot col, row)
+        self._echelon: dict[int, dict[int, Fraction]] = {}
         for r in rows:
             self.add(r)
 
-    def reduce(self, v: Sequence) -> list[Fraction]:
-        w = [scalar(x) for x in v]
-        for p, row in self._rows:
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
     def add(self, v: Sequence) -> bool:
         """Add a vector; True if it enlarged the span."""
-        w = self.reduce(v)
-        for p, a in enumerate(w):
-            if a != 0:
-                w = [x / a for x in w]
-                self._rows.append((p, w))
-                self._rows.sort(key=lambda t: t[0])
-                return True
-        return False
+        return _absorb(self._echelon, {j: x for j, x in enumerate(vec(v)) if x})
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._echelon)
 
 
 def _as_matrix(A) -> Matrix:

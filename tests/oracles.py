@@ -237,3 +237,73 @@ def random_extension(g: SuperLieAlgebra, h: SuperLieAlgebra, rng) -> ExtensionTr
 def random_section(t: ExtensionTriple, rng) -> GradedLinearMap:
     b = random_witness(t.g, t.h, rng)
     return t.section + t.incl.compose(b)
+
+
+# ---------- differentials and elimination, the slow way ----------
+
+def delta_by_terms(alg: SuperLieAlgebra, alpha_ops, phi: Cochain) -> Cochain:
+    """The covariant differential summed term by term on every target tuple.
+
+    Each term evaluates phi on an arbitrary argument tuple (sorting and
+    signing it there), with the exponents a_i and a_ij recomputed from
+    the parity word; alpha_ops None drops the action terms.
+    """
+    src = alg.space
+    p1 = phi.arity + 1
+    table = {}
+    for tup in canonical_tuples(src, p1):
+        word = tuple(src.parities[i] for i in tup)
+
+        def a(i):
+            return word[i] * sum(word[:i]) + i
+
+        acc = zero_vec(phi.target.dim)
+        for i in range(p1 if alpha_ops is not None else 0):
+            v = phi.evaluate(tup[:i] + tup[i + 1:])
+            if any(v):
+                sign = Fraction((-1) ** (word[i] * phi.weight + a(i)))
+                acc = vec_add(acc, vec_scale(sign, alpha_ops[tup[i]].apply(v)))
+        for i in range(p1):
+            for j in range(i + 1, p1):
+                rest = tuple(t for k, t in enumerate(tup) if k not in (i, j))
+                sign = Fraction((-1) ** (a(i) + a(j) + word[i] * word[j]))
+                for m, c in enumerate(alg.brackets[tup[i]][tup[j]]):
+                    v = phi.evaluate((m,) + rest) if c != 0 else ()
+                    if any(v):
+                        acc = vec_add(acc, vec_scale(sign * c, v))
+        table[tup] = acc
+    return make_cochain(src, phi.target, p1, phi.weight, table)
+
+
+def delta_matrix_by_columns(g: SuperLieAlgebra, action, target, arity: int, weight: int):
+    """The differential's matrix column by column: unit cochain, delta, coordinates."""
+    from superext.cochains import cochain_coordinates, space_basis
+
+    src_basis = space_basis(g.space, target, arity, weight)
+    dst_basis = space_basis(g.space, target, arity + 1, weight)
+    cols = []
+    for tup, m in src_basis:
+        elem = make_cochain(g.space, target, arity, weight, {tup: unit_vec(target.dim, m)})
+        cols.append(cochain_coordinates(delta_by_terms(g, action, elem), dst_basis))
+    return tuple(tuple(col[r] for col in cols) for r in range(len(dst_basis)))
+
+
+def dense_rref(rows):
+    """Textbook Gauss-Jordan on dense rows, leftmost pivot, first nonzero row."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots

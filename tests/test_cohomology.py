@@ -125,8 +125,10 @@ def test_h_odd_line_all_degrees():
 
 
 def test_sl2_whitehead():
+    # H^*(sl(2); C) is an exterior algebra on one class of degree 3
     g = sl2()
     mod = trivial_module(g)
+    assert cohomology_space(g, mod, 0).total_dim == 1
     assert cohomology_space(g, mod, 1).total_dim == 0
     assert cohomology_space(g, mod, 2).total_dim == 0
     assert cohomology_space(g, mod, 3).total_dim == 1

@@ -1,0 +1,169 @@
+"""The sparse differential assembler and the sparse elimination kernel.
+
+Both are checked against slow oracles that share no code with them
+(`tests/oracles.py`), against exact ranks from sympy, and against
+cohomology values from the literature.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superext import cochains
+from superext.catalog import gl11, heis3, osp12, sl2, susy_line
+from superext.cochains import covariant_delta
+from superext.cohomology import cohomology_space, delta_matrix, gmodule, trivial_module
+from superext.gvs import IncrementalSpan, rref, unit_vec
+from superext.superlie import ad, direct_sum
+
+from oracles import delta_by_terms, delta_matrix_by_columns, dense_rref, random_cochain
+
+F = Fraction
+
+
+def gl11_sl2_heis3():
+    return direct_sum(direct_sum(gl11(), sl2()), heis3())
+
+
+ALGEBRAS = {
+    "sl2": sl2,
+    "heis3": heis3,
+    "susy_line": susy_line,
+    "gl11": gl11,
+    "osp12": osp12,
+    "gl11+sl2+heis3": gl11_sl2_heis3,
+}
+
+
+def adjoint_module(g):
+    return gmodule(g, g.space, tuple(ad(g, unit_vec(g.dim, i)) for i in range(g.dim)))
+
+
+MODULES = {"trivial": trivial_module, "adjoint": adjoint_module}
+
+
+def max_arity(g, module):
+    if g.dim <= 5:
+        return 4
+    # the column oracle's cost grows with (dim C^n)^2; the 10-dim adjoint
+    # case stops at arity 2 to keep the suite short
+    return 3 if module == "trivial" else 2
+
+
+# ---------- assembler ----------
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_delta_matrix_matches_column_oracle(name, module):
+    g = ALGEBRAS[name]()
+    mod = MODULES[module](g)
+    for n in range(max_arity(g, module) + 1):
+        for y in (0, 1):
+            rows, src, dst = delta_matrix(mod, n, y)
+            assert src == cochains.space_basis(g.space, mod.space, n, y)
+            assert dst == cochains.space_basis(g.space, mod.space, n + 1, y)
+            assert rows == delta_matrix_by_columns(g, mod.action, mod.space, n, y)
+
+
+@pytest.mark.parametrize("name", ["susy_line", "gl11", "osp12"])
+def test_covariant_delta_matches_term_oracle(name, rng):
+    g = ALGEBRAS[name]()
+    for mod in (trivial_module(g), adjoint_module(g)):
+        for n in range(4):
+            for y in (0, 1):
+                phi = random_cochain(g.space, mod.space, n, y, rng)
+                assert covariant_delta(g, mod.action, phi) == delta_by_terms(g, mod.action, phi)
+                assert cochains.chevalley_delta(g, phi) == delta_by_terms(g, None, phi)
+
+
+def test_sign_error_in_the_assembler_is_an_internal_fault(monkeypatch):
+    g = sl2()
+    mod = trivial_module(g)
+    assert cohomology_space(g, mod, 2).total_dim == 0
+    stencil = cochains._delta_stencil
+
+    def first_bracket_term_flipped(alg, tup, weight):
+        flipped = False
+        for coef, rest, gen in stencil(alg, tup, weight):
+            if gen is None and not flipped:
+                coef, flipped = -coef, True
+            yield coef, rest, gen
+
+    monkeypatch.setattr(cochains, "_delta_stencil", first_bracket_term_flipped)
+    with pytest.raises(RuntimeError, match="internal fault: the differential does not square"):
+        cohomology_space(g, mod, 2)
+
+
+# ---------- elimination ----------
+
+def assert_rref_matches_oracle(rows):
+    red, pivots = rref(rows)
+    want_red, want_pivots = dense_rref(rows)
+    assert pivots == want_pivots
+    assert red == want_red
+    span = IncrementalSpan()
+    accepted = [span.add(r) for r in rows]
+    assert sum(accepted) == span.rank == len(pivots)
+
+
+def test_rref_edge_cases():
+    assert rref([]) == ([], [])
+    assert_rref_matches_oracle([])
+    assert_rref_matches_oracle([(F(0), F(0)), (F(0), F(0))])      # zero rows only
+    assert_rref_matches_oracle([(F(0), F(3), F(0), F(6))])        # zero columns, pivot 3
+    assert_rref_matches_oracle([(F(0),)] * 3)
+    assert_rref_matches_oracle([(F(2), F(4), F(1)), (F(0), F(0), F(0)), (F(4), F(8), F(5))])
+    assert_rref_matches_oracle([(F(1, 3), F(-2, 7)), (F(5), F(1, 2)), (F(0), F(0))])
+    red, pivots = rref([(F(0), F(2), F(4)), (F(0), F(3), F(7))])
+    assert pivots == [1, 2]
+    assert red == [[0, 1, 0], [0, 0, 1]]
+
+
+entries = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7)))
+def test_rref_matches_dense_oracle(rows):
+    assert_rref_matches_oracle([tuple(r) for r in rows])
+
+
+def test_rref_of_differentials_matches_dense_oracle():
+    g = osp12()
+    mod = adjoint_module(g)
+    for n in range(3):
+        for y in (0, 1):
+            assert_rref_matches_oracle(delta_matrix(mod, n, y)[0])
+
+
+# ---------- literature values and an independent rank ----------
+
+def test_osp12_trivial_cohomology_is_that_of_sp2():
+    # H^*(osp(1|2n); C) = H^*(sp(2n); C) (Fuks 1986): one class, in degree 3
+    g = osp12()
+    mod = trivial_module(g)
+    assert [cohomology_space(g, mod, n).total_dim for n in range(7)] == [1, 0, 0, 1, 0, 0, 0]
+
+
+def sympy_rank(rows, ncols):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows or not ncols:
+        return 0
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in rows],
+                        (len(rows), ncols), QQ).rank()
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_differential_ranks_match_sympy(corpus, module):
+    for g in [*corpus.values(), osp12()]:
+        mod = MODULES[module](g)
+        for n in range(4):
+            rep = cohomology_space(g, mod, n)
+            for y in (0, 1):
+                rows, src, _ = delta_matrix(mod, n, y)
+                assert sympy_rank(rows, len(src)) == len(src) - rep.weight(y).dim_cocycles
