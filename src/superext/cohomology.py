@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .gvs import (
     GradedLinearMap,
     IncrementalSpan,
+    LinearSystem,
     SuperVectorSpace,
     Vector,
     is_zero_vec,
@@ -45,7 +46,6 @@ from .cochains import (
     covariant_delta,
     differential_matrix,
     make_cochain,
-    space_basis,
     zero_ops,
 )
 from .extensions import ExtensionDatum, build_extension, check_datum
@@ -116,11 +116,12 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
     """
     incl = center_embedding(h)
     zdim = incl.domain.dim
+    incl_system = LinearSystem(incl.matrix, ncols=zdim)
     ops = []
     for op in alpha:
         cols = []
         for c in range(zdim):
-            z = solve_linear(incl.matrix, op.apply(incl.column(c)))
+            z = incl_system.solve(op.apply(incl.column(c)))
             if z is None:
                 raise RuntimeError("internal fault: lifted derivation leaves the center")
             cols.append(z)
@@ -193,39 +194,51 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
     complex checks itself: D_n D_{n-1} must vanish, or RuntimeError
     reports an internal fault.
     """
+    even, _ = _weight_cohomology(g, mod, n, 0)
+    odd, _ = _weight_cohomology(g, mod, n, 1)
+    return CohomologyReport(n, (even, odd))
+
+
+def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
+    """The weight-y part of `cohomology_space`, with D_{n-1} of weight y.
+
+    Returns (report, previous), where previous is `delta_matrix(mod, n - 1,
+    y)` (None for n = 0), so a caller that needs that differential too
+    does not assemble it again.
+    """
     if mod.g != g:
         raise ValueError("module is over a different algebra")
     if n < 0:
         raise ValueError("arity must be >= 0")
     if n > arity_cap():
         raise ValueError(f"arity {n} exceeds the cap {arity_cap()}")
-    reports = []
-    for y in (0, 1):
-        dmat, src_basis, _dst = delta_matrix(mod, n, y)
-        cocycle_coords = kernel_basis(dmat, ncols=len(src_basis))
-        if n == 0:
-            cobound_coords: list[Vector] = []
-        else:
-            prev, prev_basis, _ = delta_matrix(mod, n - 1, y)
-            _check_squares_to_zero(dmat, prev, n)
-            img_cols = [tuple(prev[r][c] for r in range(len(src_basis)))
-                        for c in range(len(prev_basis))]
-            cobound_coords = [tuple(r) for r in rref(img_cols)[0]] if img_cols else []
-        span = IncrementalSpan(cobound_coords)
-        reps = [v for v in cocycle_coords if span.add(v)]
+    dmat, src_basis, _dst = delta_matrix(mod, n, y)
+    cocycle_coords = kernel_basis(dmat, ncols=len(src_basis))
+    previous = None
+    if n == 0:
+        cobound_coords: list[Vector] = []
+    else:
+        previous = delta_matrix(mod, n - 1, y)
+        prev, prev_basis, _ = previous
+        _check_squares_to_zero(dmat, prev, n)
+        img_cols = [tuple(prev[r][c] for r in range(len(src_basis)))
+                    for c in range(len(prev_basis))]
+        cobound_coords = [tuple(r) for r in rref(img_cols)[0]] if img_cols else []
+    span = IncrementalSpan(cobound_coords)
+    reps = [v for v in cocycle_coords if span.add(v)]
 
-        def to_cochain(v):
-            return cochain_from_coordinates(g.space, mod.space, n, y, src_basis, v)
+    def to_cochain(v):
+        return cochain_from_coordinates(g.space, mod.space, n, y, src_basis, v)
 
-        reports.append(WeightReport(
-            weight=y,
-            dim_cocycles=len(cocycle_coords),
-            dim_coboundaries=len(cobound_coords),
-            cocycle_basis=tuple(to_cochain(v) for v in cocycle_coords),
-            coboundary_basis=tuple(to_cochain(v) for v in cobound_coords),
-            representatives=tuple(to_cochain(v) for v in reps),
-        ))
-    return CohomologyReport(n, (reports[0], reports[1]))
+    report = WeightReport(
+        weight=y,
+        dim_cocycles=len(cocycle_coords),
+        dim_coboundaries=len(cobound_coords),
+        cocycle_basis=tuple(to_cochain(v) for v in cocycle_coords),
+        coboundary_basis=tuple(to_cochain(v) for v in cobound_coords),
+        representatives=tuple(to_cochain(v) for v in reps),
+    )
+    return report, previous
 
 
 def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
@@ -264,21 +277,26 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     homomorphism); the canonical solution zeroes the free (central)
     coordinates, which pins rho down.
     """
+    # one system per parity, its columns the flattened ad_{e_k} of that parity
+    gens, ad_systems = [], []
+    for deg in (0, 1):
+        gens.append([k for k in range(h.dim) if h.space.parities[k] == deg])
+        cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens[deg]]
+        ad_systems.append(LinearSystem(
+            tuple(tuple(col[r] for col in cols) for r in range(h.dim * h.dim)),
+            ncols=len(cols)))
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         deg = (g.space.parities[i] + g.space.parities[j]) % 2
         defect = commutator_defect(g, alpha, i, j)
-        gens = [k for k in range(h.dim) if h.space.parities[k] == deg]
-        cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens]
-        rows = tuple(tuple(col[r] for col in cols) for r in range(h.dim * h.dim))
-        x = solve_linear(rows, defect.flat())
+        x = ad_systems[deg].solve(defect.flat())
         if x is None:
             raise ValueError(
                 f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) is not "
                 "inner: the projected lift is not a homomorphism"
             )
         v = zero_vec(h.dim)
-        for c, k in zip(x, gens):
+        for c, k in zip(x, gens[deg]):
             v = vec_add(v, vec_scale(c, unit_vec(h.dim, k)))
         table[(i, j)] = v
     return make_cochain(g.space, h.space, 2, 0, table)
@@ -325,9 +343,10 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
     mod, incl = center_module(h, g, alpha)
     rho = rho_from_lift(h, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
+    incl_system = LinearSystem(incl.matrix, ncols=incl.domain.dim)
     table = {}
     for tup, val in lam_h.values:
-        z = solve_linear(incl.matrix, val)
+        z = incl_system.solve(val)
         if z is None:
             raise RuntimeError("internal fault: obstruction cocycle not valued in the center")
         table[tup] = z
@@ -335,8 +354,8 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
     if not module_delta(mod, lam).is_zero():
         raise RuntimeError("internal fault: obstruction cocycle is not closed")
 
-    h3 = cohomology_space(g, mod, 3).weight(0)
-    basis3 = space_basis(g.space, mod.space, 3, 0)
+    # only weight 0 matters, and its D_2 also gives the primitive mu
+    h3, (d2, basis2, basis3) = _weight_cohomology(g, mod, 3, 0)
     lam_coords = cochain_coordinates(lam, basis3)
     cols = [cochain_coordinates(c, basis3) for c in h3.coboundary_basis] + \
            [cochain_coordinates(c, basis3) for c in h3.representatives]
@@ -349,8 +368,7 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
 
     mu = None
     if vanishes:
-        dmat, basis2, _ = delta_matrix(mod, 2, 0)
-        mu_coords = solve_linear(dmat, lam_coords, ncols=len(basis2))
+        mu_coords = solve_linear(d2, lam_coords, ncols=len(basis2))
         if mu_coords is None:
             raise RuntimeError("internal fault: vanishing class but no primitive")
         mu = cochain_from_coordinates(g.space, mod.space, 2, 0, basis2, mu_coords)

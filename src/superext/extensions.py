@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .gvs import (
     GradedLinearMap,
+    LinearSystem,
     SuperVectorSpace,
     Vector,
     is_zero_vec,
@@ -132,9 +133,10 @@ def validate_triple(t: ExtensionTriple) -> bool:
 
 def canonical_section(t: ExtensionTriple) -> GradedLinearMap:
     """The canonical right inverse of the projection (free coordinates 0)."""
+    proj_system = LinearSystem(t.proj, ncols=t.e.dim)
     cols = []
     for j in range(t.g.dim):
-        v = solve_linear(t.proj.matrix, unit_vec(t.g.dim, j))
+        v = proj_system.solve(unit_vec(t.g.dim, j))
         if v is None:
             raise ValueError("projection is not surjective")
         cols.append(v)
@@ -156,13 +158,13 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
             raise ValueError("the triple carries no section; pass one")
     _check_section(t, s)
     h, g, e = t.h, t.g, t.e
+    incl_system = LinearSystem(t.incl, ncols=h.dim)
     alpha = []
     for j in range(g.dim):
         sx = s.column(j)
         cols = []
         for k in range(h.dim):
-            w = e.bracket_vec(sx, t.incl.column(k))
-            v = solve_linear(t.incl.matrix, w)
+            v = incl_system.solve(e.bracket_vec(sx, t.incl.column(k)))
             if v is None:
                 raise ValueError(
                     f"[s({g.space.names[j]}), h] leaves the kernel: the sequence is not exact"
@@ -174,7 +176,7 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
     for (j, k) in canonical_tuples(g.space, 2):
         w = e.bracket_vec(s.column(j), s.column(k))
         w = vec_add(w, vec_scale(Fraction(-1), s.apply(g.brackets[j][k])))
-        v = solve_linear(t.incl.matrix, w)
+        v = incl_system.solve(w)
         if v is None:
             raise ValueError(
                 f"curvature on ({g.space.names[j]},{g.space.names[k]}) lands outside h: "
@@ -451,10 +453,12 @@ def pullback_extension(
         tuple(f"e{k}" for k in range(len(kern))),
         tuple(vec_parity(v) for v in kern),
     )
-    kern_cols = tuple(tuple(kern[c][r] for c in range(len(kern))) for r in range(m + n))
+    kern_system = LinearSystem(
+        tuple(tuple(kern[c][r] for c in range(len(kern))) for r in range(m + n)),
+        ncols=len(kern))
 
     def to_e_coords(w: Vector) -> Vector:
-        x = solve_linear(kern_cols, w)
+        x = kern_system.solve(w)
         if x is None:
             raise RuntimeError("internal fault: vector not in the pullback subalgebra")
         return x
@@ -479,7 +483,8 @@ def pullback_extension(
                 table[(a, b)] = w
     e = make_algebra(e_space, table)
 
-    incl_cols = [to_e_coords(ds.coordinates_of(ad(h, unit_vec(h.dim, k))) + zero_vec(n))
+    der_system = ds.coordinate_system()
+    incl_cols = [to_e_coords(der_system.solve(ad(h, unit_vec(h.dim, k)).flat()) + zero_vec(n))
                  for k in range(h.dim)]
     incl = GradedLinearMap(
         h.space, e_space, 0,

@@ -80,17 +80,36 @@ def identity(n: int) -> Matrix:
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A)
+    """A v, summing over the nonzeros of v; every entry is a Fraction."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    zero = Fraction(0)
+    out = []
+    for row in A:
+        acc = zero
+        for j, x in nz:
+            a = row[j]
+            if a:
+                acc += a * x
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """A B, summing over nonzero pairs only; every entry is a Fraction."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("dimension mismatch in matrix product")
     ncols = len(B[0]) if B else 0
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(ncols))
-        for i in range(len(A))
-    )
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
+    zero = Fraction(0)
+    out = []
+    for row in A:
+        acc = [zero] * ncols
+        for a, b_row in zip(row, b_rows):
+            if a:
+                for j, y in b_row:
+                    acc[j] += a * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
@@ -137,7 +156,8 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     return reduced, pivots
 
 
-def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
+def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction],
+            width: int | None = None) -> bool:
     """Add a sparse row to a fully reduced echelon basis; True if it is new.
 
     `echelon` maps each pivot column to its row, which holds 1 there and 0
@@ -145,13 +165,16 @@ def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -
     reduced against it, and one pass suffices because of that invariant.
     A nonzero remainder is scaled to a leading 1 at its leftmost column,
     that column is cleared from the other rows, and the remainder joins
-    the basis.
+    the basis.  With `width` given, columns from `width` on are carried
+    along but never pivot: a remainder that lives only there is dropped.
     """
     for c in [c for c in row if c in echelon]:
         _axpy(row, -row[c], echelon[c])
     if not row:
         return False
     p = min(row)
+    if width is not None and p >= width:
+        return False
     pv = row[p]
     if pv != 1:
         row = {j: x / pv for j, x in row.items()}
@@ -181,29 +204,67 @@ def rank(A: Sequence[Vector]) -> int:
     return len(rref(A)[1])
 
 
+class LinearSystem:
+    """A fixed matrix A, eliminated once, for solving A x = b with many b.
+
+    `solve(b)` returns exactly what an elimination of the augmented matrix
+    [A | b] would give: the kept columns are the pivot columns of rref(A),
+    i.e. the columns outside the span of the columns before them, b is
+    written in them uniquely, and every free coordinate is 0.  It returns
+    None when b is not in the image.  `ncols` is needed only when A has no
+    rows (every x solves then; the canonical one is 0).
+
+    Construction runs `_absorb` on the columns of A, each tagged with its
+    index, so every echelon vector also records which combination of kept
+    columns it is; a column that reduces to its tags alone is dependent
+    and is skipped.
+    """
+
+    def __init__(self, A, ncols: int | None = None):
+        A = _as_matrix(A)
+        if ncols is None:
+            ncols = len(A[0]) if A else 0
+        elif A and len(A[0]) != ncols:
+            raise ValueError("ncols does not match the matrix width")
+        self.nrows, self.ncols = len(A), ncols
+        cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+        # echelon vectors live on row indices; the tag of column j sits at nrows + j
+        self._echelon: dict[int, dict[int, Fraction]] = {}
+        for j, col in enumerate(cols):
+            col[self.nrows + j] = Fraction(1)
+            _absorb(self._echelon, col, self.nrows)
+
+    def solve(self, rhs: Sequence) -> Vector | None:
+        """The canonical solution of A x = rhs, or None if rhs is not in the image."""
+        b = vec(rhs)
+        if len(b) != self.nrows:
+            raise ValueError(f"rhs length {len(b)} != row count {self.nrows}")
+        # a fully reduced echelon vector holds 1 at its pivot and 0 at the
+        # other pivots, so b's coefficient on it is b's entry at the pivot
+        r = {i: x for i, x in enumerate(b) if x}
+        for p, e in self._echelon.items():
+            if b[p]:
+                _axpy(r, -b[p], e)
+        if any(i < self.nrows for i in r):
+            return None
+        sol = [Fraction(0)] * self.ncols
+        for t, x in r.items():
+            sol[t - self.nrows] = -x
+        return tuple(sol)
+
+
 def solve_linear(A, rhs: Sequence, ncols: int | None = None) -> Vector | None:
     """One exact solution of A x = rhs, or None if rhs is not in the image.
 
-    The canonical particular solution: after leftmost-pivot reduction all
-    free coordinates are set to 0.  `ncols` is needed only when A has no
-    rows (every x solves then; the canonical one is 0).
+    The canonical particular solution of `LinearSystem`: after
+    leftmost-pivot reduction all free coordinates are set to 0.  Build a
+    `LinearSystem` instead when one A meets many right-hand sides.
     """
-    A = _as_matrix(A)
-    b = vec(rhs)
-    if len(b) != len(A):
-        raise ValueError(f"rhs length {len(b)} != row count {len(A)}")
-    if ncols is None:
-        ncols = len(A[0]) if A else 0
-    elif A and len(A[0]) != ncols:
-        raise ValueError("ncols does not match the matrix width")
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    red, pivots = rref(aug)
-    sol = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:  # pivot in the rhs column: inconsistent
-            return None
-        sol[p] = row[-1]
-    return tuple(sol)
+    return LinearSystem(A, ncols).solve(rhs)
 
 
 def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
@@ -426,10 +487,12 @@ def quotient_space(
     # Express each ambient basis vector modulo the subspace in the
     # representatives: solve [sub | reps] x = e_j and keep the rep part.
     cols = sub + reps
-    M = tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(ambient.dim))
+    system = LinearSystem(
+        tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(ambient.dim)),
+        ncols=len(cols))
     rows = []
     for j in range(ambient.dim):
-        x = solve_linear(M, unit_vec(ambient.dim, j))
+        x = system.solve(unit_vec(ambient.dim, j))
         if x is None:
             raise ValueError("subspace plus complement does not span the ambient space")
         rows.append(x[len(sub):])

@@ -17,6 +17,7 @@ from typing import Sequence
 from .gvs import (
     GradedLinearMap,
     IncrementalSpan,
+    LinearSystem,
     SuperVectorSpace,
     Vector,
     graded_commutator,
@@ -25,7 +26,6 @@ from .gvs import (
     quotient_space,
     rref,
     scalar,
-    solve_linear,
     unit_vec,
     vec,
     vec_add,
@@ -60,16 +60,19 @@ class SuperLieAlgebra:
         return self.space.dim
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> Vector:
-        u, v = vec(u), vec(v)
-        out = zero_vec(self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
+        """[u, v], summing over nonzero coefficient pairs; every entry is a Fraction."""
+        v_nz = [(j, b) for j, b in enumerate(vec(v)) if b]
+        out = list(zero_vec(self.dim))
+        for i, a in enumerate(vec(u)):
+            if not a:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                out = vec_add(out, vec_scale(a * b, self.brackets[i][j]))
-        return out
+            row = self.brackets[i]
+            for j, b in v_nz:
+                ab = a * b
+                for k, c in enumerate(row[j]):
+                    if c:
+                        out[k] += ab * c
+        return tuple(out)
 
     def is_abelian(self) -> bool:
         return all(is_zero_vec(v) for row in self.brackets for v in row)
@@ -291,13 +294,19 @@ class DerivationSpace:
             tuple(d.degree for d in self.basis),
         )
 
+    def coordinate_system(self) -> LinearSystem:
+        """The flattened basis as columns, eliminated once for many `solve`s.
+
+        `coordinate_system().solve(m.flat())` equals `coordinates_of(m)`.
+        """
+        n2 = self.algebra.dim ** 2
+        cols = [d.flat() for d in self.basis]
+        return LinearSystem(tuple(tuple(c[r] for c in cols) for r in range(n2)),
+                            ncols=len(cols))
+
     def coordinates_of(self, m: GradedLinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None if outside the span."""
-        cols = [d.flat() for d in self.basis]
-        if not cols:
-            return () if m.is_zero() else None
-        rows = tuple(tuple(c[r] for c in cols) for r in range(len(cols[0])))
-        return solve_linear(rows, m.flat())
+        return self.coordinate_system().solve(m.flat())
 
 
 def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLinearMap]:
@@ -355,12 +364,13 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
         ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
         inner_rows, _ = rref(ad_flat) if ad_flat else ([], [])
         # columns ad_{e_i}: solving against them expresses a member as ad_H
-        sys_rows = tuple(tuple(c[r] for c in ad_flat) for r in range(n * n))
+        ad_system = LinearSystem(tuple(tuple(c[r] for c in ad_flat) for r in range(n * n)),
+                                 ncols=len(gens))
         deg_inner: list[GradedLinearMap] = []
         for row in inner_rows:
             m = tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n))
             deg_inner.append(GradedLinearMap(alg.space, alg.space, deg, m))
-            y = solve_linear(sys_rows, tuple(row))
+            y = ad_system.solve(row)
             assert y is not None
             h = zero_vec(n)
             for c, i in zip(y, gens):
@@ -379,11 +389,12 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
 def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     """der(h) as a super Lie algebra under the graded commutator."""
     m = len(ds.basis)
+    system = ds.coordinate_system()
     table: dict[tuple[int, int], Vector] = {}
     for i in range(m):
         for j in range(m):
             comm = graded_commutator(ds.basis[i], ds.basis[j])
-            coords = ds.coordinates_of(comm)
+            coords = system.solve(comm.flat())
             if coords is None:
                 raise RuntimeError("derivations are not closed under the commutator")
             if not is_zero_vec(coords):

@@ -307,3 +307,40 @@ def dense_rref(rows):
         pivots.append(c)
         r += 1
     return work[:r], pivots
+
+
+def dense_solve(A, rhs, ncols=None):
+    """The canonical solution of A x = rhs by dense RREF of the augmented matrix.
+
+    Free coordinates are 0; None when the rhs column takes a pivot.
+    """
+    rows = [[Fraction(x) for x in r] for r in A]
+    b = [Fraction(x) for x in rhs]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    red, pivots = dense_rref([r + [b[i]] for i, r in enumerate(rows)])
+    sol = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        if p == ncols:
+            return None
+        sol[p] = row[-1]
+    return tuple(sol)
+
+
+def dense_mat_mul(A, B):
+    """Every entry as a full sum over the inner index."""
+    ncols = len(B[0]) if B else 0
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0))
+                       for j in range(ncols)) for i in range(len(A)))
+
+
+def dense_mat_vec(A, v):
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A)
+
+
+def dense_bracket(alg: SuperLieAlgebra, u, v):
+    """[u, v] as the full double sum of u_i v_j [e_i, e_j] over the table."""
+    n = alg.dim
+    return tuple(sum((Fraction(u[i]) * Fraction(v[j]) * alg.brackets[i][j][k]
+                      for i in range(n) for j in range(n)), Fraction(0))
+                 for k in range(n))

@@ -246,6 +246,76 @@ def test_der_and_out_built_once_per_call(monkeypatch, kind):
     assert counts == {"derivations": 1, "derivation_algebra": 1}
 
 
+def test_fixed_systems_eliminated_once(monkeypatch):
+    # der(h)'s bracket table solves m^2 commutators against one basis
+    # system, and the curvature solves every pair against one ad system
+    # per parity: an elimination is a LinearSystem build or an rref call
+    from superext import gvs, superlie
+    from superext import cohomology as coh
+
+    h = direct_sum(sl2(), heis3())
+    g = abelian(1, 1, "t")  # pairs of both parities reach rho_from_lift
+    abar = zero_abar(h, g)
+    eliminations = 0
+    inside = {}
+    init, rref = gvs.LinearSystem.__init__, gvs.rref
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal eliminations
+        eliminations += 1
+        init(self, *args, **kwargs)
+
+    def counted_rref(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return rref(*args)
+
+    def measured(name, fn):
+        def run(*args):
+            before = eliminations
+            result = fn(*args)
+            inside[name] = eliminations - before
+            return result
+        return run
+
+    monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("rref") is rref:
+            monkeypatch.setattr(mod, "rref", counted_rref)
+    monkeypatch.setattr(superlie, "derivation_algebra",
+                        measured("derivation_algebra", superlie.derivation_algebra))
+    monkeypatch.setattr(coh, "rho_from_lift", measured("rho_from_lift", coh.rho_from_lift))
+    obstruction_class(h, g, abar)
+    assert len(outer_algebra(h).ds.basis) == 9  # 81 commutators
+    assert inside["derivation_algebra"] == 1
+    assert inside["rho_from_lift"] <= 2
+
+
+def test_obstruction_assembles_each_differential_once(monkeypatch):
+    # only weight 0 of H^3 is needed, and its D_2 also gives the primitive
+    # mu; the D_3 D_2 = 0 self-check still runs
+    from superext import cohomology as coh
+
+    h, g = heis3(), abelian(1, 1, "t")
+    built, checked = [], []
+    delta_matrix, check = coh.delta_matrix, coh._check_squares_to_zero
+
+    def counted_delta(mod, n, y):
+        built.append((n, y))
+        return delta_matrix(mod, n, y)
+
+    def counted_check(outer, inner, n):
+        checked.append(n)
+        return check(outer, inner, n)
+
+    monkeypatch.setattr(coh, "delta_matrix", counted_delta)
+    monkeypatch.setattr(coh, "_check_squares_to_zero", counted_check)
+    obs = obstruction_class(h, g, zero_abar(h, g))
+    assert obs.vanishes and obs.mu is not None
+    assert sorted(built) == [(2, 0), (3, 0)]
+    assert checked == [3]
+
+
 # ---------- lift and curvature from a lift ----------
 
 def test_lift_zero():
