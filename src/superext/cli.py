@@ -26,6 +26,7 @@ from .superlie import (
 )
 from .cochains import arity_cap, set_arity_cap
 from .extensions import (
+    _pullback_extension,
     ExtensionDatum,
     ExtensionTriple,
     build_extension,
@@ -33,16 +34,15 @@ from .extensions import (
     check_equivalence_witness,
     check_split_witness,
     induced_data,
-    pullback_extension,
     solve_split_abelian,
     transform_datum,
     validate_triple,
 )
 from .cohomology import (
-    classify_extensions,
+    _classify_extensions,
+    _obstruction_class,
     cohomology_space,
     gmodule,
-    obstruction_class,
     trivial_module,
 )
 from . import formats
@@ -446,15 +446,16 @@ def _load_obstruction_inputs(args):
     for label, alg, path in (("h", halg, args.h), ("g", galg, args.g)):
         if not validate_algebra(alg).ok:
             raise CheckFailed(f"{path}: not a valid super Lie algebra")
+    outer = outer_algebra(halg)  # built once: it types abar and serves the command
     abar = _load_named_map(args.alpha_bar, (gname, galg.space),
-                           (f"out({hname})", outer_algebra(halg).out.space))
-    return (hname, halg), (gname, galg), abar
+                           (f"out({hname})", outer.out.space))
+    return (hname, halg), (gname, galg), outer, abar
 
 
 def cmd_obstruction(args) -> int:
-    (hname, halg), (gname, galg), abar = _load_obstruction_inputs(args)
+    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
     try:
-        obs = obstruction_class(halg, galg, abar)
+        obs = _obstruction_class(outer, galg, abar)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
     zname = f"Z({hname})"
@@ -478,9 +479,9 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    (hname, halg), (gname, galg), abar = _load_obstruction_inputs(args)
+    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
     try:
-        rep = classify_extensions(halg, galg, abar)
+        rep = _classify_extensions(outer, galg, abar)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
     report = {
@@ -526,9 +527,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    (hname, halg), (gname, galg), abar = _load_obstruction_inputs(args)
+    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
     try:
-        triple = pullback_extension(halg, galg, abar)
+        triple = _pullback_extension(outer, galg, abar)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
     name = args.name or f"pullback({hname},{gname})"

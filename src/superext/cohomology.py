@@ -18,6 +18,7 @@ from .gvs import (
     LinearSystem,
     SuperVectorSpace,
     Vector,
+    from_columns,
     is_zero_vec,
     kernel_basis,
     rref,
@@ -100,8 +101,7 @@ def center_embedding(h: SuperLieAlgebra) -> GradedLinearMap:
         tuple(f"z{k}" for k in range(len(basis))),
         tuple(h.space.vector_parity(v) for v in basis),
     )
-    m = tuple(tuple(basis[k][i] for k in range(len(basis))) for i in range(h.dim))
-    return GradedLinearMap(zspace, h.space, 0, m)
+    return GradedLinearMap(zspace, h.space, 0, from_columns(basis, h.dim))
 
 
 def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
@@ -125,8 +125,8 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
             if z is None:
                 raise RuntimeError("internal fault: lifted derivation leaves the center")
             cols.append(z)
-        m = tuple(tuple(cols[c][r] for c in range(zdim)) for r in range(zdim))
-        ops.append(GradedLinearMap(incl.domain, incl.domain, op.degree, m))
+        ops.append(GradedLinearMap(incl.domain, incl.domain, op.degree,
+                                   from_columns(cols, zdim)))
     return gmodule(g, incl.domain, tuple(ops)), incl
 
 
@@ -221,8 +221,7 @@ def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
         previous = delta_matrix(mod, n - 1, y)
         prev, prev_basis, _ = previous
         _check_squares_to_zero(dmat, prev, n)
-        img_cols = [tuple(prev[r][c] for r in range(len(src_basis)))
-                    for c in range(len(prev_basis))]
+        img_cols = from_columns(prev, len(prev_basis))  # the columns of D_{n-1}
         cobound_coords = [tuple(r) for r in rref(img_cols)[0]] if img_cols else []
     span = IncrementalSpan(cobound_coords)
     reps = [v for v in cocycle_coords if span.add(v)]
@@ -282,9 +281,7 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     for deg in (0, 1):
         gens.append([k for k in range(h.dim) if h.space.parities[k] == deg])
         cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens[deg]]
-        ad_systems.append(LinearSystem(
-            tuple(tuple(col[r] for col in cols) for r in range(h.dim * h.dim)),
-            ncols=len(cols)))
+        ad_systems.append(LinearSystem(from_columns(cols, h.dim * h.dim), ncols=len(cols)))
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         deg = (g.space.parities[i] + g.space.parities[j]) % 2
@@ -339,7 +336,14 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
     differential.  Its class in weight-0 H^3 decides whether any extension
     induces abar.  der(h) and out(h) are built once, here.
     """
-    alpha = lift_alpha_bar(outer_algebra(h), g, abar)
+    return _obstruction_class(outer_algebra(h), g, abar)
+
+
+def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
+                       abar: GradedLinearMap) -> ObstructionReport:
+    """`obstruction_class` on the caller's `outer_algebra(h)`."""
+    h = outer.ds.algebra
+    alpha = lift_alpha_bar(outer, g, abar)
     mod, incl = center_module(h, g, alpha)
     rho = rho_from_lift(h, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
@@ -359,8 +363,7 @@ def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
     lam_coords = cochain_coordinates(lam, basis3)
     cols = [cochain_coordinates(c, basis3) for c in h3.coboundary_basis] + \
            [cochain_coordinates(c, basis3) for c in h3.representatives]
-    rows = tuple(tuple(col[r] for col in cols) for r in range(len(basis3)))
-    x = solve_linear(rows, lam_coords, ncols=len(cols))
+    x = solve_linear(from_columns(cols, len(basis3)), lam_coords, ncols=len(cols))
     if x is None:
         raise RuntimeError("internal fault: obstruction cocycle is not a cocycle")
     class_coords = tuple(x[len(h3.coboundary_basis):])
@@ -397,7 +400,15 @@ class ClassificationReport:
 
 def classify_extensions(h: SuperLieAlgebra, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ClassificationReport:
-    obs = obstruction_class(h, g, abar)
+    """All extensions inducing abar: g -> out(h); der(h) and out(h) are built once, here."""
+    return _classify_extensions(outer_algebra(h), g, abar)
+
+
+def _classify_extensions(outer: OuterAlgebra, g: SuperLieAlgebra,
+                         abar: GradedLinearMap) -> ClassificationReport:
+    """`classify_extensions` on the caller's `outer_algebra(h)`."""
+    h = outer.ds.algebra
+    obs = _obstruction_class(outer, g, abar)
     centerless = obs.center_incl.domain.dim == 0
     abelian_kernel = h.is_abelian()
     if not obs.vanishes:

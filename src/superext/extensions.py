@@ -20,6 +20,7 @@ from .gvs import (
     LinearSystem,
     SuperVectorSpace,
     Vector,
+    from_columns,
     is_zero_vec,
     kernel_basis,
     rank,
@@ -30,6 +31,7 @@ from .gvs import (
     zero_vec,
 )
 from .superlie import (
+    OuterAlgebra,
     SuperLieAlgebra,
     ad,
     center,
@@ -140,8 +142,7 @@ def canonical_section(t: ExtensionTriple) -> GradedLinearMap:
         if v is None:
             raise ValueError("projection is not surjective")
         cols.append(v)
-    m = tuple(tuple(cols[j][i] for j in range(t.g.dim)) for i in range(t.e.dim))
-    return GradedLinearMap(t.g.space, t.e.space, 0, m)
+    return GradedLinearMap(t.g.space, t.e.space, 0, from_columns(cols, t.e.dim))
 
 
 def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> ExtensionDatum:
@@ -170,8 +171,8 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
                     f"[s({g.space.names[j]}), h] leaves the kernel: the sequence is not exact"
                 )
             cols.append(v)
-        m = tuple(tuple(cols[k][i] for k in range(h.dim)) for i in range(h.dim))
-        alpha.append(GradedLinearMap(h.space, h.space, g.space.parities[j], m))
+        alpha.append(GradedLinearMap(h.space, h.space, g.space.parities[j],
+                                     from_columns(cols, h.dim)))
     table = {}
     for (j, k) in canonical_tuples(g.space, 2):
         w = e.bracket_vec(s.column(j), s.column(k))
@@ -230,24 +231,33 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
 
     curv_ok = True
     n = g.dim
+    gnz = g.bracket_nonzeros()
+    rho = [[[(q, y) for q, y in enumerate(d.rho.evaluate((b, c))) if y] for c in range(n)]
+           for b in range(n)]
+    alpha_cols = [[[(q, row[p]) for q, row in enumerate(op.matrix) if row[p]]
+                   for p in range(h.dim)] for op in d.alpha]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                res = zero_vec(h.dim)
+                # sum_cyc sgn (alpha_a rho(b, c) - sum_m c^m_ab rho(m, c))
+                res: dict[int, Fraction] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    sgn = Fraction(
-                        -1 if (g.space.parities[a] * g.space.parities[c]) % 2 else 1
-                    )
-                    term = d.alpha[a].apply(d.rho.evaluate((b, c)))
-                    for m, cm in enumerate(g.brackets[a][b]):
-                        if cm != 0:
-                            term = vec_add(term, vec_scale(-cm, d.rho.evaluate((m, c))))
-                    res = vec_add(res, vec_scale(sgn, term))
-                if not is_zero_vec(res):
+                    sgn = -1 if (g.space.parities[a] * g.space.parities[c]) % 2 else 1
+                    cols = alpha_cols[a]
+                    for p, y in rho[b][c]:
+                        sy = sgn * y
+                        for q, x in cols[p]:
+                            res[q] = res.get(q, 0) + x * sy
+                    for m, cm in gnz[a][b]:
+                        scm = sgn * cm
+                        for q, y in rho[m][c]:
+                            res[q] = res.get(q, 0) - scm * y
+                if any(res.values()):
                     curv_ok = False
+                    res_vec = tuple(Fraction(res.get(q, 0)) for q in range(h.dim))
                     fails.append(
                         f"cyclic curvature residual on ({g.space.names[i]},"
-                        f"{g.space.names[j]},{g.space.names[k]}) = {res}"
+                        f"{g.space.names[j]},{g.space.names[k]}) = {res_vec}"
                     )
     return DatumReport(der_ok, conn_ok, curv_ok, tuple(fails))
 
@@ -427,11 +437,17 @@ def pullback_extension(
     the datum it induces is exactly (lifted abar, its curvature).  der(h)
     and out(h) are built once, here.
     """
+    return _pullback_extension(outer_algebra(h), g, abar)
+
+
+def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
+                        abar: GradedLinearMap) -> ExtensionTriple:
+    """`pullback_extension` on the caller's `outer_algebra(h)`."""
     from .cohomology import lift_alpha_bar
 
+    h = outer.ds.algebra
     if center(h):
         raise ValueError("pullback construction requires a centerless kernel")
-    outer = outer_algebra(h)
     lift_alpha_bar(outer, g, abar)  # checks abar; the section reuses its coordinates
     ds, der_alg = outer.ds, outer.der
     m, n = len(ds.basis), g.dim
@@ -453,9 +469,7 @@ def pullback_extension(
         tuple(f"e{k}" for k in range(len(kern))),
         tuple(vec_parity(v) for v in kern),
     )
-    kern_system = LinearSystem(
-        tuple(tuple(kern[c][r] for c in range(len(kern))) for r in range(m + n)),
-        ncols=len(kern))
+    kern_system = LinearSystem(from_columns(kern, m + n), ncols=len(kern))
 
     def to_e_coords(w: Vector) -> Vector:
         x = kern_system.solve(w)
@@ -486,20 +500,11 @@ def pullback_extension(
     der_system = ds.coordinate_system()
     incl_cols = [to_e_coords(der_system.solve(ad(h, unit_vec(h.dim, k)).flat()) + zero_vec(n))
                  for k in range(h.dim)]
-    incl = GradedLinearMap(
-        h.space, e_space, 0,
-        tuple(tuple(incl_cols[k][i] for k in range(h.dim)) for i in range(len(kern))),
-    )
-    proj_e = GradedLinearMap(
-        e_space, g.space, 0,
-        tuple(tuple(kern[c][m + r] for c in range(len(kern))) for r in range(n)),
-    )
+    incl = GradedLinearMap(h.space, e_space, 0, from_columns(incl_cols, len(kern)))
+    proj_e = GradedLinearMap(e_space, g.space, 0, from_columns([v[m:] for v in kern], n))
     sec_cols = [to_e_coords(outer.lift_coordinates(abar.column(j)) + unit_vec(n, j))
                 for j in range(n)]
-    section = GradedLinearMap(
-        g.space, e_space, 0,
-        tuple(tuple(sec_cols[j][i] for j in range(n)) for i in range(len(kern))),
-    )
+    section = GradedLinearMap(g.space, e_space, 0, from_columns(sec_cols, len(kern)))
     triple = ExtensionTriple(h, g, e, incl, proj_e, section)
     if not validate_algebra(e).ok or not validate_triple(triple):
         raise RuntimeError("internal fault: pullback algebra failed validation")

@@ -79,6 +79,11 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vec(n, i) for i in range(n))
 
 
+def from_columns(cols: Sequence[Sequence], nrows: int) -> Matrix:
+    """The matrix whose j-th column is cols[j]; `nrows` fixes the shape when cols is empty."""
+    return tuple(tuple(c[i] for c in cols) for i in range(nrows))
+
+
 def mat_vec(A: Matrix, v: Vector) -> Vector:
     """A v, summing over the nonzeros of v; every entry is a Fraction."""
     nz = [(j, x) for j, x in enumerate(v) if x]
@@ -271,23 +276,44 @@ def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
     """Exact basis of ker A, one vector per free column of the RREF.
 
     `ncols` must be passed when A has no rows (the kernel is then the
-    whole domain and the width cannot be inferred).
+    whole domain and the width cannot be inferred).  A dense wrapper over
+    `sparse_kernel_basis`.
     """
     A = _as_matrix(A)
     if ncols is None:
         ncols = len(A[0]) if A else 0
     elif A and len(A[0]) != ncols:
         raise ValueError("ncols does not match the matrix width")
-    red, pivots = rref(A)
-    pivset = set(pivots)
+    return sparse_kernel_basis(({j: x for j, x in enumerate(row) if x} for row in A), ncols)
+
+
+def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vector]:
+    """Exact basis of the kernel of a matrix given as sparse rows.
+
+    Each row is a {column: nonzero Fraction} dict, consumed by `_absorb`
+    one at a time, exactly as in `rref`.  The fully reduced echelon rows
+    are the nonzero rows of the RREF, so the basis is the one `rref`
+    gives: for each free column f, the vector with 1 at f, minus the
+    reduced rows' entries in column f at their pivots, and 0 elsewhere.
+    """
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        _absorb(echelon, row)
+    # the reduced rows' entries outside their pivots, grouped by column
+    by_col: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in echelon.items():
+        for j, x in row.items():
+            if j != p:
+                by_col.setdefault(j, []).append((p, x))
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for f in range(ncols):
-        if f in pivset:
+        if f in echelon:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
+        v = [zero] * ncols
+        v[f] = one
+        for p, x in by_col.get(f, ()):
+            v[p] = -x
         basis.append(tuple(v))
     return basis
 
@@ -402,9 +428,11 @@ class GradedLinearMap:
         for row in self.matrix:
             if len(row) != self.domain.dim:
                 raise ValueError("column count != domain dimension")
+        dpar = self.domain.parities
         for i, row in enumerate(self.matrix):
+            want = (self.codomain.parities[i] + self.degree) % 2  # the domain parity allowed
             for j, a in enumerate(row):
-                if a != 0 and self.codomain.parities[i] != (self.domain.parities[j] + self.degree) % 2:
+                if a and dpar[j] != want:
                     raise ValueError(
                         f"entry ({i},{j}) violates homogeneity of degree {self.degree}"
                     )
@@ -457,12 +485,33 @@ class GradedLinearMap:
 
 
 def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
-    """[a, b] = a b - (-1)^{deg a deg b} b a on a common space."""
-    ab = a.compose(b)
-    ba = b.compose(a)
-    if a.degree * b.degree % 2:
-        return ab + ba
-    return ab - ba
+    """[a, b] = a b - (-1)^{deg a deg b} b a on a common space.
+
+    Both products are summed into one accumulator, over nonzero pairs
+    only; every entry of the result is a Fraction.
+    """
+    if b.codomain != a.domain or a.codomain != b.domain:
+        raise ValueError("composition: domains do not match")
+    odd = a.degree * b.degree % 2
+    if a.domain != b.domain:
+        raise ValueError("maps not addable" if odd else "maps not subtractable")
+    a_nz = [[(k, x) for k, x in enumerate(row) if x] for row in a.matrix]
+    b_nz = [[(k, y) for k, y in enumerate(row) if y] for row in b.matrix]
+    # b a enters with sign -(-1)^{deg a deg b}: fold it into a's entries
+    a_signed = a_nz if odd else [[(k, -x) for k, x in row] for row in a_nz]
+    zero = Fraction(0)
+    ncols = a.domain.dim
+    rows = []
+    for a_row, b_row in zip(a_nz, b_nz):
+        acc = [zero] * ncols
+        for k, x in a_row:
+            for j, y in b_nz[k]:
+                acc[j] += x * y
+        for k, y in b_row:
+            for j, x in a_signed[k]:
+                acc[j] += y * x
+        rows.append(tuple(acc))
+    return GradedLinearMap(a.domain, a.codomain, (a.degree + b.degree) % 2, tuple(rows))
 
 
 def quotient_space(
@@ -487,15 +536,12 @@ def quotient_space(
     # Express each ambient basis vector modulo the subspace in the
     # representatives: solve [sub | reps] x = e_j and keep the rep part.
     cols = sub + reps
-    system = LinearSystem(
-        tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(ambient.dim)),
-        ncols=len(cols))
-    rows = []
+    system = LinearSystem(from_columns(cols, ambient.dim), ncols=len(cols))
+    images = []
     for j in range(ambient.dim):
         x = system.solve(unit_vec(ambient.dim, j))
         if x is None:
             raise ValueError("subspace plus complement does not span the ambient space")
-        rows.append(x[len(sub):])
-    proj_matrix = tuple(tuple(rows[j][q] for j in range(ambient.dim)) for q in range(qspace.dim))
-    proj = GradedLinearMap(ambient, qspace, 0, proj_matrix)
+        images.append(x[len(sub):])
+    proj = GradedLinearMap(ambient, qspace, 0, from_columns(images, qspace.dim))
     return qspace, proj

@@ -20,12 +20,14 @@ from .gvs import (
     LinearSystem,
     SuperVectorSpace,
     Vector,
+    from_columns,
     graded_commutator,
     is_zero_vec,
     kernel_basis,
     quotient_space,
     rref,
     scalar,
+    sparse_kernel_basis,
     unit_vec,
     vec,
     vec_add,
@@ -76,6 +78,14 @@ class SuperLieAlgebra:
 
     def is_abelian(self) -> bool:
         return all(is_zero_vec(v) for row in self.brackets for v in row)
+
+    def bracket_nonzeros(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """[i][j] -> the nonzero (k, c^k_ij) of [e_i, e_j], listed afresh per call.
+
+        The sparse kernels of this module run over these lists; the list is
+        not kept on the algebra.
+        """
+        return [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.brackets]
 
 
 def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]) -> SuperLieAlgebra:
@@ -169,18 +179,20 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     """Check degree 0, graded antisymmetry, and the graded Jacobi identity.
 
     Jacobi is checked on ordered triples i <= j <= k only (with repeats);
-    once antisymmetry holds the remaining triples follow from it.
+    once antisymmetry holds the remaining triples follow from it.  Each
+    cyclic sum runs over the nonzero structure constants only.
     """
     sp = alg.space
     n = alg.dim
     fails: list[str] = []
+    nz = alg.bracket_nonzeros()
 
     deg_ok = True
     for i in range(n):
         for j in range(n):
             want = (sp.parities[i] + sp.parities[j]) % 2
-            for k, c in enumerate(alg.brackets[i][j]):
-                if c != 0 and sp.parities[k] != want:
+            for k, _c in nz[i][j]:
+                if sp.parities[k] != want:
                     deg_ok = False
                     fails.append(
                         f"degree: [{sp.names[i]},{sp.names[j]}] has parity-{sp.parities[k]} "
@@ -190,10 +202,8 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     anti_ok = True
     for i in range(n):
         for j in range(i, n):
-            sign = Fraction(-1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1)
-            lhs = alg.brackets[j][i]
-            rhs = vec_scale(sign, alg.brackets[i][j])
-            if lhs != rhs:
+            sign = -1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1
+            if nz[j][i] != [(k, sign * c) for k, c in nz[i][j]]:
                 anti_ok = False
                 fails.append(f"antisymmetry: [{sp.names[j]},{sp.names[i]}] != "
                              f"{'+' if sign > 0 else '-'}[{sp.names[i]},{sp.names[j]}]")
@@ -202,16 +212,19 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                res = zero_vec(n)
+                # sum_cyc s [e_a, [e_b, e_c]] = sum_cyc s sum_m c^m_bc c^q_am e_q
+                res: dict[int, Fraction] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    s = Fraction(-1 if (sp.parities[a] * sp.parities[c]) % 2 else 1)
-                    inner = alg.brackets[b][c]
-                    term = alg.bracket_vec(unit_vec(n, a), inner)
-                    res = vec_add(res, vec_scale(s, term))
-                if not is_zero_vec(res):
+                    s = -1 if (sp.parities[a] * sp.parities[c]) % 2 else 1
+                    nz_a = nz[a]
+                    for m, x in nz[b][c]:
+                        sx = s * x
+                        for q, y in nz_a[m]:
+                            res[q] = res.get(q, 0) + sx * y
+                if any(res.values()):
                     jac_ok = False
                     res_str = " + ".join(
-                        f"{c}*{sp.names[m]}" for m, c in enumerate(res) if c != 0
+                        f"{c}*{sp.names[m]}" for m, c in sorted(res.items()) if c != 0
                     )
                     fails.append(
                         f"jacobi: residual on ({sp.names[i]},{sp.names[j]},{sp.names[k]}) "
@@ -235,9 +248,17 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
         if not is_zero_vec(x) and degree != p:
             raise ValueError(f"element has parity {p}, not {degree}")
         p = degree
-    cols = [alg.bracket_vec(x, unit_vec(alg.dim, j)) for j in range(alg.dim)]
-    matrix = tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
-    return GradedLinearMap(alg.space, alg.space, p, matrix)
+    # column j holds [X, e_j] = sum_i x_i c^k_ij e_k, read off the table
+    n = alg.dim
+    zero = Fraction(0)
+    m = [[zero] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if xi:
+            for j, v in enumerate(alg.brackets[i]):
+                for k, c in enumerate(v):
+                    if c:
+                        m[k][j] += xi * c
+    return GradedLinearMap(alg.space, alg.space, p, tuple(map(tuple, m)))
 
 
 def center(alg: SuperLieAlgebra) -> list[Vector]:
@@ -257,17 +278,29 @@ def center(alg: SuperLieAlgebra) -> list[Vector]:
 
 
 def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
-    """Graded Leibniz check D[X,Y] = [DX,Y] + (-1)^{deg D * x}[X,DY] on all pairs."""
+    """Graded Leibniz check D[X,Y] = [DX,Y] + (-1)^{deg D * x}[X,DY] on all pairs.
+
+    Each residual is summed over the nonzero structure constants and the
+    nonzero entries of D only.
+    """
     n = alg.dim
+    nz = alg.bracket_nonzeros()
+    cols = [[(i, row[j]) for i, row in enumerate(d.matrix) if row[j]] for j in range(n)]
     for a in range(n):
-        s = Fraction(-1 if (d.degree * alg.space.parities[a]) % 2 else 1)
+        s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1
         for b in range(n):
-            lhs = d.apply(alg.brackets[a][b])
-            rhs = vec_add(
-                alg.bracket_vec(d.column(a), unit_vec(n, b)),
-                vec_scale(s, alg.bracket_vec(unit_vec(n, a), d.column(b))),
-            )
-            if lhs != rhs:
+            res: dict[int, Fraction] = {}
+            for m, c in nz[a][b]:  # D[e_a, e_b]
+                for k, x in cols[m]:
+                    res[k] = res.get(k, 0) + c * x
+            for i, x in cols[a]:  # -[D e_a, e_b]
+                for k, c in nz[i][b]:
+                    res[k] = res.get(k, 0) - x * c
+            for i, x in cols[b]:  # -(-1)^{deg D * x_a} [e_a, D e_b]
+                sx = s * x
+                for k, c in nz[a][i]:
+                    res[k] = res.get(k, 0) - sx * c
+            if any(res.values()):
                 return False
     return True
 
@@ -301,8 +334,7 @@ class DerivationSpace:
         """
         n2 = self.algebra.dim ** 2
         cols = [d.flat() for d in self.basis]
-        return LinearSystem(tuple(tuple(c[r] for c in cols) for r in range(n2)),
-                            ncols=len(cols))
+        return LinearSystem(from_columns(cols, n2), ncols=len(cols))
 
     def coordinates_of(self, m: GradedLinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None if outside the span."""
@@ -310,7 +342,14 @@ class DerivationSpace:
 
 
 def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLinearMap]:
-    """Solve the graded Leibniz system for homogeneous derivations of one parity."""
+    """Solve the graded Leibniz system for homogeneous derivations of one parity.
+
+    The unknowns are the entries D_ij allowed by the parity (the slots);
+    each pair (a, b) gives one equation per component k of
+    D[e_a,e_b] - [D e_a,e_b] - (-1)^{deg*x_a}[e_a,D e_b] = 0.  The rows are
+    written as sparse {slot: Fraction} dicts over the nonzero structure
+    constants and go straight to `sparse_kernel_basis`.
+    """
     sp = alg.space
     n = alg.dim
     slots = [(i, j) for i in range(n) for j in range(n)
@@ -318,29 +357,37 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     if not slots:
         return []
     slot_index = {ij: k for k, ij in enumerate(slots)}
-    rows: list[Vector] = []
-    for a in range(n):
-        s = Fraction(-1 if (deg * sp.parities[a]) % 2 else 1)
-        for b in range(n):
-            w = alg.brackets[a][b]
-            for k in range(n):
-                coeff = [Fraction(0)] * len(slots)
-                # D([e_a,e_b]) component k
-                for m, c in enumerate(w):
-                    if c != 0 and (k, m) in slot_index:
-                        coeff[slot_index[(k, m)]] += c
-                # -[D e_a, e_b] component k
-                for i in range(n):
-                    if (i, a) in slot_index:
-                        coeff[slot_index[(i, a)]] -= alg.brackets[i][b][k]
-                # -(-1)^{deg*x_a} [e_a, D e_b] component k
-                for i in range(n):
-                    if (i, b) in slot_index:
-                        coeff[slot_index[(i, b)]] -= s * alg.brackets[a][i][k]
-                rows.append(tuple(coeff))
+    # col_slots[j]: (i, slot of D_ij) for every D_ij allowed in column j
+    col_slots = [[(i, slot_index[(i, j)]) for i in range(n) if (i, j) in slot_index]
+                 for j in range(n)]
+    nz = alg.bracket_nonzeros()
+    zero = Fraction(0)
+
+    def leibniz_rows():
+        for a in range(n):
+            s = -1 if (deg * sp.parities[a]) % 2 else 1
+            for b in range(n):
+                rows: dict[int, dict[int, Fraction]] = {}  # component k -> row
+                for m, c in nz[a][b]:  # D([e_a,e_b]) = sum_m c^m_ab D e_m
+                    for k, t in col_slots[m]:
+                        r = rows.setdefault(k, {})
+                        r[t] = r.get(t, zero) + c
+                for i, t in col_slots[a]:  # -[D e_a, e_b] = -sum_i D_ia [e_i, e_b]
+                    for k, c in nz[i][b]:
+                        r = rows.setdefault(k, {})
+                        r[t] = r.get(t, zero) - c
+                for i, t in col_slots[b]:  # -(-1)^{deg*x_a} sum_i D_ib [e_a, e_i]
+                    for k, c in nz[a][i]:
+                        r = rows.setdefault(k, {})
+                        r[t] = r.get(t, zero) - s * c
+                for r in rows.values():
+                    r = {t: x for t, x in r.items() if x}
+                    if r:
+                        yield r
+
     basis = []
-    for kv in kernel_basis(rows):
-        m = [[Fraction(0)] * n for _ in range(n)]
+    for kv in sparse_kernel_basis(leibniz_rows(), len(slots)):
+        m = [[zero] * n for _ in range(n)]
         for (i, j), k in slot_index.items():
             m[i][j] = kv[k]
         basis.append(GradedLinearMap(sp, sp, deg, tuple(tuple(r) for r in m)))
@@ -364,18 +411,17 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
         ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
         inner_rows, _ = rref(ad_flat) if ad_flat else ([], [])
         # columns ad_{e_i}: solving against them expresses a member as ad_H
-        ad_system = LinearSystem(tuple(tuple(c[r] for c in ad_flat) for r in range(n * n)),
-                                 ncols=len(gens))
+        ad_system = LinearSystem(from_columns(ad_flat, n * n), ncols=len(gens))
         deg_inner: list[GradedLinearMap] = []
         for row in inner_rows:
             m = tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n))
             deg_inner.append(GradedLinearMap(alg.space, alg.space, deg, m))
             y = ad_system.solve(row)
             assert y is not None
-            h = zero_vec(n)
+            h = [Fraction(0)] * n
             for c, i in zip(y, gens):
-                h = vec_add(h, vec_scale(c, unit_vec(n, i)))
-            preimages.append(h)
+                h[i] = c
+            preimages.append(tuple(h))
         full = _derivation_basis_of_parity(alg, deg)
         span = IncrementalSpan(d.flat() for d in deg_inner)
         kept = [d for d in full if span.add(d.flat())]

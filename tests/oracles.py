@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from superext.gvs import GradedLinearMap, unit_vec, vec_add, vec_scale, zero_vec
-from superext.superlie import SuperLieAlgebra
+from superext.superlie import SuperLieAlgebra, ValidationReport
 from superext.cochains import Cochain, canonical_tuples, make_cochain
 from superext.extensions import (
     ExtensionDatum,
@@ -344,3 +344,158 @@ def dense_bracket(alg: SuperLieAlgebra, u, v):
     return tuple(sum((Fraction(u[i]) * Fraction(v[j]) * alg.brackets[i][j][k]
                       for i in range(n) for j in range(n)), Fraction(0))
                  for k in range(n))
+
+
+# ---------- the Lie-algebra layer on dense structure constants ----------
+
+def dense_validate_algebra(alg: SuperLieAlgebra):
+    """`validate_algebra` as dense vector arithmetic: every bracket of a
+    basis element with a whole vector, summed with dense tuples."""
+    sp = alg.space
+    n = alg.dim
+    fails = []
+    deg_ok = True
+    for i in range(n):
+        for j in range(n):
+            want = (sp.parities[i] + sp.parities[j]) % 2
+            for k, c in enumerate(alg.brackets[i][j]):
+                if c != 0 and sp.parities[k] != want:
+                    deg_ok = False
+                    fails.append(
+                        f"degree: [{sp.names[i]},{sp.names[j]}] has parity-{sp.parities[k]} "
+                        f"component {sp.names[k]} but should be parity {want}"
+                    )
+    anti_ok = True
+    for i in range(n):
+        for j in range(i, n):
+            sign = Fraction(-1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1)
+            if alg.brackets[j][i] != vec_scale(sign, alg.brackets[i][j]):
+                anti_ok = False
+                fails.append(f"antisymmetry: [{sp.names[j]},{sp.names[i]}] != "
+                             f"{'+' if sign > 0 else '-'}[{sp.names[i]},{sp.names[j]}]")
+    jac_ok = True
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                res = zero_vec(n)
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    s = Fraction(-1 if (sp.parities[a] * sp.parities[c]) % 2 else 1)
+                    term = dense_bracket(alg, unit_vec(n, a), alg.brackets[b][c])
+                    res = vec_add(res, vec_scale(s, term))
+                if any(c != 0 for c in res):
+                    jac_ok = False
+                    res_str = " + ".join(
+                        f"{c}*{sp.names[m]}" for m, c in enumerate(res) if c != 0
+                    )
+                    fails.append(
+                        f"jacobi: residual on ({sp.names[i]},{sp.names[j]},{sp.names[k]}) "
+                        f"= {res_str}"
+                    )
+    return ValidationReport(deg_ok, anti_ok, jac_ok, tuple(fails))
+
+
+def dense_kernel_basis(rows, ncols):
+    """One kernel vector per free column of `dense_rref`."""
+    red, pivots = dense_rref(rows) if rows else ([], [])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int):
+    """The graded Leibniz system written out as dense rows, one per (a, b, k),
+    solved by `dense_kernel_basis`."""
+    sp = alg.space
+    n = alg.dim
+    slots = [(i, j) for i in range(n) for j in range(n)
+             if sp.parities[i] == (sp.parities[j] + deg) % 2]
+    if not slots:
+        return []
+    slot_index = {ij: k for k, ij in enumerate(slots)}
+    rows = []
+    for a in range(n):
+        s = Fraction(-1 if (deg * sp.parities[a]) % 2 else 1)
+        for b in range(n):
+            w = alg.brackets[a][b]
+            for k in range(n):
+                coeff = [Fraction(0)] * len(slots)
+                for m, c in enumerate(w):
+                    if c != 0 and (k, m) in slot_index:
+                        coeff[slot_index[(k, m)]] += c
+                for i in range(n):
+                    if (i, a) in slot_index:
+                        coeff[slot_index[(i, a)]] -= alg.brackets[i][b][k]
+                for i in range(n):
+                    if (i, b) in slot_index:
+                        coeff[slot_index[(i, b)]] -= s * alg.brackets[a][i][k]
+                rows.append(coeff)
+    basis = []
+    for kv in dense_kernel_basis(rows, len(slots)):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), k in slot_index.items():
+            m[i][j] = kv[k]
+        basis.append(GradedLinearMap(sp, sp, deg, tuple(tuple(r) for r in m)))
+    return basis
+
+
+def compose_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
+    """[a, b] from the two compositions and a dense sum or difference."""
+    ab = a.compose(b)
+    ba = b.compose(a)
+    if a.degree * b.degree % 2:
+        return ab + ba
+    return ab - ba
+
+
+def dense_ad(alg: SuperLieAlgebra, x, degree: int) -> GradedLinearMap:
+    """ad_x with column j the full double sum [x, e_j]."""
+    n = alg.dim
+    cols = [dense_bracket(alg, x, unit_vec(n, j)) for j in range(n)]
+    return GradedLinearMap(alg.space, alg.space, degree,
+                           tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+
+
+def dense_is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
+    """Graded Leibniz on every basis pair, each side a dense vector."""
+    n = alg.dim
+    for a in range(n):
+        s = Fraction(-1 if (d.degree * alg.space.parities[a]) % 2 else 1)
+        for b in range(n):
+            lhs = dense_mat_vec(d.matrix, alg.brackets[a][b])
+            rhs = vec_add(dense_bracket(alg, d.column(a), unit_vec(n, b)),
+                          vec_scale(s, dense_bracket(alg, unit_vec(n, a), d.column(b))))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def dense_curvature_failures(d: ExtensionDatum) -> list[str]:
+    """The cyclic-curvature lines of `check_datum`, every term a dense vector
+    from `Cochain.evaluate` on each ordered triple."""
+    g = d.g
+    n = g.dim
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                res = zero_vec(d.h.dim)
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    sgn = Fraction(-1 if (g.space.parities[a] * g.space.parities[c]) % 2 else 1)
+                    term = dense_mat_vec(d.alpha[a].matrix, d.rho.evaluate((b, c)))
+                    for m, cm in enumerate(g.brackets[a][b]):
+                        if cm != 0:
+                            term = vec_add(term, vec_scale(-cm, d.rho.evaluate((m, c))))
+                    res = vec_add(res, vec_scale(sgn, term))
+                if any(x != 0 for x in res):
+                    fails.append(
+                        f"cyclic curvature residual on ({g.space.names[i]},"
+                        f"{g.space.names[j]},{g.space.names[k]}) = {res}"
+                    )
+    return fails

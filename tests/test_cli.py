@@ -201,3 +201,28 @@ def test_fuzzed_inputs_never_traceback(tmp_path):
         r = run_cli(["validate", str(p)], cwd=tmp_path)
         assert r.returncode in (0, 1, 2), r.stderr.decode()
         assert b"Traceback" not in r.stderr, (doc, r.stderr.decode())
+
+
+@pytest.mark.parametrize("name", ["obstruction", "classify", "pullback",
+                                  "pullback_center_refused"])
+def test_out_built_once_per_command(name, monkeypatch, capsys):
+    # in-process: abar is typed by the same out(h) the library call uses,
+    # so each command solves der(h) exactly once
+    from superext import cli, superlie
+
+    argv, want_exit = next((c[1], c[2]) for c in CASES if c[0] == name)
+    calls = []
+    fn = superlie.derivations
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("derivations") is fn:
+            monkeypatch.setattr(mod, "derivations", counted)
+    monkeypatch.chdir(INPUTS)
+    monkeypatch.delenv("SUPEREXT_ARITY_CAP", raising=False)
+    assert cli.main(argv) == want_exit
+    assert capsys.readouterr().out.encode() == (EXPECTED / f"{name}.out").read_bytes()
+    assert len(calls) == 1
