@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, combinations_with_replacement, groupby, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -120,20 +120,11 @@ def canonical_tuples(space: SuperVectorSpace, arity: int) -> list[tuple[int, ...
     """All canonical index tuples: weakly increasing, even entries distinct."""
     if arity < 0:
         raise ValueError("arity must be >= 0")
-    out: list[tuple[int, ...]] = []
-    n = space.dim
-
-    def rec(start: int, prefix: tuple[int, ...]):
-        if len(prefix) == arity:
-            out.append(prefix)
-            return
-        for i in range(start, n):
-            if prefix and prefix[-1] == i and space.parities[i] == EVEN:
-                continue
-            rec(i, prefix + (i,))
-
-    rec(0, ())
-    return out
+    evens = [i for i, p in enumerate(space.parities) if p == EVEN]
+    odds = [i for i, p in enumerate(space.parities) if p != EVEN]
+    # k distinct even entries merged with a multiset of odd ones, sorted lexicographically
+    return sorted(tuple(sorted(e + o)) for k in range(arity + 1) for e in combinations(evens, k)
+                  for o in combinations_with_replacement(odds, arity - k))
 
 
 def sort_indices(space: SuperVectorSpace, indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -169,7 +160,7 @@ class Cochain:
             raise ValueError("weight must be 0 or 1")
         # normalize: drop zero values, sort tuples, exact-rational entries
         cleaned = tuple(
-            (tuple(t), vec(v)) for t, v in sorted(self.values) if not is_zero_vec(vec(v))
+            (tuple(t), w) for t, v in sorted(self.values) if not is_zero_vec(w := vec(v))
         )
         object.__setattr__(self, "values", cleaned)
         seen = set()
@@ -221,19 +212,13 @@ class Cochain:
         """Multilinear extension to arbitrary coordinate vectors."""
         if len(vectors) != self.arity:
             raise ValueError(f"expected {self.arity} arguments")
-        vectors = [vec(v) for v in vectors]
+        supports = [[(i, a) for i, a in enumerate(vec(v)) if a] for v in vectors]
         out = zero_vec(self.target.dim)
-
-        def rec(pos: int, idx: tuple[int, ...], coeff: Fraction):
-            nonlocal out
-            if pos == len(vectors):
-                out = vec_add(out, vec_scale(coeff, self.evaluate(idx)))
-                return
-            for i, a in enumerate(vectors[pos]):
-                if a != 0:
-                    rec(pos + 1, idx + (i,), coeff * a)
-
-        rec(0, (), Fraction(1))
+        for picks in product(*supports):
+            coeff = Fraction(1)
+            for _, a in picks:
+                coeff *= a
+            out = vec_add(out, vec_scale(coeff, self.evaluate([i for i, _ in picks])))
         return out
 
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -267,15 +252,9 @@ def make_cochain(
     weight: int,
     table: Mapping[tuple[int, ...], Sequence] | Iterable[tuple[tuple[int, ...], Sequence]] = (),
 ) -> Cochain:
-    """Cochain from a {canonical tuple: value vector} table; zeros dropped."""
+    """Cochain from a {canonical tuple: value vector} table; the constructor drops zeros."""
     items = table.items() if isinstance(table, Mapping) else table
-    cleaned = []
-    for tup, val in items:
-        v = vec(val)
-        if not is_zero_vec(v):
-            cleaned.append((tuple(tup), v))
-    cleaned.sort(key=lambda t: t[0])
-    return Cochain(source, target, arity, weight, tuple(cleaned))
+    return Cochain(source, target, arity, weight, tuple((tuple(t), v) for t, v in items))
 
 
 def zero_cochain(source, target, arity, weight) -> Cochain:
@@ -312,12 +291,21 @@ def cochain_coordinates(phi: Cochain, basis: Sequence[tuple[tuple[int, ...], int
 
 
 def cochain_from_coordinates(
-    source, target, arity, weight, basis: Sequence[tuple[tuple[int, ...], int]], coords: Sequence
+    source, target, arity, weight, basis: Sequence[tuple[tuple[int, ...], int]],
+    coords: Sequence | Mapping[int, Fraction],
 ) -> Cochain:
+    """The cochain with dense coordinates over `basis`, or sparse ones {position: Fraction}."""
+    if not isinstance(coords, Mapping):
+        coords = vec(coords)
+        if len(coords) != len(basis):
+            raise ValueError("coordinate vector and basis differ in length")
+        coords = dict(enumerate(coords))
+    zero = Fraction(0)
     table: dict[tuple[int, ...], list[Fraction]] = {}
-    for (tup, m), c in zip(basis, vec(coords), strict=True):
-        if c != 0:
-            table.setdefault(tup, list(zero_vec(target.dim)))[m] += c
+    for k, c in coords.items():
+        if c:
+            tup, m = basis[k]
+            table.setdefault(tup, [zero] * target.dim)[m] = c
     return make_cochain(source, target, arity, weight,
                         {t: tuple(v) for t, v in table.items()})
 
@@ -396,7 +384,7 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
     over the support of [X_i, X_j], and carries (-1)^a_ij times the sign
     of sorting (m, rest).  This is the one place the signs of the
     differential are written down; `covariant_delta` applies the terms to
-    a cochain and `differential_matrix` writes them into a matrix.
+    a cochain and `differential_matrix` writes them into sparse rows.
     """
     space = alg.space
     word = [space.parities[t] for t in tup]
@@ -481,40 +469,42 @@ def differential_matrix(
     """Matrix of `covariant_delta` from (arity, weight) cochains to arity + 1.
 
     Returns (rows, source basis, target basis): columns follow
-    `space_basis` of the source, rows that of the target.  The matrix is
-    assembled by target tuple: each term of `_delta_stencil` at a target
-    tuple hits one canonical source tuple, so row (tuple, r) is a sparse
-    sum of +-alpha entries and +-structure constants, written out densely
-    at the end.  Apart from that write-out, the work is linear in the
-    number of nonzero entries; no unit cochain is differentiated.
+    `space_basis` of the source, rows that of the target, and each row is
+    a sparse {column: nonzero Fraction} dict.  The matrix is assembled by
+    target tuple: each term of `_delta_stencil` at a target tuple hits one
+    canonical source tuple, so row (tuple, r) is a sparse sum of +-alpha
+    entries and +-structure constants.  The work is linear in the number
+    of nonzero entries; no unit cochain is differentiated and no row is
+    written out densely.
     """
     src = source_alg.space
     _check_delta_args(src, target, alpha_ops, arity)
     src_basis = space_basis(src, target, arity, weight)
     dst_basis = space_basis(src, target, arity + 1, weight)
     col = {key: k for k, key in enumerate(src_basis)}
-    # action[i][r]: the nonzero entries (m, c) of row r of alpha_i
-    action = [[[(m, c) for m, c in enumerate(row) if c] for row in op.matrix]
+    # action[i][r] (negated[i][r]): the nonzero entries (m, c) of row r of alpha_i (-alpha_i)
+    action = [[[(m, scalar(c)) for m, c in enumerate(row) if c] for row in op.matrix]
               for op in alpha_ops]
-    zero = Fraction(0)
+    negated = [[[(m, -c) for m, c in row] for row in op] for op in action]
     rows = []
     try:
         for tup, group in groupby(dst_basis, key=itemgetter(0)):
-            stencil = list(_delta_stencil(source_alg, tup, weight))
+            # each term as (source tuple, its entries (m, c) by target row r)
+            terms = []
+            for coef, rest, gen in _delta_stencil(source_alg, tup, weight):
+                if gen is None:
+                    c = scalar(coef)
+                    terms.append((rest, [((r, c),) for r in range(target.dim)]))
+                else:  # an action coefficient is +-1
+                    terms.append((rest, action[gen] if coef > 0 else negated[gen]))
             for _tup, r in group:
-                entries: dict[int, Fraction] = {}
-                for coef, rest, gen in stencil:
-                    if gen is None:
-                        k = col[(rest, r)]
-                        entries[k] = entries.get(k, zero) + coef
-                    else:
-                        for m, c in action[gen][r]:
-                            k = col[(rest, m)]
-                            entries[k] = entries.get(k, zero) + coef * c
-                row = [zero] * len(src_basis)
-                for k, x in entries.items():
-                    row[k] = x
-                rows.append(tuple(row))
+                row: dict[int, Fraction] = {}
+                for rest, entries in terms:
+                    for m, c in entries[r]:
+                        k = col[(rest, m)]
+                        x = row.get(k)
+                        row[k] = c if x is None else x + c
+                rows.append(row if all(row.values()) else {k: x for k, x in row.items() if x})
     except KeyError:
         raise ValueError("the bracket is not degree 0: the differential leaves "
                          "the cochain space") from None

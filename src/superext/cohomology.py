@@ -11,6 +11,8 @@ center, and the classification of extensions by the weight-0 part of H^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .gvs import (
     GradedLinearMap,
@@ -18,15 +20,12 @@ from .gvs import (
     LinearSystem,
     SuperVectorSpace,
     Vector,
+    dense_vec,
     from_columns,
     is_zero_vec,
-    kernel_basis,
-    rref,
-    solve_linear,
+    sparse_kernel_basis,
+    sparse_transpose,
     unit_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 from .superlie import (
     OuterAlgebra,
@@ -132,18 +131,50 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
 
 @dataclass(frozen=True)
 class WeightReport:
-    """Cohomology of one weight component at one arity."""
+    """Cohomology of one weight component at one arity.
 
+    The bases are kept as sparse coordinate vectors, {position in `basis`:
+    nonzero Fraction} dicts over the source `space_basis`; the cochains of
+    `cocycle_basis`, `coboundary_basis` and `representatives` are built
+    on first read.
+    """
+
+    source: SuperVectorSpace
+    target: SuperVectorSpace
+    arity: int
     weight: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    cocycle_basis: tuple[Cochain, ...]
-    coboundary_basis: tuple[Cochain, ...]
-    representatives: tuple[Cochain, ...]
+    basis: tuple[tuple[tuple[int, ...], int], ...]
+    cocycle_coords: tuple[dict[int, Fraction], ...]
+    coboundary_coords: tuple[dict[int, Fraction], ...]
+    representative_coords: tuple[dict[int, Fraction], ...]
+
+    @property
+    def dim_cocycles(self) -> int:
+        return len(self.cocycle_coords)
+
+    @property
+    def dim_coboundaries(self) -> int:
+        return len(self.coboundary_coords)
 
     @property
     def dim(self) -> int:
         return self.dim_cocycles - self.dim_coboundaries
+
+    def _cochains(self, coords) -> tuple[Cochain, ...]:
+        return tuple(cochain_from_coordinates(self.source, self.target, self.arity,
+                                              self.weight, self.basis, v) for v in coords)
+
+    @cached_property
+    def cocycle_basis(self) -> tuple[Cochain, ...]:
+        return self._cochains(self.cocycle_coords)
+
+    @cached_property
+    def coboundary_basis(self) -> tuple[Cochain, ...]:
+        return self._cochains(self.coboundary_coords)
+
+    @cached_property
+    def representatives(self) -> tuple[Cochain, ...]:
+        return self._cochains(self.representative_coords)
 
 
 @dataclass(frozen=True)
@@ -160,25 +191,21 @@ class CohomologyReport:
 
 
 def delta_matrix(mod: GModule, arity: int, weight: int):
-    """Matrix of the module differential L^{arity,weight} -> L^{arity+1,weight}.
+    """Sparse rows of the module differential L^{arity,weight} -> L^{arity+1,weight}.
 
-    Columns follow `space_basis` of the source, rows that of the target.
-    It is `cochains.differential_matrix` for the module's action:
-    assembled by target tuple from the terms `covariant_delta` sums, one
-    canonical source tuple per term, never column by column.
+    It is `cochains.differential_matrix` for the module's action.
     """
     return differential_matrix(mod.g, mod.action, mod.space, arity, weight)
 
 
 def _check_squares_to_zero(outer, inner, n: int) -> None:
-    """Raise an internal fault unless outer * inner = 0, summing over nonzeros."""
-    inner_rows = [[(k, x) for k, x in enumerate(row) if x] for row in inner]
+    """Raise an internal fault unless outer * inner = 0 for sparse rows."""
     for row in outer:
-        acc: dict[int, object] = {}
-        for j, a in enumerate(row):
-            if a:
-                for k, b in inner_rows[j]:
-                    acc[k] = acc.get(k, 0) + a * b
+        acc: dict[int, Fraction] = {}
+        for j, a in row.items():
+            for k, b in inner[j].items():
+                x = acc.get(k)
+                acc[k] = a * b if x is None else x + a * b
         if any(acc.values()):
             raise RuntimeError(
                 f"internal fault: the differential does not square to zero at degree {n}"
@@ -194,9 +221,7 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
     complex checks itself: D_n D_{n-1} must vanish, or RuntimeError
     reports an internal fault.
     """
-    even, _ = _weight_cohomology(g, mod, n, 0)
-    odd, _ = _weight_cohomology(g, mod, n, 1)
-    return CohomologyReport(n, (even, odd))
+    return CohomologyReport(n, tuple(_weight_cohomology(g, mod, n, y)[0] for y in (0, 1)))
 
 
 def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
@@ -213,31 +238,17 @@ def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
     if n > arity_cap():
         raise ValueError(f"arity {n} exceeds the cap {arity_cap()}")
     dmat, src_basis, _dst = delta_matrix(mod, n, y)
-    cocycle_coords = kernel_basis(dmat, ncols=len(src_basis))
-    previous = None
-    if n == 0:
-        cobound_coords: list[Vector] = []
-    else:
-        previous = delta_matrix(mod, n - 1, y)
+    previous = delta_matrix(mod, n - 1, y) if n > 0 else None
+    if previous:
         prev, prev_basis, _ = previous
         _check_squares_to_zero(dmat, prev, n)
-        img_cols = from_columns(prev, len(prev_basis))  # the columns of D_{n-1}
-        cobound_coords = [tuple(r) for r in rref(img_cols)[0]] if img_cols else []
-    span = IncrementalSpan(cobound_coords)
+    # the span absorbs the columns of D_{n-1}, then the cocycles
+    span = IncrementalSpan(sparse_transpose(prev, len(prev_basis)) if previous else ())
+    cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
+    cocycle_coords = sparse_kernel_basis(dmat, len(src_basis))  # consumes the rows
     reps = [v for v in cocycle_coords if span.add(v)]
-
-    def to_cochain(v):
-        return cochain_from_coordinates(g.space, mod.space, n, y, src_basis, v)
-
-    report = WeightReport(
-        weight=y,
-        dim_cocycles=len(cocycle_coords),
-        dim_coboundaries=len(cobound_coords),
-        cocycle_basis=tuple(to_cochain(v) for v in cocycle_coords),
-        coboundary_basis=tuple(to_cochain(v) for v in cobound_coords),
-        representatives=tuple(to_cochain(v) for v in reps),
-    )
-    return report, previous
+    return WeightReport(g.space, mod.space, n, y, tuple(src_basis), tuple(cocycle_coords),
+                        tuple(cobound_coords), tuple(reps)), previous
 
 
 def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
@@ -292,10 +303,7 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
                 f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) is not "
                 "inner: the projected lift is not a homomorphism"
             )
-        v = zero_vec(h.dim)
-        for c, k in zip(x, gens[deg]):
-            v = vec_add(v, vec_scale(c, unit_vec(h.dim, k)))
-        table[(i, j)] = v
+        table[(i, j)] = dense_vec(dict(zip(gens[deg], x)), h.dim)
     return make_cochain(g.space, h.space, 2, 0, table)
 
 
@@ -361,17 +369,18 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     # only weight 0 matters, and its D_2 also gives the primitive mu
     h3, (d2, basis2, basis3) = _weight_cohomology(g, mod, 3, 0)
     lam_coords = cochain_coordinates(lam, basis3)
-    cols = [cochain_coordinates(c, basis3) for c in h3.coboundary_basis] + \
-           [cochain_coordinates(c, basis3) for c in h3.representatives]
-    x = solve_linear(from_columns(cols, len(basis3)), lam_coords, ncols=len(cols))
+    cols = [dict(v) for v in h3.coboundary_coords + h3.representative_coords]
+    x = LinearSystem.from_sparse_columns(cols, len(basis3)).solve(lam_coords)
     if x is None:
         raise RuntimeError("internal fault: obstruction cocycle is not a cocycle")
-    class_coords = tuple(x[len(h3.coboundary_basis):])
+    class_coords = tuple(x[h3.dim_coboundaries:])
     vanishes = is_zero_vec(class_coords)
 
     mu = None
     if vanishes:
-        mu_coords = solve_linear(d2, lam_coords, ncols=len(basis2))
+        d2_system = LinearSystem.from_sparse_columns(sparse_transpose(d2, len(basis2)),
+                                                     len(basis3))
+        mu_coords = d2_system.solve(lam_coords)
         if mu_coords is None:
             raise RuntimeError("internal fault: vanishing class but no primitive")
         mu = cochain_from_coordinates(g.space, mod.space, 2, 0, basis2, mu_coords)

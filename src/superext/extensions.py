@@ -24,7 +24,7 @@ from .gvs import (
     is_zero_vec,
     kernel_basis,
     rank,
-    solve_linear,
+    sparse_transpose,
     unit_vec,
     vec_add,
     vec_scale,
@@ -413,10 +413,10 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
     # the columns of delta_alpha on witnesses, taken into slot order (k-major)
     dmat, basis1, basis2 = differential_matrix(g, d.alpha, h.space, 1, 0)
     col = {key: c for c, key in enumerate(basis1)}
-    order = [col[((j,), k)] for (k, j) in slots]
-    rows = tuple(tuple(row[c] for c in order) for row in dmat)
-    rhs = cochain_coordinates(d.rho, basis2)
-    x = solve_linear(rows, rhs, ncols=len(slots))
+    cols = sparse_transpose(dmat, len(basis1))
+    system = LinearSystem.from_sparse_columns([cols[col[((j,), k)]] for (k, j) in slots],
+                                              len(basis2))
+    x = system.solve(cochain_coordinates(d.rho, basis2))
     if x is None:
         return None
     m = [[Fraction(0)] * g.dim for _ in range(h.dim)]

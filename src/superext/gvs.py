@@ -5,9 +5,9 @@ floating point.  All row reductions select the leftmost pivot, so
 particular solutions, kernel bases, complements and quotients are
 canonical: identical inputs give bit-identical outputs.
 
-A vector is a tuple of Fractions, a matrix is a tuple of row tuples.
-Matrix entry (i, j) is the coefficient of codomain basis element i in
-the image of domain basis element j.
+A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
+sparse vector or row an {index: nonzero Fraction} dict.  Entry (i, j) is
+the coefficient of codomain basis element i in the image of domain basis j.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
 
 def is_zero_vec(v: Vector) -> bool:
     return all(a == 0 for a in v)
+
+
+def dense_vec(v: dict[int, Fraction], n: int) -> Vector:
+    """The length-n vector of a sparse {index: Fraction} one."""
+    out = [Fraction(0)] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -151,14 +159,7 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     for row in rows:
         _absorb(echelon, {j: x for j, x in enumerate(row) if x})
     pivots = sorted(echelon)
-    zero = Fraction(0)
-    reduced = []
-    for p in pivots:
-        dense = [zero] * ncols
-        for j, x in echelon[p].items():
-            dense[j] = x
-        reduced.append(dense)
-    return reduced, pivots
+    return [list(dense_vec(echelon[p], ncols)) for p in pivots], pivots
 
 
 def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction],
@@ -222,26 +223,27 @@ class LinearSystem:
     Construction runs `_absorb` on the columns of A, each tagged with its
     index, so every echelon vector also records which combination of kept
     columns it is; a column that reduces to its tags alone is dependent
-    and is skipped.
+    and is skipped.  `from_sparse_columns` starts from sparse columns.
     """
 
     def __init__(self, A, ncols: int | None = None):
-        A = _as_matrix(A)
-        if ncols is None:
-            ncols = len(A[0]) if A else 0
-        elif A and len(A[0]) != ncols:
-            raise ValueError("ncols does not match the matrix width")
-        self.nrows, self.ncols = len(A), ncols
-        cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
-        for i, row in enumerate(A):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
+        rows, ncols = _sparse_rows(A, ncols)
+        self._eliminate(sparse_transpose(rows, ncols), len(rows))
+
+    @classmethod
+    def from_sparse_columns(cls, cols: list[dict[int, Fraction]], nrows: int):
+        """The system whose column j is the sparse dict cols[j], which it consumes."""
+        system = cls.__new__(cls)
+        system._eliminate(cols, nrows)
+        return system
+
+    def _eliminate(self, cols: list[dict[int, Fraction]], nrows: int) -> None:
+        self.nrows, self.ncols = nrows, len(cols)
         # echelon vectors live on row indices; the tag of column j sits at nrows + j
         self._echelon: dict[int, dict[int, Fraction]] = {}
         for j, col in enumerate(cols):
-            col[self.nrows + j] = Fraction(1)
-            _absorb(self._echelon, col, self.nrows)
+            col[nrows + j] = Fraction(1)
+            _absorb(self._echelon, col, nrows)
 
     def solve(self, rhs: Sequence) -> Vector | None:
         """The canonical solution of A x = rhs, or None if rhs is not in the image."""
@@ -256,20 +258,7 @@ class LinearSystem:
                 _axpy(r, -b[p], e)
         if any(i < self.nrows for i in r):
             return None
-        sol = [Fraction(0)] * self.ncols
-        for t, x in r.items():
-            sol[t - self.nrows] = -x
-        return tuple(sol)
-
-
-def solve_linear(A, rhs: Sequence, ncols: int | None = None) -> Vector | None:
-    """One exact solution of A x = rhs, or None if rhs is not in the image.
-
-    The canonical particular solution of `LinearSystem`: after
-    leftmost-pivot reduction all free coordinates are set to 0.  Build a
-    `LinearSystem` instead when one A meets many right-hand sides.
-    """
-    return LinearSystem(A, ncols).solve(rhs)
+        return dense_vec({t - self.nrows: -x for t, x in r.items()}, self.ncols)
 
 
 def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
@@ -279,22 +268,30 @@ def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
     whole domain and the width cannot be inferred).  A dense wrapper over
     `sparse_kernel_basis`.
     """
-    A = _as_matrix(A)
+    rows, ncols = _sparse_rows(A, ncols)
+    return [dense_vec(v, ncols) for v in sparse_kernel_basis(rows, ncols)]
+
+
+def _sparse_rows(A, ncols: int | None) -> tuple[list[dict[int, Fraction]], int]:
+    """Dense rows (or a GradedLinearMap) as sparse rows of Fractions, and the width."""
+    A = A.matrix if isinstance(A, GradedLinearMap) else mat(A)
     if ncols is None:
         ncols = len(A[0]) if A else 0
     elif A and len(A[0]) != ncols:
         raise ValueError("ncols does not match the matrix width")
-    return sparse_kernel_basis(({j: x for j, x in enumerate(row) if x} for row in A), ncols)
+    return [{j: x for j, x in enumerate(row) if x} for row in A], ncols
 
 
-def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vector]:
-    """Exact basis of the kernel of a matrix given as sparse rows.
+def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
+                        ncols: int) -> list[dict[int, Fraction]]:
+    """Exact basis of the kernel of a matrix given as sparse rows, as sparse vectors.
 
     Each row is a {column: nonzero Fraction} dict, consumed by `_absorb`
     one at a time, exactly as in `rref`.  The fully reduced echelon rows
     are the nonzero rows of the RREF, so the basis is the one `rref`
     gives: for each free column f, the vector with 1 at f, minus the
     reduced rows' entries in column f at their pivots, and 0 elsewhere.
+    Each vector is a {column: nonzero Fraction} dict.
     """
     echelon: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -305,17 +302,24 @@ def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]], ncols: int) -> list
         for j, x in row.items():
             if j != p:
                 by_col.setdefault(j, []).append((p, x))
-    zero, one = Fraction(0), Fraction(1)
+    one = Fraction(1)
     basis = []
     for f in range(ncols):
-        if f in echelon:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for p, x in by_col.get(f, ()):
-            v[p] = -x
-        basis.append(tuple(v))
+        if f not in echelon:
+            v = {f: one}
+            for p, x in by_col.get(f, ()):
+                v[p] = -x
+            basis.append(v)
     return basis
+
+
+def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """The columns of a matrix of `ncols` columns given as sparse rows, as sparse dicts."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vector]:
@@ -335,26 +339,28 @@ def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vect
 
 
 class IncrementalSpan:
-    """Row span grown one vector at a time by the elimination of `rref`."""
+    """Row span grown one vector at a time by the elimination of `rref`.
 
-    def __init__(self, rows: Iterable[Sequence] = ()):  # noqa: B008
+    A vector is a dense sequence or a sparse {index: nonzero Fraction} dict (copied).
+    """
+
+    def __init__(self, rows: Iterable[Sequence | dict[int, Fraction]] = ()):  # noqa: B008
         self._echelon: dict[int, dict[int, Fraction]] = {}
         for r in rows:
             self.add(r)
 
-    def add(self, v: Sequence) -> bool:
+    def add(self, v: Sequence | dict[int, Fraction]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        return _absorb(self._echelon, {j: x for j, x in enumerate(vec(v)) if x})
+        row = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(vec(v)) if x}
+        return _absorb(self._echelon, row)
+
+    def rows(self) -> list[dict[int, Fraction]]:
+        """Copies of the reduced echelon rows in pivot order: the nonzero rows of the RREF."""
+        return [dict(self._echelon[p]) for p in sorted(self._echelon)]
 
     @property
     def rank(self) -> int:
         return len(self._echelon)
-
-
-def _as_matrix(A) -> Matrix:
-    if isinstance(A, GradedLinearMap):
-        return A.matrix
-    return mat(A)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .gvs import (
     LinearSystem,
     SuperVectorSpace,
     Vector,
+    dense_vec,
     from_columns,
     graded_commutator,
     is_zero_vec,
@@ -30,7 +31,6 @@ from .gvs import (
     sparse_kernel_basis,
     unit_vec,
     vec,
-    vec_add,
     vec_scale,
     zero_vec,
 )
@@ -114,10 +114,7 @@ def algebra_from_table(
         i, j = space.index(ln), space.index(rn)
         if (i, j) in given:
             raise ValueError(f"bracket [{ln},{rn}] listed twice")
-        v = zero_vec(n)
-        for bn, c in val.items():
-            v = vec_add(v, vec_scale(scalar(c), unit_vec(n, space.index(bn))))
-        given[(i, j)] = v
+        given[(i, j)] = dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, n)
     rows = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     for (i, j), v in given.items():
         rows[i][j] = v
@@ -388,8 +385,9 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     basis = []
     for kv in sparse_kernel_basis(leibniz_rows(), len(slots)):
         m = [[zero] * n for _ in range(n)]
-        for (i, j), k in slot_index.items():
-            m[i][j] = kv[k]
+        for k, x in kv.items():
+            i, j = slots[k]
+            m[i][j] = x
         basis.append(GradedLinearMap(sp, sp, deg, tuple(tuple(r) for r in m)))
     return basis
 
@@ -418,10 +416,7 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
             deg_inner.append(GradedLinearMap(alg.space, alg.space, deg, m))
             y = ad_system.solve(row)
             assert y is not None
-            h = [Fraction(0)] * n
-            for c, i in zip(y, gens):
-                h[i] = c
-            preimages.append(tuple(h))
+            preimages.append(dense_vec(dict(zip(gens, y)), n))
         full = _derivation_basis_of_parity(alg, deg)
         span = IncrementalSpan(d.flat() for d in deg_inner)
         kept = [d for d in full if span.add(d.flat())]

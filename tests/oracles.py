@@ -288,6 +288,81 @@ def delta_matrix_by_columns(g: SuperLieAlgebra, action, target, arity: int, weig
     return tuple(tuple(col[r] for col in cols) for r in range(len(dst_basis)))
 
 
+def recursive_canonical_tuples(space, arity: int) -> list[tuple[int, ...]]:
+    """Canonical tuples by recursion: weakly increasing, no even index twice."""
+    out = []
+
+    def rec(start, prefix):
+        if len(prefix) == arity:
+            out.append(prefix)
+            return
+        for i in range(start, space.dim):
+            if prefix and prefix[-1] == i and space.parities[i] == 0:
+                continue
+            rec(i, prefix + (i,))
+
+    rec(0, ())
+    return out
+
+
+def eager_weight_cohomology(mod, n: int, y: int):
+    """The weight-y cohomology of a module, eagerly and densely.
+
+    D_n and D_{n-1} are written out as dense rows; the cocycles are
+    `dense_kernel_basis(D_n)`, the coboundaries the `dense_rref` of the
+    columns of D_{n-1}, and the representatives the cocycles whose column
+    is a pivot of [coboundaries | cocycles], i.e. those that enlarge the
+    span of everything before them.  Every basis vector becomes a cochain.
+    Returns (cocycles, coboundaries, representatives, rank D_n).
+    """
+    from superext.cochains import space_basis
+    from superext.cohomology import delta_matrix
+
+    g = mod.g
+    rows, src, _ = delta_matrix(mod, n, y)
+    dmat = dense_rows(rows, len(src))
+    cocycles = dense_kernel_basis(dmat, len(src))
+    if n == 0:
+        coboundaries = []
+    else:
+        prev_rows, prev_src, _ = delta_matrix(mod, n - 1, y)
+        prev = dense_rows(prev_rows, len(prev_src))
+        img_cols = [tuple(row[j] for row in prev) for j in range(len(prev_src))]
+        coboundaries = [tuple(r) for r in dense_rref(img_cols)[0]] if img_cols else []
+    vectors = coboundaries + cocycles
+    together = [tuple(v[i] for v in vectors) for i in range(len(src))]
+    pivots = set(dense_rref(together)[1]) if vectors else set()
+    reps = [v for k, v in enumerate(cocycles) if len(coboundaries) + k in pivots]
+    basis = space_basis(g.space, mod.space, n, y)
+
+    def to_cochain(v):
+        table = {}
+        for (tup, m), c in zip(basis, v, strict=True):
+            if c:
+                table.setdefault(tup, [Fraction(0)] * mod.space.dim)[m] = c
+        return make_cochain(g.space, mod.space, n, y, table)
+
+    rank = len(dense_rref(dmat)[1]) if dmat else 0
+    return (tuple(map(to_cochain, cocycles)), tuple(map(to_cochain, coboundaries)),
+            tuple(map(to_cochain, reps)), rank)
+
+
+def dense_rows(rows, ncols):
+    """Sparse {column: Fraction} rows written out as dense tuples.
+
+    Every stored entry must be a nonzero Fraction: a sparse row keeps no
+    zeros and no other number type.
+    """
+    out = []
+    for row in rows:
+        assert all(type(x) is Fraction and x != 0 for x in row.values()), row
+        dense = [Fraction(0)] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
 def dense_rref(rows):
     """Textbook Gauss-Jordan on dense rows, leftmost pivot, first nonzero row."""
     work = [[Fraction(x) for x in r] for r in rows]

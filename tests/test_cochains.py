@@ -1,12 +1,13 @@
 """Sign machinery, cochain evaluation, wedge, bracket and the differentials."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from superext.catalog import abelian, gl11, heis3, sl2, susy_line
+from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import (
     TRIVIAL_LINE,
     canonical_tuples,
@@ -32,6 +33,7 @@ from oracles import (
     full_sum_wedge,
     random_cochain,
     random_witness,
+    recursive_canonical_tuples,
 )
 
 F = Fraction
@@ -93,6 +95,24 @@ def test_canonical_tuples_mixed():
     sp = SuperVectorSpace(("a", "q"), (0, 1))
     assert canonical_tuples(sp, 2) == [(0, 1), (1, 1)]
     assert canonical_tuples(sp, 3) == [(0, 1, 1), (1, 1, 1)]
+
+
+def test_canonical_tuples_match_recursive_oracle(corpus):
+    interleaved = SuperVectorSpace(("q", "a", "r", "b", "s"), (1, 0, 1, 0, 1))
+    for space in [*(g.space for g in corpus.values()), osp12().space, interleaved]:
+        for arity in range(7):
+            assert canonical_tuples(space, arity) == recursive_canonical_tuples(space, arity)
+
+
+def test_canonical_tuples_leave_no_cyclic_garbage():
+    space = osp12().space
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_tuples(space, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_even_swap_negates():

@@ -6,6 +6,8 @@ cohomology values from the literature.
 """
 
 from fractions import Fraction
+from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,14 @@ from superext.cohomology import cohomology_space, delta_matrix, gmodule, trivial
 from superext.gvs import IncrementalSpan, rref, unit_vec
 from superext.superlie import ad, direct_sum
 
-from oracles import delta_by_terms, delta_matrix_by_columns, dense_rref, random_cochain
+from oracles import (
+    delta_by_terms,
+    delta_matrix_by_columns,
+    dense_rows,
+    dense_rref,
+    eager_weight_cohomology,
+    random_cochain,
+)
 
 F = Fraction
 
@@ -64,7 +73,9 @@ def test_delta_matrix_matches_column_oracle(name, module):
             rows, src, dst = delta_matrix(mod, n, y)
             assert src == cochains.space_basis(g.space, mod.space, n, y)
             assert dst == cochains.space_basis(g.space, mod.space, n + 1, y)
-            assert rows == delta_matrix_by_columns(g, mod.action, mod.space, n, y)
+            assert len(rows) == len(dst)
+            assert dense_rows(rows, len(src)) == \
+                delta_matrix_by_columns(g, mod.action, mod.space, n, y)
 
 
 @pytest.mark.parametrize("name", ["susy_line", "gl11", "osp12"])
@@ -136,7 +147,8 @@ def test_rref_of_differentials_matches_dense_oracle():
     mod = adjoint_module(g)
     for n in range(3):
         for y in (0, 1):
-            assert_rref_matches_oracle(delta_matrix(mod, n, y)[0])
+            rows, src, _ = delta_matrix(mod, n, y)
+            assert_rref_matches_oracle(dense_rows(rows, len(src)))
 
 
 # ---------- literature values and an independent rank ----------
@@ -166,4 +178,61 @@ def test_differential_ranks_match_sympy(corpus, module):
             rep = cohomology_space(g, mod, n)
             for y in (0, 1):
                 rows, src, _ = delta_matrix(mod, n, y)
-                assert sympy_rank(rows, len(src)) == len(src) - rep.weight(y).dim_cocycles
+                assert sympy_rank(dense_rows(rows, len(src)), len(src)) == \
+                    len(src) - rep.weight(y).dim_cocycles
+
+
+# ---------- the sparse cohomology path against the eager dense one ----------
+
+def closed_form_dim(g, module_space, n, y):
+    """dim C^{n,y}: j odd arguments give C(p, n-j) C(q+j-1, j) tuples valued in M_{y+j}."""
+    p, q = g.space.dim_even, g.space.dim_odd
+    m = (module_space.parities.count(0), module_space.parities.count(1))
+    return sum(comb(p, n - j) * (comb(q + j - 1, j) if j else 1) * m[(y + j) % 2]
+               for j in range(n + 1))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_weight_cohomology_matches_eager_oracle(corpus, module):
+    for g in [*corpus.values(), osp12()]:
+        mod = MODULES[module](g)
+        for n in range(5 if g.dim <= 5 else 4):
+            rep = cohomology_space(g, mod, n)
+            for y in (0, 1):
+                w = rep.weight(y)
+                cocycles, coboundaries, reps, rank = eager_weight_cohomology(mod, n, y)
+                assert w.cocycle_basis == cocycles
+                assert w.coboundary_basis == coboundaries
+                assert w.representatives == reps
+                assert w.representatives is w.representatives  # built once, on first read
+                assert len(w.basis) == closed_form_dim(g, mod.space, n, y)
+                assert w.dim_cocycles + rank == len(w.basis)
+
+
+def trivial_dims(g, top):
+    mod = trivial_module(g)
+    return [tuple(cohomology_space(g, mod, n).weight(y).dim for y in (0, 1))
+            for n in range(top + 1)]
+
+
+def kunneth(a, b):
+    """Dims of H^n(a + b) by weight from the factors': degrees and weights add."""
+    out = []
+    for n in range(len(a)):
+        h = [0, 0]
+        for i in range(n + 1):
+            for ya in (0, 1):
+                for yb in (0, 1):
+                    h[(ya + yb) % 2] += a[i][ya] * b[n - i][yb]
+        out.append(tuple(h))
+    return out
+
+
+@pytest.mark.parametrize("parts, top", [((gl11, sl2, heis3), 4), ((gl11, osp12, sl2), 5)],
+                         ids=["gl11+sl2+heis3", "gl11+osp12+sl2"])
+def test_kunneth_for_direct_sums(parts, top):
+    # trivial coefficients: H^*(a + b) = H^*(a) (x) H^*(b) (Fuks 1986, Ch. 1)
+    want = reduce(kunneth, [trivial_dims(f(), top) for f in parts])
+    assert trivial_dims(reduce(direct_sum, [f() for f in parts]), top) == want
+    if parts == (gl11, sl2, heis3):
+        assert want == [(1, 0), (3, 0), (4, 0), (4, 0), (4, 0)]

@@ -290,11 +290,11 @@ def test_two_sections_differ_by_witness(rng):
         s2 = random_section(t, rng)
         d1, d2 = induced_data(t, s1), induced_data(t, s2)
         # the difference of sections lands in the kernel: b = incl^{-1}(s2 - s1)
-        from superext.gvs import solve_linear
+        from superext.gvs import LinearSystem
         cols = []
         for j in range(g.dim):
             w = tuple(x - y for x, y in zip(s2.column(j), s1.column(j)))
-            v = solve_linear(t.incl.matrix, w)
+            v = LinearSystem(t.incl.matrix).solve(w)
             assert v is not None
             cols.append(v)
         b = GradedLinearMap(g.space, h.space, 0,

@@ -6,6 +6,7 @@ import pytest
 
 from superext.gvs import (
     GradedLinearMap,
+    LinearSystem,
     SuperVectorSpace,
     complement_basis,
     identity,
@@ -15,7 +16,6 @@ from superext.gvs import (
     quotient_space,
     rank,
     rref,
-    solve_linear,
     unit_vec,
     zeros,
 )
@@ -24,28 +24,28 @@ F = Fraction
 
 
 def test_solve_identity():
-    assert solve_linear(identity(2), (1, F(1, 2))) == (1, F(1, 2))
+    assert LinearSystem(identity(2)).solve((1, F(1, 2))) == (1, F(1, 2))
 
 
 def test_solve_zero():
-    assert solve_linear(zeros(2, 2), (0, 0)) == (0, 0)
+    assert LinearSystem(zeros(2, 2)).solve((0, 0)) == (0, 0)
 
 
 def test_solve_canonical_particular():
     # rank-1 system: canonical solution has the free coordinate zero
     A = mat([[1, 2], [2, 4]])
-    sol = solve_linear(A, (1, 2))
+    sol = LinearSystem(A).solve((1, 2))
     assert sol == (1, 0)
     assert mat_vec(A, sol) == (1, 2)
 
 
 def test_solve_inconsistent():
-    assert solve_linear(mat([[1, 2], [2, 4]]), (1, 3)) is None
+    assert LinearSystem(mat([[1, 2], [2, 4]])).solve((1, 3)) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_linear(mat([[1, 2]]), (1, 2))
+        LinearSystem(mat([[1, 2]])).solve((1, 2))
 
 
 def test_kernel_identity_empty():
@@ -83,7 +83,7 @@ def test_solutions_are_exact(rng):
         A = mat([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
         x = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols))
         rhs = mat_vec(A, x)
-        sol = solve_linear(A, rhs)
+        sol = LinearSystem(A).solve(rhs)
         assert sol is not None
         assert mat_vec(A, sol) == rhs
 
@@ -166,7 +166,7 @@ def test_homogeneity_enforced():
 
 def test_determinism_bit_for_bit():
     A = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    runs = {(*solve_linear(mat(A), (1, 2, 3)),) for _ in range(5)}
+    runs = {(*LinearSystem(mat(A)).solve((1, 2, 3)),) for _ in range(5)}
     assert len(runs) == 1
     kers = {tuple(map(tuple, kernel_basis(mat([[1, 2, 3]])))) for _ in range(5)}
     assert len(kers) == 1
