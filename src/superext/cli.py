@@ -5,8 +5,10 @@ fails (or an obstruction class is nonzero, or an invariant of an input
 file is violated), 2 = input error (unparseable file, unknown command,
 refused size).  `--json` switches to a machine-readable report in which
 every number is an exact rational string; reports are byte-stable for
-identical inputs.  The environment variable SUPEREXT_ARITY_CAP overrides
-the default cochain arity cap of 6.
+identical inputs.  Algebras above MAX_DIM dimensions are refused unless
+`--allow-large` is passed.  The environment variable SUPEREXT_ARITY_CAP
+(default 6) bounds `cohomology --degree` and nothing else; the library
+itself has no arity cap.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .gvs import GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec
+from .gvs import SuperVectorSpace, Vector, is_zero_vec
 from .superlie import (
     SuperLieAlgebra,
     center,
@@ -24,7 +26,6 @@ from .superlie import (
     outer_algebra,
     validate_algebra,
 )
-from .cochains import arity_cap, set_arity_cap
 from .extensions import (
     _pullback_extension,
     ExtensionDatum,
@@ -49,6 +50,7 @@ from . import formats
 from .formats import InvariantError, SchemaError
 
 MAX_DIM = 12
+MAX_DEGREE = 6  # default bound of `cohomology --degree`; the environment overrides it
 
 COCHAIN_NOTE = (
     "cochain values are listed on canonical argument tuples only (weakly "
@@ -78,14 +80,19 @@ def _fmt_matrix(m) -> str:
     return "[" + "; ".join(" ".join(str(x) for x in row) for row in m) + "]"
 
 
-def _load_algebra(path: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
-    name, alg = formats.parse_algebra(formats.load_json(path), where=path)
+def _guarded_algebra(doc, where: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
+    """Parse an algebra document and enforce the dimension guard."""
+    name, alg = formats.parse_algebra(doc, where=where)
     if alg.dim > MAX_DIM and not allow_large:
         raise SchemaError(
-            f"{path}: dimension {alg.dim} exceeds the guard {MAX_DIM} "
+            f"{where}: dimension {alg.dim} exceeds the guard {MAX_DIM} "
             "(pass --allow-large to override)"
         )
     return name, alg
+
+
+def _load_algebra(path: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
+    return _guarded_algebra(formats.load_json(path), path, allow_large)
 
 
 def _load_datum(path: str, allow_large: bool):
@@ -98,10 +105,7 @@ def _load_datum(path: str, allow_large: bool):
             return _load_algebra(p, allow_large), ref
         if not isinstance(ref, dict):
             raise SchemaError(f"{path}.{which}: must be a file path or an inline algebra")
-        name, alg = formats.parse_algebra(ref, where=f"{path}.{which}")
-        if alg.dim > MAX_DIM and not allow_large:
-            raise SchemaError(f"{path}.{which}: dimension exceeds the guard {MAX_DIM}")
-        return (name, alg), ref
+        return _guarded_algebra(ref, f"{path}.{which}", allow_large), ref
 
     if not isinstance(doc, dict) or "g" not in doc or "h" not in doc:
         raise SchemaError(f"{path}: a datum file needs 'g' and 'h'")
@@ -111,19 +115,13 @@ def _load_datum(path: str, allow_large: bool):
     return datum, (gname, gref), (hname, href)
 
 
-def _load_named_map(path: str, domain: tuple[str, SuperVectorSpace],
-                    codomain: tuple[str, SuperVectorSpace]) -> GradedLinearMap:
-    return formats.parse_map(formats.load_json(path), domain, codomain, where=path)
-
-
 def _write_output(path: str | None, doc) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(formats.dump_json(doc))
-
-
-def _datum_doc(d: ExtensionDatum, gref, href) -> dict:
-    return formats.format_datum(d, gref, href)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(formats.dump_json(doc))
+        except OSError as ex:
+            raise SchemaError(f"{path}: cannot write: {ex.strerror or ex}") from None
 
 
 def _datum_file_doc(d: ExtensionDatum, gname: str, hname: str) -> dict:
@@ -251,12 +249,12 @@ def cmd_out(args) -> int:
     return EXIT_OK
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args, cap: int) -> int:
     name, alg = _load_algebra(args.algebra, args.allow_large)
     if not validate_algebra(alg).ok:
         raise CheckFailed(f"{args.algebra}: not a valid super Lie algebra")
-    if args.degree < 0 or args.degree > arity_cap():
-        raise SchemaError(f"--degree must lie in 0..{arity_cap()} (the arity cap)")
+    if args.degree < 0 or args.degree > cap:
+        raise SchemaError(f"--degree must lie in 0..{cap} (the arity cap)")
     if args.module:
         mdoc = formats.load_json(args.module)
         mname, mspace, action = formats.parse_module_doc(mdoc, (name, alg), where=args.module)
@@ -304,9 +302,12 @@ def cmd_section_data(args) -> int:
     hname, halg = _load_algebra(args.h, args.allow_large)
     gname, galg = _load_algebra(args.g, args.allow_large)
     ename, ealg = _load_algebra(args.e, args.allow_large)
-    incl = _load_named_map(args.i, (hname, halg.space), (ename, ealg.space))
-    proj = _load_named_map(args.p, (ename, ealg.space), (gname, galg.space))
-    sec = _load_named_map(args.section, (gname, galg.space), (ename, ealg.space))
+    incl = formats.parse_map(formats.load_json(args.i), (hname, halg.space),
+                             (ename, ealg.space), where=args.i)
+    proj = formats.parse_map(formats.load_json(args.p), (ename, ealg.space),
+                             (gname, galg.space), where=args.p)
+    sec = formats.parse_map(formats.load_json(args.section), (gname, galg.space),
+                            (ename, ealg.space), where=args.section)
     try:
         triple = ExtensionTriple(halg, galg, ealg, incl, proj, sec)
     except ValueError as ex:
@@ -317,7 +318,7 @@ def cmd_section_data(args) -> int:
         datum = induced_data(triple)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
-    doc = _datum_doc(datum, args.g, args.h)
+    doc = formats.format_datum(datum, args.g, args.h)
     _write_output(args.output, _datum_file_doc(datum, gname, hname))
     report = {
         "command": "section-data",
@@ -388,11 +389,12 @@ def cmd_build(args) -> int:
 
 def cmd_transform(args) -> int:
     datum, (gname, gref), (hname, href) = _load_datum(args.datum, args.allow_large)
-    b = _load_named_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
+    b = formats.parse_map(formats.load_json(args.witness), (gname, datum.g.space),
+                          (hname, datum.h.space), where=args.witness)
     if b.degree != 0:
         raise SchemaError(f"{args.witness}: witness must be degree 0")
     moved = transform_datum(datum, b)
-    doc = _datum_doc(moved, gref, href)
+    doc = formats.format_datum(moved, gref, href)
     _write_output(args.output, _datum_file_doc(moved, gname, hname))
     report = {"command": "transform", "datum": doc, "convention": COCHAIN_NOTE}
     _emit(args, report, ["transformed datum:"] + _datum_lines(moved, args.output))
@@ -404,7 +406,8 @@ def cmd_equivalent(args) -> int:
     d2, _, _ = _load_datum(args.datum2, args.allow_large)
     if d1.g != d2.g or d1.h != d2.h:
         raise SchemaError("the two data live over different algebras")
-    b = _load_named_map(args.witness, (gname, d1.g.space), (hname, d1.h.space))
+    b = formats.parse_map(formats.load_json(args.witness), (gname, d1.g.space),
+                          (hname, d1.h.space), where=args.witness)
     ok = check_equivalence_witness(d1, d2, b)
     report = {"command": "equivalent", "equivalent": ok}
     _emit(args, report, [f"witness carries datum 1 onto datum 2: {'yes' if ok else 'no'}"])
@@ -416,7 +419,8 @@ def cmd_split_check(args) -> int:
     if args.witness and args.solve_abelian:
         raise SchemaError("pass either --witness or --solve-abelian, not both")
     if args.witness:
-        b = _load_named_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
+        b = formats.parse_map(formats.load_json(args.witness), (gname, datum.g.space),
+                              (hname, datum.h.space), where=args.witness)
         ok = check_split_witness(datum, b)
         report = {"command": "split-check", "split": ok}
         _emit(args, report, [f"witness splits the datum: {'yes' if ok else 'no'}"])
@@ -447,8 +451,8 @@ def _load_obstruction_inputs(args):
         if not validate_algebra(alg).ok:
             raise CheckFailed(f"{path}: not a valid super Lie algebra")
     outer = outer_algebra(halg)  # built once: it types abar and serves the command
-    abar = _load_named_map(args.alpha_bar, (gname, galg.space),
-                           (f"out({hname})", outer.out.space))
+    abar = formats.parse_map(formats.load_json(args.alpha_bar), (gname, galg.space),
+                             (f"out({hname})", outer.out.space), where=args.alpha_bar)
     return (hname, halg), (gname, galg), outer, abar
 
 
@@ -503,8 +507,8 @@ def cmd_classify(args) -> int:
         return EXIT_FAIL
     h2w0 = rep.h2.weight(0)
     report["h2_dim_weight0"] = h2w0.dim
-    report["base"] = _datum_doc(rep.base, args.g, args.h)
-    report["data"] = [_datum_doc(d, args.g, args.h) for d in rep.data]
+    report["base"] = formats.format_datum(rep.base, args.g, args.h)
+    report["data"] = [formats.format_datum(d, args.g, args.h) for d in rep.data]
     lines.append(f"extensions of {gname} by {hname} inducing the outer action: "
                  f"base point + H^2 torsor of dimension {h2w0.dim}")
     if rep.centerless:
@@ -656,12 +660,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("SUPEREXT_ARITY_CAP")
-    if cap is not None:
+    raw = os.environ.get("SUPEREXT_ARITY_CAP")
+    cap = MAX_DEGREE
+    if raw is not None:
         try:
-            set_arity_cap(int(cap))
+            cap = int(raw)
         except ValueError:
-            print(f"error: SUPEREXT_ARITY_CAP must be a nonnegative integer, got {cap!r}",
+            cap = -1
+        if cap < 0:
+            print(f"error: SUPEREXT_ARITY_CAP must be a nonnegative integer, got {raw!r}",
                   file=sys.stderr)
             return EXIT_INPUT
     parser = make_parser()
@@ -670,6 +677,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
+        if args.func is cmd_cohomology:
+            return cmd_cohomology(args, cap)
         return args.func(args)
     except SchemaError as ex:
         print(f"error: {ex}", file=sys.stderr)

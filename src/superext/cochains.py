@@ -58,21 +58,6 @@ from .superlie import SuperLieAlgebra
 
 TRIVIAL_LINE = SuperVectorSpace(("1",), (EVEN,))
 
-_ARITY_CAP = 6
-
-
-def arity_cap() -> int:
-    return _ARITY_CAP
-
-
-def set_arity_cap(cap: int) -> None:
-    """Arity limit for cochain spaces (differentials may exceed it by one)."""
-    global _ARITY_CAP
-    if cap < 0:
-        raise ValueError("arity cap must be nonnegative")
-    _ARITY_CAP = cap
-
-
 def multigraded_sign(sigma: Sequence[int], parities: Sequence[int]) -> int:
     """Sign acquired by a tuple of homogeneous elements under a permutation.
 
@@ -154,8 +139,6 @@ class Cochain:
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be >= 0")
-        if self.arity > arity_cap() + 1:
-            raise ValueError(f"arity {self.arity} exceeds the cap {arity_cap()}")
         if self.weight not in (0, 1):
             raise ValueError("weight must be 0 or 1")
         # normalize: drop zero values, sort tuples, exact-rational entries
@@ -170,11 +153,11 @@ class Cochain:
             if tup in seen:
                 raise ValueError(f"duplicate tuple {tup}")
             seen.add(tup)
+            if any(i < 0 or i >= self.source.dim for i in tup):
+                raise ValueError(f"tuple {tup} out of range")
             srt, sign = sort_indices(self.source, tup)
             if srt != tup or sign == 0:
                 raise ValueError(f"tuple {tup} is not canonical")
-            if any(i < 0 or i >= self.source.dim for i in tup):
-                raise ValueError(f"tuple {tup} out of range")
             if len(val) != self.target.dim:
                 raise ValueError("value has wrong length")
             want = (self.weight + sum(self.source.parities[i] for i in tup)) % 2
@@ -320,9 +303,6 @@ def wedge(psi: Cochain, phi: Cochain) -> Cochain:
         raise ValueError("left factor of a wedge must be valued in the trivial line")
     if psi.source != phi.source:
         raise ValueError("wedge factors have different sources")
-    arity = psi.arity + phi.arity
-    if arity > arity_cap():
-        raise ValueError(f"wedge arity {arity} exceeds the cap {arity_cap()}")
     return _shuffle_sum(psi, phi, phi.target, lambda c, v: vec_scale(c[0], v))
 
 
@@ -337,9 +317,6 @@ def nr_bracket(phi: Cochain, psi: Cochain, algebra: SuperLieAlgebra) -> Cochain:
         raise ValueError("bracket requires both cochains valued in the given algebra")
     if phi.source != psi.source:
         raise ValueError("bracket factors have different sources")
-    arity = phi.arity + psi.arity
-    if arity > arity_cap():
-        raise ValueError(f"bracket arity {arity} exceeds the cap {arity_cap()}")
     return _shuffle_sum(phi, psi, algebra.space, algebra.bracket_vec)
 
 
@@ -407,7 +384,7 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
 
 
 def _check_delta_args(src: SuperVectorSpace, target: SuperVectorSpace,
-                      alpha_ops: Sequence[GradedLinearMap], arity: int) -> None:
+                      alpha_ops: Sequence[GradedLinearMap]) -> None:
     if len(alpha_ops) != src.dim:
         raise ValueError("need one operator per source basis element")
     for i, op in enumerate(alpha_ops):
@@ -417,8 +394,6 @@ def _check_delta_args(src: SuperVectorSpace, target: SuperVectorSpace,
             raise ValueError(
                 f"operator {i} has degree {op.degree}, the assignment is not degree 0"
             )
-    if arity > arity_cap():
-        raise ValueError(f"differential arity {arity + 1} exceeds the cap {arity_cap()} + 1")
 
 
 def chevalley_delta(source_alg: SuperLieAlgebra, phi: Cochain) -> Cochain:
@@ -443,7 +418,7 @@ def covariant_delta(
     src = source_alg.space
     if phi.source != src:
         raise ValueError("cochain source does not match the algebra")
-    _check_delta_args(src, phi.target, alpha_ops, phi.arity)
+    _check_delta_args(src, phi.target, alpha_ops)
     values = phi._table
     table: dict[tuple[int, ...], Vector] = {}
     for tup in canonical_tuples(src, phi.arity + 1):
@@ -478,7 +453,7 @@ def differential_matrix(
     written out densely.
     """
     src = source_alg.space
-    _check_delta_args(src, target, alpha_ops, arity)
+    _check_delta_args(src, target, alpha_ops)
     src_basis = space_basis(src, target, arity, weight)
     dst_basis = space_basis(src, target, arity + 1, weight)
     col = {key: k for k, key in enumerate(src_basis)}

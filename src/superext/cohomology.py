@@ -39,7 +39,6 @@ from .superlie import (
 from .cochains import (
     Cochain,
     TRIVIAL_LINE,
-    arity_cap,
     canonical_tuples,
     cochain_coordinates,
     cochain_from_coordinates,
@@ -235,8 +234,6 @@ def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
         raise ValueError("module is over a different algebra")
     if n < 0:
         raise ValueError("arity must be >= 0")
-    if n > arity_cap():
-        raise ValueError(f"arity {n} exceeds the cap {arity_cap()}")
     dmat, src_basis, _dst = delta_matrix(mod, n, y)
     previous = delta_matrix(mod, n - 1, y) if n > 0 else None
     if previous:

@@ -342,6 +342,10 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file") from None
+    except OSError as ex:
+        raise SchemaError(f"{path}: cannot read: {ex.strerror or ex}") from None
+    except UnicodeDecodeError as ex:
+        raise SchemaError(f"{path}: not UTF-8 text: {ex.reason}") from None
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path}: malformed JSON: {ex}") from None
 

@@ -7,8 +7,6 @@ stated runtime bounds are asserted where the criterion carries one.
 
 import random
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from functools import wraps
@@ -51,8 +49,8 @@ from superext.cohomology import (
     trivial_module,
 )
 
-from child_env import cli_env
 from cli_cases import CASES
+from cli_run import run_cli
 from oracles import (
     brute_jacobi,
     classical_ce_delta,
@@ -292,14 +290,12 @@ def test_criterion_8_pullback():
 def test_criterion_9_cli_goldens():
     subcommands = set()
     for name, argv, want_exit in CASES:
-        r = subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                           cwd=INPUTS, capture_output=True, env=cli_env())
+        r = run_cli(argv, cwd=INPUTS)
         assert r.returncode == want_exit, (name, r.stderr.decode())
         assert r.stdout == (EXPECTED / f"{name}.out").read_bytes(), name
         subcommands.add(argv[0])
         if "--json" in argv:
-            r2 = subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                                cwd=INPUTS, capture_output=True, env=cli_env())
+            r2 = run_cli(argv, cwd=INPUTS)
             assert r2.stdout == r.stdout, f"{name} not byte-stable"
     assert subcommands == {
         "validate", "center", "derivations", "out", "cohomology", "section-data",

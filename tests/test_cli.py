@@ -1,28 +1,33 @@
-"""CLI golden files, exit codes, byte determinism, exact-rational reports."""
+"""CLI golden files, exit codes, byte determinism, exact-rational reports.
+
+The CLI runs in-process through `cli.main(argv)`; three tests start a real
+`python -m superext.cli` child to cover the process boundary: one golden,
+the environment variable and the usage error.
+"""
 
 import json
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from child_env import cli_env
 from cli_cases import CASES
+from cli_run import INPUTS, run_cli, run_cli_process
 
-INPUTS = Path(__file__).parent / "golden" / "inputs"
 EXPECTED = Path(__file__).parent / "golden" / "expected"
-
-
-def run_cli(argv, cwd=INPUTS):
-    return subprocess.run([sys.executable, "-m", "superext.cli"] + argv,
-                          cwd=cwd, capture_output=True, env=cli_env())
 
 
 @pytest.mark.parametrize("name,argv,want_exit", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv, want_exit):
     r = run_cli(argv)
+    assert r.returncode == want_exit, r.stderr.decode()
+    assert r.stdout == (EXPECTED / f"{name}.out").read_bytes()
+
+
+def test_golden_as_subprocess():
+    name, argv, want_exit = next(c for c in CASES if c[0] == "cohomology_susy_h6")
+    r = run_cli_process(argv)
     assert r.returncode == want_exit, r.stderr.decode()
     assert r.stdout == (EXPECTED / f"{name}.out").read_bytes()
 
@@ -46,7 +51,7 @@ def test_no_decimal_numbers_anywhere():
 
 
 def test_unknown_command_usage_exit_2():
-    r = run_cli(["frobnicate"])
+    r = run_cli_process(["frobnicate"])
     assert r.returncode == 2
     assert b"usage" in r.stderr.lower() or b"invalid choice" in r.stderr
 
@@ -119,16 +124,43 @@ def test_dimension_guard(tmp_path):
 
 
 def test_arity_cap_env_var(tmp_path):
-    env = cli_env(SUPEREXT_ARITY_CAP="3")
-    r = subprocess.run(
-        [sys.executable, "-m", "superext.cli", "cohomology", "a01.json", "--degree", "6"],
-        cwd=INPUTS, capture_output=True, env=env)
+    r = run_cli_process(["cohomology", "a01.json", "--degree", "6"], SUPEREXT_ARITY_CAP="3")
     assert r.returncode == 2
     assert b"cap" in r.stderr
-    r2 = subprocess.run(
-        [sys.executable, "-m", "superext.cli", "cohomology", "a01.json", "--degree", "3"],
-        cwd=INPUTS, capture_output=True, env=env)
+    r2 = run_cli_process(["cohomology", "a01.json", "--degree", "3"], SUPEREXT_ARITY_CAP="3")
     assert r2.returncode == 0
+
+
+def test_arity_cap_is_read_per_call(monkeypatch):
+    # the cap lives in one `main` call: a later call without the variable
+    # gets the default back
+    monkeypatch.setenv("SUPEREXT_ARITY_CAP", "3")
+    r = run_cli(["cohomology", "a01.json", "--degree", "6"])
+    assert r.returncode == 2
+    assert r.stderr == b"error: --degree must lie in 0..3 (the arity cap)\n"
+    monkeypatch.delenv("SUPEREXT_ARITY_CAP")
+    r2 = run_cli(["cohomology", "a01.json", "--degree", "6"])
+    assert r2.returncode == 0, r2.stderr.decode()
+
+
+@pytest.mark.parametrize("name", ["obstruction", "transform"])
+def test_arity_cap_bounds_only_the_cohomology_degree(name, monkeypatch):
+    # commands without a degree ignore the cap, however small
+    monkeypatch.setenv("SUPEREXT_ARITY_CAP", "0")
+    argv, want_exit = next((c[1], c[2]) for c in CASES if c[0] == name)
+    r = run_cli(argv)
+    assert r.returncode == want_exit, r.stderr.decode()
+    assert r.stdout == (EXPECTED / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "2.5"])
+def test_arity_cap_env_var_must_be_a_nonnegative_integer(value, monkeypatch):
+    monkeypatch.setenv("SUPEREXT_ARITY_CAP", value)
+    r = run_cli(["validate", "susy_line.json"])
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr == (f"error: SUPEREXT_ARITY_CAP must be a nonnegative integer, "
+                        f"got {value!r}\n").encode()
 
 
 def test_section_data_rejects_non_section():
@@ -167,6 +199,20 @@ def test_datum_with_bad_refs_is_schema_error(tmp_path):
                               "h": str(INPUTS / "a10.json"), "rho": [1]}))
     r3 = run_cli(["check-data", str(p3)], cwd=tmp_path)
     assert r3.returncode == 2
+
+
+def test_unreadable_and_unwritable_paths_exit_2(tmp_path):
+    # a directory or undecodable bytes where a file is read, and a
+    # directory where one is written: exit 2 naming the path, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (["validate", str(tmp_path)],
+                 ["validate", str(bad)],
+                 ["out", str(INPUTS / "heis3.json"), "-o", str(tmp_path)]):
+        r = run_cli(argv, cwd=tmp_path)
+        assert r.returncode == 2, argv
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error: " + str(argv[-1]).encode() + b": "), r.stderr
 
 
 def test_fuzzed_inputs_never_traceback(tmp_path):
@@ -222,7 +268,6 @@ def test_out_built_once_per_command(name, monkeypatch, capsys):
         if mod.__name__.split(".")[0] == "superext" and vars(mod).get("derivations") is fn:
             monkeypatch.setattr(mod, "derivations", counted)
     monkeypatch.chdir(INPUTS)
-    monkeypatch.delenv("SUPEREXT_ARITY_CAP", raising=False)
     assert cli.main(argv) == want_exit
     assert capsys.readouterr().out.encode() == (EXPECTED / f"{name}.out").read_bytes()
     assert len(calls) == 1

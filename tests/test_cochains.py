@@ -145,6 +145,14 @@ def test_storage_rejects_noncanonical():
         make_cochain(sp, tgt, 2, 0, {(0, 0): (1,)})
 
 
+def test_storage_rejects_out_of_range_tuple():
+    # the range check runs before the tuple's parities are looked up
+    sp = abelian(2, 0).space
+    for tup in ((5, 5), (0, 5), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            make_cochain(sp, TRIVIAL_LINE, 2, 0, {tup: (1,)})
+
+
 def test_storage_rejects_wrong_parity_value():
     sp = SuperVectorSpace(("q",), (1,))
     tgt = SuperVectorSpace(("w", "x"), (0, 1))
