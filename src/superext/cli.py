@@ -8,7 +8,8 @@ every number is an exact rational string; reports are byte-stable for
 identical inputs.  Algebras above MAX_DIM dimensions are refused unless
 `--allow-large` is passed.  The environment variable SUPEREXT_ARITY_CAP
 (default 6) bounds `cohomology --degree` and nothing else; the library
-itself has no arity cap.
+itself has no arity cap.  Each subcommand imports the cochain, extension
+and cohomology layers only if it runs them, which keeps start-up short.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .gvs import SuperVectorSpace, Vector, is_zero_vec
@@ -26,28 +28,11 @@ from .superlie import (
     outer_algebra,
     validate_algebra,
 )
-from .extensions import (
-    _pullback_extension,
-    ExtensionDatum,
-    ExtensionTriple,
-    build_extension,
-    check_datum,
-    check_equivalence_witness,
-    check_split_witness,
-    induced_data,
-    solve_split_abelian,
-    transform_datum,
-    validate_triple,
-)
-from .cohomology import (
-    _classify_extensions,
-    _obstruction_class,
-    cohomology_space,
-    gmodule,
-    trivial_module,
-)
 from . import formats
 from .formats import InvariantError, SchemaError
+
+if TYPE_CHECKING:
+    from .extensions import ExtensionDatum
 
 MAX_DIM = 12
 MAX_DEGREE = 6  # default bound of `cohomology --degree`; the environment overrides it
@@ -143,6 +128,16 @@ def _datum_lines(d: ExtensionDatum, output: str | None) -> list[str]:
     if output:
         lines.append(f"written to {output}")
     return lines + [f"note: {COCHAIN_NOTE}"]
+
+
+def _triple_report(args, name: str, triple, **report) -> dict:
+    """`report` plus the built algebra, also written to `args.output`, and its three maps."""
+    report["algebra"] = formats.format_algebra(name, triple.e)
+    _write_output(args.output, report["algebra"])
+    for key, f in (("inclusion", triple.incl), ("projection", triple.proj),
+                   ("section", triple.section)):
+        report[key] = formats.format_matrix(f.matrix)
+    return report
 
 
 def _emit(args, report: dict, lines: list[str]) -> None:
@@ -250,6 +245,7 @@ def cmd_out(args) -> int:
 
 
 def cmd_cohomology(args, cap: int) -> int:
+    from .cohomology import cohomology_space, gmodule, trivial_module
     name, alg = _load_algebra(args.algebra, args.allow_large)
     if not validate_algebra(alg).ok:
         raise CheckFailed(f"{args.algebra}: not a valid super Lie algebra")
@@ -299,6 +295,7 @@ def cmd_cohomology(args, cap: int) -> int:
 
 
 def cmd_section_data(args) -> int:
+    from .extensions import ExtensionTriple, induced_data, validate_triple
     hname, halg = _load_algebra(args.h, args.allow_large)
     gname, galg = _load_algebra(args.g, args.allow_large)
     ename, ealg = _load_algebra(args.e, args.allow_large)
@@ -332,6 +329,7 @@ def cmd_section_data(args) -> int:
 
 
 def cmd_check_data(args) -> int:
+    from .extensions import check_datum
     datum, _, _ = _load_datum(args.datum, args.allow_large)
     rep = check_datum(datum)
     report = {
@@ -352,6 +350,7 @@ def cmd_check_data(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .extensions import build_extension, check_datum
     datum, (gname, _), (hname, _) = _load_datum(args.datum, args.allow_large)
     rep = check_datum(datum)
     if not rep.ok:
@@ -361,16 +360,7 @@ def cmd_build(args) -> int:
         return EXIT_FAIL
     triple = build_extension(datum)
     name = args.name or f"{hname}(+){gname}"
-    doc = formats.format_algebra(name, triple.e)
-    _write_output(args.output, doc)
-    report = {
-        "command": "build",
-        "ok": True,
-        "algebra": doc,
-        "inclusion": formats.format_matrix(triple.incl.matrix),
-        "projection": formats.format_matrix(triple.proj.matrix),
-        "section": formats.format_matrix(triple.section.matrix),
-    }
+    report = _triple_report(args, name, triple, command="build", ok=True)
     lines = [f"built extension algebra {name}: dim "
              f"({triple.e.space.dim_even}|{triple.e.space.dim_odd})"]
     for i in range(triple.e.dim):
@@ -388,6 +378,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .extensions import transform_datum
     datum, (gname, gref), (hname, href) = _load_datum(args.datum, args.allow_large)
     b = formats.parse_map(formats.load_json(args.witness), (gname, datum.g.space),
                           (hname, datum.h.space), where=args.witness)
@@ -402,6 +393,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_equivalent(args) -> int:
+    from .extensions import check_equivalence_witness
     d1, (gname, _), (hname, _) = _load_datum(args.datum, args.allow_large)
     d2, _, _ = _load_datum(args.datum2, args.allow_large)
     if d1.g != d2.g or d1.h != d2.h:
@@ -415,6 +407,7 @@ def cmd_equivalent(args) -> int:
 
 
 def cmd_split_check(args) -> int:
+    from .extensions import check_split_witness, solve_split_abelian
     datum, (gname, _), (hname, _) = _load_datum(args.datum, args.allow_large)
     if args.witness and args.solve_abelian:
         raise SchemaError("pass either --witness or --solve-abelian, not both")
@@ -444,24 +437,25 @@ def cmd_split_check(args) -> int:
     raise SchemaError("pass --witness FILE or --solve-abelian")
 
 
-def _load_obstruction_inputs(args):
+def _on_outer_action(args, run):
+    """Load h, g and the outer action abar: g -> out(h); return them and run(outer, g, abar)."""
     hname, halg = _load_algebra(args.h, args.allow_large)
     gname, galg = _load_algebra(args.g, args.allow_large)
-    for label, alg, path in (("h", halg, args.h), ("g", galg, args.g)):
+    for alg, path in ((halg, args.h), (galg, args.g)):
         if not validate_algebra(alg).ok:
             raise CheckFailed(f"{path}: not a valid super Lie algebra")
     outer = outer_algebra(halg)  # built once: it types abar and serves the command
     abar = formats.parse_map(formats.load_json(args.alpha_bar), (gname, galg.space),
                              (f"out({hname})", outer.out.space), where=args.alpha_bar)
-    return (hname, halg), (gname, galg), outer, abar
+    try:
+        return (hname, halg), (gname, galg), run(outer, galg, abar)
+    except ValueError as ex:
+        raise CheckFailed(str(ex)) from None
 
 
 def cmd_obstruction(args) -> int:
-    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
-    try:
-        obs = _obstruction_class(outer, galg, abar)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    from .cohomology import _obstruction_class
+    (hname, _), (gname, _), obs = _on_outer_action(args, _obstruction_class)
     zname = f"Z({hname})"
     report = {
         "command": "obstruction",
@@ -483,11 +477,8 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
-    try:
-        rep = _classify_extensions(outer, galg, abar)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    from .cohomology import _classify_extensions
+    (hname, halg), (gname, galg), rep = _on_outer_action(args, _classify_extensions)
     report = {
         "command": "classify",
         "g": gname, "h": hname,
@@ -531,22 +522,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    (hname, halg), (gname, galg), outer, abar = _load_obstruction_inputs(args)
-    try:
-        triple = _pullback_extension(outer, galg, abar)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    from .extensions import _pullback_extension
+    (hname, _), (gname, _), triple = _on_outer_action(args, _pullback_extension)
     name = args.name or f"pullback({hname},{gname})"
-    doc = formats.format_algebra(name, triple.e)
-    _write_output(args.output, doc)
-    report = {
-        "command": "pullback",
-        "g": gname, "h": hname,
-        "algebra": doc,
-        "inclusion": formats.format_matrix(triple.incl.matrix),
-        "projection": formats.format_matrix(triple.proj.matrix),
-        "section": formats.format_matrix(triple.section.matrix),
-    }
+    report = _triple_report(args, name, triple, command="pullback", g=gname, h=hname)
     lines = [f"pullback algebra {name}: dim "
              f"({triple.e.space.dim_even}|{triple.e.space.dim_odd})"]
     if args.output:

@@ -35,7 +35,6 @@ Sign conventions used throughout (and documented here once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby, product
@@ -45,6 +44,7 @@ from typing import Iterable, Mapping, Sequence
 from .gvs import (
     EVEN,
     GradedLinearMap,
+    Record,
     SuperVectorSpace,
     Vector,
     is_zero_vec,
@@ -126,8 +126,7 @@ def sort_indices(space: SuperVectorSpace, indices: Sequence[int]) -> tuple[tuple
     return tuple(work), sign
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """A graded-antisymmetric multilinear map stored on canonical tuples."""
 
     source: SuperVectorSpace

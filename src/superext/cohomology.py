@@ -10,7 +10,6 @@ center, and the classification of extensions by the weight-0 part of H^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .gvs import (
     GradedLinearMap,
     IncrementalSpan,
     LinearSystem,
+    Record,
     SuperVectorSpace,
     Vector,
     dense_vec,
@@ -50,8 +50,7 @@ from .cochains import (
 from .extensions import ExtensionDatum, build_extension, check_datum
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(Record):
     """A graded g-module: a space with one action operator per g generator.
 
     The assignment is degree 0 (operator parity = generator parity) and a
@@ -128,8 +127,7 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
     return gmodule(g, incl.domain, tuple(ops)), incl
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(Record):
     """Cohomology of one weight component at one arity.
 
     The bases are kept as sparse coordinate vectors, {position in `basis`:
@@ -176,8 +174,7 @@ class WeightReport:
         return self._cochains(self.representative_coords)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     arity: int
     weights: tuple[WeightReport, WeightReport]
 
@@ -304,8 +301,7 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     return make_cochain(g.space, h.space, 2, 0, table)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """The degree-3 obstruction of an outer action, with its trivialization.
 
     `lam` is the center-valued cocycle delta_alpha(rho); `class_coords`
@@ -384,8 +380,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     return ObstructionReport(alpha, rho, lam, mod, incl, class_coords, vanishes, mu)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """All extensions inducing a fixed outer action, up to equivalence.
 
     When the obstruction vanishes, `base` is the chosen base point

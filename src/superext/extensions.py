@@ -12,12 +12,12 @@ solver and the pullback construction for centerless kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gvs import (
     GradedLinearMap,
     LinearSystem,
+    Record,
     SuperVectorSpace,
     Vector,
     from_columns,
@@ -54,8 +54,7 @@ from .cochains import (
 )
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+class ExtensionDatum(Record):
     """A connection/curvature pair (alpha, rho) between fixed g and h.
 
     alpha is stored per g-basis element as an operator on h whose degree
@@ -91,8 +90,7 @@ def trivial_datum(g: SuperLieAlgebra, h: SuperLieAlgebra) -> ExtensionDatum:
     return ExtensionDatum(g, h, zero_ops(g.space, h.space), make_cochain(g.space, h.space, 2, 0))
 
 
-@dataclass(frozen=True)
-class ExtensionTriple:
+class ExtensionTriple(Record):
     """An exact sequence 0 -> h -> e -> g -> 0 with an optional section."""
 
     h: SuperLieAlgebra
@@ -188,8 +186,7 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
     return ExtensionDatum(g, h, tuple(alpha), rho)
 
 
-@dataclass(frozen=True)
-class DatumReport:
+class DatumReport(Record):
     """Exact residual report for the extension-datum conditions."""
 
     derivation_ok: tuple[bool, ...]

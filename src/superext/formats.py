@@ -15,13 +15,16 @@ rules: CLI exit code 1).  Both carry the offending field location.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .gvs import GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, unit_vec, vec_add, vec_scale, zero_vec
 from .superlie import SuperLieAlgebra, make_algebra
-from .cochains import Cochain, make_cochain, sort_indices
-from .extensions import ExtensionDatum
+
+if TYPE_CHECKING:  # the layers above are imported by the parsers that build their records
+    from .cochains import Cochain
+    from .extensions import ExtensionDatum
 
 
 class SchemaError(ValueError):
@@ -32,12 +35,18 @@ class InvariantError(ValueError):
     """The file parses but violates a semantic invariant (exit code 1)."""
 
 
+# "p" or "p/q": checked before Fraction, which would build 10**5000 from "1e5000"
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def parse_rational(x: Any, where: str) -> Fraction:
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{where}: not an exact rational: {x!r}") from None
+        if _RATIONAL.fullmatch(x):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise SchemaError(f"{where}: not an exact rational: {x!r}")
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise SchemaError(f"{where}: coefficients must be integers or 'p/q' strings, got {x!r}")
@@ -196,6 +205,7 @@ def format_map(f: GradedLinearMap, domain_name: str, codomain_name: str) -> dict
 
 def parse_cochain_entries(entries: Any, source: SuperVectorSpace, target: SuperVectorSpace,
                           arity: int, weight: int, where: str) -> Cochain:
+    from .cochains import make_cochain, sort_indices
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: must be a list")
     table: dict[tuple[int, ...], Vector] = {}
@@ -258,33 +268,41 @@ def format_cochain(phi: Cochain, source_name: str, target_name: str) -> dict:
     }
 
 
-def parse_datum(doc: Any, g: tuple[str, SuperLieAlgebra], h: tuple[str, SuperLieAlgebra],
-                where: str = "datum") -> ExtensionDatum:
-    """The (alpha, rho) part of a datum file against already-loaded g and h."""
-    gname, galg = g
-    hname, halg = h
-    alpha_doc = doc.get("alpha", [])
-    if not isinstance(alpha_doc, list):
-        raise SchemaError(f"{where}.alpha: must be a list")
+def _parse_operators(doc: Any, key: str, g: SuperLieAlgebra, space: SuperVectorSpace,
+                     where: str, what: str) -> tuple[GradedLinearMap, ...]:
+    """The {arg, matrix} list doc[key] as one operator on `space` per g basis element.
+
+    The operator of a basis element X has degree parity(X); an unlisted one is 0.
+    """
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}.{key}: must be a list")
     ops: dict[int, GradedLinearMap] = {}
-    for k, entry in enumerate(alpha_doc):
-        loc = f"{where}.alpha[{k}]"
+    for k, entry in enumerate(items):
+        loc = f"{where}.{key}[{k}]"
         arg = _require(entry, "arg", loc)
         try:
-            i = galg.space.index(arg)
+            i = g.space.index(arg)
         except KeyError:
             raise SchemaError(f"{loc}.arg: unknown basis element {arg!r}") from None
         if i in ops:
-            raise InvariantError(f"{loc}: operator for {arg!r} listed twice")
-        m = _parse_matrix(_require(entry, "matrix", loc), halg.dim, halg.dim, f"{loc}.matrix")
+            raise InvariantError(f"{loc}: {what} for {arg!r} listed twice")
+        m = _parse_matrix(_require(entry, "matrix", loc), space.dim, space.dim, f"{loc}.matrix")
         try:
-            ops[i] = GradedLinearMap(halg.space, halg.space, galg.space.parities[i], m)
+            ops[i] = GradedLinearMap(space, space, g.space.parities[i], m)
         except ValueError as ex:
             raise InvariantError(f"{loc}.matrix: {ex}") from None
-    alpha = tuple(
-        ops.get(i, GradedLinearMap.zero(halg.space, halg.space, galg.space.parities[i]))
-        for i in range(galg.dim)
-    )
+    return tuple(ops.get(i, GradedLinearMap.zero(space, space, g.space.parities[i]))
+                 for i in range(g.dim))
+
+
+def parse_datum(doc: Any, g: tuple[str, SuperLieAlgebra], h: tuple[str, SuperLieAlgebra],
+                where: str = "datum") -> ExtensionDatum:
+    """The (alpha, rho) part of a datum file against already-loaded g and h."""
+    from .extensions import ExtensionDatum
+    gname, galg = g
+    hname, halg = h
+    alpha = _parse_operators(doc, "alpha", galg, halg.space, where, "operator")
     rho_doc = doc.get("rho", {"entries": []})
     if not isinstance(rho_doc, Mapping):
         raise SchemaError(f"{where}.rho: must be an object with an 'entries' list")
@@ -311,29 +329,7 @@ def parse_module_doc(doc: Any, g: tuple[str, SuperLieAlgebra], where: str = "mod
     gname, galg = g
     name = _require(doc, "name", where)
     space = _parse_basis(_require(doc, "basis", where), f"{where}.basis")
-    action_doc = doc.get("action", [])
-    if not isinstance(action_doc, list):
-        raise SchemaError(f"{where}.action: must be a list")
-    ops: dict[int, GradedLinearMap] = {}
-    for k, entry in enumerate(action_doc):
-        loc = f"{where}.action[{k}]"
-        arg = _require(entry, "arg", loc)
-        try:
-            i = galg.space.index(arg)
-        except KeyError:
-            raise SchemaError(f"{loc}.arg: unknown basis element {arg!r}") from None
-        if i in ops:
-            raise InvariantError(f"{loc}: action for {arg!r} listed twice")
-        m = _parse_matrix(_require(entry, "matrix", loc), space.dim, space.dim, f"{loc}.matrix")
-        try:
-            ops[i] = GradedLinearMap(space, space, galg.space.parities[i], m)
-        except ValueError as ex:
-            raise InvariantError(f"{loc}.matrix: {ex}") from None
-    action = tuple(
-        ops.get(i, GradedLinearMap.zero(space, space, galg.space.parities[i]))
-        for i in range(galg.dim)
-    )
-    return name, space, action
+    return name, space, _parse_operators(doc, "action", galg, space, where, "action")
 
 
 def load_json(path: str) -> Any:
@@ -346,7 +342,7 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"{path}: cannot read: {ex.strerror or ex}") from None
     except UnicodeDecodeError as ex:
         raise SchemaError(f"{path}: not UTF-8 text: {ex.reason}") from None
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # malformed JSON, or an integer literal over the digit limit
         raise SchemaError(f"{path}: malformed JSON: {ex}") from None
 
 

@@ -12,7 +12,7 @@ the coefficient of codomain basis element i in the image of domain basis j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,10 +50,6 @@ def unit_vec(n: int, i: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Vector) -> Vector:
@@ -123,18 +119,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                     acc[j] += a * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(A, B, strict=True))
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(A, B, strict=True))
-
-
-def mat_scale(c: Fraction, A: Matrix) -> Matrix:
-    return tuple(vec_scale(c, r) for r in A)
 
 
 def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
@@ -363,8 +347,59 @@ class IncrementalSpan:
         return len(self._echelon)
 
 
-@dataclass(frozen=True)
-class SuperVectorSpace:
+class Record:
+    """Base of the frozen value records, which it builds with no code generated at import.
+
+    The fields are the subclass's own annotations, in order; a class-level
+    value is a default.  `__init__` takes them by position or keyword, then
+    calls `__post_init__` if there is one.  Equality and hash go by the field
+    tuple, never by `__dict__`, which also holds `cached_property` values.
+    """
+
+    def __init_subclass__(cls):
+        names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        key = operator.attrgetter(*names)
+        cls._key = staticmethod(key if len(names) > 1 else lambda obj: (key(obj),))
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kw):
+        cls, names = type(self), self._fields
+        if len(args) < len(names):
+            try:
+                args += tuple(kw.pop(n) if n in kw else cls._defaults[n] for n in names[len(args):])
+            except KeyError as ex:
+                raise TypeError(f"{cls.__name__}() missing field {ex.args[0]!r}") from None
+        if kw or len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}: got {len(args)} "
+                            f"values and the keywords {sorted(kw)}")
+        # not through __dict__: an instance whose dict is materialised reads its fields slower
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if cls._post_init is not None:
+            cls._post_init(self)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SuperVectorSpace(Record):
     """An ordered basis with Z2 parities."""
 
     names: tuple[str, ...]
@@ -412,8 +447,7 @@ class SuperVectorSpace:
         return f"({self.dim_even}|{self.dim_odd})[{', '.join(self.names)}]"
 
 
-@dataclass(frozen=True)
-class GradedLinearMap:
+class GradedLinearMap(Record):
     """A rational matrix between super spaces, homogeneous of a fixed degree.
 
     Entry (i, j) is the coefficient of codomain basis i in the image of
@@ -469,18 +503,19 @@ class GradedLinearMap:
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         if (self.domain, self.codomain, self.degree) != (other.domain, other.codomain, other.degree):
             raise ValueError("maps not addable")
-        return GradedLinearMap(self.domain, self.codomain, self.degree,
-                               mat_add(self.matrix, other.matrix))
+        return GradedLinearMap(self.domain, self.codomain, self.degree, tuple(
+            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.matrix, other.matrix)))
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         if (self.domain, self.codomain, self.degree) != (other.domain, other.codomain, other.degree):
             raise ValueError("maps not subtractable")
-        return GradedLinearMap(self.domain, self.codomain, self.degree,
-                               mat_sub(self.matrix, other.matrix))
+        return GradedLinearMap(self.domain, self.codomain, self.degree, tuple(
+            tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.matrix, other.matrix)))
 
     def scale(self, c) -> "GradedLinearMap":
+        c = scalar(c)
         return GradedLinearMap(self.domain, self.codomain, self.degree,
-                               mat_scale(scalar(c), self.matrix))
+                               tuple(vec_scale(c, r) for r in self.matrix))
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.matrix)

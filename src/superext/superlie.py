@@ -10,7 +10,6 @@ passes it along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +17,7 @@ from .gvs import (
     GradedLinearMap,
     IncrementalSpan,
     LinearSystem,
+    Record,
     SuperVectorSpace,
     Vector,
     dense_vec,
@@ -36,8 +36,7 @@ from .gvs import (
 )
 
 
-@dataclass(frozen=True)
-class SuperLieAlgebra:
+class SuperLieAlgebra(Record):
     """A super vector space with structure constants of a bilinear bracket.
 
     The constructor only checks shapes; use `validate_algebra` for the
@@ -160,8 +159,7 @@ def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra, suffixes=(".1", ".2")) ->
     return make_algebra(space, table)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     degree_zero: bool
     antisymmetry: bool
     jacobi: bool
@@ -302,8 +300,7 @@ def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Record):
     """Basis of der(h), ordered inner derivations first, then a complement.
 
     `inner_preimages[k]` is an explicit H in h with ad_H = basis[k], for
@@ -443,8 +440,7 @@ def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     return make_algebra(ds.space, table)
 
 
-@dataclass(frozen=True)
-class OuterAlgebra:
+class OuterAlgebra(Record):
     """der(h) with its bracket algebra, and out(h) = der(h)/ad(h) with the projection.
 
     `outer_algebra` builds the record once per call; whatever needs der(h)

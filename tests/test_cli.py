@@ -6,14 +6,16 @@ the environment variable and the usage error.
 """
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from cli_cases import CASES
-from cli_run import INPUTS, run_cli, run_cli_process
+from cli_run import INPUTS, SRC, run_cli, run_cli_process
 
 EXPECTED = Path(__file__).parent / "golden" / "expected"
 
@@ -68,6 +70,45 @@ def test_error_messages_name_the_field():
     r = run_cli(["validate", "conflict.json"])
     assert r.returncode == 1
     assert b"antisymmetry" in r.stderr
+
+
+@pytest.mark.parametrize("coeff", ['"1e5000"', "1" + "0" * 5000],
+                         ids=["exponent_string", "long_integer_literal"])
+def test_oversized_coefficient_exit_2(coeff, tmp_path):
+    # the string is refused by its form; the JSON integer, which is over
+    # the interpreter's digit limit, while the file is read
+    doc = {"name": "big", "basis": [{"name": "a", "parity": 0}, {"name": "b", "parity": 0}],
+           "brackets": [{"left": "a", "right": "b", "value": [{"basis": "b", "coeff": "C"}]}]}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc).replace('"C"', coeff))
+    r = run_cli(["derivations", str(p), "--json"], cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == b"" and r.stderr.startswith(b"error: ")
+
+
+# A child interpreter runs one command in-process and reports the modules it loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from superext import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["validate", "susy_line.json"],
+     {"dataclasses", "superext.cochains", "superext.extensions", "superext.cohomology"}),
+    (["check-data", "susy_datum.json"], {"superext.cohomology"}),
+], ids=["validate", "check-data"])
+def test_command_imports_only_its_layers(argv, absent):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=INPUTS,
+                       capture_output=True, env=env, check=True)
+    code, loaded = json.loads(r.stdout)
+    assert code == 0
+    assert absent.isdisjoint(loaded)
 
 
 def test_missing_file_exit_2():

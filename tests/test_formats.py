@@ -28,6 +28,10 @@ def test_parse_rational_rejects():
         formats.parse_rational(True, "x")
     with pytest.raises(SchemaError):
         formats.parse_rational("0.5e3x", "x")
+    # only "p" and "p/q" strings: the form is refused before Fraction builds 10**5000
+    for text in ("1e5000", "1e999999999", "0.5", "1_000", " 1", "1/2 "):
+        with pytest.raises(SchemaError):
+            formats.parse_rational(text, "x")
 
 
 def test_algebra_round_trip_byte_identical():
