@@ -55,14 +55,14 @@ class CheckFailed(Exception):
 
 def _fmt_vec(v: Vector, space: SuperVectorSpace) -> str:
     terms = [
-        (f"{c}*{space.names[i]}" if c != 1 else space.names[i])
+        (f"{formats.format_rational(c)}*{space.names[i]}" if c != 1 else space.names[i])
         for i, c in enumerate(v) if c != 0
     ]
     return " + ".join(terms) if terms else "0"
 
 
 def _fmt_matrix(m) -> str:
-    return "[" + "; ".join(" ".join(str(x) for x in row) for row in m) + "]"
+    return "[" + "; ".join(" ".join(map(formats.format_rational, row)) for row in m) + "]"
 
 
 def _guarded_algebra(doc, where: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:

@@ -259,13 +259,10 @@ def space_basis(
     Only target indices of the parity forced by homogeneity appear, so the
     list enumerates an actual basis; its order fixes all matrix layouts.
     """
-    basis = []
-    for tup in canonical_tuples(source, arity):
-        want = (weight + sum(source.parities[i] for i in tup)) % 2
-        for m in range(target.dim):
-            if target.parities[m] == want:
-                basis.append((tup, m))
-    return basis
+    parity = source.parities.__getitem__
+    slots = [[m for m, p in enumerate(target.parities) if p == want] for want in (0, 1)]
+    return [(tup, m) for tup in canonical_tuples(source, arity)
+            for m in slots[(weight + sum(map(parity, tup))) % 2]]
 
 
 def cochain_coordinates(phi: Cochain, basis: Sequence[tuple[tuple[int, ...], int]]) -> Vector:
@@ -357,12 +354,12 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
     tuple)), where generator None means no operator.  Source tuples are
     canonical.  The action term i drops argument i and carries
     (-1)^(x_i y + a_i); the bracket term (i < j, m) inserts e_m, m running
-    over the support of [X_i, X_j], and carries (-1)^a_ij times the sign
-    of sorting (m, rest).  This is the one place the signs of the
-    differential are written down; `covariant_delta` applies the terms to
-    a cochain and `differential_matrix` writes them into sparse rows.
+    over the support of [X_i, X_j] in `alg.nonzeros`, and carries (-1)^a_ij
+    times the sign of sorting (m, rest).  This is the one place the signs
+    of the differential are written down; `covariant_delta` applies the
+    terms to a cochain, `differential_matrix` writes them into sparse rows.
     """
-    space = alg.space
+    space, nz = alg.space, alg.nonzeros
     word = [space.parities[t] for t in tup]
     a = []
     before = 0
@@ -373,13 +370,15 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
         yield (-1 if (word[i] * weight + a[i]) % 2 else 1), tup[:i] + tup[i + 1:], t
     for i in range(len(tup)):
         for j in range(i + 1, len(tup)):
+            bracket = nz[tup[i]][tup[j]]
+            if not bracket:
+                continue
             rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
             odd = (a[i] + a[j] + word[i] * word[j]) % 2 == 1
-            for m, c in enumerate(alg.brackets[tup[i]][tup[j]]):
-                if c:
-                    srt, sign = sort_indices(space, (m,) + rest)
-                    if sign:
-                        yield (-c if (sign < 0) != odd else c), srt, None
+            for m, c in bracket:
+                srt, sign = sort_indices(space, (m,) + rest)
+                if sign:
+                    yield (-c if (sign < 0) != odd else c), srt, None
 
 
 def _check_delta_args(src: SuperVectorSpace, target: SuperVectorSpace,
@@ -460,6 +459,7 @@ def differential_matrix(
     action = [[[(m, scalar(c)) for m, c in enumerate(row) if c] for row in op.matrix]
               for op in alpha_ops]
     negated = [[[(m, -c) for m, c in row] for row in op] for op in action]
+    acting = [any(op) for op in action]
     rows = []
     try:
         for tup, group in groupby(dst_basis, key=itemgetter(0)):
@@ -469,7 +469,7 @@ def differential_matrix(
                 if gen is None:
                     c = scalar(coef)
                     terms.append((rest, [((r, c),) for r in range(target.dim)]))
-                else:  # an action coefficient is +-1
+                elif acting[gen]:  # an action coefficient is +-1; a zero alpha adds nothing
                     terms.append((rest, action[gen] if coef > 0 else negated[gen]))
             for _tup, r in group:
                 row: dict[int, Fraction] = {}

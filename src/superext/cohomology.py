@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb, lcm
 
 from .gvs import (
     GradedLinearMap,
@@ -20,6 +21,7 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
+    _integral,
     dense_vec,
     from_columns,
     is_zero_vec,
@@ -195,13 +197,12 @@ def delta_matrix(mod: GModule, arity: int, weight: int):
 
 
 def _check_squares_to_zero(outer, inner, n: int) -> None:
-    """Raise an internal fault unless outer * inner = 0 for sparse rows."""
+    """Raise an internal fault unless outer * inner = 0 for sparse integer rows."""
     for row in outer:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for j, a in row.items():
             for k, b in inner[j].items():
-                x = acc.get(k)
-                acc[k] = a * b if x is None else x + a * b
+                acc[k] = acc.get(k, 0) + a * b
         if any(acc.values()):
             raise RuntimeError(
                 f"internal fault: the differential does not square to zero at degree {n}"
@@ -213,9 +214,9 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
 
     Representatives are the cocycle-basis vectors that enlarge the span of
     the coboundaries, picked greedily in kernel-basis order; everything is
-    deterministic for fixed input.  With both differentials at hand the
-    complex checks itself: D_n D_{n-1} must vanish, or RuntimeError
-    reports an internal fault.
+    deterministic for fixed input.  The complex checks itself: D_n D_{n-1}
+    = 0, dim C^n by its closed form and B^n in Z^n, or RuntimeError reports
+    an internal fault.
     """
     return CohomologyReport(n, tuple(_weight_cohomology(g, mod, n, y)[0] for y in (0, 1)))
 
@@ -232,15 +233,28 @@ def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
     if n < 0:
         raise ValueError("arity must be >= 0")
     dmat, src_basis, _dst = delta_matrix(mod, n, y)
+    # dim C^{n,y} for g of dimension (p|q): sum over j odd arguments of C(p,n-j) C(q+j-1,j) M_{y+j}
+    p, q, dim_m = g.space.dim_even, g.space.dim_odd, (mod.space.dim_even, mod.space.dim_odd)
+    if len(src_basis) != sum(comb(p, n - j) * (comb(q + j - 1, j) if j else 1) * dim_m[(y + j) % 2]
+                             for j in range(n + 1)):
+        raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form")
     previous = delta_matrix(mod, n - 1, y) if n > 0 else None
+    # on integers: clearing the denominators of each row of D_n, and of D_{n-1}
+    # as a whole, changes neither kernel nor image nor whether D_n D_{n-1} = 0
+    dmat = [_integral(row) for row in dmat]
+    span = IncrementalSpan()  # the columns of D_{n-1}, then the cocycles
     if previous:
-        prev, prev_basis, _ = previous
+        d = lcm(*(b.denominator for row in previous[0] for b in row.values()))
+        prev = [{k: b.numerator * (d // b.denominator) for k, b in row.items()}
+                for row in previous[0]]
         _check_squares_to_zero(dmat, prev, n)
-    # the span absorbs the columns of D_{n-1}, then the cocycles
-    span = IncrementalSpan(sparse_transpose(prev, len(prev_basis)) if previous else ())
+        for col in sparse_transpose(prev, len(previous[1])):
+            span.add(col)
     cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
-    cocycle_coords = sparse_kernel_basis(dmat, len(src_basis))  # consumes the rows
+    cocycle_coords = sparse_kernel_basis(dmat, len(src_basis))
     reps = [v for v in cocycle_coords if span.add(v)]
+    if span.rank != len(cocycle_coords):
+        raise RuntimeError(f"internal fault: a coboundary of degree {n} is not a cocycle")
     return WeightReport(g.space, mod.space, n, y, tuple(src_basis), tuple(cocycle_coords),
                         tuple(cobound_coords), tuple(reps)), previous
 

@@ -228,7 +228,7 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
 
     curv_ok = True
     n = g.dim
-    gnz = g.bracket_nonzeros()
+    gnz = g.nonzeros
     rho = [[[(q, y) for q, y in enumerate(d.rho.evaluate((b, c))) if y] for c in range(n)]
            for b in range(n)]
     alpha_cols = [[[(q, row[p]) for q, row in enumerate(op.matrix) if row[p]]

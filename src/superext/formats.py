@@ -15,11 +15,11 @@ rules: CLI exit code 1).  Both carry the offending field location.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .gvs import GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, unit_vec, vec_add, vec_scale, zero_vec
+from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, scalar, unit_vec, vec_add,
+                  vec_scale, zero_vec)
 from .superlie import SuperLieAlgebra, make_algebra
 
 if TYPE_CHECKING:  # the layers above are imported by the parsers that build their records
@@ -35,25 +35,25 @@ class InvariantError(ValueError):
     """The file parses but violates a semantic invariant (exit code 1)."""
 
 
-# "p" or "p/q": checked before Fraction, which would build 10**5000 from "1e5000"
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
-
-
 def parse_rational(x: Any, where: str) -> Fraction:
     if isinstance(x, str):
-        if _RATIONAL.fullmatch(x):
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise SchemaError(f"{where}: not an exact rational: {x!r}")
+        try:
+            return scalar(x)  # the string rule of the library: "p" or "p/q"
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"{where}: not an exact rational: {x!r}") from None
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise SchemaError(f"{where}: coefficients must be integers or 'p/q' strings, got {x!r}")
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's limit on digits in an int-to-str conversion
+        from decimal import Decimal  # exact for any int, and loaded only here
+
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _require(obj: Mapping, key: str, where: str) -> Any:

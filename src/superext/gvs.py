@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and Z2-graded vector spaces.
 
-Scalars are `fractions.Fraction` everywhere; the library contains no
-floating point.  All row reductions select the leftmost pivot, so
+Every scalar a caller passes in or reads out is a `fractions.Fraction`,
+and the library contains no floating point; inside, elimination runs on
+integers (`_absorb`).  All row reductions select the leftmost pivot, so
 particular solutions, kernel bases, complements and quotients are
 canonical: identical inputs give bit-identical outputs.
 
@@ -13,10 +14,10 @@ the coefficient of codomain basis element i in the image of domain basis j.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Scalar = Fraction
 
 EVEN = 0
 ODD = 1
@@ -25,13 +26,19 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+# "p" or "p/q": checked before Fraction, which would build 10**5000 from "1e5000"
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def scalar(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"not an exact rational 'p' or 'p/q': {x!r}")
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -129,65 +136,85 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     kernel bases, complements and cohomology representatives all come
     from it.
 
-    Elimination runs on sparse rows, {column: nonzero Fraction} dicts, fed
-    in one at a time to `_absorb`, which keeps the rows seen so far in
-    fully reduced form.  Only the output is dense.  Any exact elimination
-    gives the same result: the RREF of a matrix depends only on its row
-    space (its nonzero rows are the unique basis of that space with a
-    leading 1 in each pivot column and zeros in the other pivot columns,
-    and the pivot columns are the leftmost-nonzero positions), so the
-    order of row operations cannot change a returned byte.
+    Elimination runs on sparse integer rows fed in one at a time to
+    `_absorb`; only the output is dense, and only it holds Fractions.  Any
+    exact elimination gives the same result: the RREF of a matrix depends
+    only on its row space (its nonzero rows are the unique basis of that
+    space with a leading 1 in each pivot column and zeros in the other
+    pivot columns, and the pivot columns are the leftmost-nonzero
+    positions), so the order of row operations cannot change a returned
+    byte.
     """
     ncols = len(rows[0]) if rows else 0
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         _absorb(echelon, {j: x for j, x in enumerate(row) if x})
     pivots = sorted(echelon)
-    return [list(dense_vec(echelon[p], ncols)) for p in pivots], pivots
+    return [list(dense_vec(_rational(echelon[p], p), ncols)) for p in pivots], pivots
 
 
-def _absorb(echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction],
-            width: int | None = None) -> bool:
-    """Add a sparse row to a fully reduced echelon basis; True if it is new.
+def _absorb(echelon: dict[int, dict[int, int]], row: dict, width: int | None = None) -> bool:
+    """Add a sparse rational row to a fully reduced echelon basis; True if it is new.
 
-    `echelon` maps each pivot column to its row, which holds 1 there and 0
-    in every other pivot column.  The row (a dict this call consumes) is
-    reduced against it, and one pass suffices because of that invariant.
-    A nonzero remainder is scaled to a leading 1 at its leftmost column,
-    that column is cleared from the other rows, and the remainder joins
-    the basis.  With `width` given, columns from `width` on are carried
-    along but never pivot: a remainder that lives only there is dropped.
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): `echelon` maps each
+    pivot column to a primitive integer row, positive there and 0 in every
+    other pivot column, whose RREF row is itself over its pivot entry
+    (`_rational`).  The row, which is not modified, is cleared of
+    denominators and reduced by `_cancel`; one pass suffices because of
+    that invariant.  A nonzero remainder is made primitive, its leftmost
+    column is cancelled from the other rows, each then divided by its
+    content, and it joins the basis.  With `width` given, columns from
+    `width` on are carried along but never pivot: a remainder that lives
+    only there is dropped.
     """
+    row = _integral(row)
     for c in [c for c in row if c in echelon]:
-        _axpy(row, -row[c], echelon[c])
+        _cancel(row, c, echelon[c])
     if not row:
         return False
     p = min(row)
     if width is not None and p >= width:
         return False
-    pv = row[p]
-    if pv != 1:
-        row = {j: x / pv for j, x in row.items()}
+    g = gcd(*row.values()) if row[p] > 0 else -gcd(*row.values())
+    if g != 1:
+        row = {j: x // g for j, x in row.items()}
     for other in echelon.values():
-        f = other.get(p)
-        if f is not None:
-            _axpy(other, -f, row)
+        if p in other:
+            _cancel(other, p, row)
+            g = gcd(*other.values())
+            if g != 1:
+                for j in other:
+                    other[j] //= g
     echelon[p] = row
     return True
 
 
-def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row += f * other on sparse rows, dropping entries that cancel."""
-    for j, y in other.items():
-        x = row.get(j)
-        if x is None:
-            row[j] = f * y
+def _integral(row: dict) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+
+
+def _cancel(row: dict[int, int], c: int, e: dict[int, int]) -> None:
+    """row := (b/g) row - (a/g) e in place, a = row[c], b = e[c] > 0, g = gcd(a, b): clears c."""
+    a, b = row[c], e[c]
+    g = gcd(a, b)
+    if g != b:
+        for j in row:
+            row[j] *= b // g
+    f = -(a // g)
+    for j, y in e.items():
+        x = row.get(j, 0) + f * y
+        if x:
+            row[j] = x
         else:
-            x += f * y
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+            del row[j]
+
+
+def _rational(row: dict[int, int], p: int) -> dict[int, Fraction]:
+    """The RREF row of an echelon row with pivot p: its entries over row[p], as Fractions."""
+    d = row[p]
+    return {j: Fraction(x, d) for j, x in row.items()}
 
 
 def rank(A: Sequence[Vector]) -> int:
@@ -208,6 +235,7 @@ class LinearSystem:
     index, so every echelon vector also records which combination of kept
     columns it is; a column that reduces to its tags alone is dependent
     and is skipped.  `from_sparse_columns` starts from sparse columns.
+    `solve` too runs on integers, up to the Fractions it returns.
     """
 
     def __init__(self, A, ncols: int | None = None):
@@ -224,9 +252,9 @@ class LinearSystem:
     def _eliminate(self, cols: list[dict[int, Fraction]], nrows: int) -> None:
         self.nrows, self.ncols = nrows, len(cols)
         # echelon vectors live on row indices; the tag of column j sits at nrows + j
-        self._echelon: dict[int, dict[int, Fraction]] = {}
+        self._echelon: dict[int, dict[int, int]] = {}
         for j, col in enumerate(cols):
-            col[nrows + j] = Fraction(1)
+            col[nrows + j] = 1
             _absorb(self._echelon, col, nrows)
 
     def solve(self, rhs: Sequence) -> Vector | None:
@@ -234,15 +262,16 @@ class LinearSystem:
         b = vec(rhs)
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != row count {self.nrows}")
-        # a fully reduced echelon vector holds 1 at its pivot and 0 at the
-        # other pivots, so b's coefficient on it is b's entry at the pivot
-        r = {i: x for i, x in enumerate(b) if x}
+        # b's own coefficient rides in column -1, which the scaling in
+        # `_cancel` multiplies and no echelon vector touches
+        r = _integral({-1: 1, **{i: x for i, x in enumerate(b) if x}})
         for p, e in self._echelon.items():
-            if b[p]:
-                _axpy(r, -b[p], e)
+            if p in r:
+                _cancel(r, p, e)
+        s = r.pop(-1)
         if any(i < self.nrows for i in r):
             return None
-        return dense_vec({t - self.nrows: -x for t, x in r.items()}, self.ncols)
+        return dense_vec({t - self.nrows: Fraction(-x, s) for t, x in r.items()}, self.ncols)
 
 
 def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
@@ -270,29 +299,29 @@ def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
                         ncols: int) -> list[dict[int, Fraction]]:
     """Exact basis of the kernel of a matrix given as sparse rows, as sparse vectors.
 
-    Each row is a {column: nonzero Fraction} dict, consumed by `_absorb`
-    one at a time, exactly as in `rref`.  The fully reduced echelon rows
-    are the nonzero rows of the RREF, so the basis is the one `rref`
-    gives: for each free column f, the vector with 1 at f, minus the
+    Each row is a {column: nonzero rational} dict, fed to `_absorb` one at
+    a time, exactly as in `rref`.  The echelon rows over their pivot
+    entries are the nonzero rows of the RREF, so the basis is the one
+    `rref` gives: for each free column f, the vector with 1 at f, minus the
     reduced rows' entries in column f at their pivots, and 0 elsewhere.
     Each vector is a {column: nonzero Fraction} dict.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         _absorb(echelon, row)
-    # the reduced rows' entries outside their pivots, grouped by column
+    # minus the reduced rows' entries outside their pivots, grouped by column
     by_col: dict[int, list[tuple[int, Fraction]]] = {}
     for p, row in echelon.items():
+        d = row[p]
         for j, x in row.items():
             if j != p:
-                by_col.setdefault(j, []).append((p, x))
+                by_col.setdefault(j, []).append((p, Fraction(-x, d)))
     one = Fraction(1)
     basis = []
     for f in range(ncols):
         if f not in echelon:
             v = {f: one}
-            for p, x in by_col.get(f, ()):
-                v[p] = -x
+            v.update(by_col.get(f, ()))
             basis.append(v)
     return basis
 
@@ -325,22 +354,22 @@ def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vect
 class IncrementalSpan:
     """Row span grown one vector at a time by the elimination of `rref`.
 
-    A vector is a dense sequence or a sparse {index: nonzero Fraction} dict (copied).
+    A vector is a dense sequence or a sparse {index: nonzero rational} dict.
     """
 
     def __init__(self, rows: Iterable[Sequence | dict[int, Fraction]] = ()):  # noqa: B008
-        self._echelon: dict[int, dict[int, Fraction]] = {}
+        self._echelon: dict[int, dict[int, int]] = {}
         for r in rows:
             self.add(r)
 
     def add(self, v: Sequence | dict[int, Fraction]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        row = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(vec(v)) if x}
+        row = v if isinstance(v, dict) else {j: x for j, x in enumerate(vec(v)) if x}
         return _absorb(self._echelon, row)
 
     def rows(self) -> list[dict[int, Fraction]]:
-        """Copies of the reduced echelon rows in pivot order: the nonzero rows of the RREF."""
-        return [dict(self._echelon[p]) for p in sorted(self._echelon)]
+        """The nonzero rows of the RREF in pivot order, as {index: Fraction} dicts."""
+        return [_rational(self._echelon[p], p) for p in sorted(self._echelon)]
 
     @property
     def rank(self) -> int:

@@ -3,14 +3,16 @@
 An algebra is an ordered graded basis plus the bracket table
 c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 (validation, ad, center, derivations, out = der/ad, homomorphism checks)
-is exact linear algebra on that table.  Nothing is cached across calls:
-a pipeline that needs der(h) or out(h) builds one `OuterAlgebra` and
-passes it along.
+is exact linear algebra on that table.  An algebra keeps one cached view,
+its nonzero structure constants (`SuperLieAlgebra.nonzeros`); no result
+is cached across calls: a pipeline that needs der(h) or out(h) builds
+one `OuterAlgebra` and passes it along.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .gvs import (
@@ -67,24 +69,26 @@ class SuperLieAlgebra(Record):
         for i, a in enumerate(vec(u)):
             if not a:
                 continue
-            row = self.brackets[i]
+            row = self.nonzeros[i]
             for j, b in v_nz:
                 ab = a * b
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] += ab * c
+                for k, c in row[j]:
+                    out[k] += ab * c
         return tuple(out)
 
     def is_abelian(self) -> bool:
         return all(is_zero_vec(v) for row in self.brackets for v in row)
 
-    def bracket_nonzeros(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """[i][j] -> the nonzero (k, c^k_ij) of [e_i, e_j], listed afresh per call.
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """[i][j] -> the nonzero (k, c^k_ij) of [e_i, e_j], as tuples.
 
-        The sparse kernels of this module run over these lists; the list is
-        not kept on the algebra.
+        Built on first read and kept with the algebra, its one cached view;
+        the sparse kernels of this module, the differential stencil of
+        `cochains` and `extensions.check_datum` run over it.
         """
-        return [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.brackets]
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+                     for row in self.brackets)
 
 
 def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]) -> SuperLieAlgebra:
@@ -180,7 +184,7 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     sp = alg.space
     n = alg.dim
     fails: list[str] = []
-    nz = alg.bracket_nonzeros()
+    nz = alg.nonzeros
 
     deg_ok = True
     for i in range(n):
@@ -198,7 +202,7 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     for i in range(n):
         for j in range(i, n):
             sign = -1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1
-            if nz[j][i] != [(k, sign * c) for k, c in nz[i][j]]:
+            if nz[j][i] != tuple((k, sign * c) for k, c in nz[i][j]):
                 anti_ok = False
                 fails.append(f"antisymmetry: [{sp.names[j]},{sp.names[i]}] != "
                              f"{'+' if sign > 0 else '-'}[{sp.names[i]},{sp.names[j]}]")
@@ -249,10 +253,9 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
     m = [[zero] * n for _ in range(n)]
     for i, xi in enumerate(x):
         if xi:
-            for j, v in enumerate(alg.brackets[i]):
-                for k, c in enumerate(v):
-                    if c:
-                        m[k][j] += xi * c
+            for j, v in enumerate(alg.nonzeros[i]):
+                for k, c in v:
+                    m[k][j] += xi * c
     return GradedLinearMap(alg.space, alg.space, p, tuple(map(tuple, m)))
 
 
@@ -279,7 +282,7 @@ def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     nonzero entries of D only.
     """
     n = alg.dim
-    nz = alg.bracket_nonzeros()
+    nz = alg.nonzeros
     cols = [[(i, row[j]) for i, row in enumerate(d.matrix) if row[j]] for j in range(n)]
     for a in range(n):
         s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1
@@ -354,7 +357,7 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     # col_slots[j]: (i, slot of D_ij) for every D_ij allowed in column j
     col_slots = [[(i, slot_index[(i, j)]) for i in range(n) if (i, j) in slot_index]
                  for j in range(n)]
-    nz = alg.bracket_nonzeros()
+    nz = alg.nonzeros
     zero = Fraction(0)
 
     def leibniz_rows():
@@ -489,9 +492,8 @@ def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],
     bracket of g, i.e. is a homomorphism into the graded commutator algebra.
     """
     defect = graded_commutator(ops[i], ops[j])
-    for m, c in enumerate(g.brackets[i][j]):
-        if c != 0:
-            defect = defect - ops[m].scale(c)
+    for m, c in g.nonzeros[i][j]:
+        defect = defect - ops[m].scale(c)
     return defect
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -7,6 +8,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from superext.catalog import abelian, gl11, heis3, sl2, susy_line  # noqa: E402
+
+try:
+    from hypothesis import settings
+except ImportError:  # then only the modules with property tests fail to collect
+    pass
+else:
+    # CI runs the property tests on a fixed set of examples with no deadline,
+    # so a new example or a slow runner cannot fail a build; local runs stay random.
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -86,6 +86,24 @@ def test_oversized_coefficient_exit_2(coeff, tmp_path):
     assert r.stdout == b"" and r.stderr.startswith(b"error: ")
 
 
+def test_results_past_the_int_string_limit_are_emitted(tmp_path):
+    # both coefficients pass the input rule; the derivations of [a,b] = 10^2500 b,
+    # [a,c] = 10^-2500 c have entries of 5001 digits, over the interpreter's
+    # 4300-digit limit on converting an int to a string
+    big = "1" + "0" * 2500
+    doc = {"name": "wide", "basis": [{"name": x, "parity": 0} for x in "abc"],
+           "brackets": [{"left": "a", "right": x, "value": [{"basis": x, "coeff": c}]}
+                        for x, c in (("b", big), ("c", "1/" + big))]}
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    for json_flag in (True, False):
+        r = run_cli(["derivations", str(p)] + ["--json"] * json_flag, cwd=tmp_path)
+        assert (r.returncode, r.stderr) == (0, b"")
+        assert b"1/1" + b"0" * 5000 in r.stdout
+        if json_flag:
+            assert json.loads(r.stdout)["dim"] > 0
+
+
 # A child interpreter runs one command in-process and reports the modules it loaded.
 FOOTPRINT = """
 import contextlib, io, json, sys

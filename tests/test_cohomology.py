@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superext.catalog import abelian, gl11, heis3, sl2, susy_line
+from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import canonical_tuples, covariant_delta
 from superext.gvs import GradedLinearMap, graded_commutator, unit_vec
 from superext.superlie import (
@@ -15,8 +15,10 @@ from superext.superlie import (
     derivations,
     direct_sum,
     is_homomorphism,
+    make_algebra,
     out_quotient,
     outer_algebra,
+    validate_algebra,
 )
 from superext.extensions import (
     ExtensionDatum,
@@ -650,3 +652,60 @@ def test_susy_line_graded_betti_numbers():
     assert len(reps) == 1 and reps[0].value((1,)) == (1,)   # the dual of Q
     h2 = cohomology_space(g, mod, 2)
     assert (h2.weight(0).dim, h2.weight(1).dim) == (0, 0)
+
+
+# ---------- self-checks and non-integral structure constants ----------
+
+def test_closed_form_dimension_check_fires(monkeypatch):
+    from superext import cohomology as coh
+
+    g = sl2()
+    delta_matrix = coh.delta_matrix
+
+    def one_column_short(mod, n, y):
+        rows, src, dst = delta_matrix(mod, n, y)
+        return rows, src[:-1], dst
+
+    monkeypatch.setattr(coh, "delta_matrix", one_column_short)
+    with pytest.raises(RuntimeError, match=r"internal fault: dim C\^2 of weight 0 is not its"):
+        cohomology_space(g, trivial_module(g), 2)
+
+
+def test_coboundaries_outside_the_cocycles_fire(monkeypatch):
+    # H^2(sl2) = 0, so every 2-cocycle is a coboundary; a kernel basis that
+    # loses a vector no longer contains the coboundaries
+    from superext import cohomology as coh
+
+    g = sl2()
+    kernel = coh.sparse_kernel_basis
+    monkeypatch.setattr(coh, "sparse_kernel_basis", lambda rows, ncols: kernel(rows, ncols)[1:])
+    with pytest.raises(RuntimeError, match="internal fault: a coboundary of degree 2"):
+        cohomology_space(g, trivial_module(g), 2)
+
+
+def rescaled(alg, scales):
+    """The algebra in the basis f_i = s_i e_i, whose constants are s_i s_j / s_k c^k_ij."""
+    return make_algebra(alg.space, {
+        (i, j): tuple(scales[i] * scales[j] / scales[k] * c for k, c in enumerate(v))
+        for i, row in enumerate(alg.brackets) for j, v in enumerate(row) if any(v)
+    })
+
+
+def test_rescaled_osp12_has_the_weight_dimensions_of_osp12():
+    g = osp12()
+    s = rescaled(g, (F(1, 2), F(3), F(2, 7), F(5, 3), F(-4, 5)))
+    assert validate_algebra(s).ok
+    assert any(c.denominator != 1 for row in s.brackets for v in row for c in v)
+
+    def adjoint(a):
+        return gmodule(a, a.space, tuple(ad(a, unit_vec(a.dim, i)) for i in range(a.dim)))
+
+    for module, top in ((trivial_module, 4), (adjoint, 2)):
+        for n in range(top + 1):
+            want = cohomology_space(g, module(g), n)
+            got = cohomology_space(s, module(s), n)
+            assert [w.dim for w in got.weights] == [w.dim for w in want.weights]
+            assert [w.dim_cocycles for w in got.weights] == [w.dim_cocycles for w in want.weights]
+            for w in got.weights:
+                for coords in (w.cocycle_coords, w.coboundary_coords, w.representative_coords):
+                    assert all(type(x) is Fraction for v in coords for x in v.values())

@@ -34,6 +34,15 @@ def test_parse_rational_rejects():
             formats.parse_rational(text, "x")
 
 
+def test_format_rational_past_the_int_string_limit():
+    # str() refuses ints over 4300 digits; the exact digits must still come out
+    big = 10 ** 5000
+    assert formats.format_rational(Fraction(big)) == "1" + "0" * 5000
+    assert formats.format_rational(Fraction(-big, 3)) == "-1" + "0" * 5000 + "/3"
+    assert formats.format_rational(Fraction(7, big)) == "7/1" + "0" * 5000
+    assert formats.format_rational(Fraction(-7, 2)) == "-7/2"
+
+
 def test_algebra_round_trip_byte_identical():
     for alg in (susy_line(), sl2(), heis3(), gl11()):
         doc = formats.format_algebra("a", alg)

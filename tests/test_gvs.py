@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superext.gvs import (
     GradedLinearMap,
+    IncrementalSpan,
     LinearSystem,
     SuperVectorSpace,
     complement_basis,
+    dense_vec,
     identity,
     kernel_basis,
     mat,
@@ -16,9 +20,14 @@ from superext.gvs import (
     quotient_space,
     rank,
     rref,
+    scalar,
+    sparse_kernel_basis,
     unit_vec,
+    zero_vec,
     zeros,
 )
+
+from oracles import dense_kernel_basis, dense_rref, dense_solve
 
 F = Fraction
 
@@ -170,3 +179,90 @@ def test_determinism_bit_for_bit():
     assert len(runs) == 1
     kers = {tuple(map(tuple, kernel_basis(mat([[1, 2, 3]])))) for _ in range(5)}
     assert len(kers) == 1
+
+
+# ---------- the integer elimination kernel against the dense oracles ----------
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@st.composite
+def matrices(draw):
+    """Rows of rationals with denominators 1..7, or of integers up to 2**80.
+
+    Zero rows and combinations of earlier rows are spliced in, so ranks
+    fall short of the shape and, read as columns, some columns depend on
+    the ones before them.
+    """
+    ncols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+    else:
+        entry = st.integers(-2 ** 80, 2 ** 80).map(F)
+    entry = st.one_of(st.just(F(0)), entry)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(entry) for _ in rows]
+        combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    return [tuple(r) for r in rows], ncols
+
+
+def sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_and_kernel_match_dense_oracles(matrix):
+    rows, ncols = matrix
+    red, pivots = rref(rows)
+    want_red, want_pivots = dense_rref(rows) if rows else ([], [])
+    assert (red, pivots) == (want_red, want_pivots)
+    assert all(all_fractions(r) for r in red)
+    want_kernel = dense_kernel_basis(rows, ncols)
+    kernel = sparse_kernel_basis(sparse(rows), ncols)
+    assert [dense_vec(v, ncols) for v in kernel] == want_kernel
+    assert all(all_fractions(v.values()) and all(v.values()) for v in kernel)
+    assert kernel_basis(rows, ncols) == want_kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_incremental_span_matches_dense_rref(matrix):
+    rows, ncols = matrix
+    span = IncrementalSpan()
+    for k, r in enumerate(rows):
+        before = len(dense_rref(rows[:k])[1]) if k else 0
+        grew = span.add(sparse([r])[0] if k % 2 else r)
+        assert grew == (len(dense_rref(rows[:k + 1])[1]) > before)
+    want = dense_rref(rows)[0] if rows else []
+    assert span.rank == len(want)
+    assert span.rows() == sparse(want)
+    assert all(all_fractions(r.values()) for r in span.rows())
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_on_dependent_columns_matches_dense_oracle(matrix, data):
+    cols, nrows = matrix  # the drawn rows are the columns of A
+    A = tuple(tuple(c[i] for c in cols) for i in range(nrows))
+    system = LinearSystem(A, len(cols))
+    x = [data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 7))) for _ in cols]
+    consistent = tuple(sum((a * c for a, c in zip(row, x)), F(0)) for row in A)
+    unit = unit_vec(nrows, data.draw(st.integers(0, nrows - 1)))
+    for b in (consistent, unit, zero_vec(nrows)):
+        got = system.solve(b)
+        assert got == dense_solve(A, b, len(cols))
+        assert got is None or all_fractions(got)
+
+
+def test_scalar_takes_the_string_rule_of_the_file_formats():
+    assert scalar("-3/4") == F(-3, 4)
+    assert scalar("+12") == 12
+    for text in ("0.5", " 7 ", "1e4000", "1_000", "3/-4", ""):
+        with pytest.raises(ValueError):
+            scalar(text)
