@@ -80,6 +80,14 @@ def _load_algebra(path: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
     return _guarded_algebra(formats.load_json(path), path, allow_large)
 
 
+def _load_valid_algebra(path: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
+    """`_load_algebra`, refusing an algebra that fails `validate_algebra` (exit 1)."""
+    name, alg = _load_algebra(path, allow_large)
+    if not validate_algebra(alg).ok:
+        raise CheckFailed(f"{path}: not a valid super Lie algebra")
+    return name, alg
+
+
 def _load_datum(path: str, allow_large: bool):
     doc = formats.load_json(path)
     base = os.path.dirname(os.path.abspath(path))
@@ -96,6 +104,9 @@ def _load_datum(path: str, allow_large: bool):
         raise SchemaError(f"{path}: a datum file needs 'g' and 'h'")
     (gname, galg), gref = resolve(doc["g"], "g")
     (hname, halg), href = resolve(doc["h"], "h")
+    for alg, which in ((galg, "g"), (halg, "h")):
+        if not validate_algebra(alg).ok:
+            raise CheckFailed(f"{path}.{which}: not a valid super Lie algebra")
     datum = formats.parse_datum(doc, (gname, galg), (hname, halg), where=path)
     return datum, (gname, gref), (hname, href)
 
@@ -173,7 +184,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_center(args) -> int:
-    name, alg = _load_algebra(args.algebra, args.allow_large)
+    name, alg = _load_valid_algebra(args.algebra, args.allow_large)
     basis = center(alg)
     report = {
         "command": "center",
@@ -188,7 +199,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    name, alg = _load_algebra(args.algebra, args.allow_large)
+    name, alg = _load_valid_algebra(args.algebra, args.allow_large)
     ds = derivations(alg)
     members = []
     for k, d in enumerate(ds.basis):
@@ -219,7 +230,7 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_out(args) -> int:
-    name, alg = _load_algebra(args.algebra, args.allow_large)
+    name, alg = _load_valid_algebra(args.algebra, args.allow_large)
     outer = outer_algebra(alg)
     ds, out_alg = outer.ds, outer.out
     out_doc = formats.format_algebra(f"out({name})", out_alg)
@@ -246,9 +257,7 @@ def cmd_out(args) -> int:
 
 def cmd_cohomology(args, cap: int) -> int:
     from .cohomology import cohomology_space, gmodule, trivial_module
-    name, alg = _load_algebra(args.algebra, args.allow_large)
-    if not validate_algebra(alg).ok:
-        raise CheckFailed(f"{args.algebra}: not a valid super Lie algebra")
+    name, alg = _load_valid_algebra(args.algebra, args.allow_large)
     if args.degree < 0 or args.degree > cap:
         raise SchemaError(f"--degree must lie in 0..{cap} (the arity cap)")
     if args.module:
@@ -439,11 +448,8 @@ def cmd_split_check(args) -> int:
 
 def _on_outer_action(args, run):
     """Load h, g and the outer action abar: g -> out(h); return them and run(outer, g, abar)."""
-    hname, halg = _load_algebra(args.h, args.allow_large)
-    gname, galg = _load_algebra(args.g, args.allow_large)
-    for alg, path in ((halg, args.h), (galg, args.g)):
-        if not validate_algebra(alg).ok:
-            raise CheckFailed(f"{path}: not a valid super Lie algebra")
+    hname, halg = _load_valid_algebra(args.h, args.allow_large)
+    gname, galg = _load_valid_algebra(args.g, args.allow_large)
     outer = outer_algebra(halg)  # built once: it types abar and serves the command
     abar = formats.parse_map(formats.load_json(args.alpha_bar), (gname, galg.space),
                              (f"out({hname})", outer.out.space), where=args.alpha_bar)

@@ -411,8 +411,8 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
     dmat, basis1, basis2 = differential_matrix(g, d.alpha, h.space, 1, 0)
     col = {key: c for c, key in enumerate(basis1)}
     cols = sparse_transpose(dmat, len(basis1))
-    system = LinearSystem.from_sparse_columns([cols[col[((j,), k)]] for (k, j) in slots],
-                                              len(basis2))
+    system = LinearSystem.from_columns([cols[col[((j,), k)]] for (k, j) in slots],
+                                       len(basis2))
     x = system.solve(cochain_coordinates(d.rho, basis2))
     if x is None:
         return None
@@ -466,7 +466,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
         tuple(f"e{k}" for k in range(len(kern))),
         tuple(vec_parity(v) for v in kern),
     )
-    kern_system = LinearSystem(from_columns(kern, m + n), ncols=len(kern))
+    kern_system = LinearSystem.from_columns(kern, m + n)
 
     def to_e_coords(w: Vector) -> Vector:
         x = kern_system.solve(w)
@@ -494,8 +494,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
                 table[(a, b)] = w
     e = make_algebra(e_space, table)
 
-    der_system = ds.coordinate_system()
-    incl_cols = [to_e_coords(der_system.solve(ad(h, unit_vec(h.dim, k)).flat()) + zero_vec(n))
+    incl_cols = [to_e_coords(ds.coordinates_of(ad(h, unit_vec(h.dim, k))) + zero_vec(n))
                  for k in range(h.dim)]
     incl = GradedLinearMap(h.space, e_space, 0, from_columns(incl_cols, len(kern)))
     proj_e = GradedLinearMap(e_space, g.space, 0, from_columns([v[m:] for v in kern], n))

@@ -344,6 +344,8 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"{path}: not UTF-8 text: {ex.reason}") from None
     except ValueError as ex:  # malformed JSON, or an integer literal over the digit limit
         raise SchemaError(f"{path}: malformed JSON: {ex}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def dump_json(doc: Any) -> str:

@@ -3,8 +3,8 @@
 Every scalar a caller passes in or reads out is a `fractions.Fraction`,
 and the library contains no floating point; inside, elimination runs on
 integers (`_absorb`).  All row reductions select the leftmost pivot, so
-particular solutions, kernel bases, complements and quotients are
-canonical: identical inputs give bit-identical outputs.
+particular solutions, kernel bases and echelon spans are canonical:
+identical inputs give bit-identical outputs.
 
 A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
 sparse vector or row an {index: nonzero Fraction} dict.  Entry (i, j) is
@@ -133,8 +133,7 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
 
     Returns (reduced nonzero rows, pivot column indices).  This routine
     fixes every canonical choice in the library: particular solutions,
-    kernel bases, complements and cohomology representatives all come
-    from it.
+    kernel bases and cohomology representatives all come from it.
 
     Elimination runs on sparse integer rows fed in one at a time to
     `_absorb`; only the output is dense, and only it holds Fractions.  Any
@@ -234,7 +233,7 @@ class LinearSystem:
     Construction runs `_absorb` on the columns of A, each tagged with its
     index, so every echelon vector also records which combination of kept
     columns it is; a column that reduces to its tags alone is dependent
-    and is skipped.  `from_sparse_columns` starts from sparse columns.
+    and is skipped.  `from_columns` starts from the columns themselves.
     `solve` too runs on integers, up to the Fractions it returns.
     """
 
@@ -243,8 +242,10 @@ class LinearSystem:
         self._eliminate(sparse_transpose(rows, ncols), len(rows))
 
     @classmethod
-    def from_sparse_columns(cls, cols: list[dict[int, Fraction]], nrows: int):
-        """The system whose column j is the sparse dict cols[j], which it consumes."""
+    def from_columns(cls, cols: Iterable[Sequence | dict[int, Fraction]], nrows: int):
+        """The system whose column j is cols[j]: a dense sequence, or a sparse dict it consumes."""
+        # a dense column is read as a one-row matrix of width nrows
+        cols = [c if isinstance(c, dict) else _sparse_rows((c,), nrows)[0][0] for c in cols]
         system = cls.__new__(cls)
         system._eliminate(cols, nrows)
         return system
@@ -333,22 +334,6 @@ def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[di
         for j, x in row.items():
             cols[j][i] = x
     return cols
-
-
-def complement_basis(vectors: Sequence[Sequence], ambient_dim: int) -> list[Vector]:
-    """Standard basis vectors at the non-pivot positions of span(vectors).
-
-    The input vectors must be linearly independent.
-    """
-    rows = [vec(v) for v in vectors]
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-    red, pivots = rref(rows)
-    if len(pivots) != len(rows):
-        raise ValueError("dependent input vectors")
-    pivset = set(pivots)
-    return [unit_vec(ambient_dim, f) for f in range(ambient_dim) if f not in pivset]
 
 
 class IncrementalSpan:
@@ -582,36 +567,3 @@ def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap
                 acc[j] += y * x
         rows.append(tuple(acc))
     return GradedLinearMap(a.domain, a.codomain, (a.degree + b.degree) % 2, tuple(rows))
-
-
-def quotient_space(
-    ambient: SuperVectorSpace, sub_basis: Sequence[Sequence]
-) -> tuple[SuperVectorSpace, GradedLinearMap]:
-    """Quotient of a super space by a graded subspace.
-
-    The quotient basis is the canonical complement (standard basis vectors
-    at non-pivot positions) with inherited names and parities; the returned
-    projection is degree 0, surjective, with kernel span(sub_basis).
-    """
-    sub = [vec(v) for v in sub_basis]
-    for v in sub:
-        if ambient.vector_parity(v) is None:
-            raise ValueError("subspace vector is not parity-homogeneous")
-    reps = complement_basis(sub, ambient.dim) if sub else [unit_vec(ambient.dim, i) for i in range(ambient.dim)]
-    rep_idx = [next(i for i, a in enumerate(r) if a != 0) for r in reps]
-    qspace = SuperVectorSpace(
-        tuple(ambient.names[i] for i in rep_idx),
-        tuple(ambient.parities[i] for i in rep_idx),
-    )
-    # Express each ambient basis vector modulo the subspace in the
-    # representatives: solve [sub | reps] x = e_j and keep the rep part.
-    cols = sub + reps
-    system = LinearSystem(from_columns(cols, ambient.dim), ncols=len(cols))
-    images = []
-    for j in range(ambient.dim):
-        x = system.solve(unit_vec(ambient.dim, j))
-        if x is None:
-            raise ValueError("subspace plus complement does not span the ambient space")
-        images.append(x[len(sub):])
-    proj = GradedLinearMap(ambient, qspace, 0, from_columns(images, qspace.dim))
-    return qspace, proj

@@ -3,10 +3,11 @@
 An algebra is an ordered graded basis plus the bracket table
 c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 (validation, ad, center, derivations, out = der/ad, homomorphism checks)
-is exact linear algebra on that table.  An algebra keeps one cached view,
-its nonzero structure constants (`SuperLieAlgebra.nonzeros`); no result
-is cached across calls: a pipeline that needs der(h) or out(h) builds
-one `OuterAlgebra` and passes it along.
+is exact linear algebra on that table.  der(h) has one coordinate system,
+its inner-first basis, whose trailing coordinates are out(h).  The cached
+views are an algebra's nonzero structure constants and a `DerivationSpace`'s
+eliminated basis; no result is cached across calls: a pipeline that needs
+der(h) or out(h) builds one `OuterAlgebra` and passes it along.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from .gvs import (
     SuperVectorSpace,
     Vector,
     dense_vec,
-    from_columns,
     graded_commutator,
     is_zero_vec,
     kernel_basis,
-    quotient_space,
-    rref,
     scalar,
     sparse_kernel_basis,
     unit_vec,
@@ -308,8 +306,8 @@ class DerivationSpace(Record):
 
     `inner_preimages[k]` is an explicit H in h with ad_H = basis[k], for
     k < inner_count.  The inner-first ordering makes ad(h) the span of the
-    leading coordinates, which fixes the lifts used by the cohomology
-    pipeline.
+    leading coordinates and out(h) the trailing ones, which fixes the
+    lifts used by the cohomology pipeline.
     """
 
     algebra: SuperLieAlgebra
@@ -324,18 +322,14 @@ class DerivationSpace(Record):
             tuple(d.degree for d in self.basis),
         )
 
-    def coordinate_system(self) -> LinearSystem:
-        """The flattened basis as columns, eliminated once for many `solve`s.
-
-        `coordinate_system().solve(m.flat())` equals `coordinates_of(m)`.
-        """
-        n2 = self.algebra.dim ** 2
-        cols = [d.flat() for d in self.basis]
-        return LinearSystem(from_columns(cols, n2), ncols=len(cols))
+    @cached_property
+    def _coordinates(self) -> LinearSystem:
+        """The flattened basis as columns, eliminated on first use and kept."""
+        return LinearSystem.from_columns([d.flat() for d in self.basis], self.algebra.dim ** 2)
 
     def coordinates_of(self, m: GradedLinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None if outside the span."""
-        return self.coordinate_system().solve(m.flat())
+        return self._coordinates.solve(m.flat())
 
 
 def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLinearMap]:
@@ -397,8 +391,8 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
 
     Basis order: inner derivations (parities 0 then 1, in reduced echelon
     form of the span of the ad matrices), then complement members taken
-    from the per-parity solution bases.  Every call solves the system
-    afresh; nothing is cached across calls.
+    from the per-parity solution bases, sifted by the same span of the ad
+    matrices.  Every call solves the system afresh.
     """
     n = alg.dim
     inner_maps: list[GradedLinearMap] = []
@@ -407,21 +401,19 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
     for deg in (0, 1):
         gens = [i for i in range(n) if alg.space.parities[i] == deg]
         ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
-        inner_rows, _ = rref(ad_flat) if ad_flat else ([], [])
+        span = IncrementalSpan(ad_flat)
         # columns ad_{e_i}: solving against them expresses a member as ad_H
-        ad_system = LinearSystem(from_columns(ad_flat, n * n), ncols=len(gens))
-        deg_inner: list[GradedLinearMap] = []
-        for row in inner_rows:
-            m = tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n))
-            deg_inner.append(GradedLinearMap(alg.space, alg.space, deg, m))
-            y = ad_system.solve(row)
-            assert y is not None
+        ad_system = LinearSystem.from_columns(ad_flat, n * n)
+        for row in span.rows():
+            flat = dense_vec(row, n * n)
+            inner_maps.append(GradedLinearMap(alg.space, alg.space, deg,
+                                              tuple(flat[i * n:i * n + n] for i in range(n))))
+            y = ad_system.solve(flat)
+            if y is None:
+                raise RuntimeError("internal fault: an inner derivation is not an ad_H")
             preimages.append(dense_vec(dict(zip(gens, y)), n))
-        full = _derivation_basis_of_parity(alg, deg)
-        span = IncrementalSpan(d.flat() for d in deg_inner)
-        kept = [d for d in full if span.add(d.flat())]
-        inner_maps.extend(deg_inner)
-        outer_maps.append(kept)
+        outer_maps.append([d for d in _derivation_basis_of_parity(alg, deg)
+                           if span.add(d.flat())])
     # inner parity 0, inner parity 1, complement parity 0, complement parity 1
     basis = tuple(inner_maps) + tuple(outer_maps[0]) + tuple(outer_maps[1])
     return DerivationSpace(alg, basis, len(inner_maps), tuple(preimages))
@@ -430,12 +422,10 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
 def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     """der(h) as a super Lie algebra under the graded commutator."""
     m = len(ds.basis)
-    system = ds.coordinate_system()
     table: dict[tuple[int, int], Vector] = {}
     for i in range(m):
         for j in range(m):
-            comm = graded_commutator(ds.basis[i], ds.basis[j])
-            coords = system.solve(comm.flat())
+            coords = ds.coordinates_of(graded_commutator(ds.basis[i], ds.basis[j]))
             if coords is None:
                 raise RuntimeError("derivations are not closed under the commutator")
             if not is_zero_vec(coords):
@@ -447,9 +437,9 @@ class OuterAlgebra(Record):
     """der(h) with its bracket algebra, and out(h) = der(h)/ad(h) with the projection.
 
     `outer_algebra` builds the record once per call; whatever needs der(h)
-    or out(h) within that call receives it explicitly.  The projection is
-    a surjective homomorphism of super Lie algebras with kernel ad(h), and
-    out(h) carries the induced bracket of the complement representatives.
+    or out(h) within that call receives it explicitly.  out(h) has the
+    trailing members of der(h)'s inner-first basis as its basis; the
+    projection keeps their coordinates, and `lift_coordinates` is its section.
     """
 
     ds: DerivationSpace
@@ -463,16 +453,17 @@ class OuterAlgebra(Record):
 
 
 def outer_algebra(alg: SuperLieAlgebra) -> OuterAlgebra:
-    """Solve der(h), build its bracket algebra and the quotient out(h), once."""
+    """Solve der(h), build its bracket algebra and read out(h) off it, once."""
     ds = derivations(alg)
     der_alg = derivation_algebra(ds)
-    sub = [unit_vec(len(ds.basis), k) for k in range(ds.inner_count)]
-    out_space, proj = quotient_space(ds.space, sub)
+    c, m = ds.inner_count, len(ds.basis)
+    out_space = SuperVectorSpace(ds.space.names[c:], ds.space.parities[c:])
+    proj = GradedLinearMap(ds.space, out_space, 0,
+                           tuple(unit_vec(m, c + a) for a in range(m - c)))
     table: dict[tuple[int, int], Vector] = {}
-    reps = [ds.inner_count + a for a in range(out_space.dim)]
-    for a, ia in enumerate(reps):
-        for b, ib in enumerate(reps):
-            v = proj.apply(der_alg.brackets[ia][ib])
+    for a in range(m - c):
+        for b in range(m - c):
+            v = der_alg.brackets[c + a][c + b][c:]
             if not is_zero_vec(v):
                 table[(a, b)] = v
     return OuterAlgebra(ds, der_alg, make_algebra(out_space, table), proj)

@@ -274,6 +274,50 @@ def test_unreadable_and_unwritable_paths_exit_2(tmp_path):
         assert r.stderr.startswith(b"error: " + str(argv[-1]).encode() + b": "), r.stderr
 
 
+@pytest.mark.parametrize("g,h", [("broken.json", "a10.json"), ("a10.json", "broken.json")])
+def test_datum_over_an_invalid_algebra_exit_1(g, h, tmp_path):
+    # g or h fails validate_algebra: every datum command refuses it up front
+    p = tmp_path / "datum.json"
+    p.write_text(json.dumps({"g": str(INPUTS / g), "h": str(INPUTS / h)}))
+    witness = str(INPUTS / "b_zero.json")
+    for argv in (["check-data", str(p)],
+                 ["build", str(p)],
+                 ["transform", str(p), "--witness", witness],
+                 ["equivalent", str(p), str(p), "--witness", witness],
+                 ["split-check", str(p), "--solve-abelian"],
+                 ["split-check", str(p), "--witness", witness]):
+        r = run_cli(argv + ["--json"], cwd=tmp_path)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"check failed: "), r.stderr
+        assert b"not a valid super Lie algebra" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "broken.json"],
+    ["derivations", "broken.json"],
+    ["out", "broken.json"],
+    ["cohomology", "broken.json", "--degree", "1"],
+    ["obstruction", "--g", "broken.json", "--h", "a10.json", "--alpha-bar", "ab_a01_a10.json"],
+    ["classify", "--g", "a01.json", "--h", "broken.json", "--alpha-bar", "ab_a01_a10.json"],
+])
+def test_commands_on_an_invalid_algebra_exit_1(argv):
+    r = run_cli(argv + ["--json"])
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == b""
+    assert r.stderr == f"check failed: {argv[argv.index('broken.json')]}: ".encode() \
+        + b"not a valid super Lie algebra\n"
+
+
+def test_deeply_nested_json_exit_2(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    r = run_cli(["validate", str(p)], cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"error: " + str(p).encode() + b": "), r.stderr
+
+
 def test_fuzzed_inputs_never_traceback(tmp_path):
     # mutate a valid algebra file in deterministic ways; the CLI must exit
     # 0/1/2 with a clean message, never a traceback

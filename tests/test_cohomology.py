@@ -251,21 +251,25 @@ def test_der_and_out_built_once_per_call(monkeypatch, kind):
 def test_fixed_systems_eliminated_once(monkeypatch):
     # der(h)'s bracket table solves m^2 commutators against one basis
     # system, and the curvature solves every pair against one ad system
-    # per parity: an elimination is a LinearSystem build or an rref call
+    # per parity: an elimination is a LinearSystem build, whichever
+    # constructor made it, or an rref call
     from superext import gvs, superlie
     from superext import cohomology as coh
+    from superext.extensions import pullback_extension
 
     h = direct_sum(sl2(), heis3())
     g = abelian(1, 1, "t")  # pairs of both parities reach rho_from_lift
     abar = zero_abar(h, g)
     eliminations = 0
+    built = []  # the columns of every LinearSystem, as given
     inside = {}
-    init, rref = gvs.LinearSystem.__init__, gvs.rref
+    eliminate, rref = gvs.LinearSystem._eliminate, gvs.rref
 
-    def counted_init(self, *args, **kwargs):
+    def counted_eliminate(self, cols, nrows):
         nonlocal eliminations
         eliminations += 1
-        init(self, *args, **kwargs)
+        built.append([dict(c) for c in cols])
+        eliminate(self, cols, nrows)
 
     def counted_rref(*args):
         nonlocal eliminations
@@ -280,7 +284,7 @@ def test_fixed_systems_eliminated_once(monkeypatch):
             return result
         return run
 
-    monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
+    monkeypatch.setattr(gvs.LinearSystem, "_eliminate", counted_eliminate)
     for mod in list(sys.modules.values()):
         if mod.__name__.split(".")[0] == "superext" and vars(mod).get("rref") is rref:
             monkeypatch.setattr(mod, "rref", counted_rref)
@@ -291,6 +295,15 @@ def test_fixed_systems_eliminated_once(monkeypatch):
     assert len(outer_algebra(h).ds.basis) == 9  # 81 commutators
     assert inside["derivation_algebra"] == 1
     assert inside["rho_from_lift"] <= 2
+
+    # a pullback needs der(h) coordinates for its bracket table and for
+    # the inclusion of h: one elimination of the der(h) basis serves both
+    h, g = sl2(), abelian(1, 0, "t")
+    abar = zero_abar(h, g)
+    der_cols = [{i: x for i, x in enumerate(d.flat()) if x} for d in derivations(h).basis]
+    built.clear()
+    pullback_extension(h, g, abar)
+    assert sum(cols == der_cols for cols in built) == 1
 
 
 def test_obstruction_assembles_each_differential_once(monkeypatch):

@@ -1,4 +1,4 @@
-"""Linear-algebra kernel: canonical solves, kernels, complements, quotients."""
+"""Linear-algebra kernel: canonical solves, kernels, echelon spans, graded maps."""
 
 from fractions import Fraction
 
@@ -11,14 +11,11 @@ from superext.gvs import (
     IncrementalSpan,
     LinearSystem,
     SuperVectorSpace,
-    complement_basis,
     dense_vec,
     identity,
     kernel_basis,
     mat,
     mat_vec,
-    quotient_space,
-    rank,
     rref,
     scalar,
     sparse_kernel_basis,
@@ -95,74 +92,6 @@ def test_solutions_are_exact(rng):
         sol = LinearSystem(A).solve(rhs)
         assert sol is not None
         assert mat_vec(A, sol) == rhs
-
-
-def test_complement_empty_subspace():
-    assert complement_basis([], 2) == [unit_vec(2, 0), unit_vec(2, 1)]
-
-
-def test_complement_of_e1():
-    assert complement_basis([unit_vec(2, 0)], 2) == [unit_vec(2, 1)]
-
-
-def test_complement_pivot_rule():
-    # pivot of (1,1,0) is column 0, so the complement is {e2, e3}
-    assert complement_basis([(1, 1, 0)], 3) == [unit_vec(3, 1), unit_vec(3, 2)]
-
-
-def test_complement_rejects_dependent():
-    with pytest.raises(ValueError):
-        complement_basis([(1, 2), (2, 4)], 2)
-
-
-def test_quotient_by_nothing():
-    amb = SuperVectorSpace(("a", "b"), (0, 1))
-    q, proj = quotient_space(amb, [])
-    assert q == amb
-    assert proj.matrix == identity(2)
-
-
-def test_quotient_by_everything():
-    amb = SuperVectorSpace(("a", "b"), (0, 1))
-    q, proj = quotient_space(amb, [unit_vec(2, 0), unit_vec(2, 1)])
-    assert q.dim == 0
-
-
-def test_quotient_parities():
-    amb = SuperVectorSpace(("a", "b", "c"), (0, 0, 1))
-    q, proj = quotient_space(amb, [unit_vec(3, 0)])
-    assert (q.dim_even, q.dim_odd) == (1, 1)
-    assert proj.degree == 0
-
-
-def test_quotient_rejects_mixed_parity_vector():
-    amb = SuperVectorSpace(("a", "b"), (0, 1))
-    with pytest.raises(ValueError):
-        quotient_space(amb, [(1, 1)])
-
-
-def test_projection_retracts_complement(rng):
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        amb = SuperVectorSpace(tuple(f"x{i}" for i in range(n)),
-                               tuple(rng.randint(0, 1) for _ in range(n)))
-        k = rng.randint(0, n)
-        sub = []
-        for _ in range(k):
-            p = rng.randint(0, 1)
-            v = tuple(F(rng.randint(-2, 2)) if amb.parities[i] == p else F(0)
-                      for i in range(n))
-            sub.append(v)
-        sub = [v for v in sub if any(c != 0 for c in v)]
-        if rank(sub) != len(sub):
-            continue
-        q, proj = quotient_space(amb, sub)
-        # projection of each quotient representative is the matching unit vector
-        reps = complement_basis(sub, n) if sub else [unit_vec(n, i) for i in range(n)]
-        for idx, r in enumerate(reps):
-            assert proj.apply(r) == unit_vec(q.dim, idx)
-        for v in sub:
-            assert all(c == 0 for c in proj.apply(v))
 
 
 def test_homogeneity_enforced():
@@ -250,14 +179,24 @@ def test_incremental_span_matches_dense_rref(matrix):
 def test_solve_on_dependent_columns_matches_dense_oracle(matrix, data):
     cols, nrows = matrix  # the drawn rows are the columns of A
     A = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-    system = LinearSystem(A, len(cols))
+    systems = (LinearSystem(A, len(cols)), LinearSystem.from_columns(cols, nrows),
+               LinearSystem.from_columns([{i: x for i, x in enumerate(c) if x} for c in cols],
+                                         nrows))
     x = [data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 7))) for _ in cols]
     consistent = tuple(sum((a * c for a, c in zip(row, x)), F(0)) for row in A)
     unit = unit_vec(nrows, data.draw(st.integers(0, nrows - 1)))
     for b in (consistent, unit, zero_vec(nrows)):
-        got = system.solve(b)
-        assert got == dense_solve(A, b, len(cols))
-        assert got is None or all_fractions(got)
+        want = dense_solve(A, b, len(cols))
+        for system in systems:  # rows, dense columns and sparse columns agree
+            got = system.solve(b)
+            assert got == want
+            assert got is None or all_fractions(got)
+
+
+def test_from_columns_checks_dense_column_length():
+    with pytest.raises(ValueError):
+        LinearSystem.from_columns([(1, 2), (3,)], 2)
+    assert LinearSystem.from_columns([], 2).solve((0, 0)) == ()
 
 
 def test_scalar_takes_the_string_rule_of_the_file_formats():

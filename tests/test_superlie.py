@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superext.catalog import abelian, heis3, sl2, susy_line
-from superext.gvs import GradedLinearMap, graded_commutator, unit_vec
+from superext.gvs import GradedLinearMap, graded_commutator, rank, unit_vec
 from superext.superlie import (
     ad,
     algebra_from_table,
@@ -16,6 +16,7 @@ from superext.superlie import (
     is_derivation,
     is_homomorphism,
     out_quotient,
+    outer_algebra,
     validate_algebra,
 )
 
@@ -193,6 +194,12 @@ def test_out_projection_is_homomorphism(corpus):
         # pi kills the inner part
         for k in range(ds.inner_count):
             assert all(c == 0 for c in pi.apply(unit_vec(len(ds.basis), k)))
+        # pi is onto out(h), and lift_coordinates is a section of it
+        assert rank(pi.matrix) == out.dim
+        outer = outer_algebra(alg)
+        for a in range(out.dim):
+            e_a = unit_vec(out.dim, a)
+            assert pi.apply(outer.lift_coordinates(e_a)) == e_a
 
 
 def test_der_algebra_commutator_sign(corpus):
