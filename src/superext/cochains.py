@@ -356,8 +356,8 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
     (-1)^(x_i y + a_i); the bracket term (i < j, m) inserts e_m, m running
     over the support of [X_i, X_j] in `alg.nonzeros`, and carries (-1)^a_ij
     times the sign of sorting (m, rest).  This is the one place the signs
-    of the differential are written down; `covariant_delta` applies the
-    terms to a cochain, `differential_matrix` writes them into sparse rows.
+    of the differential are written down; `differential_matrix`, its one
+    caller, writes them into sparse rows, which `covariant_delta` applies.
     """
     space, nz = alg.space, alg.nonzeros
     word = [space.parities[t] for t in tup]
@@ -410,26 +410,16 @@ def covariant_delta(
     assignment must be degree 0, i.e. the operator parity equals the basis
     element's parity.  With all alpha zero this is `chevalley_delta`; it
     squares to [rho, .]_wedge when (alpha, rho) come from an extension.
-    The value on each canonical target tuple is the sum over the terms of
-    `_delta_stencil`, the same terms `differential_matrix` assembles.
+    The rows of `differential_matrix` are applied to phi's coordinates.
     """
-    src = source_alg.space
-    if phi.source != src:
+    if phi.source != source_alg.space:
         raise ValueError("cochain source does not match the algebra")
-    _check_delta_args(src, phi.target, alpha_ops)
-    values = phi._table
-    table: dict[tuple[int, ...], Vector] = {}
-    for tup in canonical_tuples(src, phi.arity + 1):
-        acc = zero_vec(phi.target.dim)
-        for coef, rest, gen in _delta_stencil(source_alg, tup, phi.weight):
-            v = values.get(rest)
-            if v is not None:
-                if gen is not None:
-                    v = alpha_ops[gen].apply(v)
-                acc = vec_add(acc, vec_scale(coef, v))
-        if not is_zero_vec(acc):
-            table[tup] = acc
-    return make_cochain(src, phi.target, phi.arity + 1, phi.weight, table)
+    rows, src_basis, dst_basis = differential_matrix(source_alg, alpha_ops, phi.target,
+                                                     phi.arity, phi.weight)
+    x = {k: c for k, c in enumerate(cochain_coordinates(phi, src_basis)) if c}
+    coords = {r: sum(c * x[k] for k, c in row.items() if k in x) for r, row in enumerate(rows)}
+    return cochain_from_coordinates(source_alg.space, phi.target, phi.arity + 1, phi.weight,
+                                    dst_basis, coords)
 
 
 def differential_matrix(

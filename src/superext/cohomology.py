@@ -115,7 +115,7 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
     """
     incl = center_embedding(h)
     zdim = incl.domain.dim
-    incl_system = LinearSystem(incl.matrix, ncols=zdim)
+    incl_system = LinearSystem(map(incl.column, range(zdim)), h.dim)
     ops = []
     for op in alpha:
         cols = []
@@ -300,7 +300,7 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     for deg in (0, 1):
         gens.append([k for k in range(h.dim) if h.space.parities[k] == deg])
         cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens[deg]]
-        ad_systems.append(LinearSystem.from_columns(cols, h.dim * h.dim))
+        ad_systems.append(LinearSystem(cols, h.dim * h.dim))
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         deg = (g.space.parities[i] + g.space.parities[j]) % 2
@@ -362,7 +362,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     mod, incl = center_module(h, g, alpha)
     rho = rho_from_lift(h, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
-    incl_system = LinearSystem(incl.matrix, ncols=incl.domain.dim)
+    incl_system = LinearSystem(map(incl.column, range(incl.domain.dim)), h.dim)
     table = {}
     for tup, val in lam_h.values:
         z = incl_system.solve(val)
@@ -377,7 +377,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     h3, (d2, basis2, basis3) = _weight_cohomology(g, mod, 3, 0)
     lam_coords = cochain_coordinates(lam, basis3)
     cols = [dict(v) for v in h3.coboundary_coords + h3.representative_coords]
-    x = LinearSystem.from_columns(cols, len(basis3)).solve(lam_coords)
+    x = LinearSystem(cols, len(basis3)).solve(lam_coords)
     if x is None:
         raise RuntimeError("internal fault: obstruction cocycle is not a cocycle")
     class_coords = tuple(x[h3.dim_coboundaries:])
@@ -385,7 +385,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
 
     mu = None
     if vanishes:
-        d2_system = LinearSystem.from_columns(sparse_transpose(d2, len(basis2)), len(basis3))
+        d2_system = LinearSystem(sparse_transpose(d2, len(basis2)), len(basis3))
         mu_coords = d2_system.solve(lam_coords)
         if mu_coords is None:
             raise RuntimeError("internal fault: vanishing class but no primitive")

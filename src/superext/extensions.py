@@ -16,14 +16,15 @@ from fractions import Fraction
 
 from .gvs import (
     GradedLinearMap,
+    IncrementalSpan,
     LinearSystem,
     Record,
     SuperVectorSpace,
     Vector,
+    dense_vec,
     from_columns,
     is_zero_vec,
-    kernel_basis,
-    rank,
+    sparse_kernel_basis,
     sparse_transpose,
     unit_vec,
     vec_add,
@@ -120,9 +121,9 @@ def _check_section(t: ExtensionTriple, s: GradedLinearMap) -> None:
 
 def validate_triple(t: ExtensionTriple) -> bool:
     """Exactness and homomorphism checks for a triple."""
-    if rank(t.incl.matrix) != t.h.dim:
+    if IncrementalSpan(t.incl.matrix).rank != t.h.dim:
         return False
-    if rank(t.proj.matrix) != t.g.dim:
+    if IncrementalSpan(t.proj.matrix).rank != t.g.dim:
         return False
     if t.e.dim != t.h.dim + t.g.dim:
         return False
@@ -133,7 +134,7 @@ def validate_triple(t: ExtensionTriple) -> bool:
 
 def canonical_section(t: ExtensionTriple) -> GradedLinearMap:
     """The canonical right inverse of the projection (free coordinates 0)."""
-    proj_system = LinearSystem(t.proj, ncols=t.e.dim)
+    proj_system = LinearSystem(map(t.proj.column, range(t.e.dim)), t.g.dim)
     cols = []
     for j in range(t.g.dim):
         v = proj_system.solve(unit_vec(t.g.dim, j))
@@ -157,7 +158,7 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
             raise ValueError("the triple carries no section; pass one")
     _check_section(t, s)
     h, g, e = t.h, t.g, t.e
-    incl_system = LinearSystem(t.incl, ncols=h.dim)
+    incl_system = LinearSystem(map(t.incl.column, range(h.dim)), e.dim)
     alpha = []
     for j in range(g.dim):
         sx = s.column(j)
@@ -411,8 +412,7 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
     dmat, basis1, basis2 = differential_matrix(g, d.alpha, h.space, 1, 0)
     col = {key: c for c, key in enumerate(basis1)}
     cols = sparse_transpose(dmat, len(basis1))
-    system = LinearSystem.from_columns([cols[col[((j,), k)]] for (k, j) in slots],
-                                       len(basis2))
+    system = LinearSystem([cols[col[((j,), k)]] for (k, j) in slots], len(basis2))
     x = system.solve(cochain_coordinates(d.rho, basis2))
     if x is None:
         return None
@@ -448,12 +448,10 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
     lift_alpha_bar(outer, g, abar)  # checks abar; the section reuses its coordinates
     ds, der_alg = outer.ds, outer.der
     m, n = len(ds.basis), g.dim
-    cond = tuple(
-        tuple(outer.proj.matrix[r][c] for c in range(m))
-        + tuple(-abar.matrix[r][c] for c in range(n))
-        for r in range(outer.out.dim)
-    )
-    kern = kernel_basis(cond, ncols=m + n)
+    # pi(D) - abar(X) = 0, one sparse row per out(h) coordinate
+    cond = [{**{c: x for c, x in enumerate(p) if x}, **{m + c: -x for c, x in enumerate(a) if x}}
+            for p, a in zip(outer.proj.matrix, abar.matrix)]
+    kern = [dense_vec(v, m + n) for v in sparse_kernel_basis(cond, m + n)]
     prod_parities = ds.space.parities + g.space.parities
 
     def vec_parity(v: Vector) -> int:
@@ -466,7 +464,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
         tuple(f"e{k}" for k in range(len(kern))),
         tuple(vec_parity(v) for v in kern),
     )
-    kern_system = LinearSystem.from_columns(kern, m + n)
+    kern_system = LinearSystem(kern, m + n)
 
     def to_e_coords(w: Vector) -> Vector:
         x = kern_system.solve(w)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, scalar, unit_vec, vec_add,
                   vec_scale, zero_vec)
-from .superlie import SuperLieAlgebra, make_algebra
+from .superlie import SuperLieAlgebra, antisymmetric_completion, make_algebra
 
 if TYPE_CHECKING:  # the layers above are imported by the parsers that build their records
     from .cochains import Cochain
@@ -64,6 +64,13 @@ def _require(obj: Mapping, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _parse_bit(x: Any, where: str) -> int:
+    """A parity, degree or weight: the JSON integer 0 or 1, never a bool or a float."""
+    if type(x) is not int or x not in (0, 1):
+        raise SchemaError(f"{where}: must be 0 or 1")
+    return x
+
+
 def _parse_basis(items: Any, where: str) -> SuperVectorSpace:
     if not isinstance(items, list) or not all(isinstance(b, Mapping) for b in items):
         raise SchemaError(f"{where}: must be a list of {{name, parity}} objects")
@@ -73,8 +80,7 @@ def _parse_basis(items: Any, where: str) -> SuperVectorSpace:
         parity = _require(b, "parity", f"{where}[{k}]")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{where}[{k}].name: must be a nonempty string")
-        if isinstance(parity, bool) or parity not in (0, 1):
-            raise SchemaError(f"{where}[{k}].parity: must be 0 or 1")
+        parity = _parse_bit(parity, f"{where}[{k}].parity")
         names.append(name)
         parities.append(parity)
     if len(set(names)) != len(names):
@@ -125,20 +131,10 @@ def parse_algebra(doc: Any, where: str = "algebra") -> tuple[str, SuperLieAlgebr
         if (i, j) in table:
             raise InvariantError(f"{loc}: bracket [{left},{right}] listed twice")
         table[(i, j)] = v
-    # complete by graded antisymmetry; double listings must be consistent
-    for (i, j), v in list(table.items()):
-        if i == j:
-            continue
-        sign = Fraction(-1 if (space.parities[i] * space.parities[j]) % 2 == 0 else 1)
-        mirrored = vec_scale(sign, v)
-        if (j, i) in table:
-            if table[(j, i)] != mirrored:
-                raise InvariantError(
-                    f"{where}.brackets: [{space.names[i]},{space.names[j]}] and "
-                    f"[{space.names[j]},{space.names[i]}] conflict with graded antisymmetry"
-                )
-        else:
-            table[(j, i)] = mirrored
+    try:
+        table = antisymmetric_completion(space, table)
+    except ValueError as ex:
+        raise InvariantError(f"{where}.brackets: {ex}") from None
     return name, make_algebra(space, table)
 
 
@@ -183,9 +179,7 @@ def parse_map(doc: Any, domain: tuple[str, SuperVectorSpace],
         raise SchemaError(f"{where}.domain: expected {domain[0]!r}, got {dn!r}")
     if cn != codomain[0]:
         raise SchemaError(f"{where}.codomain: expected {codomain[0]!r}, got {cn!r}")
-    degree = _require(doc, "degree", where)
-    if isinstance(degree, bool) or degree not in (0, 1):
-        raise SchemaError(f"{where}.degree: must be 0 or 1")
+    degree = _parse_bit(_require(doc, "degree", where), f"{where}.degree")
     m = _parse_matrix(_require(doc, "matrix", where), codomain[1].dim, domain[1].dim,
                       f"{where}.matrix")
     try:
@@ -243,10 +237,9 @@ def parse_cochain(doc: Any, source: tuple[str, SuperVectorSpace],
         raise SchemaError(f"{where}.target: expected {target[0]!r}, got {tn!r}")
     arity = _require(doc, "arity", where)
     weight = _require(doc, "weight", where)
-    if not isinstance(arity, int) or arity < 0:
+    if type(arity) is not int or arity < 0:
         raise SchemaError(f"{where}.arity: must be a nonnegative integer")
-    if weight not in (0, 1):
-        raise SchemaError(f"{where}.weight: must be 0 or 1")
+    weight = _parse_bit(weight, f"{where}.weight")
     return parse_cochain_entries(_require(doc, "entries", where), source[1], target[1],
                                  arity, weight, f"{where}.entries")
 

@@ -2,9 +2,11 @@
 
 Every scalar a caller passes in or reads out is a `fractions.Fraction`,
 and the library contains no floating point; inside, elimination runs on
-integers (`_absorb`).  All row reductions select the leftmost pivot, so
-particular solutions, kernel bases and echelon spans are canonical:
-identical inputs give bit-identical outputs.
+integers in one step, `_absorb`.  It has one entry point per job:
+`IncrementalSpan` for a row span and its RREF, `LinearSystem` for the
+canonical solutions of A x = b, and `sparse_kernel_basis` for a kernel.
+All select the leftmost pivot, so particular solutions, kernel bases and
+echelon spans are canonical: identical inputs give bit-identical outputs.
 
 A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
 sparse vector or row an {index: nonzero Fraction} dict.  Entry (i, j) is
@@ -75,13 +77,6 @@ def dense_vec(v: dict[int, Fraction], n: int) -> Vector:
     return tuple(out)
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def zeros(nrows: int, ncols: int) -> Matrix:
     return tuple(zero_vec(ncols) for _ in range(nrows))
 
@@ -126,30 +121,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                     acc[j] += a * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def rref(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with leftmost-pivot selection.
-
-    Returns (reduced nonzero rows, pivot column indices).  This routine
-    fixes every canonical choice in the library: particular solutions,
-    kernel bases and cohomology representatives all come from it.
-
-    Elimination runs on sparse integer rows fed in one at a time to
-    `_absorb`; only the output is dense, and only it holds Fractions.  Any
-    exact elimination gives the same result: the RREF of a matrix depends
-    only on its row space (its nonzero rows are the unique basis of that
-    space with a leading 1 in each pivot column and zeros in the other
-    pivot columns, and the pivot columns are the leftmost-nonzero
-    positions), so the order of row operations cannot change a returned
-    byte.
-    """
-    ncols = len(rows[0]) if rows else 0
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        _absorb(echelon, {j: x for j, x in enumerate(row) if x})
-    pivots = sorted(echelon)
-    return [list(dense_vec(_rational(echelon[p], p), ncols)) for p in pivots], pivots
 
 
 def _absorb(echelon: dict[int, dict[int, int]], row: dict, width: int | None = None) -> bool:
@@ -216,45 +187,35 @@ def _rational(row: dict[int, int], p: int) -> dict[int, Fraction]:
     return {j: Fraction(x, d) for j, x in row.items()}
 
 
-def rank(A: Sequence[Vector]) -> int:
-    return len(rref(A)[1])
-
-
 class LinearSystem:
-    """A fixed matrix A, eliminated once, for solving A x = b with many b.
+    """The matrix A with columns `cols`, eliminated once, for solving A x = b with many b.
 
-    `solve(b)` returns exactly what an elimination of the augmented matrix
-    [A | b] would give: the kept columns are the pivot columns of rref(A),
+    A column is a dense sequence of `nrows` entries or a sparse {row:
+    nonzero rational} dict, which the constructor consumes.  `solve(b)`
+    returns exactly what an elimination of the augmented matrix [A | b]
+    would give: the kept columns are the pivot columns of the RREF of A,
     i.e. the columns outside the span of the columns before them, b is
     written in them uniquely, and every free coordinate is 0.  It returns
-    None when b is not in the image.  `ncols` is needed only when A has no
-    rows (every x solves then; the canonical one is 0).
+    None when b is not in the image.
 
-    Construction runs `_absorb` on the columns of A, each tagged with its
+    Construction runs `_absorb` on the columns, each tagged with its
     index, so every echelon vector also records which combination of kept
     columns it is; a column that reduces to its tags alone is dependent
-    and is skipped.  `from_columns` starts from the columns themselves.
-    `solve` too runs on integers, up to the Fractions it returns.
+    and is skipped.  `solve` too runs on integers, up to the Fractions it
+    returns.
     """
 
-    def __init__(self, A, ncols: int | None = None):
-        rows, ncols = _sparse_rows(A, ncols)
-        self._eliminate(sparse_transpose(rows, ncols), len(rows))
-
-    @classmethod
-    def from_columns(cls, cols: Iterable[Sequence | dict[int, Fraction]], nrows: int):
-        """The system whose column j is cols[j]: a dense sequence, or a sparse dict it consumes."""
-        # a dense column is read as a one-row matrix of width nrows
-        cols = [c if isinstance(c, dict) else _sparse_rows((c,), nrows)[0][0] for c in cols]
-        system = cls.__new__(cls)
-        system._eliminate(cols, nrows)
-        return system
-
-    def _eliminate(self, cols: list[dict[int, Fraction]], nrows: int) -> None:
+    def __init__(self, cols: Iterable[Sequence | dict[int, Fraction]], nrows: int):
+        cols = list(cols)
         self.nrows, self.ncols = nrows, len(cols)
         # echelon vectors live on row indices; the tag of column j sits at nrows + j
         self._echelon: dict[int, dict[int, int]] = {}
         for j, col in enumerate(cols):
+            if not isinstance(col, dict):
+                col = vec(col)
+                if len(col) != nrows:
+                    raise ValueError(f"column {j} has {len(col)} entries, not {nrows}")
+                col = {i: x for i, x in enumerate(col) if x}
             col[nrows + j] = 1
             _absorb(self._echelon, col, nrows)
 
@@ -275,37 +236,16 @@ class LinearSystem:
         return dense_vec({t - self.nrows: Fraction(-x, s) for t, x in r.items()}, self.ncols)
 
 
-def kernel_basis(A, ncols: int | None = None) -> list[Vector]:
-    """Exact basis of ker A, one vector per free column of the RREF.
-
-    `ncols` must be passed when A has no rows (the kernel is then the
-    whole domain and the width cannot be inferred).  A dense wrapper over
-    `sparse_kernel_basis`.
-    """
-    rows, ncols = _sparse_rows(A, ncols)
-    return [dense_vec(v, ncols) for v in sparse_kernel_basis(rows, ncols)]
-
-
-def _sparse_rows(A, ncols: int | None) -> tuple[list[dict[int, Fraction]], int]:
-    """Dense rows (or a GradedLinearMap) as sparse rows of Fractions, and the width."""
-    A = A.matrix if isinstance(A, GradedLinearMap) else mat(A)
-    if ncols is None:
-        ncols = len(A[0]) if A else 0
-    elif A and len(A[0]) != ncols:
-        raise ValueError("ncols does not match the matrix width")
-    return [{j: x for j, x in enumerate(row) if x} for row in A], ncols
-
-
 def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
                         ncols: int) -> list[dict[int, Fraction]]:
     """Exact basis of the kernel of a matrix given as sparse rows, as sparse vectors.
 
     Each row is a {column: nonzero rational} dict, fed to `_absorb` one at
-    a time, exactly as in `rref`.  The echelon rows over their pivot
-    entries are the nonzero rows of the RREF, so the basis is the one
-    `rref` gives: for each free column f, the vector with 1 at f, minus the
-    reduced rows' entries in column f at their pivots, and 0 elsewhere.
-    Each vector is a {column: nonzero Fraction} dict.
+    a time, as in `IncrementalSpan`.  The echelon rows over their pivot
+    entries are the nonzero rows of the RREF, so the basis is canonical:
+    for each free column f, the vector with 1 at f, minus the reduced
+    rows' entries in column f at their pivots, and 0 elsewhere.  Each
+    vector is a {column: nonzero Fraction} dict.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -337,9 +277,15 @@ def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[di
 
 
 class IncrementalSpan:
-    """Row span grown one vector at a time by the elimination of `rref`.
+    """Row span grown one vector at a time; `rows()` is its canonical RREF.
 
-    A vector is a dense sequence or a sparse {index: nonzero rational} dict.
+    A vector is a dense sequence or a sparse {index: nonzero rational} dict,
+    fed to `_absorb`.  Any exact elimination gives the same `rows()`: the
+    RREF of a matrix depends only on its row space (its nonzero rows are
+    the unique basis of that space with a leading 1 in each pivot column
+    and zeros in the other pivot columns, and the pivot columns are the
+    leftmost-nonzero positions), so the order of row operations cannot
+    change a returned byte.
     """
 
     def __init__(self, rows: Iterable[Sequence | dict[int, Fraction]] = ()):  # noqa: B008

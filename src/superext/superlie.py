@@ -26,7 +26,6 @@ from .gvs import (
     dense_vec,
     graded_commutator,
     is_zero_vec,
-    kernel_basis,
     scalar,
     sparse_kernel_basis,
     unit_vec,
@@ -98,6 +97,26 @@ def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]
     return SuperLieAlgebra(space, tuple(tuple(r) for r in rows))
 
 
+def antisymmetric_completion(space: SuperVectorSpace, given: dict) -> dict[tuple[int, int], Vector]:
+    """A {(i, j): [e_i, e_j]} table with each (j, i) that is not listed filled in.
+
+    Graded antisymmetry gives [e_j, e_i] = -(-1)^{x_i x_j} [e_i, e_j].  A pair
+    listed both ways must agree, or ValueError names the first that does not.
+    """
+    table = dict(given)
+    for (i, j), v in given.items():
+        if i == j:
+            continue
+        sign = -1 if (space.parities[i] * space.parities[j]) % 2 == 0 else 1
+        mirrored = vec_scale(Fraction(sign), v)
+        if (j, i) not in given:
+            table[(j, i)] = mirrored
+        elif given[(j, i)] != mirrored:
+            a, b = space.names[i], space.names[j]
+            raise ValueError(f"[{a},{b}] and [{b},{a}] conflict with graded antisymmetry")
+    return table
+
+
 def algebra_from_table(
     names: Sequence[str],
     parities: Sequence[int],
@@ -109,30 +128,13 @@ def algebra_from_table(
     by graded antisymmetry; listing both is an error unless consistent.
     """
     space = SuperVectorSpace(tuple(names), tuple(int(p) for p in parities))
-    n = space.dim
     given: dict[tuple[int, int], Vector] = {}
     for (ln, rn), val in table.items():
         i, j = space.index(ln), space.index(rn)
         if (i, j) in given:
             raise ValueError(f"bracket [{ln},{rn}] listed twice")
-        given[(i, j)] = dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, n)
-    rows = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for (i, j), v in given.items():
-        rows[i][j] = v
-    for (i, j), v in given.items():
-        if i == j:
-            continue
-        sign = -1 if (space.parities[i] * space.parities[j]) % 2 == 0 else 1
-        mirrored = vec_scale(Fraction(sign), v)
-        if (j, i) in given:
-            if given[(j, i)] != mirrored:
-                raise ValueError(
-                    f"brackets [{names[i]},{names[j]}] and [{names[j]},{names[i]}] "
-                    "conflict with graded antisymmetry"
-                )
-        else:
-            rows[j][i] = mirrored
-    return SuperLieAlgebra(space, tuple(tuple(r) for r in rows))
+        given[(i, j)] = dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, space.dim)
+    return make_algebra(space, antisymmetric_completion(space, given))
 
 
 def abelian_algebra(names: Sequence[str], parities: Sequence[int]) -> SuperLieAlgebra:
@@ -260,17 +262,18 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
 def center(alg: SuperLieAlgebra) -> list[Vector]:
     """Basis of the graded center {Z : [Z, h] = 0}, both parities included.
 
-    Computed as the joint kernel of all ad_{e_i}; each basis vector is
-    parity-homogeneous because the stacked system never couples parities.
+    Computed as the joint kernel of all ad_{e_i}, whose row (i, k) is
+    {j: c^k_ij}, read off the nonzero structure constants; each basis
+    vector is parity-homogeneous because the system never couples parities.
     """
-    n = alg.dim
-    if n == 0:
-        return []
     rows = []
-    for i in range(n):
-        m = ad(alg, unit_vec(n, i)).matrix
-        rows.extend(m)
-    return kernel_basis(rows)
+    for row in alg.nonzeros:
+        ad_rows: dict[int, dict[int, Fraction]] = {}  # k -> row k of ad_{e_i}
+        for j, v in enumerate(row):
+            for k, c in v:
+                ad_rows.setdefault(k, {})[j] = c
+        rows.extend(ad_rows.values())
+    return [dense_vec(v, alg.dim) for v in sparse_kernel_basis(rows, alg.dim)]
 
 
 def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
@@ -325,7 +328,7 @@ class DerivationSpace(Record):
     @cached_property
     def _coordinates(self) -> LinearSystem:
         """The flattened basis as columns, eliminated on first use and kept."""
-        return LinearSystem.from_columns([d.flat() for d in self.basis], self.algebra.dim ** 2)
+        return LinearSystem([d.flat() for d in self.basis], self.algebra.dim ** 2)
 
     def coordinates_of(self, m: GradedLinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None if outside the span."""
@@ -403,7 +406,7 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
         ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
         span = IncrementalSpan(ad_flat)
         # columns ad_{e_i}: solving against them expresses a member as ad_H
-        ad_system = LinearSystem.from_columns(ad_flat, n * n)
+        ad_system = LinearSystem(ad_flat, n * n)
         for row in span.rows():
             flat = dense_vec(row, n * n)
             inner_maps.append(GradedLinearMap(alg.space, alg.space, deg,

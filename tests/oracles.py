@@ -201,7 +201,6 @@ def random_central_datum(g: SuperLieAlgebra, h: SuperLieAlgebra, rng) -> Extensi
     assert h.is_abelian()
     from superext.cochains import cochain_coordinates, cochain_from_coordinates, space_basis
     from superext.cochains import covariant_delta
-    from superext.gvs import kernel_basis
 
     basis2 = space_basis(g.space, h.space, 2, 0)
     basis3 = space_basis(g.space, h.space, 3, 0)
@@ -211,7 +210,7 @@ def random_central_datum(g: SuperLieAlgebra, h: SuperLieAlgebra, rng) -> Extensi
         elem = make_cochain(g.space, h.space, 2, 0, {tup: unit_vec(h.dim, mcomp)})
         cols.append(cochain_coordinates(covariant_delta(g, d0.alpha, elem), basis3))
     rows = tuple(tuple(cols[c][r] for c in range(len(cols))) for r in range(len(basis3)))
-    kern = kernel_basis(rows, ncols=len(basis2))
+    kern = dense_kernel_basis(rows, len(basis2))
     coords = zero_vec(len(basis2))
     for v in kern:
         coords = vec_add(coords, vec_scale(Fraction(rng.randint(-2, 2)), v))
@@ -400,6 +399,13 @@ def dense_solve(A, rhs, ncols=None):
             return None
         sol[p] = row[-1]
     return tuple(sol)
+
+
+def dense_columns(A, ncols=None):
+    """The columns of a matrix given as dense rows; `ncols` wide when A has no rows."""
+    if ncols is None:
+        ncols = len(A[0]) if A else 0
+    return [tuple(row[j] for row in A) for j in range(ncols)]
 
 
 def dense_mat_mul(A, B):

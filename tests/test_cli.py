@@ -374,3 +374,37 @@ def test_out_built_once_per_command(name, monkeypatch, capsys):
     assert cli.main(argv) == want_exit
     assert capsys.readouterr().out.encode() == (EXPECTED / f"{name}.out").read_bytes()
     assert len(calls) == 1
+
+
+def _write_changed(tmp_path, name, change):
+    """A golden input file with one field changed by `change(doc)`, written to tmp_path."""
+    doc = json.loads((INPUTS / name).read_text())
+    change(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["cohomology", "--degree", "2"]],
+                         ids=["validate", "cohomology"])
+def test_float_parity_exit_2(argv, tmp_path):
+    # 1.0 == 1, but only the JSON integers 0 and 1 are parities: a float
+    # parity used to pass, and reach the cochain layer as a list index
+    def change(doc):
+        doc["basis"][1]["parity"] = 1.0
+
+    path = _write_changed(tmp_path, "susy_line.json", change)
+    r = run_cli([argv[0], path, *argv[1:]], cwd=tmp_path)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"error: {path}.basis[1].parity: must be 0 or 1\n".encode()
+
+
+@pytest.mark.parametrize("command", ["transform", "split-check"])
+def test_float_map_degree_exit_2(command, tmp_path):
+    def change(doc):
+        doc["degree"] = 0.0
+
+    witness = _write_changed(tmp_path, "b_split.json", change)
+    r = run_cli([command, "split_datum.json", "--witness", witness])
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"error: {witness}.degree: must be 0 or 1\n".encode()

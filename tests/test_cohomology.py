@@ -251,8 +251,7 @@ def test_der_and_out_built_once_per_call(monkeypatch, kind):
 def test_fixed_systems_eliminated_once(monkeypatch):
     # der(h)'s bracket table solves m^2 commutators against one basis
     # system, and the curvature solves every pair against one ad system
-    # per parity: an elimination is a LinearSystem build, whichever
-    # constructor made it, or an rref call
+    # per parity: an elimination is a LinearSystem build
     from superext import gvs, superlie
     from superext import cohomology as coh
     from superext.extensions import pullback_extension
@@ -261,20 +260,17 @@ def test_fixed_systems_eliminated_once(monkeypatch):
     g = abelian(1, 1, "t")  # pairs of both parities reach rho_from_lift
     abar = zero_abar(h, g)
     eliminations = 0
-    built = []  # the columns of every LinearSystem, as given
+    built = []  # the columns of every LinearSystem, as sparse dicts
     inside = {}
-    eliminate, rref = gvs.LinearSystem._eliminate, gvs.rref
+    init = gvs.LinearSystem.__init__
 
-    def counted_eliminate(self, cols, nrows):
+    def counted_init(self, cols, nrows):
         nonlocal eliminations
         eliminations += 1
-        built.append([dict(c) for c in cols])
-        eliminate(self, cols, nrows)
-
-    def counted_rref(*args):
-        nonlocal eliminations
-        eliminations += 1
-        return rref(*args)
+        cols = list(cols)
+        built.append([dict(c) if isinstance(c, dict) else {i: x for i, x in enumerate(c) if x}
+                      for c in cols])
+        init(self, cols, nrows)
 
     def measured(name, fn):
         def run(*args):
@@ -284,10 +280,7 @@ def test_fixed_systems_eliminated_once(monkeypatch):
             return result
         return run
 
-    monkeypatch.setattr(gvs.LinearSystem, "_eliminate", counted_eliminate)
-    for mod in list(sys.modules.values()):
-        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("rref") is rref:
-            monkeypatch.setattr(mod, "rref", counted_rref)
+    monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
     monkeypatch.setattr(superlie, "derivation_algebra",
                         measured("derivation_algebra", superlie.derivation_algebra))
     monkeypatch.setattr(coh, "rho_from_lift", measured("rho_from_lift", coh.rho_from_lift))

@@ -17,7 +17,7 @@ from superext import cochains
 from superext.catalog import gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import covariant_delta
 from superext.cohomology import cohomology_space, delta_matrix, gmodule, trivial_module
-from superext.gvs import IncrementalSpan, rref, unit_vec
+from superext.gvs import IncrementalSpan, dense_vec, unit_vec
 from superext.superlie import ad, direct_sum
 
 from oracles import (
@@ -110,26 +110,24 @@ def test_sign_error_in_the_assembler_is_an_internal_fault(monkeypatch):
 # ---------- elimination ----------
 
 def assert_rref_matches_oracle(rows):
-    red, pivots = rref(rows)
+    ncols = len(rows[0]) if rows else 0
     want_red, want_pivots = dense_rref(rows)
-    assert pivots == want_pivots
-    assert red == want_red
     span = IncrementalSpan()
     accepted = [span.add(r) for r in rows]
-    assert sum(accepted) == span.rank == len(pivots)
+    assert [min(r) for r in span.rows()] == want_pivots
+    assert [list(dense_vec(r, ncols)) for r in span.rows()] == want_red
+    assert sum(accepted) == span.rank == len(want_pivots)
 
 
 def test_rref_edge_cases():
-    assert rref([]) == ([], [])
+    assert IncrementalSpan().rows() == [] and IncrementalSpan().rank == 0
     assert_rref_matches_oracle([])
     assert_rref_matches_oracle([(F(0), F(0)), (F(0), F(0))])      # zero rows only
     assert_rref_matches_oracle([(F(0), F(3), F(0), F(6))])        # zero columns, pivot 3
     assert_rref_matches_oracle([(F(0),)] * 3)
     assert_rref_matches_oracle([(F(2), F(4), F(1)), (F(0), F(0), F(0)), (F(4), F(8), F(5))])
     assert_rref_matches_oracle([(F(1, 3), F(-2, 7)), (F(5), F(1, 2)), (F(0), F(0))])
-    red, pivots = rref([(F(0), F(2), F(4)), (F(0), F(3), F(7))])
-    assert pivots == [1, 2]
-    assert red == [[0, 1, 0], [0, 0, 1]]
+    assert IncrementalSpan([(F(0), F(2), F(4)), (F(0), F(3), F(7))]).rows() == [{1: 1}, {2: 1}]
 
 
 entries = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3)])

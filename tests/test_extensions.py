@@ -279,8 +279,8 @@ def test_transform_preserves_validity_and_gives_isomorphism(rng):
                         + tuple(F(1 if c == r else 0) for c in range(ng)))
         iso = GradedLinearMap(e1.e.space, e2.e.space, 0, tuple(rows))
         assert is_homomorphism(iso, e1.e, e2.e)
-        from superext.gvs import rank
-        assert rank(iso.matrix) == e1.e.dim  # invertible
+        from oracles import dense_rref
+        assert len(dense_rref(iso.matrix)[1]) == e1.e.dim  # invertible
 
 
 def test_two_sections_differ_by_witness(rng):
@@ -294,7 +294,7 @@ def test_two_sections_differ_by_witness(rng):
         cols = []
         for j in range(g.dim):
             w = tuple(x - y for x, y in zip(s2.column(j), s1.column(j)))
-            v = LinearSystem(t.incl.matrix).solve(w)
+            v = LinearSystem(map(t.incl.column, range(h.dim)), t.e.dim).solve(w)
             assert v is not None
             cols.append(v)
         b = GradedLinearMap(g.space, h.space, 0,

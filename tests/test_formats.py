@@ -175,6 +175,31 @@ def test_cochain_entries_round_trip():
     assert formats.dump_json(doc2) == formats.dump_json(doc)
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.0, True, False, "1", None, 2, -1],
+                         ids=["1.0", "0.0", "true", "false", "string", "null", "2", "-1"])
+def test_parity_degree_and_weight_are_the_integers_0_and_1(bad):
+    from superext.gvs import SuperVectorSpace
+    with pytest.raises(SchemaError, match=r"^f\.json\.basis\[0\]\.parity: must be 0 or 1$"):
+        formats.parse_algebra({"name": "x", "basis": [{"name": "a", "parity": bad}]},
+                              where="f.json")
+    line = ("l", SuperVectorSpace(("x",), (0,)))
+    with pytest.raises(SchemaError, match=r"^map\.degree: must be 0 or 1$"):
+        formats.parse_map({"domain": "l", "codomain": "l", "degree": bad, "matrix": [["1"]]},
+                          line, line)
+    doc = {"source": "l", "target": "l", "arity": 1, "weight": bad, "entries": []}
+    with pytest.raises(SchemaError, match=r"^cochain\.weight: must be 0 or 1$"):
+        formats.parse_cochain(doc, line, line)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, "1", None])
+def test_cochain_arity_is_a_nonnegative_integer(bad):
+    from superext.gvs import SuperVectorSpace
+    line = ("l", SuperVectorSpace(("x",), (0,)))
+    doc = {"source": "l", "target": "l", "arity": bad, "weight": 0, "entries": []}
+    with pytest.raises(SchemaError, match=r"^cochain\.arity: must be a nonnegative integer$"):
+        formats.parse_cochain(doc, line, line)
+
+
 def test_serialized_coeffs_are_exact_strings():
     from superext.superlie import algebra_from_table
     alg = algebra_from_table(("a", "b"), (0, 0), {("a", "b"): {"a": Fraction(22, 7)}})

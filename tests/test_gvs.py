@@ -12,84 +12,97 @@ from superext.gvs import (
     LinearSystem,
     SuperVectorSpace,
     dense_vec,
-    identity,
-    kernel_basis,
-    mat,
     mat_vec,
-    rref,
     scalar,
     sparse_kernel_basis,
     unit_vec,
     zero_vec,
-    zeros,
 )
 
-from oracles import dense_kernel_basis, dense_rref, dense_solve
+from oracles import dense_columns, dense_kernel_basis, dense_rref, dense_solve
 
 F = Fraction
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def kernel(rows, ncols):
+    """`sparse_kernel_basis` of dense rows, as dense vectors."""
+    return [dense_vec(v, ncols) for v in sparse_kernel_basis(sparse(rows), ncols)]
+
+
+def solve(A, b):
+    """`LinearSystem` of the dense rows A, built from its columns, solving A x = b."""
+    got = LinearSystem(dense_columns(A), len(A)).solve(b)
+    assert got == dense_solve(A, b)
+    return got
+
+
 def test_solve_identity():
-    assert LinearSystem(identity(2)).solve((1, F(1, 2))) == (1, F(1, 2))
+    assert solve(((1, 0), (0, 1)), (1, F(1, 2))) == (1, F(1, 2))
 
 
 def test_solve_zero():
-    assert LinearSystem(zeros(2, 2)).solve((0, 0)) == (0, 0)
+    assert solve(((0, 0), (0, 0)), (0, 0)) == (0, 0)
 
 
 def test_solve_canonical_particular():
     # rank-1 system: canonical solution has the free coordinate zero
-    A = mat([[1, 2], [2, 4]])
-    sol = LinearSystem(A).solve((1, 2))
+    A = ((F(1), F(2)), (F(2), F(4)))
+    sol = solve(A, (1, 2))
     assert sol == (1, 0)
     assert mat_vec(A, sol) == (1, 2)
 
 
 def test_solve_inconsistent():
-    assert LinearSystem(mat([[1, 2], [2, 4]])).solve((1, 3)) is None
+    assert solve(((1, 2), (2, 4)), (1, 3)) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        LinearSystem(mat([[1, 2]])).solve((1, 2))
+        LinearSystem([(1,), (2,)], 1).solve((1, 2))
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(identity(3)) == []
+    assert kernel(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3) == []
 
 
 def test_kernel_zero_full():
-    assert kernel_basis(zeros(3, 3)) == [unit_vec(3, i) for i in range(3)]
+    assert kernel(((0, 0, 0),) * 3, 3) == [unit_vec(3, i) for i in range(3)]
 
 
 def test_kernel_rank_one():
-    ker = kernel_basis(mat([[1, 2], [2, 4]]))
-    assert ker == [(-2, 1)]
-    assert mat_vec(mat([[1, 2], [2, 4]]), ker[0]) == (0, 0)
+    A = ((F(1), F(2)), (F(2), F(4)))
+    ker = kernel(A, 2)
+    assert ker == [(-2, 1)] == dense_kernel_basis(A, 2)
+    assert mat_vec(A, ker[0]) == (0, 0)
 
 
-def test_kernel_empty_matrix_needs_ncols():
-    assert kernel_basis((), ncols=2) == [unit_vec(2, 0), unit_vec(2, 1)]
+def test_kernel_of_no_rows_is_the_whole_domain():
+    assert sparse_kernel_basis([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_rank_nullity(rng):
     for _ in range(30):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        A = mat([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
-        ker = kernel_basis(A)
+        A = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(ncols)) for _ in range(nrows))
+        ker = kernel(A, ncols)
         for v in ker:
             assert mat_vec(A, v) == tuple(F(0) for _ in range(nrows))
+        assert len(ker) + IncrementalSpan(A).rank == ncols
         # independent rank: count nonzero rows after elimination
-        assert len(ker) + len(rref(A)[0]) == ncols
+        assert len(ker) + len(dense_rref(A)[0]) == ncols
 
 
 def test_solutions_are_exact(rng):
     for _ in range(30):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        A = mat([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
+        A = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(ncols)) for _ in range(nrows))
         x = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols))
         rhs = mat_vec(A, x)
-        sol = LinearSystem(A).solve(rhs)
+        sol = solve(A, rhs)
         assert sol is not None
         assert mat_vec(A, sol) == rhs
 
@@ -98,15 +111,15 @@ def test_homogeneity_enforced():
     dom = SuperVectorSpace(("x",), (0,))
     cod = SuperVectorSpace(("y",), (1,))
     with pytest.raises(ValueError):
-        GradedLinearMap(dom, cod, 0, mat([[1]]))
-    GradedLinearMap(dom, cod, 1, mat([[1]]))  # degree 1 is fine
+        GradedLinearMap(dom, cod, 0, ((F(1),),))
+    GradedLinearMap(dom, cod, 1, ((F(1),),))  # degree 1 is fine
 
 
 def test_determinism_bit_for_bit():
-    A = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    runs = {(*LinearSystem(mat(A)).solve((1, 2, 3)),) for _ in range(5)}
+    A = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
+    runs = {(*LinearSystem(dense_columns(A), 3).solve((1, 2, 3)),) for _ in range(5)}
     assert len(runs) == 1
-    kers = {tuple(map(tuple, kernel_basis(mat([[1, 2, 3]])))) for _ in range(5)}
+    kers = {tuple(map(tuple, kernel(((1, 2, 3),), 3))) for _ in range(5)}
     assert len(kers) == 1
 
 
@@ -140,23 +153,19 @@ def matrices(draw):
     return [tuple(r) for r in rows], ncols
 
 
-def sparse(rows):
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
-
-
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_and_kernel_match_dense_oracles(matrix):
     rows, ncols = matrix
-    red, pivots = rref(rows)
+    span = IncrementalSpan(rows)
     want_red, want_pivots = dense_rref(rows) if rows else ([], [])
-    assert (red, pivots) == (want_red, want_pivots)
-    assert all(all_fractions(r) for r in red)
+    assert [dense_vec(r, ncols) for r in span.rows()] == [tuple(r) for r in want_red]
+    assert [min(r) for r in span.rows()] == want_pivots
+    assert span.rank == len(want_pivots)
     want_kernel = dense_kernel_basis(rows, ncols)
     kernel = sparse_kernel_basis(sparse(rows), ncols)
     assert [dense_vec(v, ncols) for v in kernel] == want_kernel
     assert all(all_fractions(v.values()) and all(v.values()) for v in kernel)
-    assert kernel_basis(rows, ncols) == want_kernel
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,24 +188,24 @@ def test_incremental_span_matches_dense_rref(matrix):
 def test_solve_on_dependent_columns_matches_dense_oracle(matrix, data):
     cols, nrows = matrix  # the drawn rows are the columns of A
     A = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-    systems = (LinearSystem(A, len(cols)), LinearSystem.from_columns(cols, nrows),
-               LinearSystem.from_columns([{i: x for i, x in enumerate(c) if x} for c in cols],
-                                         nrows))
+    systems = (LinearSystem(cols, nrows), LinearSystem(iter(cols), nrows),
+               LinearSystem([{i: x for i, x in enumerate(c) if x} for c in cols], nrows))
     x = [data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 7))) for _ in cols]
     consistent = tuple(sum((a * c for a, c in zip(row, x)), F(0)) for row in A)
     unit = unit_vec(nrows, data.draw(st.integers(0, nrows - 1)))
     for b in (consistent, unit, zero_vec(nrows)):
         want = dense_solve(A, b, len(cols))
-        for system in systems:  # rows, dense columns and sparse columns agree
+        for system in systems:  # dense columns, from a list or not, and sparse ones agree
             got = system.solve(b)
             assert got == want
             assert got is None or all_fractions(got)
 
 
-def test_from_columns_checks_dense_column_length():
-    with pytest.raises(ValueError):
-        LinearSystem.from_columns([(1, 2), (3,)], 2)
-    assert LinearSystem.from_columns([], 2).solve((0, 0)) == ()
+def test_linear_system_checks_dense_column_length():
+    with pytest.raises(ValueError, match="column 1 has 1 entries, not 2"):
+        LinearSystem([(1, 2), (3,)], 2)
+    assert LinearSystem([], 2).solve((0, 0)) == ()
+    assert LinearSystem([], 2).solve((0, 1)) is None
 
 
 def test_scalar_takes_the_string_rule_of_the_file_formats():
