@@ -138,7 +138,7 @@ class Cochain(Record):
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be >= 0")
-        if self.weight not in (0, 1):
+        if type(self.weight) is not int or self.weight not in (0, 1):
             raise ValueError("weight must be 0 or 1")
         # normalize: drop zero values, sort tuples, exact-rational entries
         cleaned = tuple(

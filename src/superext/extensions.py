@@ -35,6 +35,7 @@ from .superlie import (
     OuterAlgebra,
     SuperLieAlgebra,
     ad,
+    bracket_algebra,
     center,
     commutator_defect,
     is_derivation,
@@ -446,7 +447,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
     if center(h):
         raise ValueError("pullback construction requires a centerless kernel")
     lift_alpha_bar(outer, g, abar)  # checks abar; the section reuses its coordinates
-    ds, der_alg = outer.ds, outer.der
+    ds = outer.ds
     m, n = len(ds.basis), g.dim
     # pi(D) - abar(X) = 0, one sparse row per out(h) coordinate
     cond = [{**{c: x for c, x in enumerate(p) if x}, **{m + c: -x for c, x in enumerate(a) if x}}
@@ -472,25 +473,10 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
             raise RuntimeError("internal fault: vector not in the pullback subalgebra")
         return x
 
-    def product_bracket(u: Vector, v: Vector) -> Vector:
-        dpart = zero_vec(m)
-        for a in range(m):
-            if u[a] == 0:
-                continue
-            for b in range(m):
-                if v[b] == 0:
-                    continue
-                dpart = vec_add(dpart, vec_scale(u[a] * v[b], der_alg.brackets[a][b]))
-        gpart = g.bracket_vec(u[m:], v[m:])
-        return dpart + gpart
-
-    table: dict[tuple[int, int], Vector] = {}
-    for a, u in enumerate(kern):
-        for b, v in enumerate(kern):
-            w = to_e_coords(product_bracket(u, v))
-            if not is_zero_vec(w):
-                table[(a, b)] = w
-    e = make_algebra(e_space, table)
+    # the der(h) part of each member, so a bracket is one commutator of two maps
+    maps = [ds.combination(v[:m], p) for v, p in zip(kern, e_space.parities)]
+    e = bracket_algebra(e_space, lambda a, b: to_e_coords(
+        ds.bracket(maps[a], maps[b]) + g.bracket_vec(kern[a][m:], kern[b][m:])))
 
     incl_cols = [to_e_coords(ds.coordinates_of(ad(h, unit_vec(h.dim, k))) + zero_vec(n))
                  for k in range(h.dim)]

@@ -321,6 +321,8 @@ def parse_module_doc(doc: Any, g: tuple[str, SuperLieAlgebra], where: str = "mod
     """Parse a module file into (name, space, action operators) without verifying."""
     gname, galg = g
     name = _require(doc, "name", where)
+    if not isinstance(name, str):
+        raise SchemaError(f"{where}.name: must be a string")
     space = _parse_basis(_require(doc, "basis", where), f"{where}.basis")
     return name, space, _parse_operators(doc, "action", galg, space, where, "action")
 

@@ -370,7 +370,7 @@ class SuperVectorSpace(Record):
             raise ValueError("names and parities differ in length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("basis names must be distinct")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(type(p) is not int or p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
     @property
@@ -421,7 +421,7 @@ class GradedLinearMap(Record):
     matrix: Matrix
 
     def __post_init__(self):
-        if self.degree not in (0, 1):
+        if type(self.degree) is not int or self.degree not in (0, 1):
             raise ValueError("degree must be 0 or 1")
         if len(self.matrix) != self.codomain.dim:
             raise ValueError("row count != codomain dimension")

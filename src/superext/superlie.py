@@ -4,7 +4,8 @@ An algebra is an ordered graded basis plus the bracket table
 c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 (validation, ad, center, derivations, out = der/ad, homomorphism checks)
 is exact linear algebra on that table.  der(h) has one coordinate system,
-its inner-first basis, whose trailing coordinates are out(h).  The cached
+its inner-first basis, whose trailing coordinates are out(h); its brackets
+are computed where they are read, once per unordered pair.  The cached
 views are an algebra's nonzero structure constants and a `DerivationSpace`'s
 eliminated basis; no result is cached across calls: a pipeline that needs
 der(h) or out(h) builds one `OuterAlgebra` and passes it along.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gvs import (
     GradedLinearMap,
@@ -135,6 +136,22 @@ def algebra_from_table(
             raise ValueError(f"bracket [{ln},{rn}] listed twice")
         given[(i, j)] = dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, space.dim)
     return make_algebra(space, antisymmetric_completion(space, given))
+
+
+def bracket_algebra(space: SuperVectorSpace,
+                    bracket: Callable[[int, int], Vector]) -> SuperLieAlgebra:
+    """The algebra with [e_i, e_j] = bracket(i, j), called for i <= j only.
+
+    `bracket` must be graded antisymmetric, as a graded commutator in linear
+    coordinates is: `antisymmetric_completion` fills in each pair j > i.
+    """
+    table: dict[tuple[int, int], Vector] = {}
+    for i in range(space.dim):
+        for j in range(i, space.dim):
+            v = bracket(i, j)
+            if not is_zero_vec(v):
+                table[(i, j)] = v
+    return make_algebra(space, antisymmetric_completion(space, table))
 
 
 def abelian_algebra(names: Sequence[str], parities: Sequence[int]) -> SuperLieAlgebra:
@@ -334,6 +351,19 @@ class DerivationSpace(Record):
         """Coordinates of a map in this basis, or None if outside the span."""
         return self._coordinates.solve(m.flat())
 
+    def combination(self, coords: Sequence, degree: int) -> GradedLinearMap:
+        """sum_k coords[k] D_k, a map of the given degree (zero for zero coords)."""
+        sp = self.algebra.space
+        terms = [d.scale(c) for d, c in zip(self.basis, coords) if c != 0]
+        return sum(terms, GradedLinearMap.zero(sp, sp, degree))
+
+    def bracket(self, a: GradedLinearMap, b: GradedLinearMap) -> Vector:
+        """Coordinates of the graded commutator of two derivations in this basis."""
+        coords = self.coordinates_of(graded_commutator(a, b))
+        if coords is None:
+            raise RuntimeError("derivations are not closed under the commutator")
+        return coords
+
 
 def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLinearMap]:
     """Solve the graded Leibniz system for homogeneous derivations of one parity.
@@ -424,20 +454,11 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
 
 def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     """der(h) as a super Lie algebra under the graded commutator."""
-    m = len(ds.basis)
-    table: dict[tuple[int, int], Vector] = {}
-    for i in range(m):
-        for j in range(m):
-            coords = ds.coordinates_of(graded_commutator(ds.basis[i], ds.basis[j]))
-            if coords is None:
-                raise RuntimeError("derivations are not closed under the commutator")
-            if not is_zero_vec(coords):
-                table[(i, j)] = coords
-    return make_algebra(ds.space, table)
+    return bracket_algebra(ds.space, lambda i, j: ds.bracket(ds.basis[i], ds.basis[j]))
 
 
 class OuterAlgebra(Record):
-    """der(h) with its bracket algebra, and out(h) = der(h)/ad(h) with the projection.
+    """der(h)'s basis, and out(h) = der(h)/ad(h) with the projection.
 
     `outer_algebra` builds the record once per call; whatever needs der(h)
     or out(h) within that call receives it explicitly.  out(h) has the
@@ -446,7 +467,6 @@ class OuterAlgebra(Record):
     """
 
     ds: DerivationSpace
-    der: SuperLieAlgebra
     out: SuperLieAlgebra
     proj: GradedLinearMap
 
@@ -456,20 +476,14 @@ class OuterAlgebra(Record):
 
 
 def outer_algebra(alg: SuperLieAlgebra) -> OuterAlgebra:
-    """Solve der(h), build its bracket algebra and read out(h) off it, once."""
+    """Solve der(h) and bracket out(h)'s basis on the complement members, once."""
     ds = derivations(alg)
-    der_alg = derivation_algebra(ds)
     c, m = ds.inner_count, len(ds.basis)
     out_space = SuperVectorSpace(ds.space.names[c:], ds.space.parities[c:])
     proj = GradedLinearMap(ds.space, out_space, 0,
                            tuple(unit_vec(m, c + a) for a in range(m - c)))
-    table: dict[tuple[int, int], Vector] = {}
-    for a in range(m - c):
-        for b in range(m - c):
-            v = der_alg.brackets[c + a][c + b][c:]
-            if not is_zero_vec(v):
-                table[(a, b)] = v
-    return OuterAlgebra(ds, der_alg, make_algebra(out_space, table), proj)
+    out = bracket_algebra(out_space, lambda a, b: ds.bracket(ds.basis[c + a], ds.basis[c + b])[c:])
+    return OuterAlgebra(ds, out, proj)
 
 
 def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap]:

@@ -557,6 +557,43 @@ def dense_is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     return True
 
 
+def product_bracket(der_alg: SuperLieAlgebra, g: SuperLieAlgebra, u, v):
+    """[(D, X), (D', X')] in der(h) x g, with D summed over der(h)'s full table.
+
+    `u` and `v` hold der(h) coordinates followed by g coordinates.
+    """
+    m = der_alg.dim
+    dpart = zero_vec(m)
+    for a in range(m):
+        for b in range(m):
+            if u[a] and v[b]:
+                dpart = vec_add(dpart, vec_scale(u[a] * v[b], der_alg.brackets[a][b]))
+    return dpart + dense_bracket(g, u[m:], v[m:])
+
+
+def pullback_members(t: ExtensionTriple, outer, abar: GradedLinearMap) -> list[tuple]:
+    """Each basis element of a pullback's e as a vector of der(h) x g.
+
+    e_a = incl(H) + section(X) with X = proj(e_a), read off the triple's
+    maps; its der(h) part is ad_H plus the lift of abar(X).
+    """
+    ds, h, n = outer.ds, t.h, t.g.dim
+    ad_coords = [ds.coordinates_of(dense_ad(h, unit_vec(h.dim, k), h.space.parities[k]))
+                 for k in range(h.dim)]
+    lifts = [outer.lift_coordinates(abar.column(j)) for j in range(n)]
+    members = []
+    for a in range(t.e.dim):
+        x = t.proj.column(a)
+        section_x = dense_mat_vec(t.section.matrix, x)
+        hx = dense_solve(t.incl.matrix, vec_add(unit_vec(t.e.dim, a),
+                                                vec_scale(Fraction(-1), section_x)), h.dim)
+        d = zero_vec(len(ds.basis))
+        for c, v in list(zip(hx, ad_coords)) + list(zip(x, lifts)):
+            d = vec_add(d, vec_scale(c, v))
+        members.append(d + tuple(x))
+    return members
+
+
 def dense_curvature_failures(d: ExtensionDatum) -> list[str]:
     """The cyclic-curvature lines of `check_datum`, every term a dense vector
     from `Cochain.evaluate` on each ordered triple."""

@@ -408,3 +408,15 @@ def test_float_map_degree_exit_2(command, tmp_path):
     r = run_cli([command, "split_datum.json", "--witness", witness])
     assert (r.returncode, r.stdout) == (2, b"")
     assert r.stderr == f"error: {witness}.degree: must be 0 or 1\n".encode()
+
+
+@pytest.mark.parametrize("name", [5, ["x"], {"a": 1}, None], ids=["int", "list", "object", "null"])
+def test_module_name_must_be_a_string_exit_2(name, tmp_path):
+    # as for an algebra's name: a module's name used to be echoed back as given
+    def change(doc):
+        doc["name"] = name
+
+    module = _write_changed(tmp_path, "mod_m2_a20.json", change)
+    r = run_cli(["cohomology", "a20.json", "--degree", "1", "--module", module])
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"error: {module}.name: must be a string\n".encode()

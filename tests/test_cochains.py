@@ -10,6 +10,7 @@ import pytest
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import (
     TRIVIAL_LINE,
+    Cochain,
     canonical_tuples,
     chevalley_delta,
     compose_perms,
@@ -37,6 +38,15 @@ from oracles import (
 )
 
 F = Fraction
+
+
+# ---------- construction ----------
+
+@pytest.mark.parametrize("weight", [1.0, True, Fraction(0)])
+def test_cochain_rejects_non_integer_weight(weight):
+    sp = SuperVectorSpace(("x",), (0,))
+    with pytest.raises(ValueError, match="weight must be 0 or 1"):
+        Cochain(sp, sp, 1, weight, ())
 
 
 # ---------- multigraded sign ----------

@@ -245,28 +245,25 @@ def test_der_and_out_built_once_per_call(monkeypatch, kind):
         classify_extensions(h, g, abar)
     else:
         pullback_extension(h, g, abar)
-    assert counts == {"derivations": 1, "derivation_algebra": 1}
+    assert counts == {"derivations": 1, "derivation_algebra": 0}
 
 
 def test_fixed_systems_eliminated_once(monkeypatch):
-    # der(h)'s bracket table solves m^2 commutators against one basis
-    # system, and the curvature solves every pair against one ad system
-    # per parity: an elimination is a LinearSystem build
-    from superext import gvs, superlie
+    # out(h)'s brackets solve their commutators against one elimination of
+    # the der(h) basis, and the curvature solves every pair against one ad
+    # system per parity: an elimination is a LinearSystem build
+    from superext import gvs
     from superext import cohomology as coh
     from superext.extensions import pullback_extension
 
     h = direct_sum(sl2(), heis3())
     g = abelian(1, 1, "t")  # pairs of both parities reach rho_from_lift
     abar = zero_abar(h, g)
-    eliminations = 0
     built = []  # the columns of every LinearSystem, as sparse dicts
     inside = {}
     init = gvs.LinearSystem.__init__
 
     def counted_init(self, cols, nrows):
-        nonlocal eliminations
-        eliminations += 1
         cols = list(cols)
         built.append([dict(c) if isinstance(c, dict) else {i: x for i, x in enumerate(c) if x}
                       for c in cols])
@@ -274,29 +271,32 @@ def test_fixed_systems_eliminated_once(monkeypatch):
 
     def measured(name, fn):
         def run(*args):
-            before = eliminations
+            before = len(built)
             result = fn(*args)
-            inside[name] = eliminations - before
+            inside[name] = built[before:]
             return result
         return run
 
+    def der_cols(alg):  # before the count starts: derivations builds systems too
+        return [{i: x for i, x in enumerate(d.flat()) if x} for d in derivations(alg).basis]
+
+    der_h, der_sl2 = der_cols(h), der_cols(sl2())
     monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
-    monkeypatch.setattr(superlie, "derivation_algebra",
-                        measured("derivation_algebra", superlie.derivation_algebra))
+    monkeypatch.setattr(coh, "outer_algebra", measured("outer_algebra", coh.outer_algebra))
     monkeypatch.setattr(coh, "rho_from_lift", measured("rho_from_lift", coh.rho_from_lift))
     obstruction_class(h, g, abar)
-    assert len(outer_algebra(h).ds.basis) == 9  # 81 commutators
-    assert inside["derivation_algebra"] == 1
-    assert inside["rho_from_lift"] <= 2
+    outer = outer_algebra(h)
+    assert (len(outer.ds.basis), outer.out.dim) == (9, 4)  # 10 out(h) commutators
+    assert sum(cols == der_h for cols in inside["outer_algebra"]) == 1
+    assert len(inside["rho_from_lift"]) <= 2
 
     # a pullback needs der(h) coordinates for its bracket table and for
     # the inclusion of h: one elimination of the der(h) basis serves both
     h, g = sl2(), abelian(1, 0, "t")
     abar = zero_abar(h, g)
-    der_cols = [{i: x for i, x in enumerate(d.flat()) if x} for d in derivations(h).basis]
     built.clear()
     pullback_extension(h, g, abar)
-    assert sum(cols == der_cols for cols in built) == 1
+    assert sum(cols == der_sl2 for cols in built) == 1
 
 
 def test_obstruction_assembles_each_differential_once(monkeypatch):
@@ -507,6 +507,26 @@ def test_classify_heisenberg_two_classes():
     built = [build_extension(d).e for d in rep.data]
     centers = sorted(len(center(e)) for e in built)
     assert centers == [1, 3]  # direct sum vs the Heisenberg algebra
+
+
+@pytest.mark.parametrize("kernel", ["heis3", "gl11"])
+def test_classify_checks_each_datum_once(monkeypatch, kernel):
+    # build_extension checks its datum; the classification adds no second
+    # check, through any superext binding of check_datum
+    from superext import extensions
+    h, g = {"heis3": heis3, "gl11": gl11}[kernel](), abelian(2, 0, "u")
+    check, calls = extensions.check_datum, []
+
+    def counted(d):
+        calls.append(d)
+        return check(d)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("check_datum") is check:
+            monkeypatch.setattr(mod, "check_datum", counted)
+    rep = classify_extensions(h, g, zero_abar(h, g))
+    assert len(rep.data) == 2
+    assert calls == list(rep.data)
 
 
 def test_classify_susy_pair():

@@ -4,10 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from superext.catalog import abelian, gl11, heis3, sl2, susy_line
+from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import make_cochain
 from superext.gvs import GradedLinearMap, unit_vec
-from superext.superlie import ad, center, direct_sum, is_homomorphism, out_quotient, validate_algebra
+from superext.superlie import (
+    ad,
+    center,
+    derivation_algebra,
+    direct_sum,
+    is_homomorphism,
+    out_quotient,
+    outer_algebra,
+    validate_algebra,
+)
 from superext.extensions import (
     ExtensionDatum,
     ExtensionTriple,
@@ -29,6 +38,8 @@ from superext.extensions import (
 
 from oracles import (
     brute_jacobi,
+    product_bracket,
+    pullback_members,
     random_extension,
     random_section,
     random_valid_datum,
@@ -448,6 +459,28 @@ def test_pullback_nonzero_outer_action():
     d = induced_data(t)
     assert check_datum(d).ok
     assert not all(op.is_zero() for op in d.alpha)
+
+
+@pytest.mark.parametrize("case", ["sl2", "osp12", "sl2+sl2", "semidirect"])
+def test_pullback_matches_product_bracket_oracle(case):
+    # e's bracket, carried into der(h) x g through the triple's own maps,
+    # is the product bracket summed over der(h)'s full bracket table
+    h, g = {"sl2": (sl2(), sl2()), "osp12": (osp12(), abelian(1, 1, "t")),
+            "sl2+sl2": (direct_sum(sl2(), sl2()), abelian(1, 0, "t")),
+            "semidirect": (_sl2_semidirect_plane(), abelian(1, 0, "t"))}[case]
+    outer = outer_algebra(h)
+    abar = GradedLinearMap.zero(g.space, outer.out.space, 0)
+    if case == "semidirect":  # the one case with nonzero out(h) and nonzero abar
+        abar = GradedLinearMap(g.space, outer.out.space, 0, ((F(1),),))
+    t = pullback_extension(h, g, abar)
+    der_alg = derivation_algebra(outer.ds)
+    members = pullback_members(t, outer, abar)
+    for a, u in enumerate(members):
+        for b, v in enumerate(members):
+            got = [F(0)] * len(u)
+            for c, x in enumerate(t.e.brackets[a][b]):
+                got = [y + x * w for y, w in zip(got, members[c])]
+            assert tuple(got) == product_bracket(der_alg, g, u, v), (case, a, b)
 
 
 def test_pullback_rejects_centered_kernel():

@@ -115,6 +115,21 @@ def test_homogeneity_enforced():
     GradedLinearMap(dom, cod, 1, ((F(1),),))  # degree 1 is fine
 
 
+@pytest.mark.parametrize("parity", [1.0, True, Fraction(1), "1"])
+def test_space_rejects_non_integer_parity(parity):
+    # 1.0 == 1 and True == 1, but a grade is an int; a float once reached
+    # cohomology_space and failed there with a TypeError
+    with pytest.raises(ValueError, match="parities must be 0 or 1"):
+        SuperVectorSpace(("x",), (parity,))
+
+
+@pytest.mark.parametrize("degree", [1.0, True, False, Fraction(0)])
+def test_map_rejects_non_integer_degree(degree):
+    sp = SuperVectorSpace(("x",), (0,))
+    with pytest.raises(ValueError, match="degree must be 0 or 1"):
+        GradedLinearMap(sp, sp, degree, ((F(0),),))
+
+
 def test_determinism_bit_for_bit():
     A = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
     runs = {(*LinearSystem(dense_columns(A), 3).solve((1, 2, 3)),) for _ in range(5)}

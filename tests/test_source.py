@@ -1,9 +1,13 @@
 """Properties of the library source itself, checked by parsing it."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "superext"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "superext"
+TESTS = ROOT / "tests"
 
 
 def test_no_assert_in_library_code():
@@ -50,3 +54,29 @@ def test_no_unused_imports_from_sibling_modules():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def _third_party_imports_of_tests() -> set[str]:
+    """Top-level modules imported by tests/*.py that are neither stdlib nor local."""
+    local = {p.stem for p in TESTS.glob("*.py")} | {"superext"}
+    found = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return {m for m in found if m not in sys.stdlib_module_names and m not in local}
+
+
+def test_test_dependencies_are_declared():
+    # the `test` extra and the CI install step name every tool the suite
+    # imports; pyproject.toml is read as text (no tomllib on Python 3.10)
+    needed = _third_party_imports_of_tests()
+    assert "pytest" in needed
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    ci = re.search(r"name: Install the test tools\n\s+run: python -m pip install (.*)",
+                   (ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    assert extra and ci
+    assert needed - set(re.findall(r'"([^"]+)"', extra.group(1))) == set()
+    assert needed - set(ci.group(1).split()) == set()

@@ -234,6 +234,37 @@ def test_der_algebra_commutator_sign(corpus):
                 assert acc == comm
 
 
+def test_out_bracket_is_trailing_block_of_der(corpus):
+    # out(h) is bracketed on its own members only; it must agree with the
+    # trailing block of der(h)'s full table on every ordered pair
+    algebras = list(corpus.values()) + [osp12(), direct_sum(sl2(), heis3())]
+    for alg in algebras:
+        outer = outer_algebra(alg)
+        der_alg = derivation_algebra(outer.ds)
+        c = outer.ds.inner_count
+        for a in range(outer.out.dim):
+            for b in range(outer.out.dim):
+                assert outer.out.brackets[a][b] == der_alg.brackets[c + a][c + b][c:]
+
+
+@pytest.mark.parametrize("name, expected", [("osp12", 0), ("sl2", 0), ("heis3", 10)])
+def test_out_commutators_once_per_unordered_pair(monkeypatch, name, expected):
+    # heis3 has 4 outer derivations, so 4 * 5 / 2 = 10 pairs; a simple
+    # algebra has none, and no commutator touches an inner derivation
+    from superext import superlie
+    alg = {"osp12": osp12, "sl2": sl2, "heis3": heis3}[name]()
+    calls = []
+    commutator = superlie.graded_commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(superlie, "graded_commutator", counted)
+    outer_algebra(alg)
+    assert len(calls) == expected
+
+
 def test_validate_der_and_out(corpus):
     for alg in corpus.values():
         ds = derivations(alg)
