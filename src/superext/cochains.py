@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, groupby, product
+from itertools import combinations, combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -190,19 +190,6 @@ class Cochain(Record):
         v = self.value(tup)
         return v if sign == 1 else vec_scale(Fraction(-1), v)
 
-    def evaluate_vectors(self, vectors: Sequence[Sequence]) -> Vector:
-        """Multilinear extension to arbitrary coordinate vectors."""
-        if len(vectors) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments")
-        supports = [[(i, a) for i, a in enumerate(vec(v)) if a] for v in vectors]
-        out = zero_vec(self.target.dim)
-        for picks in product(*supports):
-            coeff = Fraction(1)
-            for _, a in picks:
-                coeff *= a
-            out = vec_add(out, vec_scale(coeff, self.evaluate([i for i, _ in picks])))
-        return out
-
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
         table = dict(self.values)
@@ -237,18 +224,6 @@ def make_cochain(
     """Cochain from a {canonical tuple: value vector} table; the constructor drops zeros."""
     items = table.items() if isinstance(table, Mapping) else table
     return Cochain(source, target, arity, weight, tuple((tuple(t), v) for t, v in items))
-
-
-def zero_cochain(source, target, arity, weight) -> Cochain:
-    return make_cochain(source, target, arity, weight)
-
-
-def scalar_cochain(source, arity, weight, table: Mapping[tuple[int, ...], object]) -> Cochain:
-    """Cochain valued in the trivial line, from {tuple: scalar}."""
-    return make_cochain(
-        source, TRIVIAL_LINE, arity, weight,
-        {tup: (scalar(c),) for tup, c in table.items()},
-    )
 
 
 def space_basis(

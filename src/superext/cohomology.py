@@ -32,7 +32,7 @@ from .gvs import (
 from .superlie import (
     OuterAlgebra,
     SuperLieAlgebra,
-    ad,
+    _ad_flat,
     center,
     commutator_defect,
     is_homomorphism,
@@ -76,7 +76,7 @@ def gmodule(g: SuperLieAlgebra, space: SuperVectorSpace,
             raise ValueError(f"action[{i}] has the wrong parity")
     for i in range(g.dim):
         for j in range(g.dim):
-            if not commutator_defect(g, action, i, j).is_zero():
+            if commutator_defect(g, action, i, j):
                 raise ValueError(
                     f"action is not a homomorphism on the pair "
                     f"({g.space.names[i]},{g.space.names[j]})"
@@ -292,13 +292,12 @@ def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
     gens, ad_systems = [], []
     for deg in (0, 1):
         gens.append([k for k in range(h.dim) if h.space.parities[k] == deg])
-        cols = [ad(h, unit_vec(h.dim, k)).flat() for k in gens[deg]]
+        cols = [_ad_flat(h, unit_vec(h.dim, k)) for k in gens[deg]]
         ad_systems.append(LinearSystem(cols, h.dim * h.dim))
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         deg = (g.space.parities[i] + g.space.parities[j]) % 2
-        defect = commutator_defect(g, alpha, i, j)
-        x = ad_systems[deg].solve(defect.flat())
+        x = ad_systems[deg].solve(commutator_defect(g, alpha, i, j))
         if x is None:
             raise ValueError(
                 f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) is not "

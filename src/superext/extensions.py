@@ -34,6 +34,7 @@ from .gvs import (
 from .superlie import (
     OuterAlgebra,
     SuperLieAlgebra,
+    _ad_flat,
     ad,
     bracket_algebra,
     center,
@@ -220,8 +221,7 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
     conn_ok = True
     for i in range(g.dim):
         for j in range(g.dim):
-            deg = (g.space.parities[i] + g.space.parities[j]) % 2
-            if commutator_defect(g, d.alpha, i, j) != ad(h, d.rho.evaluate((i, j)), degree=deg):
+            if commutator_defect(g, d.alpha, i, j) != _ad_flat(h, d.rho.evaluate((i, j))):
                 conn_ok = False
                 fails.append(
                     f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) "
@@ -323,18 +323,10 @@ def build_extension(d: ExtensionDatum) -> ExtensionTriple:
     space = e.space
     if not validate_algebra(e).ok:
         raise RuntimeError("internal fault: built extension fails validation")
-    incl = GradedLinearMap(
-        h.space, space, 0,
-        tuple(tuple(Fraction(1 if i == j else 0) for j in range(nh)) for i in range(n)),
-    )
-    proj = GradedLinearMap(
-        space, g.space, 0,
-        tuple(tuple(Fraction(1 if j == nh + i else 0) for j in range(n)) for i in range(ng)),
-    )
-    section = GradedLinearMap(
-        g.space, space, 0,
-        tuple(tuple(Fraction(1 if i == nh + j else 0) for j in range(ng)) for i in range(n)),
-    )
+    incl = GradedLinearMap(h.space, space, 0, from_columns([unit_vec(n, j) for j in range(nh)], n))
+    proj = GradedLinearMap(space, g.space, 0, tuple(unit_vec(n, nh + i) for i in range(ng)))
+    section = GradedLinearMap(g.space, space, 0,
+                              from_columns([unit_vec(n, nh + j) for j in range(ng)], n))
     return ExtensionTriple(h, g, e, incl, proj, section)
 
 
@@ -387,10 +379,9 @@ def check_split_witness(d: ExtensionDatum, b: GradedLinearMap) -> bool:
     flat = transform_datum(d, b.scale(-1))
     if not flat.rho.is_zero():
         raise RuntimeError("internal fault: split witness did not flatten the curvature")
-    for i in range(d.g.dim):
-        for j in range(d.g.dim):
-            if not commutator_defect(d.g, flat.alpha, i, j).is_zero():
-                raise RuntimeError("internal fault: flattened connection is not a homomorphism")
+    n = d.g.dim
+    if any(commutator_defect(d.g, flat.alpha, i, j) for i in range(n) for j in range(n)):
+        raise RuntimeError("internal fault: flattened connection is not a homomorphism")
     return True
 
 
@@ -478,7 +469,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
     e = bracket_algebra(e_space, lambda a, b: to_e_coords(
         ds.bracket(maps[a], maps[b]) + g.bracket_vec(kern[a][m:], kern[b][m:])))
 
-    incl_cols = [to_e_coords(ds.coordinates_of(ad(h, unit_vec(h.dim, k))) + zero_vec(n))
+    incl_cols = [to_e_coords(ds.coordinates_of(_ad_flat(h, unit_vec(h.dim, k))) + zero_vec(n))
                  for k in range(h.dim)]
     incl = GradedLinearMap(h.space, e_space, 0, from_columns(incl_cols, len(kern)))
     proj_e = GradedLinearMap(e_space, g.space, 0, from_columns([v[m:] for v in kern], n))
@@ -489,16 +480,6 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
     if not validate_algebra(e).ok or not validate_triple(triple):
         raise RuntimeError("internal fault: pullback algebra failed validation")
     return triple
-
-
-def normalized_structure(t: ExtensionTriple, s: GradedLinearMap | None = None) -> SuperLieAlgebra:
-    """Rebase a triple onto the basis (incl(h), s(g)): the canonical form.
-
-    With the carried section this equals `build_extension(induced_data(t))`
-    and exposes the structure constants in the h-then-g convention, which
-    makes algebras comparable by `same_structure`.
-    """
-    return build_extension(induced_data(t, s)).e
 
 
 def same_structure(a: SuperLieAlgebra, b: SuperLieAlgebra) -> bool:

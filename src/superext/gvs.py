@@ -9,8 +9,11 @@ All select the leftmost pivot, so particular solutions, kernel bases and
 echelon spans are canonical: identical inputs give bit-identical outputs.
 
 A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
-sparse vector or row an {index: nonzero Fraction} dict.  Entry (i, j) is
-the coefficient of codomain basis element i in the image of domain basis j.
+sparse vector or row an {index: nonzero rational} dict, whose values may
+be ints where only a row space matters.  Entry (i, j) is the coefficient
+of codomain basis element i in the image of domain basis j; the sparse
+form of a map of one space keys entry (i, j) by i n + j, as `_commutator`
+returns it.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ def _rational(row: dict[int, int], p: int) -> dict[int, Fraction]:
 class LinearSystem:
     """The matrix A with columns `cols`, eliminated once, for solving A x = b with many b.
 
-    A column is a dense sequence of `nrows` entries or a sparse {row:
-    nonzero rational} dict, which the constructor consumes.  `solve(b)`
+    A column, like b, is a dense sequence of `nrows` entries or a sparse
+    {row: nonzero rational} dict.  `solve(b)` reduces all of b and
     returns exactly what an elimination of the augmented matrix [A | b]
     would give: the kept columns are the pivot columns of the RREF of A,
     i.e. the columns outside the span of the columns before them, b is
@@ -216,17 +219,22 @@ class LinearSystem:
                 if len(col) != nrows:
                     raise ValueError(f"column {j} has {len(col)} entries, not {nrows}")
                 col = {i: x for i, x in enumerate(col) if x}
-            col[nrows + j] = 1
-            _absorb(self._echelon, col, nrows)
+            _absorb(self._echelon, {**col, nrows + j: 1}, nrows)
 
-    def solve(self, rhs: Sequence) -> Vector | None:
-        """The canonical solution of A x = rhs, or None if rhs is not in the image."""
-        b = vec(rhs)
-        if len(b) != self.nrows:
-            raise ValueError(f"rhs length {len(b)} != row count {self.nrows}")
+    def solve(self, rhs: Sequence | dict[int, Fraction]) -> Vector | None:
+        """The canonical solution of A x = rhs, dense or sparse; None if rhs is not in the image."""
+        if isinstance(rhs, dict):
+            if any(not 0 <= i < self.nrows for i in rhs):
+                raise ValueError(f"rhs has a row index outside 0..{self.nrows - 1}")
+            b = rhs
+        else:
+            b = vec(rhs)
+            if len(b) != self.nrows:
+                raise ValueError(f"rhs length {len(b)} != row count {self.nrows}")
+            b = {i: x for i, x in enumerate(b) if x}
         # b's own coefficient rides in column -1, which the scaling in
         # `_cancel` multiplies and no echelon vector touches
-        r = _integral({-1: 1, **{i: x for i, x in enumerate(b) if x}})
+        r = _integral({-1: 1, **b})
         for p, e in self._echelon.items():
             if p in r:
                 _cancel(r, p, e)
@@ -466,12 +474,6 @@ class GradedLinearMap(Record):
         return GradedLinearMap(self.domain, self.codomain, self.degree, tuple(
             tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.matrix, other.matrix)))
 
-    def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        if (self.domain, self.codomain, self.degree) != (other.domain, other.codomain, other.degree):
-            raise ValueError("maps not subtractable")
-        return GradedLinearMap(self.domain, self.codomain, self.degree, tuple(
-            tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.matrix, other.matrix)))
-
     def scale(self, c) -> "GradedLinearMap":
         c = scalar(c)
         return GradedLinearMap(self.domain, self.codomain, self.degree,
@@ -485,31 +487,44 @@ class GradedLinearMap(Record):
         return tuple(a for row in self.matrix for a in row)
 
 
-def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
-    """[a, b] = a b - (-1)^{deg a deg b} b a on a common space.
+def _square(flat: dict, n: int) -> Matrix:
+    """The n x n matrix of a sparse row-major {i n + j: entry} dict, Fraction(0) elsewhere."""
+    v = dense_vec(flat, n * n)
+    return tuple(v[i * n:i * n + n] for i in range(n))
 
-    Both products are summed into one accumulator, over nonzero pairs
-    only; every entry of the result is a Fraction.
+
+def _flat_nonzeros(m: GradedLinearMap) -> dict[int, Fraction]:
+    """The nonzero entries of a map, keyed by their row-major flat index."""
+    n = m.domain.dim
+    return {i * n + j: x for i, row in enumerate(m.matrix) for j, x in enumerate(row) if x}
+
+
+def _commutator(a: GradedLinearMap, b: GradedLinearMap) -> dict[int, Fraction]:
+    """[a, b] = a b - (-1)^{deg a deg b} b a as {i n + j: nonzero}, for maps of one space.
+
+    Both products are summed into one dict over the nonzero entries of
+    the two maps; no map and no dense row is built.
     """
-    if b.codomain != a.domain or a.codomain != b.domain:
-        raise ValueError("composition: domains do not match")
-    odd = a.degree * b.degree % 2
-    if a.domain != b.domain:
-        raise ValueError("maps not addable" if odd else "maps not subtractable")
+    n = a.domain.dim
     a_nz = [[(k, x) for k, x in enumerate(row) if x] for row in a.matrix]
     b_nz = [[(k, y) for k, y in enumerate(row) if y] for row in b.matrix]
-    # b a enters with sign -(-1)^{deg a deg b}: fold it into a's entries
-    a_signed = a_nz if odd else [[(k, -x) for k, x in row] for row in a_nz]
-    zero = Fraction(0)
-    ncols = a.domain.dim
-    rows = []
-    for a_row, b_row in zip(a_nz, b_nz):
-        acc = [zero] * ncols
+    sign = 1 if a.degree * b.degree else -1  # b a enters with sign -(-1)^{deg a deg b}
+    out: dict[int, Fraction] = {}
+    for i, (a_row, b_row) in enumerate(zip(a_nz, b_nz)):
+        base = i * n
         for k, x in a_row:
             for j, y in b_nz[k]:
-                acc[j] += x * y
+                out[base + j] = out.get(base + j, 0) + x * y
         for k, y in b_row:
-            for j, x in a_signed[k]:
-                acc[j] += y * x
-        rows.append(tuple(acc))
-    return GradedLinearMap(a.domain, a.codomain, (a.degree + b.degree) % 2, tuple(rows))
+            sy = sign * y
+            for j, x in a_nz[k]:
+                out[base + j] = out.get(base + j, 0) + sy * x
+    return {t: x for t, x in out.items() if x}
+
+
+def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
+    """[a, b] on a common space, entries Fractions: a dense view of `_commutator`."""
+    if not a.domain == a.codomain == b.domain == b.codomain:
+        raise ValueError("a graded commutator needs two maps of one space")
+    flat = {t: Fraction(x) for t, x in _commutator(a, b).items()}
+    return GradedLinearMap(a.domain, a.domain, (a.degree + b.degree) % 2, _square(flat, a.domain.dim))

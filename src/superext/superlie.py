@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from math import lcm
+from typing import Callable, Iterator, Sequence
 
 from .gvs import (
     GradedLinearMap,
@@ -24,8 +25,10 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
+    _commutator,
+    _flat_nonzeros,
+    _square,
     dense_vec,
-    graded_commutator,
     is_zero_vec,
     scalar,
     sparse_kernel_basis,
@@ -191,6 +194,17 @@ class ValidationReport(Record):
         return self.degree_zero and self.antisymmetry and self.jacobi
 
 
+def _antisymmetry_failures(alg: SuperLieAlgebra) -> Iterator[str]:
+    """One message per pair i <= j with [e_j, e_i] != -(-1)^{x_i x_j} [e_i, e_j], in order."""
+    sp, nz = alg.space, alg.nonzeros
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            sign = -1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1
+            if nz[j][i] != tuple((k, sign * c) for k, c in nz[i][j]):
+                yield (f"antisymmetry: [{sp.names[j]},{sp.names[i]}] != "
+                       f"{'+' if sign > 0 else '-'}[{sp.names[i]},{sp.names[j]}]")
+
+
 def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
     """Check degree 0, graded antisymmetry, and the graded Jacobi identity.
 
@@ -215,14 +229,9 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
                         f"component {sp.names[k]} but should be parity {want}"
                     )
 
-    anti_ok = True
-    for i in range(n):
-        for j in range(i, n):
-            sign = -1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1
-            if nz[j][i] != tuple((k, sign * c) for k, c in nz[i][j]):
-                anti_ok = False
-                fails.append(f"antisymmetry: [{sp.names[j]},{sp.names[i]}] != "
-                             f"{'+' if sign > 0 else '-'}[{sp.names[i]},{sp.names[j]}]")
+    anti = list(_antisymmetry_failures(alg))
+    anti_ok = not anti
+    fails.extend(anti)
 
     jac_ok = True
     for i in range(n):
@@ -264,16 +273,19 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
         if not is_zero_vec(x) and degree != p:
             raise ValueError(f"element has parity {p}, not {degree}")
         p = degree
-    # column j holds [X, e_j] = sum_i x_i c^k_ij e_k, read off the table
+    return GradedLinearMap(alg.space, alg.space, p, _square(_ad_flat(alg, x), alg.dim))
+
+
+def _ad_flat(alg: SuperLieAlgebra, x: Sequence) -> dict[int, Fraction]:
+    """ad_X as {k n + j: nonzero}: column j holds [X, e_j] = sum_i x_i c^k_ij e_k."""
     n = alg.dim
-    zero = Fraction(0)
-    m = [[zero] * n for _ in range(n)]
+    out: dict[int, Fraction] = {}
     for i, xi in enumerate(x):
         if xi:
             for j, v in enumerate(alg.nonzeros[i]):
                 for k, c in v:
-                    m[k][j] += xi * c
-    return GradedLinearMap(alg.space, alg.space, p, tuple(map(tuple, m)))
+                    out[k * n + j] = out.get(k * n + j, 0) + xi * c
+    return {t: y for t, y in out.items() if y}
 
 
 def center(alg: SuperLieAlgebra) -> list[Vector]:
@@ -345,21 +357,25 @@ class DerivationSpace(Record):
     @cached_property
     def _coordinates(self) -> LinearSystem:
         """The flattened basis as columns, eliminated on first use and kept."""
-        return LinearSystem([d.flat() for d in self.basis], self.algebra.dim ** 2)
+        return LinearSystem([_flat_nonzeros(d) for d in self.basis], self.algebra.dim ** 2)
 
-    def coordinates_of(self, m: GradedLinearMap) -> Vector | None:
-        """Coordinates of a map in this basis, or None if outside the span."""
-        return self._coordinates.solve(m.flat())
+    def coordinates_of(self, m: GradedLinearMap | dict[int, Fraction]) -> Vector | None:
+        """Coordinates of a map or its {flat index: nonzero} dict; None outside the span."""
+        return self._coordinates.solve(m if isinstance(m, dict) else _flat_nonzeros(m))
 
     def combination(self, coords: Sequence, degree: int) -> GradedLinearMap:
         """sum_k coords[k] D_k, a map of the given degree (zero for zero coords)."""
+        acc: dict[int, Fraction] = {}
+        for d, c in zip(self.basis, coords):
+            if c:
+                for t, x in _flat_nonzeros(d).items():
+                    acc[t] = acc.get(t, 0) + c * x
         sp = self.algebra.space
-        terms = [d.scale(c) for d, c in zip(self.basis, coords) if c != 0]
-        return sum(terms, GradedLinearMap.zero(sp, sp, degree))
+        return GradedLinearMap(sp, sp, degree, _square(acc, sp.dim))
 
     def bracket(self, a: GradedLinearMap, b: GradedLinearMap) -> Vector:
         """Coordinates of the graded commutator of two derivations in this basis."""
-        coords = self.coordinates_of(graded_commutator(a, b))
+        coords = self._coordinates.solve(_commutator(a, b))
         if coords is None:
             raise RuntimeError("derivations are not closed under the commutator")
         return coords
@@ -370,9 +386,12 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
 
     The unknowns are the entries D_ij allowed by the parity (the slots);
     each pair (a, b) gives one equation per component k of
-    D[e_a,e_b] - [D e_a,e_b] - (-1)^{deg*x_a}[e_a,D e_b] = 0.  The rows are
-    written as sparse {slot: Fraction} dicts over the nonzero structure
-    constants and go straight to `sparse_kernel_basis`.
+    D[e_a,e_b] - [D e_a,e_b] - (-1)^{deg*x_a}[e_a,D e_b] = 0.  On a graded
+    antisymmetric table the rows of (b, a) are -(-1)^{x_a x_b} times those
+    of (a, b), so only pairs a <= b are written, and the kernel, which
+    depends on the row space only, is unchanged.  The rows are sparse
+    {slot: int} dicts over the nonzero structure constants, all scaled by
+    the lcm of their denominators, and go straight to `sparse_kernel_basis`.
     """
     sp = alg.space
     n = alg.dim
@@ -384,39 +403,35 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     # col_slots[j]: (i, slot of D_ij) for every D_ij allowed in column j
     col_slots = [[(i, slot_index[(i, j)]) for i in range(n) if (i, j) in slot_index]
                  for j in range(n)]
-    nz = alg.nonzeros
-    zero = Fraction(0)
+    den = lcm(*(c.denominator for row in alg.nonzeros for v in row for _, c in v))
+    nz = [[[(k, c.numerator * (den // c.denominator)) for k, c in v] for v in row]
+          for row in alg.nonzeros]
 
     def leibniz_rows():
         for a in range(n):
             s = -1 if (deg * sp.parities[a]) % 2 else 1
-            for b in range(n):
-                rows: dict[int, dict[int, Fraction]] = {}  # component k -> row
+            for b in range(a, n):
+                rows: dict[int, dict[int, int]] = {}  # component k -> row
                 for m, c in nz[a][b]:  # D([e_a,e_b]) = sum_m c^m_ab D e_m
                     for k, t in col_slots[m]:
                         r = rows.setdefault(k, {})
-                        r[t] = r.get(t, zero) + c
+                        r[t] = r.get(t, 0) + c
                 for i, t in col_slots[a]:  # -[D e_a, e_b] = -sum_i D_ia [e_i, e_b]
                     for k, c in nz[i][b]:
                         r = rows.setdefault(k, {})
-                        r[t] = r.get(t, zero) - c
+                        r[t] = r.get(t, 0) - c
                 for i, t in col_slots[b]:  # -(-1)^{deg*x_a} sum_i D_ib [e_a, e_i]
                     for k, c in nz[a][i]:
                         r = rows.setdefault(k, {})
-                        r[t] = r.get(t, zero) - s * c
+                        r[t] = r.get(t, 0) - s * c
                 for r in rows.values():
                     r = {t: x for t, x in r.items() if x}
                     if r:
                         yield r
 
-    basis = []
-    for kv in sparse_kernel_basis(leibniz_rows(), len(slots)):
-        m = [[zero] * n for _ in range(n)]
-        for k, x in kv.items():
-            i, j = slots[k]
-            m[i][j] = x
-        basis.append(GradedLinearMap(sp, sp, deg, tuple(tuple(r) for r in m)))
-    return basis
+    return [GradedLinearMap(sp, sp, deg, _square(
+        {slots[k][0] * n + slots[k][1]: x for k, x in kv.items()}, n))
+        for kv in sparse_kernel_basis(leibniz_rows(), len(slots))]
 
 
 def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
@@ -425,28 +440,30 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
     Basis order: inner derivations (parities 0 then 1, in reduced echelon
     form of the span of the ad matrices), then complement members taken
     from the per-parity solution bases, sifted by the same span of the ad
-    matrices.  Every call solves the system afresh.
+    matrices.  Every call solves the system afresh.  The table must be
+    graded antisymmetric, or ValueError names the first pair that is not.
     """
+    bad = next(_antisymmetry_failures(alg), None)
+    if bad is not None:
+        raise ValueError(f"derivations need a graded antisymmetric table: {bad}")
     n = alg.dim
     inner_maps: list[GradedLinearMap] = []
     preimages: list[Vector] = []
     outer_maps: list[list[GradedLinearMap]] = []
     for deg in (0, 1):
         gens = [i for i in range(n) if alg.space.parities[i] == deg]
-        ad_flat = [ad(alg, unit_vec(n, i)).flat() for i in gens]
+        ad_flat = [_ad_flat(alg, unit_vec(n, i)) for i in gens]
         span = IncrementalSpan(ad_flat)
         # columns ad_{e_i}: solving against them expresses a member as ad_H
         ad_system = LinearSystem(ad_flat, n * n)
         for row in span.rows():
-            flat = dense_vec(row, n * n)
-            inner_maps.append(GradedLinearMap(alg.space, alg.space, deg,
-                                              tuple(flat[i * n:i * n + n] for i in range(n))))
-            y = ad_system.solve(flat)
+            inner_maps.append(GradedLinearMap(alg.space, alg.space, deg, _square(row, n)))
+            y = ad_system.solve(row)
             if y is None:
                 raise RuntimeError("internal fault: an inner derivation is not an ad_H")
             preimages.append(dense_vec(dict(zip(gens, y)), n))
         outer_maps.append([d for d in _derivation_basis_of_parity(alg, deg)
-                           if span.add(d.flat())])
+                           if span.add(_flat_nonzeros(d))])
     # inner parity 0, inner parity 1, complement parity 0, complement parity 1
     basis = tuple(inner_maps) + tuple(outer_maps[0]) + tuple(outer_maps[1])
     return DerivationSpace(alg, basis, len(inner_maps), tuple(preimages))
@@ -493,16 +510,19 @@ def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap
 
 
 def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],
-                      i: int, j: int) -> GradedLinearMap:
+                      i: int, j: int) -> dict[int, Fraction]:
     """[op_i, op_j] - sum_m c^m_ij op_m for operators attached to the basis of g.
 
-    It vanishes on every pair exactly when e_i -> op_i respects the
-    bracket of g, i.e. is a homomorphism into the graded commutator algebra.
+    The result is sparse, {i n + j: nonzero} in the row-major flattening
+    of the operators.  It is empty on every pair exactly when e_i -> op_i
+    respects the bracket of g, i.e. is a homomorphism into the graded
+    commutator algebra.
     """
-    defect = graded_commutator(ops[i], ops[j])
+    defect = _commutator(ops[i], ops[j])
     for m, c in g.nonzeros[i][j]:
-        defect = defect - ops[m].scale(c)
-    return defect
+        for t, x in _flat_nonzeros(ops[m]).items():
+            defect[t] = defect.get(t, 0) - c * x
+    return {t: x for t, x in defect.items() if x}
 
 
 def is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgebra) -> bool:
@@ -511,8 +531,17 @@ def is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgeb
         raise ValueError("homomorphisms are of degree 0")
     if f.domain != src.space or f.codomain != dst.space:
         raise ValueError("map does not connect the given algebras")
-    for i in range(src.dim):
-        for j in range(src.dim):
-            if f.apply(src.brackets[i][j]) != dst.bracket_vec(f.column(i), f.column(j)):
+    cols = [[(k, row[j]) for k, row in enumerate(f.matrix) if row[j]] for j in range(src.dim)]
+    for i, row in enumerate(src.nonzeros):
+        for j, v in enumerate(row):
+            res: dict[int, Fraction] = {}  # f[e_i, e_j] - [f e_i, f e_j], over nonzeros only
+            for m, c in v:
+                for k, x in cols[m]:
+                    res[k] = res.get(k, 0) + c * x
+            for p, x in cols[i]:
+                for q, y in cols[j]:
+                    for k, c in dst.nonzeros[p][q]:
+                        res[k] = res.get(k, 0) - x * y * c
+            if any(res.values()):
                 return False
     return True

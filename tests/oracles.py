@@ -8,15 +8,16 @@ library code paths it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from superext.gvs import GradedLinearMap, unit_vec, vec_add, vec_scale, zero_vec
+from superext.gvs import GradedLinearMap, scalar, unit_vec, vec, vec_add, vec_scale, zero_vec
 from superext.superlie import SuperLieAlgebra, ValidationReport
-from superext.cochains import Cochain, canonical_tuples, make_cochain
+from superext.cochains import TRIVIAL_LINE, Cochain, canonical_tuples, make_cochain
 from superext.extensions import (
     ExtensionDatum,
     ExtensionTriple,
     build_extension,
+    induced_data,
     transform_datum,
     trivial_datum,
 )
@@ -173,6 +174,40 @@ def random_homogeneous_vector(space, parity, rng, lo=-2, hi=2):
         Fraction(rng.randint(lo, hi)) if space.parities[k] == parity else Fraction(0)
         for k in range(space.dim)
     )
+
+
+def zero_cochain(source, target, arity, weight) -> Cochain:
+    return make_cochain(source, target, arity, weight)
+
+
+def scalar_cochain(source, arity, weight, table) -> Cochain:
+    """Cochain valued in the trivial line, from {tuple: scalar}."""
+    return make_cochain(source, TRIVIAL_LINE, arity, weight,
+                        {tup: (scalar(c),) for tup, c in table.items()})
+
+
+def evaluate_vectors(phi: Cochain, vectors) -> tuple:
+    """The multilinear extension of phi to arbitrary coordinate vectors."""
+    if len(vectors) != phi.arity:
+        raise ValueError(f"expected {phi.arity} arguments")
+    supports = [[(i, a) for i, a in enumerate(vec(v)) if a] for v in vectors]
+    out = zero_vec(phi.target.dim)
+    for picks in product(*supports):
+        coeff = Fraction(1)
+        for _, a in picks:
+            coeff *= a
+        out = vec_add(out, vec_scale(coeff, phi.evaluate([i for i, _ in picks])))
+    return out
+
+
+def normalized_structure(t: ExtensionTriple, s=None) -> SuperLieAlgebra:
+    """Rebase a triple onto the basis (incl(h), s(g)): the canonical form.
+
+    With the carried section this equals `build_extension(induced_data(t))`
+    and exposes the structure constants in the h-then-g convention, which
+    makes algebras comparable by `same_structure`.
+    """
+    return build_extension(induced_data(t, s)).e
 
 
 def random_cochain(gspace, hspace, arity, weight, rng) -> Cochain:
@@ -530,9 +565,25 @@ def compose_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMa
     """[a, b] from the two compositions and a dense sum or difference."""
     ab = a.compose(b)
     ba = b.compose(a)
-    if a.degree * b.degree % 2:
-        return ab + ba
-    return ab - ba
+    return ab + (ba if a.degree * b.degree % 2 else ba.scale(-1))
+
+
+def dense_commutator_defect(g: SuperLieAlgebra, ops, i: int, j: int) -> dict:
+    """[op_i, op_j] - sum_m c^m_ij op_m from `compose_commutator` and dense map
+    sums, keyed like the library's sparse defect: entry (r, s) at r n + s."""
+    acc = compose_commutator(ops[i], ops[j])
+    for m, c in enumerate(g.brackets[i][j]):
+        if c != 0:
+            acc = acc + ops[m].scale(-c)
+    n = acc.domain.dim
+    return {r * n + s: x for r, row in enumerate(acc.matrix) for s, x in enumerate(row) if x != 0}
+
+
+def dense_is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgebra) -> bool:
+    """f[e_i, e_j] == [f e_i, f e_j] on every ordered pair, each side a dense sum."""
+    cols = [tuple(row[j] for row in f.matrix) for j in range(src.dim)]
+    return all(dense_mat_vec(f.matrix, src.brackets[i][j]) == dense_bracket(dst, cols[i], cols[j])
+               for i in range(src.dim) for j in range(src.dim))
 
 
 def dense_ad(alg: SuperLieAlgebra, x, degree: int) -> GradedLinearMap:

@@ -24,7 +24,6 @@ from superext.cochains import (
     multigraded_sign,
     nr_bracket,
     permute_word,
-    scalar_cochain,
 )
 from superext.gvs import GradedLinearMap
 from superext.superlie import abelian_algebra, ad, center, out_quotient
@@ -34,7 +33,6 @@ from superext.extensions import (
     check_datum,
     check_equivalence_witness,
     induced_data,
-    normalized_structure,
     pullback_extension,
     same_structure,
     transform_datum,
@@ -54,11 +52,13 @@ from cli_run import run_cli
 from oracles import (
     brute_jacobi,
     classical_ce_delta,
+    normalized_structure,
     random_cochain,
     random_extension,
     random_section,
     random_valid_datum,
     random_witness,
+    scalar_cochain,
 )
 
 F = Fraction

@@ -19,9 +19,7 @@ from superext.cochains import (
     multigraded_sign,
     nr_bracket,
     permute_word,
-    scalar_cochain,
     wedge,
-    zero_cochain,
     zero_ops,
 )
 from superext.gvs import SuperVectorSpace, unit_vec, vec_scale
@@ -30,11 +28,14 @@ from superext.extensions import trivial_datum, transform_datum
 
 from oracles import (
     block_sign,
+    evaluate_vectors,
     full_sum_bracket,
     full_sum_wedge,
     random_cochain,
     random_witness,
     recursive_canonical_tuples,
+    scalar_cochain,
+    zero_cochain,
 )
 
 F = Fraction
@@ -365,7 +366,7 @@ def test_covariant_classical_arity_one():
             lhs = d.evaluate((x0, x1))
             rhs = ops[x0].apply(phi.evaluate((x1,)))
             rhs = tuple(a - b for a, b in zip(rhs, ops[x1].apply(phi.evaluate((x0,)))))
-            rhs = tuple(a - b for a, b in zip(rhs, phi.evaluate_vectors([g.brackets[x0][x1]])))
+            rhs = tuple(a - b for a, b in zip(rhs, evaluate_vectors(phi, [g.brackets[x0][x1]])))
             assert lhs == rhs
 
 

@@ -40,7 +40,8 @@ from superext.cohomology import (
     trivial_module,
 )
 
-from oracles import classical_ce_delta, random_cochain, random_witness
+from oracles import (classical_ce_delta, normalized_structure, random_cochain, random_witness,
+                     scalar_cochain)
 
 F = Fraction
 
@@ -138,7 +139,6 @@ def test_sl2_whitehead():
 
 def test_classical_reduction_matches_ce_oracle(rng):
     # purely even algebras: our differential equals the classical one
-    from superext.cochains import scalar_cochain
     for g in (sl2(), heis3()):
         for arity in (1, 2, 3):
             table = {}
@@ -594,7 +594,7 @@ def test_classify_respects_nonzero_action():
 def test_centerless_classification_matches_pullback():
     # one class, and its built algebra has the structure constants of the
     # normalized pullback
-    from superext.extensions import normalized_structure, pullback_extension
+    from superext.extensions import pullback_extension
     h = sl2()
     for g in (abelian(1, 0, "t"), abelian(0, 1, "q")):
         abar = zero_abar(h, g)

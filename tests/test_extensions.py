@@ -26,7 +26,6 @@ from superext.extensions import (
     check_equivalence_witness,
     check_split_witness,
     induced_data,
-    normalized_structure,
     pullback_extension,
     raw_extension_algebra,
     same_structure,
@@ -38,6 +37,7 @@ from superext.extensions import (
 
 from oracles import (
     brute_jacobi,
+    normalized_structure,
     product_bracket,
     pullback_members,
     random_extension,

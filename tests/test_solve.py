@@ -71,6 +71,30 @@ def test_solve_matches_dense_oracle(system):
     assert_solves_like_oracle(A, rhss, ncols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_sparse_rhs_solves_like_dense_rhs(system):
+    # a {row: nonzero} right-hand side is reduced in full, as a dense one is:
+    # the same solution, and None exactly when the dense one gives None
+    A, ncols, rhss = system
+    system = system_of(A, ncols)
+    for b in rhss:
+        got = system.solve({i: x for i, x in enumerate(b) if x})
+        assert got == system.solve(b) == dense_solve(A, b, ncols)
+        assert got is None or all_fractions(got)
+
+
+def test_sparse_rhs_outside_the_image_and_out_of_range():
+    system = system_of(((F(1), F(1)), (F(2), F(2)), (F(0), F(0))))
+    assert system.solve({0: F(1), 1: F(2)}) == (F(1), F(0))
+    assert system.solve({1: 3}) is None
+    assert system.solve({2: F(1, 2)}) is None
+    assert system.solve({}) == (F(0), F(0))
+    for bad in ({3: F(1)}, {-1: F(1)}):
+        with pytest.raises(ValueError, match="row index outside 0..2"):
+            system.solve(bad)
+
+
 def test_solve_dependent_columns_take_zero():
     # column 1 = 2 * column 0 and column 3 = column 0 + column 2: both free
     A = ((F(1), F(2), F(0), F(1)),

@@ -1,13 +1,17 @@
 """The Lie-algebra layer on nonzero structure constants against dense oracles.
 
 `validate_algebra`, the Leibniz system of `derivations`, `graded_commutator`,
-`ad`, `is_derivation` and the cyclic-curvature check of `check_datum` sum
-over nonzero entries only.  Each must give exactly what the dense
-computation in `oracles` gives: equal reports with byte-identical failure
-strings, tuple-identical bases, and Fraction entries throughout.
+`commutator_defect`, `ad`, `is_derivation`, `is_homomorphism` and the
+cyclic-curvature check of `check_datum` sum over nonzero entries only.
+Each must give exactly what the dense computation in `oracles` gives:
+equal reports with byte-identical failure strings, tuple-identical bases,
+and Fraction entries throughout.  The rescaled algebras have structure
+constants that are not integers, so the integer Leibniz rows of
+`derivations` are cleared of a denominator greater than 1.
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -25,9 +29,12 @@ from superext.superlie import (
     SuperLieAlgebra,
     ad,
     algebra_from_table,
+    commutator_defect,
     derivations,
     direct_sum,
     is_derivation,
+    is_homomorphism,
+    out_quotient,
     validate_algebra,
 )
 
@@ -35,9 +42,11 @@ from oracles import (
     brute_jacobi,
     compose_commutator,
     dense_ad,
+    dense_commutator_defect,
     dense_curvature_failures,
     dense_derivation_basis_of_parity,
     dense_is_derivation,
+    dense_is_homomorphism,
     dense_kernel_basis,
     dense_validate_algebra,
     random_cochain,
@@ -46,6 +55,25 @@ from oracles import (
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
+
+def rescaled(alg, factors):
+    """alg in the basis e'_i = s_i e_i, so c'^k_ij = s_i s_j c^k_ij / s_k; validated."""
+    s = [F(x) for x in factors]
+    n = alg.dim
+    table = tuple(tuple(tuple(s[i] * s[j] * alg.brackets[i][j][k] / s[k] for k in range(n))
+                        for j in range(n)) for i in range(n))
+    out = SuperLieAlgebra(alg.space, table)
+    assert validate_algebra(out).ok
+    return out
+
+
+RESCALED = {
+    # (H, 2E, F/3): [E', F'] = 2/3 H
+    "sl2 rescaled": ((1, 2, F(1, 3)), sl2),
+    # Q+ by 1/2, Q- by 3: [Q+', Q+'] = 1/2 E, [F, Q+'] = -1/6 Q-'
+    "osp12 rescaled": ((1, 1, 1, F(1, 2), 3), osp12),
+}
+
 ALGEBRAS = {
     "sl2": sl2,
     "heis3": heis3,
@@ -53,7 +81,16 @@ ALGEBRAS = {
     "gl11": gl11,
     "osp12": osp12,
     "sl2+heis3": lambda: direct_sum(sl2(), heis3()),
+    **{name: (lambda f=factors, b=base: rescaled(b(), f))
+       for name, (factors, base) in RESCALED.items()},
 }
+
+
+@pytest.mark.parametrize("name, lcm", [("sl2 rescaled", 3), ("osp12 rescaled", 6)])
+def test_rescaled_algebras_have_fractional_structure_constants(name, lcm):
+    alg = ALGEBRAS[name]()
+    dens = {c.denominator for row in alg.brackets for v in row for c in v}
+    assert math.lcm(*dens) == lcm
 
 
 def all_fractions(m):
@@ -215,3 +252,138 @@ def test_kernel_basis_matches_dense_oracle(shape):
            sparse_kernel_basis([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)]
     assert got == dense_kernel_basis(rows, ncols)
     assert all(type(x) is F for v in got for x in v)
+
+
+# ---------- the half Leibniz system, the sparse defect and is_homomorphism ----------
+
+def test_derivations_refuse_a_table_that_is_not_antisymmetric():
+    # [H,E] moves and [E,H] does not: the rows of the pairs a <= b would no
+    # longer span those of every ordered pair, so the table is refused
+    bad = perturbed(sl2(), 0, 1, 1, F(1), mirror=False)
+    with pytest.raises(ValueError, match=r"antisymmetric table: antisymmetry: \[E,H\] != -\[H,E\]"):
+        derivations(bad)
+    assert validate_algebra(bad).failures[0] == "antisymmetry: [E,H] != -[H,E]"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["sl2", "heis3", "gl11", "osp12", "sl2 rescaled"]),
+       st.integers(0, 10 ** 6), deltas, st.booleans())
+def test_half_leibniz_system_matches_dense_on_perturbed_tables(name, pick, delta, mirror):
+    # a mirrored move keeps the table graded antisymmetric but mostly breaks
+    # Jacobi and often degree 0: the pairs a <= b must still give the
+    # kernel of the system over all ordered pairs; otherwise derivations refuses
+    alg = ALGEBRAS[name]()
+    n = alg.dim
+    bad = perturbed(alg, pick % n, pick // n % n, pick // (n * n) % n, delta, mirror)
+    rep = validate_algebra(bad)
+    if rep.antisymmetry:
+        for deg in (0, 1):
+            got = superlie._derivation_basis_of_parity(bad, deg)
+            assert got == dense_derivation_basis_of_parity(bad, deg)
+        if rep.degree_zero:  # otherwise an ad matrix is not homogeneous
+            derivations(bad)
+    else:
+        with pytest.raises(ValueError, match="antisymmetric table"):
+            derivations(bad)
+
+
+@pytest.mark.parametrize("name, rows", [("heis3", 5), ("gl11", 28), ("osp12", 58),
+                                        ("sl2+sl2", 72), ("sl2+heis3", 50)])
+def test_leibniz_rows_per_derivations_call(monkeypatch, name, rows):
+    # one row set per pair a <= b; all ordered pairs would give 10, 50,
+    # 106, 144 and 100 nonzero rows
+    alg = direct_sum(sl2(), sl2()) if name == "sl2+sl2" else ALGEBRAS[name]()
+    seen = []
+    kernel = superlie.sparse_kernel_basis
+
+    def counted(rs, ncols):
+        rs = list(rs)
+        seen.extend(rs)
+        return kernel(rs, ncols)
+
+    monkeypatch.setattr(superlie, "sparse_kernel_basis", counted)
+    derivations(alg)
+    assert len(seen) == rows
+    assert all(type(x) is int for r in seen for x in r.values())
+
+
+def defect_cases(h, rng):
+    """(g, ops) pairs on h: ad of h itself, a homomorphism, then random maps
+    and fractional multiples of der(h) members for a few g."""
+    cases = [(h, tuple(ad(h, dense_vec({i: F(1)}, h.dim)) for i in range(h.dim)))]
+    members = derivations(h).basis
+    for g in (abelian(1, 1), susy_line(), gl11()):
+        cases.append((g, tuple(random_map(h.space, p, rng) for p in g.space.parities)))
+        cases.append((g, tuple(
+            rng.choice([d for d in members if d.degree == p]).scale(F(rng.choice([1, -2, 3]), 2))
+            if any(d.degree == p for d in members) else GradedLinearMap.zero(h.space, h.space, p)
+            for p in g.space.parities)))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_commutator_defect_matches_dense_oracle(name):
+    h = ALGEBRAS[name]()
+    for k, (g, ops) in enumerate(defect_cases(h, random.Random(f"defect/{name}"))):
+        for i in range(g.dim):
+            for j in range(g.dim):
+                got = commutator_defect(g, ops, i, j)
+                assert got == dense_commutator_defect(g, ops, i, j)
+                assert all(type(x) is F for x in got.values())
+                if k == 0:
+                    assert got == {}
+
+
+def moved_entries(f):
+    """f with one entry moved by 1 or -1/2, for every entry degree 0 allows."""
+    dp, cp = f.domain.parities, f.codomain.parities
+    for r in range(f.codomain.dim):
+        for c in range(f.domain.dim):
+            if cp[r] == dp[c]:
+                for delta in (F(1), F(-1, 2)):
+                    m = [list(row) for row in f.matrix]
+                    m[r][c] += delta
+                    yield GradedLinearMap(f.domain, f.codomain, 0, tuple(map(tuple, m)))
+
+
+def diagonal(src, dst, entries):
+    n = src.dim
+    return GradedLinearMap(src.space, dst.space, 0, tuple(
+        tuple(F(entries[i]) if i == j else F(0) for j in range(n)) for i in range(n)))
+
+
+def homomorphism_cases():
+    """(f, src, dst) with f a homomorphism: identities, the rescaling
+    isomorphisms both ways, and the inclusion and projection of a sum."""
+    for name in ALGEBRAS:
+        alg = ALGEBRAS[name]()
+        yield GradedLinearMap.identity_map(alg.space), alg, alg
+    for name, (factors, base) in RESCALED.items():
+        src, dst = base(), ALGEBRAS[name]()
+        yield diagonal(src, dst, [1 / F(s) for s in factors]), src, dst  # e_i = e'_i / s_i
+        yield diagonal(dst, src, factors), dst, src
+    s, h = sl2(), heis3()
+    total = direct_sum(s, h)
+    yield GradedLinearMap(s.space, total.space, 0, tuple(
+        tuple(F(int(i == j)) for j in range(3)) for i in range(6))), s, total
+    yield GradedLinearMap(total.space, h.space, 0, tuple(
+        tuple(F(int(j == 3 + i)) for j in range(6)) for i in range(3))), total, h
+
+
+def test_is_homomorphism_matches_dense_oracle():
+    for f, src, dst in homomorphism_cases():
+        assert is_homomorphism(f, src, dst) and dense_is_homomorphism(f, src, dst)
+        for moved in moved_entries(f):
+            assert is_homomorphism(moved, src, dst) == dense_is_homomorphism(moved, src, dst)
+
+
+@pytest.mark.parametrize("name", ["heis3", "gl11", "sl2 rescaled", "osp12 rescaled"])
+def test_out_projection_matches_dense_oracle(name):
+    # pi: der(h) -> out(h) is a homomorphism whose brackets come from the
+    # sparse commutator; a moved entry is judged like the dense sums judge it
+    alg = ALGEBRAS[name]()
+    out, pi = out_quotient(alg)
+    der_alg = superlie.derivation_algebra(derivations(alg))
+    assert is_homomorphism(pi, der_alg, out) and dense_is_homomorphism(pi, der_alg, out)
+    for moved in moved_entries(pi):
+        assert is_homomorphism(moved, der_alg, out) == dense_is_homomorphism(moved, der_alg, out)

@@ -250,17 +250,18 @@ def test_out_bracket_is_trailing_block_of_der(corpus):
 @pytest.mark.parametrize("name, expected", [("osp12", 0), ("sl2", 0), ("heis3", 10)])
 def test_out_commutators_once_per_unordered_pair(monkeypatch, name, expected):
     # heis3 has 4 outer derivations, so 4 * 5 / 2 = 10 pairs; a simple
-    # algebra has none, and no commutator touches an inner derivation
+    # algebra has none, and no commutator touches an inner derivation.
+    # Every der(h) bracket goes through the one sparse commutator core.
     from superext import superlie
     alg = {"osp12": osp12, "sl2": sl2, "heis3": heis3}[name]()
     calls = []
-    commutator = superlie.graded_commutator
+    commutator = superlie._commutator
 
     def counted(a, b):
         calls.append((a, b))
         return commutator(a, b)
 
-    monkeypatch.setattr(superlie, "graded_commutator", counted)
+    monkeypatch.setattr(superlie, "_commutator", counted)
     outer_algebra(alg)
     assert len(calls) == expected
 
