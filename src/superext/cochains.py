@@ -403,6 +403,7 @@ def differential_matrix(
     target: SuperVectorSpace,
     arity: int,
     weight: int,
+    bases=None,
 ):
     """Matrix of `covariant_delta` from (arity, weight) cochains to arity + 1.
 
@@ -413,12 +414,14 @@ def differential_matrix(
     canonical source tuple, so row (tuple, r) is a sparse sum of +-alpha
     entries and +-structure constants.  The work is linear in the number
     of nonzero entries; no unit cochain is differentiated and no row is
-    written out densely.
+    written out densely.  `bases`, (source entries, target entries) in
+    `space_basis` order, selects a block that the differential must keep;
+    a term of its rows outside its columns is an internal fault.
     """
     src = source_alg.space
     _check_delta_args(src, target, alpha_ops)
-    src_basis = space_basis(src, target, arity, weight)
-    dst_basis = space_basis(src, target, arity + 1, weight)
+    src_basis, dst_basis = bases or (space_basis(src, target, arity, weight),
+                                     space_basis(src, target, arity + 1, weight))
     col = {key: k for k, key in enumerate(src_basis)}
     # action[i][r] (negated[i][r]): the nonzero entries (m, c) of row r of alpha_i (-alpha_i)
     action = [[[(m, scalar(c)) for m, c in enumerate(row) if c] for row in op.matrix]
@@ -444,7 +447,11 @@ def differential_matrix(
                         x = row.get(k)
                         row[k] = c if x is None else x + c
                 rows.append(row if all(row.values()) else {k: x for k, x in row.items() if x})
-    except KeyError:
+    except KeyError as ex:
+        rest, m = ex.args[0]
+        in_space = target.parities[m] == (weight + sum(src.parities[i] for i in rest)) % 2
+        if bases is not None and in_space:  # degree 0 holds, but the block is not kept
+            raise RuntimeError("internal fault: a stencil term leaves the kept block") from None
         raise ValueError("the bracket is not degree 0: the differential leaves "
                          "the cochain space") from None
     return tuple(rows), src_basis, dst_basis

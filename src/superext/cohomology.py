@@ -2,10 +2,12 @@
 
 For a graded module (M, action) over g the covariant derivative of
 `cochains` squares to zero and computes cohomology by exact kernel/image
-linear algebra, split by weight.  On top of that sit the deterministic
-lift of an outer action out(h) <- g, the canonical curvature solving
-ad_H = commutator defect, the degree-3 obstruction cocycle valued in the
-center, and the classification of extensions by the weight-0 part of H^2.
+linear algebra, split by weight, on the cochains of torus weight 0 (the
+other weights are exact).  On top of that sit the deterministic lift of
+an outer action out(h) <- g, the canonical curvature solving ad_H =
+commutator defect, the degree-3 obstruction cocycle valued in the
+center, and the classification of extensions by the weight-0 part of
+H^2.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
+from operator import add
 
 from .gvs import (
     GradedLinearMap,
@@ -47,6 +50,7 @@ from .cochains import (
     covariant_delta,
     differential_matrix,
     make_cochain,
+    space_basis,
     zero_ops,
 )
 from .extensions import ExtensionDatum, build_extension
@@ -132,35 +136,39 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
 class WeightReport(Record):
     """Cohomology of one weight component at one arity.
 
-    The bases are kept as sparse coordinate vectors, {position in `basis`:
-    nonzero Fraction} dicts over the source `space_basis`; the cochains of
-    `cocycle_basis`, `coboundary_basis` and `representatives` are built
-    on first read.
+    The representatives are sparse coordinate vectors, {position in
+    `basis`: nonzero Fraction} dicts over the whole `space_basis`.  The
+    full bases `cocycle_coords` and `coboundary_coords`, which the torus
+    reduction skips, and the cochains of `cocycle_basis`,
+    `coboundary_basis` and `representatives` are built on first read.
     """
 
-    source: SuperVectorSpace
-    target: SuperVectorSpace
+    module: GModule
     arity: int
     weight: int
     basis: tuple[tuple[tuple[int, ...], int], ...]
-    cocycle_coords: tuple[dict[int, Fraction], ...]
-    coboundary_coords: tuple[dict[int, Fraction], ...]
+    dim_cocycles: int
+    dim_coboundaries: int
     representative_coords: tuple[dict[int, Fraction], ...]
-
-    @property
-    def dim_cocycles(self) -> int:
-        return len(self.cocycle_coords)
-
-    @property
-    def dim_coboundaries(self) -> int:
-        return len(self.coboundary_coords)
 
     @property
     def dim(self) -> int:
         return self.dim_cocycles - self.dim_coboundaries
 
+    @cached_property
+    def _full_bases(self) -> tuple[tuple[dict[int, Fraction], ...], ...]:
+        return _weight_cohomology(self.module, self.arity, self.weight, ())[0]._full_bases
+
+    @property
+    def cocycle_coords(self) -> tuple[dict[int, Fraction], ...]:
+        return self._full_bases[0]
+
+    @property
+    def coboundary_coords(self) -> tuple[dict[int, Fraction], ...]:
+        return self._full_bases[1]
+
     def _cochains(self, coords) -> tuple[Cochain, ...]:
-        return tuple(cochain_from_coordinates(self.source, self.target, self.arity,
+        return tuple(cochain_from_coordinates(self.module.g.space, self.module.space, self.arity,
                                               self.weight, self.basis, v) for v in coords)
 
     @cached_property
@@ -188,12 +196,12 @@ class CohomologyReport(Record):
         return sum(w.dim for w in self.weights)
 
 
-def delta_matrix(mod: GModule, arity: int, weight: int):
+def delta_matrix(mod: GModule, arity: int, weight: int, bases=None):
     """Sparse rows of the module differential L^{arity,weight} -> L^{arity+1,weight}.
 
-    It is `cochains.differential_matrix` for the module's action.
+    It is `cochains.differential_matrix` for the module's action, on the block `bases` if given.
     """
-    return differential_matrix(mod.g, mod.action, mod.space, arity, weight)
+    return differential_matrix(mod.g, mod.action, mod.space, arity, weight, bases)
 
 
 def _check_squares_to_zero(outer, inner, n: int) -> None:
@@ -209,36 +217,132 @@ def _check_squares_to_zero(outer, inner, n: int) -> None:
             )
 
 
+def _torus(mod: GModule) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The toral basis elements of g on M, as integer weights (lambda, mu).
+
+    e_k is toral when it is even, [e_k, e_j] = lambda_j e_j for every j,
+    and it acts on M diagonally, by mu_m.  Elements with all eigenvalues
+    0 are skipped; each element's eigenvalues are cleared of denominators.
+    """
+    g, torus = mod.g, []
+    for k, brackets in enumerate(g.nonzeros):
+        op = mod.action[k].matrix
+        if g.space.parities[k] or any(len(t) > 1 or (t and t[0][0] != j)
+                                      for j, t in enumerate(brackets)):
+            continue
+        if any(c and r != m for r, row in enumerate(op) for m, c in enumerate(row)):
+            continue
+        eig = [t[0][1] if t else 0 for t in brackets] + [op[m][m] for m in range(len(op))]
+        if any(eig):
+            d = lcm(*(Fraction(x).denominator for x in eig))
+            eig = [int(x * d) for x in eig]
+            torus.append((tuple(eig[:g.dim]), tuple(eig[g.dim:])))
+    return tuple(torus)
+
+
+def _weight_counts(mod: GModule, torus, n: int) -> list[list[dict[tuple[int, ...], int]]]:
+    """dim C^{k,y} as {torus weight: dim}, indexed [y][k] for k = 0..n, without listing C^k.
+
+    The weight of (tuple, m) is mu(m) minus the lambdas of the tuple.
+    Tuples are counted by (arity, odd entries mod 2, weight), one basis
+    element at a time: an even one enters at most once, an odd one up to n.
+    """
+    tuples = {(0, 0, (0,) * len(torus)): 1}
+    for j, p in enumerate(mod.g.space.parities):
+        steps = [(r, r * p, tuple(-r * lam[j] for lam, _mu in torus))
+                 for r in range(1, (n if p else 1) + 1)]
+        for (k, x, w), c in list(tuples.items()):
+            for r, dx, dw in steps[:n - k]:
+                key = (k + r, (x + dx) % 2, tuple(map(add, w, dw)))
+                tuples[key] = tuples.get(key, 0) + c
+    counts: list[list[dict[tuple[int, ...], int]]] = [[{} for _ in range(n + 1)] for _y in (0, 1)]
+    for (k, x, w), c in tuples.items():
+        for m, pm in enumerate(mod.space.parities):  # a value in M_{y + x}
+            by_weight = counts[(pm + x) % 2][k]
+            key = tuple(a + mu[m] for a, (_lam, mu) in zip(w, torus))
+            by_weight[key] = by_weight.get(key, 0) + c
+    return counts
+
+
+def _nonzero_weights(mod: GModule, torus, n: int) -> list[tuple[int, int]]:
+    """[(dim C^{n,y}, dim B^{n,y}) for y = 0, 1] over the nonzero torus weights.
+
+    Their complexes are exact: dim B^n_w = dim Z^n_w = dim C^{n-1}_w - ...
+    The counts are checked against the closed form, and 0 <= dim B^n_w <= dim C^n_w.
+    """
+    if not torus:
+        return [(0, 0), (0, 0)]
+    zero, out = (0,) * len(torus), []
+    for y, counts in enumerate(_weight_counts(mod, torus, n)):
+        for k, by_weight in enumerate(counts):
+            if sum(by_weight.values()) != _closed_form_dim(mod, k, y):
+                raise RuntimeError(f"internal fault: the torus weights of C^{k} of weight {y} "
+                                   "do not sum to its closed form")
+        exact = 0
+        for w in set().union(*counts[:n]) - {zero}:
+            b = sum((-1) ** (n - 1 - k) * counts[k].get(w, 0) for k in range(n))
+            if not 0 <= b <= counts[n].get(w, 0):
+                raise RuntimeError(f"internal fault: dim B^{n} of torus weight {w} is not "
+                                   f"between 0 and dim C^{n}")
+            exact += b
+        out.append((sum(counts[n].values()) - counts[n].get(zero, 0), exact))
+    return out
+
+
+def _closed_form_dim(mod: GModule, n: int, y: int) -> int:
+    """dim C^{n,y}, g of dimension (p|q): j odd arguments give C(p,n-j) C(q+j-1,j) M_{y+j}."""
+    p, q, dim_m = mod.g.space.dim_even, mod.g.space.dim_odd, (mod.space.dim_even, mod.space.dim_odd)
+    return sum(comb(p, n - j) * (comb(q + j - 1, j) if j else 1) * dim_m[(y + j) % 2]
+               for j in range(n + 1))
+
+
 def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyReport:
     """Cocycles, coboundaries and H^n representatives, split by weight.
 
+    Only the block of torus weight 0 (see `_torus`) is assembled and
+    eliminated: by Cartan's formula L_h = d i_h + i_h d the complex of a
+    nonzero weight is exact, and its dimensions are counted.
     Representatives are the cocycle-basis vectors that enlarge the span of
-    the coboundaries, picked greedily in kernel-basis order; everything is
-    deterministic for fixed input.  The complex checks itself: D_n D_{n-1}
-    = 0, dim C^n by its closed form and B^n in Z^n, or RuntimeError reports
-    an internal fault.
-    """
-    return CohomologyReport(n, tuple(_weight_cohomology(g, mod, n, y)[0] for y in (0, 1)))
-
-
-def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
-    """The weight-y part of `cohomology_space`, with D_{n-1} of weight y.
-
-    Returns (report, previous), where previous is `delta_matrix(mod, n - 1,
-    y)` (None for n = 0), so a caller that needs that differential too
-    does not assemble it again.
+    the coboundaries, picked greedily in kernel-basis order; leftmost-pivot
+    bases split by weight, so they are those of the whole complex.  The
+    complex checks itself (D_n D_{n-1} = 0, dim C^n and the weight counts
+    by their closed form, B^n in Z^n), or RuntimeError reports an internal
+    fault.
     """
     if mod.g != g:
         raise ValueError("module is over a different algebra")
     if n < 0:
         raise ValueError("arity must be >= 0")
-    dmat, src_basis, _dst = delta_matrix(mod, n, y)
-    # dim C^{n,y} for g of dimension (p|q): sum over j odd arguments of C(p,n-j) C(q+j-1,j) M_{y+j}
-    p, q, dim_m = g.space.dim_even, g.space.dim_odd, (mod.space.dim_even, mod.space.dim_odd)
-    if len(src_basis) != sum(comb(p, n - j) * (comb(q + j - 1, j) if j else 1) * dim_m[(y + j) % 2]
-                             for j in range(n + 1)):
+    torus = _torus(mod)
+    return CohomologyReport(n, tuple(_weight_cohomology(mod, n, y, torus, c)[0]
+                                     for y, c in enumerate(_nonzero_weights(mod, torus, n))))
+
+
+def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
+    """The weight-y part of `cohomology_space` on the weight-0 block of `torus`.
+
+    `counted` is (dim C^n, dim B^n) over the nonzero weights.  Returns
+    (report, previous), previous being D_{n-1} on the block (None for n =
+    0) for a caller that needs it too.  With the empty torus the block is
+    whole, and the report's full bases are set at once.
+    """
+    outside, exact = counted
+
+    def weight0(entry):  # mu(m) is the sum of lambda over the tuple, for each toral element
+        tup, m = entry
+        for lam, mu in torus:
+            if mu[m] != sum(map(lam.__getitem__, tup)):
+                return False
+        return True
+
+    if torus:  # C^{n-1}, C^n and C^{n+1} are each listed once
+        full = {k: space_basis(mod.g.space, mod.space, k, y) for k in range(max(n - 1, 0), n + 2)}
+        block = {k: [entry for entry in entries if weight0(entry)] for k, entries in full.items()}
+    dmat, src, _dst = delta_matrix(mod, n, y, (block[n], block[n + 1]) if torus else None)
+    if len(src) + outside != _closed_form_dim(mod, n, y):
         raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form")
-    previous = delta_matrix(mod, n - 1, y) if n > 0 else None
+    previous = None if n == 0 else \
+        delta_matrix(mod, n - 1, y, (block[n - 1], block[n]) if torus else None)
     # on integers: clearing the denominators of each row of D_n, and of D_{n-1}
     # as a whole, changes neither kernel nor image nor whether D_n D_{n-1} = 0
     dmat = [_integral(row) for row in dmat]
@@ -251,12 +355,20 @@ def _weight_cohomology(g: SuperLieAlgebra, mod: GModule, n: int, y: int):
         for col in sparse_transpose(prev, len(previous[1])):
             span.add(col)
     cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
-    cocycle_coords = sparse_kernel_basis(dmat, len(src_basis))
+    cocycle_coords = sparse_kernel_basis(dmat, len(src))
     reps = [v for v in cocycle_coords if span.add(v)]
     if span.rank != len(cocycle_coords):
         raise RuntimeError(f"internal fault: a coboundary of degree {n} is not a cocycle")
-    return WeightReport(g.space, mod.space, n, y, tuple(src_basis), tuple(cocycle_coords),
-                        tuple(cobound_coords), tuple(reps)), previous
+    basis = src
+    if torus:  # representatives back to their positions in the whole basis
+        basis = full[n]
+        index = {entry: i for i, entry in enumerate(basis)}
+        reps = [{index[src[c]]: x for c, x in v.items()} for v in reps]
+    report = WeightReport(mod, n, y, tuple(basis), len(cocycle_coords) + exact,
+                          len(cobound_coords) + exact, tuple(reps))
+    if not torus:
+        vars(report)["_full_bases"] = (tuple(cocycle_coords), tuple(cobound_coords))
+    return report, previous
 
 
 def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
@@ -366,7 +478,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
         raise RuntimeError("internal fault: obstruction cocycle is not closed")
 
     # only weight 0 matters, and its D_2 also gives the primitive mu
-    h3, (d2, basis2, basis3) = _weight_cohomology(g, mod, 3, 0)
+    h3, (d2, basis2, basis3) = _weight_cohomology(mod, 3, 0, ())
     lam_coords = cochain_coordinates(lam, basis3)
     cols = [dict(v) for v in h3.coboundary_coords + h3.representative_coords]
     x = LinearSystem(cols, len(basis3)).solve(lam_coords)

@@ -339,6 +339,39 @@ def recursive_canonical_tuples(space, arity: int) -> list[tuple[int, ...]]:
     return out
 
 
+def cartan_torus(alg: SuperLieAlgebra, action) -> list[tuple[list, list]]:
+    """Every toral basis element of g on M, as its eigenvalues (lambda, mu).
+
+    Read off the dense `alg.brackets` and the action matrices alone: e_k is
+    toral when it is even, every [e_k, e_j] is a multiple lambda_j of e_j,
+    and action[k] is a diagonal matrix, mu_m on the m-th basis element.
+    Elements with only zero eigenvalues are kept; their weights are 0.
+    """
+    torus = []
+    for k in range(alg.dim):
+        if alg.space.parities[k]:
+            continue
+        rows = [alg.brackets[k][j] for j in range(alg.dim)]
+        if any(c for j, v in enumerate(rows) for i, c in enumerate(v) if i != j):
+            continue
+        mat = action[k].matrix
+        if any(c for r, row in enumerate(mat) for i, c in enumerate(row) if i != r):
+            continue
+        torus.append(([Fraction(v[j]) for j, v in enumerate(rows)],
+                      [Fraction(row[m]) for m, row in enumerate(mat)]))
+    return torus
+
+
+def cartan_weight(torus, tup, m) -> tuple:
+    """The weight of the coordinate (tup, m) under each toral element: mu_m - sum of lambda_t.
+
+    It is the eigenvalue of the Lie derivative L_h phi = h.phi - sum_i
+    phi(.., [h, x_i], ..) on the cochain with value e_m on tup and 0 on
+    the other canonical tuples.
+    """
+    return tuple(mu[m] - sum(lam[t] for t in tup) for lam, mu in torus)
+
+
 def eager_weight_cohomology(mod, n: int, y: int):
     """The weight-y cohomology of a module, eagerly and densely.
 

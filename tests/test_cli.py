@@ -27,6 +27,19 @@ def test_golden(name, argv, want_exit):
     assert r.stdout == (EXPECTED / f"{name}.out").read_bytes()
 
 
+REDUCED = [(alg, n) for alg in ("gl11", "sl2") for n in range(5)]
+
+
+@pytest.mark.parametrize("alg,n", REDUCED, ids=[f"{a}-h{n}" for a, n in REDUCED])
+def test_golden_where_the_torus_reduction_acts(alg, n):
+    # recorded before cohomology was computed on the torus-weight-0 block;
+    # not in CASES, which is also a benchmark workload
+    r = run_cli(["cohomology", f"{alg}.json", "--degree", str(n), "--json"])
+    assert r.returncode == 0, r.stderr.decode()
+    want = Path(__file__).parent / "golden" / "expected_reduced" / f"cohomology_{alg}_h{n}.out"
+    assert r.stdout == want.read_bytes()
+
+
 def test_golden_as_subprocess():
     name, argv, want_exit = next(c for c in CASES if c[0] == "cohomology_susy_h6")
     r = run_cli_process(argv)

@@ -308,9 +308,9 @@ def test_obstruction_assembles_each_differential_once(monkeypatch):
     built, checked = [], []
     delta_matrix, check = coh.delta_matrix, coh._check_squares_to_zero
 
-    def counted_delta(mod, n, y):
+    def counted_delta(mod, n, y, bases=None):
         built.append((n, y))
-        return delta_matrix(mod, n, y)
+        return delta_matrix(mod, n, y, bases)
 
     def counted_check(outer, inner, n):
         checked.append(n)
@@ -688,8 +688,8 @@ def test_closed_form_dimension_check_fires(monkeypatch):
     g = sl2()
     delta_matrix = coh.delta_matrix
 
-    def one_column_short(mod, n, y):
-        rows, src, dst = delta_matrix(mod, n, y)
+    def one_column_short(mod, n, y, bases=None):
+        rows, src, dst = delta_matrix(mod, n, y, bases)
         return rows, src[:-1], dst
 
     monkeypatch.setattr(coh, "delta_matrix", one_column_short)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from superext import cochains
 from superext.catalog import gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import covariant_delta
-from superext.cohomology import cohomology_space, delta_matrix, gmodule, trivial_module
+from superext.cohomology import _torus, cohomology_space, delta_matrix, gmodule, trivial_module
 from superext.gvs import IncrementalSpan, dense_vec, unit_vec
 from superext.superlie import ad, direct_sum
 
@@ -226,11 +226,15 @@ def kunneth(a, b):
     return out
 
 
-@pytest.mark.parametrize("parts, top", [((gl11, sl2, heis3), 4), ((gl11, osp12, sl2), 5)],
+@pytest.mark.parametrize("parts, top", [((gl11, sl2, heis3), 4), ((gl11, osp12, sl2), 6)],
                          ids=["gl11+sl2+heis3", "gl11+osp12+sl2"])
 def test_kunneth_for_direct_sums(parts, top):
     # trivial coefficients: H^*(a + b) = H^*(a) (x) H^*(b) (Fuks 1986, Ch. 1)
     want = reduce(kunneth, [trivial_dims(f(), top) for f in parts])
-    assert trivial_dims(reduce(direct_sum, [f() for f in parts]), top) == want
+    g = reduce(direct_sum, [f() for f in parts])
+    assert trivial_dims(g, top) == want
     if parts == (gl11, sl2, heis3):
         assert want == [(1, 0), (3, 0), (4, 0), (4, 0), (4, 0)]
+    else:  # 12-dim, on the weight-0 block of its torus a, d, H, H
+        assert len(_torus(trivial_module(g))) == 4
+        assert want == [(1, 0), (1, 0), (0, 0), (2, 0), (2, 0), (0, 0), (1, 0)]

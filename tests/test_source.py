@@ -80,3 +80,21 @@ def test_test_dependencies_are_declared():
     assert extra and ci
     assert needed - set(re.findall(r'"([^"]+)"', extra.group(1))) == set()
     assert needed - set(ci.group(1).split()) == set()
+
+
+
+def test_delta_stencil_has_one_caller():
+    # one differential assembler: a filter on its rows or columns must not
+    # fork a second one, so `_delta_stencil` is read only in `differential_matrix`
+    found = []
+
+    def visit(node, where, name):
+        for child in ast.iter_child_nodes(node):
+            if (getattr(child, "id", None) or getattr(child, "attr", None)) == "_delta_stencil":
+                found.append(f"{name}:{where}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path.name)
+    assert found == ["cochains.py:differential_matrix"]
