@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -329,12 +330,12 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
     tuple)), where generator None means no operator.  Source tuples are
     canonical.  The action term i drops argument i and carries
     (-1)^(x_i y + a_i); the bracket term (i < j, m) inserts e_m, m running
-    over the support of [X_i, X_j] in `alg.nonzeros`, and carries (-1)^a_ij
-    times the sign of sorting (m, rest).  This is the one place the signs
-    of the differential are written down; `differential_matrix`, its one
-    caller, writes them into sparse rows, which `covariant_delta` applies.
+    over the support of [X_i, X_j] in `alg.structure`, and carries its
+    integer den c^m_ij times (-1)^a_ij and the sign of sorting (m, rest).
+    This is the one place the signs of the differential are written down;
+    `differential_matrix`, its one caller, writes them into sparse rows.
     """
-    space, nz = alg.space, alg.nonzeros
+    space, (_den, nz) = alg.space, alg.structure
     word = [space.parities[t] for t in tup]
     a = []
     before = 0
@@ -389,9 +390,9 @@ def covariant_delta(
     """
     if phi.source != source_alg.space:
         raise ValueError("cochain source does not match the algebra")
-    rows, src_basis, dst_basis = differential_matrix(source_alg, alpha_ops, phi.target,
-                                                     phi.arity, phi.weight)
-    x = {k: c for k, c in enumerate(cochain_coordinates(phi, src_basis)) if c}
+    rows, src_basis, dst_basis, scale = differential_matrix(source_alg, alpha_ops, phi.target,
+                                                            phi.arity, phi.weight)
+    x = {k: c / scale for k, c in enumerate(cochain_coordinates(phi, src_basis)) if c}
     coords = {r: sum(c * x[k] for k, c in row.items() if k in x) for r, row in enumerate(rows)}
     return cochain_from_coordinates(source_alg.space, phi.target, phi.arity + 1, phi.weight,
                                     dst_basis, coords)
@@ -407,25 +408,31 @@ def differential_matrix(
 ):
     """Matrix of `covariant_delta` from (arity, weight) cochains to arity + 1.
 
-    Returns (rows, source basis, target basis): columns follow
+    Returns (rows, source basis, target basis, scale): columns follow
     `space_basis` of the source, rows that of the target, and each row is
-    a sparse {column: nonzero Fraction} dict.  The matrix is assembled by
-    target tuple: each term of `_delta_stencil` at a target tuple hits one
-    canonical source tuple, so row (tuple, r) is a sparse sum of +-alpha
-    entries and +-structure constants.  The work is linear in the number
-    of nonzero entries; no unit cochain is differentiated and no row is
-    written out densely.  `bases`, (source entries, target entries) in
-    `space_basis` order, selects a block that the differential must keep;
-    a term of its rows outside its columns is an internal fault.
+    a sparse {column: nonzero int} dict of `scale` times the matrix, scale
+    being the lcm of the denominators of `structure` and of the operators'
+    nonzero entries.  The matrix is assembled by target tuple: each term of
+    `_delta_stencil` at a target tuple hits one canonical source tuple, so
+    row (tuple, r) is a sparse sum of +-alpha entries and +-structure
+    constants.  The work is linear in the number of nonzero entries; no
+    unit cochain is differentiated and no row is written out densely.
+    `bases`, (source entries, target entries) in `space_basis` order,
+    selects a block that the differential must keep; a term of its rows
+    outside its columns is an internal fault.
     """
     src = source_alg.space
     _check_delta_args(src, target, alpha_ops)
     src_basis, dst_basis = bases or (space_basis(src, target, arity, weight),
                                      space_basis(src, target, arity + 1, weight))
     col = {key: k for k, key in enumerate(src_basis)}
-    # action[i][r] (negated[i][r]): the nonzero entries (m, c) of row r of alpha_i (-alpha_i)
-    action = [[[(m, scalar(c)) for m, c in enumerate(row) if c] for row in op.matrix]
-              for op in alpha_ops]
+    action = [[[(m, c) for m, c in enumerate(row) if c] for row in op.matrix] for op in alpha_ops]
+    den = source_alg.structure[0]
+    scale = lcm(den, *(c.denominator for op in action for row in op for _m, c in row))
+    bracket_factor = scale // den
+    # action[i][r] (negated[i][r]): the nonzero entries (m, scale c) of row r of alpha_i (-alpha_i)
+    action = [[[(m, c.numerator * (scale // c.denominator)) for m, c in row] for row in op]
+              for op in action]
     negated = [[[(m, -c) for m, c in row] for row in op] for op in action]
     acting = [any(op) for op in action]
     rows = []
@@ -435,12 +442,12 @@ def differential_matrix(
             terms = []
             for coef, rest, gen in _delta_stencil(source_alg, tup, weight):
                 if gen is None:
-                    c = scalar(coef)
+                    c = coef * bracket_factor
                     terms.append((rest, [((r, c),) for r in range(target.dim)]))
                 elif acting[gen]:  # an action coefficient is +-1; a zero alpha adds nothing
                     terms.append((rest, action[gen] if coef > 0 else negated[gen]))
             for _tup, r in group:
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for rest, entries in terms:
                     for m, c in entries[r]:
                         k = col[(rest, m)]
@@ -454,7 +461,7 @@ def differential_matrix(
             raise RuntimeError("internal fault: a stencil term leaves the kept block") from None
         raise ValueError("the bracket is not degree 0: the differential leaves "
                          "the cochain space") from None
-    return tuple(rows), src_basis, dst_basis
+    return tuple(rows), src_basis, dst_basis, scale
 
 
 def zero_ops(source: SuperVectorSpace, target: SuperVectorSpace) -> tuple[GradedLinearMap, ...]:

@@ -24,13 +24,13 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
-    _integral,
     dense_vec,
     from_columns,
     is_zero_vec,
     sparse_kernel_basis,
     sparse_transpose,
     unit_vec,
+    vec_scale,
 )
 from .superlie import (
     OuterAlgebra,
@@ -199,9 +199,11 @@ class CohomologyReport(Record):
 def delta_matrix(mod: GModule, arity: int, weight: int, bases=None):
     """Sparse rows of the module differential L^{arity,weight} -> L^{arity+1,weight}.
 
-    It is `cochains.differential_matrix` for the module's action, on the block `bases` if given.
+    It is `cochains.differential_matrix` for the module's action, on the block
+    `bases` if given, with each row divided by the scale: {column: nonzero Fraction}.
     """
-    return differential_matrix(mod.g, mod.action, mod.space, arity, weight, bases)
+    rows, src, dst, scale = differential_matrix(mod.g, mod.action, mod.space, arity, weight, bases)
+    return tuple({k: Fraction(x, scale) for k, x in row.items()} for row in rows), src, dst
 
 
 def _check_squares_to_zero(outer, inner, n: int) -> None:
@@ -225,14 +227,16 @@ def _torus(mod: GModule) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     0 are skipped; each element's eigenvalues are cleared of denominators.
     """
     g, torus = mod.g, []
-    for k, brackets in enumerate(g.nonzeros):
+    den, table = g.structure
+    for k, brackets in enumerate(table):
         op = mod.action[k].matrix
         if g.space.parities[k] or any(len(t) > 1 or (t and t[0][0] != j)
                                       for j, t in enumerate(brackets)):
             continue
         if any(c and r != m for r, row in enumerate(op) for m, c in enumerate(row)):
             continue
-        eig = [t[0][1] if t else 0 for t in brackets] + [op[m][m] for m in range(len(op))]
+        eig = [Fraction(t[0][1], den) if t else 0 for t in brackets]
+        eig += [op[m][m] for m in range(len(op))]
         if any(eig):
             d = lcm(*(Fraction(x).denominator for x in eig))
             eig = [int(x * d) for x in eig]
@@ -322,9 +326,11 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
     """The weight-y part of `cohomology_space` on the weight-0 block of `torus`.
 
     `counted` is (dim C^n, dim B^n) over the nonzero weights.  Returns
-    (report, previous), previous being D_{n-1} on the block (None for n =
-    0) for a caller that needs it too.  With the empty torus the block is
-    whole, and the report's full bases are set at once.
+    (report, previous), previous being `differential_matrix`'s D_{n-1} on the
+    block (None for n = 0) for a caller that needs it too.  Its integer
+    rows are eliminated as they are: a scale changes no kernel or image.
+    With the empty torus the block is whole, and the report's full bases
+    are set at once.
     """
     outside, exact = counted
 
@@ -338,21 +344,19 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
     if torus:  # C^{n-1}, C^n and C^{n+1} are each listed once
         full = {k: space_basis(mod.g.space, mod.space, k, y) for k in range(max(n - 1, 0), n + 2)}
         block = {k: [entry for entry in entries if weight0(entry)] for k, entries in full.items()}
-    dmat, src, _dst = delta_matrix(mod, n, y, (block[n], block[n + 1]) if torus else None)
+
+    def assemble(k):  # integer D_k on the block, with its scale
+        return differential_matrix(mod.g, mod.action, mod.space, k, y,
+                                   (block[k], block[k + 1]) if torus else None)
+
+    dmat, src, _dst, _scale = assemble(n)
     if len(src) + outside != _closed_form_dim(mod, n, y):
         raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form")
-    previous = None if n == 0 else \
-        delta_matrix(mod, n - 1, y, (block[n - 1], block[n]) if torus else None)
-    # on integers: clearing the denominators of each row of D_n, and of D_{n-1}
-    # as a whole, changes neither kernel nor image nor whether D_n D_{n-1} = 0
-    dmat = [_integral(row) for row in dmat]
+    previous = None if n == 0 else assemble(n - 1)
     span = IncrementalSpan()  # the columns of D_{n-1}, then the cocycles
     if previous:
-        d = lcm(*(b.denominator for row in previous[0] for b in row.values()))
-        prev = [{k: b.numerator * (d // b.denominator) for k, b in row.items()}
-                for row in previous[0]]
-        _check_squares_to_zero(dmat, prev, n)
-        for col in sparse_transpose(prev, len(previous[1])):
+        _check_squares_to_zero(dmat, previous[0], n)
+        for col in sparse_transpose(previous[0], len(previous[1])):
             span.add(col)
     cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
     cocycle_coords = sparse_kernel_basis(dmat, len(src))
@@ -478,7 +482,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
         raise RuntimeError("internal fault: obstruction cocycle is not closed")
 
     # only weight 0 matters, and its D_2 also gives the primitive mu
-    h3, (d2, basis2, basis3) = _weight_cohomology(mod, 3, 0, ())
+    h3, (d2, basis2, basis3, d2_scale) = _weight_cohomology(mod, 3, 0, ())
     lam_coords = cochain_coordinates(lam, basis3)
     cols = [dict(v) for v in h3.coboundary_coords + h3.representative_coords]
     x = LinearSystem(cols, len(basis3)).solve(lam_coords)
@@ -490,7 +494,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     mu = None
     if vanishes:
         d2_system = LinearSystem(sparse_transpose(d2, len(basis2)), len(basis3))
-        mu_coords = d2_system.solve(lam_coords)
+        mu_coords = d2_system.solve(vec_scale(d2_scale, lam_coords))  # d2 is d2_scale D_2
         if mu_coords is None:
             raise RuntimeError("internal fault: vanishing class but no primitive")
         mu = cochain_from_coordinates(g.space, mod.space, 2, 0, basis2, mu_coords)

@@ -23,7 +23,6 @@ from .gvs import (
     Vector,
     dense_vec,
     from_columns,
-    is_zero_vec,
     sparse_kernel_basis,
     sparse_transpose,
     unit_vec,
@@ -230,10 +229,11 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
 
     curv_ok = True
     n = g.dim
-    gnz = g.nonzeros
+    den, gnz = g.structure
     rho = [[[(q, y) for q, y in enumerate(d.rho.evaluate((b, c))) if y] for c in range(n)]
            for b in range(n)]
-    alpha_cols = [[[(q, row[p]) for q, row in enumerate(op.matrix) if row[p]]
+    # den alpha, so that each residual is den times its value
+    alpha_cols = [[[(q, den * row[p]) for q, row in enumerate(op.matrix) if row[p]]
                    for p in range(h.dim)] for op in d.alpha]
     for i in range(n):
         for j in range(n):
@@ -253,7 +253,7 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
                             res[q] = res.get(q, 0) - scm * y
                 if any(res.values()):
                     curv_ok = False
-                    res_vec = tuple(Fraction(res.get(q, 0)) for q in range(h.dim))
+                    res_vec = tuple(Fraction(res.get(q, 0)) / den for q in range(h.dim))
                     fails.append(
                         f"cyclic curvature residual on ({g.space.names[i]},"
                         f"{g.space.names[j]},{g.space.names[k]}) = {res_vec}"
@@ -261,48 +261,39 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
     return DatumReport(der_ok, conn_ok, curv_ok, tuple(fails))
 
 
-def _sum_space(h: SuperVectorSpace, g: SuperVectorSpace) -> SuperVectorSpace:
-    names_h, names_g = list(h.names), list(g.names)
-    if set(names_h) & set(names_g):
-        names_h = [n + ".h" for n in names_h]
-        names_g = [n + ".g" for n in names_g]
-    return SuperVectorSpace(tuple(names_h + names_g), h.parities + g.parities)
-
-
 def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
     """The bracket table on h (+) g from a datum, with no validity check.
 
-    For a datum failing the extension conditions the result fails the
-    Jacobi identity; `build_extension` is the checked entry point.
+    It is written from the nonzero entries of h's and g's tables, as their
+    `structure` lists them, and of each alpha operator and of rho.  For a
+    datum failing the extension conditions the result fails the Jacobi
+    identity; `build_extension` is the checked entry point.  Basis names
+    get the suffixes .h and .g if h and g share one.
     """
     g, h = d.g, d.h
-    nh, ng = h.dim, g.dim
-    space = _sum_space(h.space, g.space)
-    table: dict[tuple[int, int], Vector] = {}
+    nh, par = h.dim, h.space.parities + g.space.parities
+    names_h, names_g = h.space.names, g.space.names
+    if set(names_h) & set(names_g):
+        names_h, names_g = [n + ".h" for n in names_h], [n + ".g" for n in names_g]
+    table = {(s + i, s + j): {s + k: alg.brackets[i][j][k] for k, _c in v}
+             for s, alg in ((0, h), (nh, g)) for i, row in enumerate(alg.structure[1])
+             for j, v in enumerate(row) if v}
 
-    def pad_h(v: Vector) -> Vector:
-        return v + zero_vec(ng)
+    def put(i, j, k, x):  # [e_i, e_j] gets x e_k, and [e_j, e_i] its graded mirror
+        table.setdefault((i, j), {})[k] = x
+        table.setdefault((j, i), {})[k] = x if (par[i] * par[j]) % 2 else -x
 
-    for a in range(nh):
-        for b in range(nh):
-            v = h.brackets[a][b]
-            if not is_zero_vec(v):
-                table[(a, b)] = pad_h(v)
-    for j in range(ng):
-        for a in range(nh):
-            v = d.alpha[j].apply(unit_vec(nh, a))
-            if not is_zero_vec(v):
-                table[(nh + j, a)] = pad_h(v)
-                sgn = Fraction(-1 if (g.space.parities[j] * h.space.parities[a]) % 2 == 0 else 1)
-                table[(a, nh + j)] = pad_h(vec_scale(sgn, v))
-    for i in range(ng):
-        for j in range(ng):
-            v = pad_h(d.rho.evaluate((i, j)))
-            gv = g.brackets[i][j]
-            v = vec_add(v, zero_vec(nh) + gv)
-            if not is_zero_vec(v):
-                table[(nh + i, nh + j)] = v
-    return make_algebra(space, table)
+    for j, op in enumerate(d.alpha):
+        for k, row in enumerate(op.matrix):
+            for a, x in enumerate(row):
+                if x:
+                    put(nh + j, a, k, x)
+    for (i, j), val in d.rho.values:
+        for k, x in enumerate(val):
+            if x:
+                put(nh + i, nh + j, k, x)
+    space = SuperVectorSpace(tuple(names_h) + tuple(names_g), par)
+    return make_algebra(space, {ij: dense_vec(v, nh + g.dim) for ij, v in table.items()})
 
 
 def build_extension(d: ExtensionDatum) -> ExtensionTriple:
@@ -401,11 +392,11 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
         if h.space.parities[k] == g.space.parities[j]
     ]
     # the columns of delta_alpha on witnesses, taken into slot order (k-major)
-    dmat, basis1, basis2 = differential_matrix(g, d.alpha, h.space, 1, 0)
+    dmat, basis1, basis2, scale = differential_matrix(g, d.alpha, h.space, 1, 0)
     col = {key: c for c, key in enumerate(basis1)}
     cols = sparse_transpose(dmat, len(basis1))
     system = LinearSystem([cols[col[((j,), k)]] for (k, j) in slots], len(basis2))
-    x = system.solve(cochain_coordinates(d.rho, basis2))
+    x = system.solve(vec_scale(scale, cochain_coordinates(d.rho, basis2)))  # dmat is scale delta
     if x is None:
         return None
     m = [[Fraction(0)] * g.dim for _ in range(h.dim)]

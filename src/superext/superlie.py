@@ -6,7 +6,7 @@ c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 is exact linear algebra on that table.  der(h) has one coordinate system,
 its inner-first basis, whose trailing coordinates are out(h); its brackets
 are computed where they are read, once per unordered pair.  The cached
-views are an algebra's nonzero structure constants and a `DerivationSpace`'s
+views are an algebra's integer `structure` and a `DerivationSpace`'s
 eliminated basis; no result is cached across calls: a pipeline that needs
 der(h) or out(h) builds one `OuterAlgebra` and passes it along.
 """
@@ -65,31 +65,35 @@ class SuperLieAlgebra(Record):
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> Vector:
         """[u, v], summing over nonzero coefficient pairs; every entry is a Fraction."""
+        den, table = self.structure
         v_nz = [(j, b) for j, b in enumerate(vec(v)) if b]
         out = list(zero_vec(self.dim))
         for i, a in enumerate(vec(u)):
             if not a:
                 continue
-            row = self.nonzeros[i]
+            row = table[i]
             for j, b in v_nz:
                 ab = a * b
                 for k, c in row[j]:
                     out[k] += ab * c
-        return tuple(out)
+        return tuple(x / den for x in out)
 
     def is_abelian(self) -> bool:
         return all(is_zero_vec(v) for row in self.brackets for v in row)
 
     @cached_property
-    def nonzeros(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """[i][j] -> the nonzero (k, c^k_ij) of [e_i, e_j], as tuples.
+    def structure(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(den, table): table[i][j] lists the nonzero (k, den c^k_ij) of [e_i, e_j]
+        as ints, den being the lcm of the structure constants' denominators.
 
         Built on first read and kept with the algebra, its one cached view;
-        the sparse kernels of this module, the differential stencil of
-        `cochains` and `extensions.check_datum` run over it.
+        every sparse loop over the constants reads it, and divides by den
+        (den^2 for a Jacobi residual) only where a value leaves the loop.
         """
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
-                     for row in self.brackets)
+        nz = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.brackets]
+        den = lcm(*(c.denominator for row in nz for v in row for _k, c in v))
+        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v)
+                                for v in row) for row in nz)
 
 
 def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]) -> SuperLieAlgebra:
@@ -168,18 +172,9 @@ def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra, suffixes=(".1", ".2")) ->
         names_a = [n + suffixes[0] for n in names_a]
         names_b = [n + suffixes[1] for n in names_b]
     space = SuperVectorSpace(tuple(names_a + names_b), a.space.parities + b.space.parities)
-    na, n = a.dim, a.dim + b.dim
-    table: dict[tuple[int, int], Vector] = {}
-    for i in range(na):
-        for j in range(na):
-            v = a.brackets[i][j]
-            if not is_zero_vec(v):
-                table[(i, j)] = v + zero_vec(n - na)
-    for i in range(b.dim):
-        for j in range(b.dim):
-            v = b.brackets[i][j]
-            if not is_zero_vec(v):
-                table[(na + i, na + j)] = zero_vec(na) + v
+    table = {(s + i, s + j): zero_vec(s) + v + zero_vec(space.dim - s - alg.dim)
+             for s, alg in ((0, a), (a.dim, b)) for i, row in enumerate(alg.brackets)
+             for j, v in enumerate(row) if not is_zero_vec(v)}
     return make_algebra(space, table)
 
 
@@ -196,7 +191,7 @@ class ValidationReport(Record):
 
 def _antisymmetry_failures(alg: SuperLieAlgebra) -> Iterator[str]:
     """One message per pair i <= j with [e_j, e_i] != -(-1)^{x_i x_j} [e_i, e_j], in order."""
-    sp, nz = alg.space, alg.nonzeros
+    sp, (_den, nz) = alg.space, alg.structure
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             sign = -1 if (sp.parities[i] * sp.parities[j]) % 2 == 0 else 1
@@ -210,12 +205,12 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
 
     Jacobi is checked on ordered triples i <= j <= k only (with repeats);
     once antisymmetry holds the remaining triples follow from it.  Each
-    cyclic sum runs over the nonzero structure constants only.
+    cyclic sum, den^2 times its value, runs over the integer `structure`.
     """
     sp = alg.space
     n = alg.dim
     fails: list[str] = []
-    nz = alg.nonzeros
+    den, nz = alg.structure
 
     deg_ok = True
     for i in range(n):
@@ -238,7 +233,7 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
         for j in range(i, n):
             for k in range(j, n):
                 # sum_cyc s [e_a, [e_b, e_c]] = sum_cyc s sum_m c^m_bc c^q_am e_q
-                res: dict[int, Fraction] = {}
+                res: dict[int, int] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                     s = -1 if (sp.parities[a] * sp.parities[c]) % 2 else 1
                     nz_a = nz[a]
@@ -248,9 +243,8 @@ def validate_algebra(alg: SuperLieAlgebra) -> ValidationReport:
                             res[q] = res.get(q, 0) + sx * y
                 if any(res.values()):
                     jac_ok = False
-                    res_str = " + ".join(
-                        f"{c}*{sp.names[m]}" for m, c in sorted(res.items()) if c != 0
-                    )
+                    res_str = " + ".join(f"{Fraction(c, den * den)}*{sp.names[m]}"
+                                         for m, c in sorted(res.items()) if c != 0)
                     fails.append(
                         f"jacobi: residual on ({sp.names[i]},{sp.names[j]},{sp.names[k]}) "
                         f"= {res_str}"
@@ -278,26 +272,26 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
 
 def _ad_flat(alg: SuperLieAlgebra, x: Sequence) -> dict[int, Fraction]:
     """ad_X as {k n + j: nonzero}: column j holds [X, e_j] = sum_i x_i c^k_ij e_k."""
-    n = alg.dim
+    n, (den, table) = alg.dim, alg.structure
     out: dict[int, Fraction] = {}
     for i, xi in enumerate(x):
         if xi:
-            for j, v in enumerate(alg.nonzeros[i]):
+            for j, v in enumerate(table[i]):
                 for k, c in v:
                     out[k * n + j] = out.get(k * n + j, 0) + xi * c
-    return {t: y for t, y in out.items() if y}
+    return {t: y / den for t, y in out.items() if y}
 
 
 def center(alg: SuperLieAlgebra) -> list[Vector]:
     """Basis of the graded center {Z : [Z, h] = 0}, both parities included.
 
     Computed as the joint kernel of all ad_{e_i}, whose row (i, k) is
-    {j: c^k_ij}, read off the nonzero structure constants; each basis
-    vector is parity-homogeneous because the system never couples parities.
+    {j: den c^k_ij}, read off the integer `structure`; each basis vector
+    is parity-homogeneous because the system never couples parities.
     """
     rows = []
-    for row in alg.nonzeros:
-        ad_rows: dict[int, dict[int, Fraction]] = {}  # k -> row k of ad_{e_i}
+    for row in alg.structure[1]:
+        ad_rows: dict[int, dict[int, int]] = {}  # k -> row k of den ad_{e_i}
         for j, v in enumerate(row):
             for k, c in v:
                 ad_rows.setdefault(k, {})[j] = c
@@ -308,11 +302,11 @@ def center(alg: SuperLieAlgebra) -> list[Vector]:
 def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     """Graded Leibniz check D[X,Y] = [DX,Y] + (-1)^{deg D * x}[X,DY] on all pairs.
 
-    Each residual is summed over the nonzero structure constants and the
-    nonzero entries of D only.
+    Each residual, den times its value, is summed over the integer
+    `structure` and the nonzero entries of D.
     """
     n = alg.dim
-    nz = alg.nonzeros
+    nz = alg.structure[1]
     cols = [[(i, row[j]) for i, row in enumerate(d.matrix) if row[j]] for j in range(n)]
     for a in range(n):
         s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1
@@ -390,8 +384,8 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     antisymmetric table the rows of (b, a) are -(-1)^{x_a x_b} times those
     of (a, b), so only pairs a <= b are written, and the kernel, which
     depends on the row space only, is unchanged.  The rows are sparse
-    {slot: int} dicts over the nonzero structure constants, all scaled by
-    the lcm of their denominators, and go straight to `sparse_kernel_basis`.
+    {slot: int} dicts over the integer `structure`, all den times their
+    values, and go straight to `sparse_kernel_basis`.
     """
     sp = alg.space
     n = alg.dim
@@ -403,9 +397,7 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     # col_slots[j]: (i, slot of D_ij) for every D_ij allowed in column j
     col_slots = [[(i, slot_index[(i, j)]) for i in range(n) if (i, j) in slot_index]
                  for j in range(n)]
-    den = lcm(*(c.denominator for row in alg.nonzeros for v in row for _, c in v))
-    nz = [[[(k, c.numerator * (den // c.denominator)) for k, c in v] for v in row]
-          for row in alg.nonzeros]
+    nz = alg.structure[1]
 
     def leibniz_rows():
         for a in range(n):
@@ -518,8 +510,10 @@ def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],
     respects the bracket of g, i.e. is a homomorphism into the graded
     commutator algebra.
     """
+    den, table = g.structure
     defect = _commutator(ops[i], ops[j])
-    for m, c in g.nonzeros[i][j]:
+    for m, c in table[i][j]:
+        c = Fraction(c, den)
         for t, x in _flat_nonzeros(ops[m]).items():
             defect[t] = defect.get(t, 0) - c * x
     return {t: x for t, x in defect.items() if x}
@@ -532,16 +526,17 @@ def is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgeb
     if f.domain != src.space or f.codomain != dst.space:
         raise ValueError("map does not connect the given algebras")
     cols = [[(k, row[j]) for k, row in enumerate(f.matrix) if row[j]] for j in range(src.dim)]
-    for i, row in enumerate(src.nonzeros):
+    (src_den, src_table), (dst_den, dst_table) = src.structure, dst.structure
+    for i, row in enumerate(src_table):
         for j, v in enumerate(row):
-            res: dict[int, Fraction] = {}  # f[e_i, e_j] - [f e_i, f e_j], over nonzeros only
+            res: dict[int, Fraction] = {}  # both dens times f[e_i, e_j] - [f e_i, f e_j]
             for m, c in v:
                 for k, x in cols[m]:
-                    res[k] = res.get(k, 0) + c * x
+                    res[k] = res.get(k, 0) + dst_den * c * x
             for p, x in cols[i]:
                 for q, y in cols[j]:
-                    for k, c in dst.nonzeros[p][q]:
-                        res[k] = res.get(k, 0) - x * y * c
+                    for k, c in dst_table[p][q]:
+                        res[k] = res.get(k, 0) - src_den * x * y * c
             if any(res.values()):
                 return False
     return True

@@ -306,22 +306,42 @@ def test_obstruction_assembles_each_differential_once(monkeypatch):
 
     h, g = heis3(), abelian(1, 1, "t")
     built, checked = [], []
-    delta_matrix, check = coh.delta_matrix, coh._check_squares_to_zero
+    differential_matrix, check = coh.differential_matrix, coh._check_squares_to_zero
 
-    def counted_delta(mod, n, y, bases=None):
+    def counted_differential(g, ops, target, n, y, bases=None):
         built.append((n, y))
-        return delta_matrix(mod, n, y, bases)
+        return differential_matrix(g, ops, target, n, y, bases)
 
     def counted_check(outer, inner, n):
         checked.append(n)
         return check(outer, inner, n)
 
-    monkeypatch.setattr(coh, "delta_matrix", counted_delta)
+    monkeypatch.setattr(coh, "differential_matrix", counted_differential)
     monkeypatch.setattr(coh, "_check_squares_to_zero", counted_check)
     obs = obstruction_class(h, g, zero_abar(h, g))
     assert obs.vanishes and obs.mu is not None
     assert sorted(built) == [(2, 0), (3, 0)]
     assert checked == [3]
+
+
+def test_primitive_of_an_exact_obstruction_cocycle(monkeypatch, rng):
+    # no input here reaches a nonzero obstruction cocycle whose class
+    # vanishes, so one takes the place of delta_alpha(rho): lam = delta(nu)
+    # for a random weight-0 nu, over a g whose differential carries a scale
+    from superext import cohomology as coh
+    from test_structure_constants import rescaled
+
+    h, g = heis3(), rescaled(osp12(), (1, 1, 1, F(1, 2), 3))
+    abar = zero_abar(h, g)
+    obs = obstruction_class(h, g, abar)
+    lam = module_delta(obs.module, random_cochain(g.space, obs.module.space, 2, 0, rng))
+    assert not lam.is_zero()
+    lam_h, real = push_center_cochain(lam, obs.center_incl), coh.covariant_delta
+    monkeypatch.setattr(coh, "covariant_delta",
+                        lambda g_, ops, phi: lam_h if phi == obs.rho else real(g_, ops, phi))
+    obs = obstruction_class(h, g, abar)
+    assert obs.lam == lam and obs.vanishes
+    assert module_delta(obs.module, obs.mu) == lam
 
 
 # ---------- lift and curvature from a lift ----------
@@ -686,13 +706,13 @@ def test_closed_form_dimension_check_fires(monkeypatch):
     from superext import cohomology as coh
 
     g = sl2()
-    delta_matrix = coh.delta_matrix
+    differential_matrix = coh.differential_matrix
 
-    def one_column_short(mod, n, y, bases=None):
-        rows, src, dst = delta_matrix(mod, n, y, bases)
-        return rows, src[:-1], dst
+    def one_column_short(*args):
+        rows, src, dst, scale = differential_matrix(*args)
+        return rows, src[:-1], dst, scale
 
-    monkeypatch.setattr(coh, "delta_matrix", one_column_short)
+    monkeypatch.setattr(coh, "differential_matrix", one_column_short)
     with pytest.raises(RuntimeError, match=r"internal fault: dim C\^2 of weight 0 is not its"):
         cohomology_space(g, trivial_module(g), 2)
 

@@ -17,7 +17,7 @@ from superext import cochains
 from superext.catalog import gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import covariant_delta
 from superext.cohomology import _torus, cohomology_space, delta_matrix, gmodule, trivial_module
-from superext.gvs import IncrementalSpan, dense_vec, unit_vec
+from superext.gvs import GradedLinearMap, IncrementalSpan, dense_vec, unit_vec
 from superext.superlie import ad, direct_sum
 
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     eager_weight_cohomology,
     random_cochain,
 )
+from test_structure_constants import RESCALED, rescaled
 
 F = Fraction
 
@@ -43,6 +44,9 @@ ALGEBRAS = {
     "gl11": gl11,
     "osp12": osp12,
     "gl11+sl2+heis3": gl11_sl2_heis3,
+    # structure constants that are not integers: the differential's rows carry a scale
+    **{name: (lambda f=factors, b=base: rescaled(b(), f))
+       for name, (factors, base) in RESCALED.items()},
 }
 
 
@@ -50,7 +54,22 @@ def adjoint_module(g):
     return gmodule(g, g.space, tuple(ad(g, unit_vec(g.dim, i)) for i in range(g.dim)))
 
 
+def scaled_adjoint(g):
+    """The adjoint module in the basis s_m e_m, s = 1, 2, 1/3, 1, 2, ...
+
+    For sl2 the basis is (H, 2E, F/3).  The action has denominators 2, 3
+    and 6 that g's structure constants need not have, so the scale of the
+    differential is not g's alone.
+    """
+    s = [(F(1), F(2), F(1, 3))[m % 3] for m in range(g.dim)]
+    ops = [ad(g, unit_vec(g.dim, i)) for i in range(g.dim)]
+    return gmodule(g, g.space, tuple(GradedLinearMap(g.space, g.space, op.degree, tuple(
+        tuple(op.matrix[k][m] * s[m] / s[k] for m in range(g.dim)) for k in range(g.dim)))
+        for op in ops))
+
+
 MODULES = {"trivial": trivial_module, "adjoint": adjoint_module}
+ORACLE_MODULES = {**MODULES, "scaled adjoint": scaled_adjoint}
 
 
 def max_arity(g, module):
@@ -63,11 +82,11 @@ def max_arity(g, module):
 
 # ---------- assembler ----------
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(ORACLE_MODULES))
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_delta_matrix_matches_column_oracle(name, module):
     g = ALGEBRAS[name]()
-    mod = MODULES[module](g)
+    mod = ORACLE_MODULES[module](g)
     for n in range(max_arity(g, module) + 1):
         for y in (0, 1):
             rows, src, dst = delta_matrix(mod, n, y)
@@ -78,10 +97,10 @@ def test_delta_matrix_matches_column_oracle(name, module):
                 delta_matrix_by_columns(g, mod.action, mod.space, n, y)
 
 
-@pytest.mark.parametrize("name", ["susy_line", "gl11", "osp12"])
+@pytest.mark.parametrize("name", ["susy_line", "gl11", "osp12", "sl2 rescaled", "osp12 rescaled"])
 def test_covariant_delta_matches_term_oracle(name, rng):
     g = ALGEBRAS[name]()
-    for mod in (trivial_module(g), adjoint_module(g)):
+    for mod in (trivial_module(g), adjoint_module(g), scaled_adjoint(g)):
         for n in range(4):
             for y in (0, 1):
                 phi = random_cochain(g.space, mod.space, n, y, rng)

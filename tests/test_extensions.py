@@ -45,6 +45,7 @@ from oracles import (
     random_valid_datum,
     random_witness,
 )
+from test_structure_constants import rescaled
 
 F = Fraction
 
@@ -376,7 +377,10 @@ def test_heisenberg_never_splits(rng):
 
 
 def test_solve_split_abelian_finds_witness(rng):
-    for g, h in ((sl2(), abelian(1, 0, "w")), (susy_line(), abelian(1, 1, "m"))):
+    # sl2 rescaled has the denominator 3: the rows of delta_alpha carry a
+    # scale, which the right-hand side must share
+    for g, h in ((sl2(), abelian(1, 0, "w")), (susy_line(), abelian(1, 1, "m")),
+                 (rescaled(sl2(), (1, 2, Fraction(1, 3))), abelian(1, 0, "w"))):
         flat = trivial_datum(g, h)
         b0 = random_witness(g, h, rng)
         d = transform_datum(flat, b0)

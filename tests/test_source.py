@@ -98,3 +98,33 @@ def test_delta_stencil_has_one_caller():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path.name)
     assert found == ["cochains.py:differential_matrix"]
+
+
+def _references(name: str) -> set[str]:
+    """"file:enclosing def" for every read of `name`, as a name or an attribute, under src/."""
+    found = set()
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            if (getattr(child, "id", None) or getattr(child, "attr", None)) == name:
+                found.add(f"{path.name}:{'.'.join(where) or '<module>'}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, where + (child.name,) if is_def else where, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), (), path)
+    return found
+
+
+def test_one_structure_view():
+    # an algebra keeps one integer view of its structure constants, and
+    # nothing clears them again per call: lcm is taken only where a scale is made
+    tree = ast.parse((SRC / "superlie.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if getattr(n, "name", None) == "SuperLieAlgebra")
+    cached = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in n.decorator_list)]
+    assert cached == ["structure"]
+    assert _references("nonzeros") == set()
+    assert {s for s in _references("lcm") if not s.startswith("gvs.py:")} == {
+        "superlie.py:SuperLieAlgebra.structure", "cohomology.py:_torus",
+        "cochains.py:differential_matrix"}

@@ -223,7 +223,8 @@ def test_ad_and_is_derivation_match_dense_oracles(name):
 
 
 @pytest.mark.parametrize("g,h", [("a11", "a11"), ("sl2", "a11"), ("susy_line", "heis3"),
-                                 ("gl11", "susy_line")])
+                                 ("gl11", "susy_line"), ("sl2 rescaled", "a11"),
+                                 ("osp12 rescaled", "heis3")])
 def test_curvature_failures_match_dense_oracle(g, h):
     rng = random.Random(f"{g}/{h}")
     galg = abelian(1, 1) if g == "a11" else ALGEBRAS[g]()
