@@ -1,7 +1,10 @@
-"""Golden-file case table shared by the CLI tests and the regenerator.
+"""Golden-file case table shared by the CLI tests and the `cli_golden` benchmark workload.
 
-Each case: (name, argv, expected exit code).  All file arguments are
-relative to tests/golden/inputs, where the commands are run.
+Each case: (name, argv, expected exit code); its expected stdout is
+tests/golden/expected/<name>.out.  All file arguments are relative to
+tests/golden/inputs, where the commands are run.  `perfbench/run.py` times
+every case here, so goldens added later live in tables of their own
+(`test_cli.py`'s torus cases, `test_cli_human.py`).
 """
 
 CASES = [

@@ -5,6 +5,7 @@ The CLI runs in-process through `cli.main(argv)`; three tests start a real
 the environment variable and the usage error.
 """
 
+import argparse
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import pytest
 
 from cli_cases import CASES
 from cli_run import INPUTS, SRC, run_cli, run_cli_process
+from superext import cli
 
 EXPECTED = Path(__file__).parent / "golden" / "expected"
 
@@ -370,7 +372,7 @@ def test_fuzzed_inputs_never_traceback(tmp_path):
 def test_out_built_once_per_command(name, monkeypatch, capsys):
     # in-process: abar is typed by the same out(h) the library call uses,
     # so each command solves der(h) exactly once
-    from superext import cli, superlie
+    from superext import superlie
 
     argv, want_exit = next((c[1], c[2]) for c in CASES if c[0] == name)
     calls = []
@@ -433,3 +435,154 @@ def test_module_name_must_be_a_string_exit_2(name, tmp_path):
     r = run_cli(["cohomology", "a20.json", "--degree", "1", "--module", module])
     assert (r.returncode, r.stdout) == (2, b"")
     assert r.stderr == f"error: {module}.name: must be a string\n".encode()
+
+
+# Each subcommand's argparse actions as (option strings, dest, required, type,
+# action class, default, help), recorded before the subcommands were declared
+# in one table.  Attributes, not the rendered help, so the spec reads the same
+# on every supported Python.
+HELP = (("-h", "--help"), "help", False, None, "_HelpAction", argparse.SUPPRESS,
+        "show this help message and exit")
+JSON = (("--json",), "json", False, None, "_StoreTrueAction", False, "machine-readable report")
+ALLOW_LARGE = (("--allow-large",), "allow_large", False, None, "_StoreTrueAction", False,
+               "lift the dimension guard (default max 12)")
+PARSER_SPEC = [
+    ("", None, [
+        HELP,
+        (("--version",), "version", False, None, "_VersionAction", argparse.SUPPRESS,
+         "show program's version number and exit"),
+        ((), "command", False, None, "_SubParsersAction", None, None),
+    ]),
+    ("validate", "check the super Lie algebra axioms", [
+        HELP,
+        ((), "algebra", True, None, "_StoreAction", None, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("center", "basis of the graded center", [
+        HELP,
+        ((), "algebra", True, None, "_StoreAction", None, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("derivations", "basis of der(h), inner members flagged", [
+        HELP,
+        ((), "algebra", True, None, "_StoreAction", None, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("out", "the quotient out(h) = der(h)/ad(h)", [
+        HELP,
+        ((), "algebra", True, None, "_StoreAction", None, None),
+        (("-o", "--output"), "output", False, None, "_StoreAction", None,
+         "write out(h) as an algebra file"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("cohomology", "graded Chevalley cohomology, split by weight", [
+        HELP,
+        ((), "algebra", True, None, "_StoreAction", None, None),
+        (("--degree",), "degree", True, "int", "_StoreAction", None, None),
+        (("--module",), "module", False, None, "_StoreAction", None,
+         "module file (default: trivial line)"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("section-data", "connection and curvature of a section", [
+        HELP,
+        (("--e",), "e", True, None, "_StoreAction", None, "total algebra file"),
+        (("--h",), "h", True, None, "_StoreAction", None, "kernel algebra file"),
+        (("--g",), "g", True, None, "_StoreAction", None, "quotient algebra file"),
+        (("--i",), "i", True, None, "_StoreAction", None, "inclusion map file h -> e"),
+        (("--p",), "p", True, None, "_StoreAction", None, "projection map file e -> g"),
+        (("--section",), "section", True, None, "_StoreAction", None, "section map file g -> e"),
+        (("-o", "--output"), "output", False, None, "_StoreAction", None,
+         "write the induced datum file"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("check-data", "extension-data conditions with residuals", [
+        HELP,
+        ((), "datum", True, None, "_StoreAction", None, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("build", "build the extension algebra from a datum", [
+        HELP,
+        ((), "datum", True, None, "_StoreAction", None, None),
+        (("-o", "--output"), "output", False, None, "_StoreAction", None,
+         "write the built algebra file"),
+        (("--name",), "name", False, None, "_StoreAction", None, "name for the built algebra"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("transform", "move a datum by a witness b: g -> h", [
+        HELP,
+        ((), "datum", True, None, "_StoreAction", None, None),
+        (("--witness",), "witness", True, None, "_StoreAction", None,
+         "map file g -> h of degree 0"),
+        (("-o", "--output"), "output", False, None, "_StoreAction", None,
+         "write the transformed datum file"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("equivalent", "check a witness between two data", [
+        HELP,
+        ((), "datum", True, None, "_StoreAction", None, None),
+        ((), "datum2", True, None, "_StoreAction", None, None),
+        (("--witness",), "witness", True, None, "_StoreAction", None, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("split-check", "splitting witnesses; linear solver for abelian kernels", [
+        HELP,
+        ((), "datum", True, None, "_StoreAction", None, None),
+        (("--witness",), "witness", False, None, "_StoreAction", None, None),
+        (("--solve-abelian",), "solve_abelian", False, None, "_StoreTrueAction", False, None),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("obstruction", "degree-3 obstruction class of an outer action", [
+        HELP,
+        (("--g",), "g", True, None, "_StoreAction", None, None),
+        (("--h",), "h", True, None, "_StoreAction", None, None),
+        (("--alpha-bar",), "alpha_bar", True, None, "_StoreAction", None,
+         "map file g -> out(h) of degree 0"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("classify", "classification of extensions inducing an outer action", [
+        HELP,
+        (("--g",), "g", True, None, "_StoreAction", None, None),
+        (("--h",), "h", True, None, "_StoreAction", None, None),
+        (("--alpha-bar",), "alpha_bar", True, None, "_StoreAction", None,
+         "map file g -> out(h) of degree 0"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+    ("pullback", "pullback extension for a centerless kernel", [
+        HELP,
+        (("--g",), "g", True, None, "_StoreAction", None, None),
+        (("--h",), "h", True, None, "_StoreAction", None, None),
+        (("--alpha-bar",), "alpha_bar", True, None, "_StoreAction", None,
+         "map file g -> out(h) of degree 0"),
+        (("-o", "--output"), "output", False, None, "_StoreAction", None,
+         "write the pullback algebra file"),
+        (("--name",), "name", False, None, "_StoreAction", None, "name for the pullback algebra"),
+        JSON,
+        ALLOW_LARGE,
+    ]),
+]
+
+
+def _actions(parser):
+    return [(tuple(a.option_strings), a.dest, a.required, getattr(a.type, "__name__", a.type),
+             type(a).__name__, a.default, a.help) for a in parser._actions]
+
+
+def test_parser_spec_is_pinned():
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = [("", None, _actions(parser))] + [
+        (c.dest, c.help, _actions(sub.choices[c.dest])) for c in sub._choices_actions]
+    assert got == PARSER_SPEC

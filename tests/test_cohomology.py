@@ -11,6 +11,7 @@ from superext.gvs import GradedLinearMap, graded_commutator, unit_vec
 from superext.superlie import (
     abelian_algebra,
     ad,
+    algebra_from_table,
     center,
     derivations,
     direct_sum,
@@ -598,6 +599,26 @@ def test_classify_obstructed_report_shape():
     rep = ClassificationReport(fake, None, None, (), (), False, False)
     assert not rep.obstruction.vanishes
     assert rep.data == ()
+
+
+def test_classify_obstructed_kernel():
+    # kx4 = <x, v0 | v1, z>, [x,v0] = 2 v0, [x,v1] = 2 v1; abar(Q) is the class of
+    # the odd derivation D: x -> z, v0 -> v1, v1 -> v0.  2 D^2 = ad x gives
+    # lam(Q,Q,Q) = 3 D(x) = 3z, and Z(kx4) = <z> is odd, so no weight-0
+    # coboundary can cancel it: no extension induces abar
+    h = algebra_from_table(("x", "v0", "v1", "z"), (0, 0, 1, 1),
+                           {("x", "v0"): {"v0": 2}, ("x", "v1"): {"v1": 2}})
+    g = abelian_algebra(("Q",), (1,))
+    out_alg, _ = out_quotient(h)
+    abar = GradedLinearMap(g.space, out_alg.space, 0, ((0,), (0,), (1,), (1,), (1,)))
+    rep = classify_extensions(h, g, abar)
+    obs = rep.obstruction
+    assert obs.vanishes is False
+    assert obs.class_coords == (3,)
+    assert obs.mu is None
+    assert rep.data == () and rep.h2 is None
+    assert obs.lam.target.names == ("z0",)
+    assert obs.lam.values == (((0, 0, 0), (3,)),)
 
 
 def test_classify_respects_nonzero_action():
