@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .gvs import SuperVectorSpace, Vector, is_zero_vec
@@ -32,6 +32,7 @@ from . import formats
 from .formats import InvariantError, SchemaError
 
 if TYPE_CHECKING:
+    from .cochains import Cochain
     from .extensions import ExtensionDatum
 
 MAX_DIM = 12
@@ -63,6 +64,12 @@ def _fmt_vec(v: Vector, space: SuperVectorSpace) -> str:
 
 def _fmt_matrix(m) -> str:
     return "[" + "; ".join(" ".join(map(formats.format_rational, row)) for row in m) + "]"
+
+
+def _fmt_values(phi: Cochain) -> Iterator[tuple[str, str]]:
+    """(argument names, value) of each stored value of a cochain, as human reports print them."""
+    for tup, v in phi.values:
+        yield ",".join(phi.source.names[i] for i in tup), _fmt_vec(v, phi.target)
 
 
 def _guarded_algebra(doc, where: str, allow_large: bool) -> tuple[str, SuperLieAlgebra]:
@@ -111,13 +118,21 @@ def _load_datum(path: str, allow_large: bool):
     return datum, (gname, gref), (hname, href)
 
 
-def _write_output(path: str | None, doc) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(formats.dump_json(doc))
-        except OSError as ex:
-            raise SchemaError(f"{path}: cannot write: {ex.strerror or ex}") from None
+def _load_map(path: str, domain, codomain):
+    """The map file at `path`, typed by the (name, space) pairs of its domain and codomain."""
+    return formats.parse_map(formats.load_json(path), domain, codomain, where=path)
+
+
+def _write_output(path: str | None, doc) -> list[str]:
+    """Write `doc` to `path` if one is given; the human report line that says so."""
+    if not path:
+        return []
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(formats.dump_json(doc))
+    except OSError as ex:
+        raise SchemaError(f"{path}: cannot write: {ex.strerror or ex}") from None
+    return [f"written to {path}"]
 
 
 def _datum_file_doc(d: ExtensionDatum, gname: str, hname: str) -> dict:
@@ -127,36 +142,32 @@ def _datum_file_doc(d: ExtensionDatum, gname: str, hname: str) -> dict:
     )
 
 
-def _datum_lines(d: ExtensionDatum, output: str | None) -> list[str]:
+def _datum_lines(d: ExtensionDatum, written: list[str]) -> list[str]:
     """Human report lines of a datum: alpha, rho, the output note and the convention."""
     lines = [f"  alpha[{d.g.space.names[i]}] = {_fmt_matrix(op.matrix)}"
              for i, op in enumerate(d.alpha)]
-    for tup, v in d.rho.values:
-        names = ",".join(d.g.space.names[i] for i in tup)
-        lines.append(f"  rho({names}) = {_fmt_vec(v, d.h.space)}")
-    if not d.rho.values:
-        lines.append("  rho = 0")
-    if output:
-        lines.append(f"written to {output}")
-    return lines + [f"note: {COCHAIN_NOTE}"]
+    lines += [f"  rho({a}) = {v}" for a, v in _fmt_values(d.rho)] or ["  rho = 0"]
+    return lines + written + [f"note: {COCHAIN_NOTE}"]
 
 
-def _triple_report(args, name: str, triple, **report) -> dict:
+def _triple_report(args, name: str, triple, **report) -> tuple[dict, list[str]]:
     """`report` plus the built algebra, also written to `args.output`, and its three maps."""
     report["algebra"] = formats.format_algebra(name, triple.e)
-    _write_output(args.output, report["algebra"])
+    written = _write_output(args.output, report["algebra"])
     for key, f in (("inclusion", triple.incl), ("projection", triple.proj),
                    ("section", triple.section)):
         report[key] = formats.format_matrix(f.matrix)
-    return report
+    return report, written
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, report: dict, lines: list[str], ok: bool = True) -> int:
+    """Print `report` as JSON or `lines` as text; exit code 0 if `ok`, else 1."""
     if args.json:
         sys.stdout.write(formats.dump_json(report))
     else:
         for line in lines:
             print(line)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------- subcommands ----------
@@ -179,8 +190,7 @@ def cmd_validate(args) -> int:
         f"antisymmetry: {'ok' if rep.antisymmetry else 'FAIL'}",
         f"jacobi: {'ok' if rep.jacobi else 'FAIL'}",
     ] + [f"  {f}" for f in rep.failures]
-    _emit(args, report, lines)
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _emit(args, report, lines, rep.ok)
 
 
 def cmd_center(args) -> int:
@@ -194,24 +204,29 @@ def cmd_center(args) -> int:
     }
     lines = [f"center of {name}: dimension {len(basis)}"]
     lines += [f"  {_fmt_vec(v, alg.space)}" for v in basis]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, report, lines)
 
 
 def cmd_derivations(args) -> int:
     name, alg = _load_valid_algebra(args.algebra, args.allow_large)
     ds = derivations(alg)
     members = []
+    lines = [f"der({name}): dimension {len(ds.basis)}, inner {ds.inner_count}"]
     for k, d in enumerate(ds.basis):
+        inner = k < ds.inner_count
         entry = {
             "name": f"D{k}",
             "degree": d.degree,
-            "inner": k < ds.inner_count,
+            "inner": inner,
             "matrix": formats.format_matrix(d.matrix),
         }
-        if k < ds.inner_count:
+        extra = ""
+        if inner:
             entry["preimage"] = formats.format_value(ds.inner_preimages[k], alg.space)
+            extra = f" = ad({_fmt_vec(ds.inner_preimages[k], alg.space)})"
         members.append(entry)
+        lines.append(f"  D{k} ({'inner' if inner else 'outer'}, degree {d.degree}) "
+                     f"{_fmt_matrix(d.matrix)}{extra}")
     report = {
         "command": "derivations",
         "algebra": name,
@@ -219,14 +234,7 @@ def cmd_derivations(args) -> int:
         "inner_dim": ds.inner_count,
         "basis": members,
     }
-    lines = [f"der({name}): dimension {len(ds.basis)}, inner {ds.inner_count}"]
-    for k, d in enumerate(ds.basis):
-        tag = "inner" if k < ds.inner_count else "outer"
-        extra = (f" = ad({_fmt_vec(ds.inner_preimages[k], alg.space)})"
-                 if k < ds.inner_count else "")
-        lines.append(f"  D{k} ({tag}, degree {d.degree}) {_fmt_matrix(d.matrix)}{extra}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, report, lines)
 
 
 def cmd_out(args) -> int:
@@ -242,24 +250,21 @@ def cmd_out(args) -> int:
         "out": out_doc,
         "projection": formats.format_matrix(outer.proj.matrix),
     }
-    _write_output(args.output, out_doc)
+    written = _write_output(args.output, out_doc)
     lines = [
         f"out({name}) = der/ad: dimension {out_alg.dim} "
         f"({out_alg.space.dim_even}|{out_alg.space.dim_odd})",
         f"  basis: {', '.join(out_alg.space.names)}",
         f"  der dimension {len(ds.basis)}, inner {ds.inner_count}",
-    ]
-    if args.output:
-        lines.append(f"  written to {args.output}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    ] + [f"  {line}" for line in written]
+    return _emit(args, report, lines)
 
 
-def cmd_cohomology(args, cap: int) -> int:
+def cmd_cohomology(args) -> int:
     from .cohomology import cohomology_space, gmodule, trivial_module
     name, alg = _load_valid_algebra(args.algebra, args.allow_large)
-    if args.degree < 0 or args.degree > cap:
-        raise SchemaError(f"--degree must lie in 0..{cap} (the arity cap)")
+    if args.degree < 0 or args.degree > args.arity_cap:
+        raise SchemaError(f"--degree must lie in 0..{args.arity_cap} (the arity cap)")
     if args.module:
         mdoc = formats.load_json(args.module)
         mname, mspace, action = formats.parse_module_doc(mdoc, (name, alg), where=args.module)
@@ -295,12 +300,9 @@ def cmd_cohomology(args, cap: int) -> int:
     for w in rep.weights:
         for k, c in enumerate(w.representatives):
             lines.append(f"  representative {k} (weight {w.weight}):")
-            for tup, v in c.values:
-                names = ",".join(alg.space.names[i] for i in tup)
-                lines.append(f"    ({names}) -> {_fmt_vec(v, mod.space)}")
+            lines += [f"    ({a}) -> {v}" for a, v in _fmt_values(c)]
     lines.append(f"note: {COCHAIN_NOTE}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, report, lines)
 
 
 def cmd_section_data(args) -> int:
@@ -308,12 +310,9 @@ def cmd_section_data(args) -> int:
     hname, halg = _load_algebra(args.h, args.allow_large)
     gname, galg = _load_algebra(args.g, args.allow_large)
     ename, ealg = _load_algebra(args.e, args.allow_large)
-    incl = formats.parse_map(formats.load_json(args.i), (hname, halg.space),
-                             (ename, ealg.space), where=args.i)
-    proj = formats.parse_map(formats.load_json(args.p), (ename, ealg.space),
-                             (gname, galg.space), where=args.p)
-    sec = formats.parse_map(formats.load_json(args.section), (gname, galg.space),
-                            (ename, ealg.space), where=args.section)
+    incl = _load_map(args.i, (hname, halg.space), (ename, ealg.space))
+    proj = _load_map(args.p, (ename, ealg.space), (gname, galg.space))
+    sec = _load_map(args.section, (gname, galg.space), (ename, ealg.space))
     try:
         triple = ExtensionTriple(halg, galg, ealg, incl, proj, sec)
     except ValueError as ex:
@@ -324,17 +323,15 @@ def cmd_section_data(args) -> int:
         datum = induced_data(triple)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
-    doc = formats.format_datum(datum, args.g, args.h)
-    _write_output(args.output, _datum_file_doc(datum, gname, hname))
+    written = _write_output(args.output, _datum_file_doc(datum, gname, hname))
     report = {
         "command": "section-data",
         "g": gname, "h": hname, "e": ename,
-        "datum": doc,
+        "datum": formats.format_datum(datum, args.g, args.h),
         "convention": COCHAIN_NOTE,
     }
     lines = [f"induced data of the section {gname} -> {ename}:"]
-    _emit(args, report, lines + _datum_lines(datum, args.output))
-    return EXIT_OK
+    return _emit(args, report, lines + _datum_lines(datum, written))
 
 
 def cmd_check_data(args) -> int:
@@ -354,8 +351,7 @@ def cmd_check_data(args) -> int:
         f"commutator defect = ad(rho): {'ok' if rep.commutator_defect_ok else 'FAIL'}",
         f"cyclic curvature sum = 0: {'ok' if rep.cyclic_curvature_ok else 'FAIL'}",
     ] + [f"  {f}" for f in rep.failures]
-    _emit(args, report, lines)
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _emit(args, report, lines, rep.ok)
 
 
 def cmd_build(args) -> int:
@@ -364,41 +360,32 @@ def cmd_build(args) -> int:
     rep = check_datum(datum)
     if not rep.ok:
         report = {"command": "build", "ok": False, "failures": list(rep.failures)}
-        _emit(args, report, ["datum fails the extension conditions:"]
-              + [f"  {f}" for f in rep.failures])
-        return EXIT_FAIL
+        return _emit(args, report, ["datum fails the extension conditions:"]
+                     + [f"  {f}" for f in rep.failures], False)
     triple = build_extension(datum)
     name = args.name or f"{hname}(+){gname}"
-    report = _triple_report(args, name, triple, command="build", ok=True)
-    lines = [f"built extension algebra {name}: dim "
-             f"({triple.e.space.dim_even}|{triple.e.space.dim_odd})"]
-    for i in range(triple.e.dim):
-        for j in range(i, triple.e.dim):
-            v = triple.e.brackets[i][j]
-            if not is_zero_vec(v):
-                lines.append(
-                    f"  [{triple.e.space.names[i]},{triple.e.space.names[j]}] = "
-                    f"{_fmt_vec(v, triple.e.space)}"
-                )
-    if args.output:
-        lines.append(f"written to {args.output}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    report, written = _triple_report(args, name, triple, command="build", ok=True)
+    e = triple.e
+    lines = [f"built extension algebra {name}: dim ({e.space.dim_even}|{e.space.dim_odd})"]
+    for i in range(e.dim):
+        for j in range(i, e.dim):
+            if not is_zero_vec(e.brackets[i][j]):
+                lines.append(f"  [{e.space.names[i]},{e.space.names[j]}] = "
+                             f"{_fmt_vec(e.brackets[i][j], e.space)}")
+    return _emit(args, report, lines + written)
 
 
 def cmd_transform(args) -> int:
     from .extensions import transform_datum
     datum, (gname, gref), (hname, href) = _load_datum(args.datum, args.allow_large)
-    b = formats.parse_map(formats.load_json(args.witness), (gname, datum.g.space),
-                          (hname, datum.h.space), where=args.witness)
+    b = _load_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
     if b.degree != 0:
         raise SchemaError(f"{args.witness}: witness must be degree 0")
     moved = transform_datum(datum, b)
-    doc = formats.format_datum(moved, gref, href)
-    _write_output(args.output, _datum_file_doc(moved, gname, hname))
-    report = {"command": "transform", "datum": doc, "convention": COCHAIN_NOTE}
-    _emit(args, report, ["transformed datum:"] + _datum_lines(moved, args.output))
-    return EXIT_OK
+    written = _write_output(args.output, _datum_file_doc(moved, gname, hname))
+    report = {"command": "transform", "datum": formats.format_datum(moved, gref, href),
+              "convention": COCHAIN_NOTE}
+    return _emit(args, report, ["transformed datum:"] + _datum_lines(moved, written))
 
 
 def cmd_equivalent(args) -> int:
@@ -407,12 +394,11 @@ def cmd_equivalent(args) -> int:
     d2, _, _ = _load_datum(args.datum2, args.allow_large)
     if d1.g != d2.g or d1.h != d2.h:
         raise SchemaError("the two data live over different algebras")
-    b = formats.parse_map(formats.load_json(args.witness), (gname, d1.g.space),
-                          (hname, d1.h.space), where=args.witness)
+    b = _load_map(args.witness, (gname, d1.g.space), (hname, d1.h.space))
     ok = check_equivalence_witness(d1, d2, b)
     report = {"command": "equivalent", "equivalent": ok}
-    _emit(args, report, [f"witness carries datum 1 onto datum 2: {'yes' if ok else 'no'}"])
-    return EXIT_OK if ok else EXIT_FAIL
+    lines = [f"witness carries datum 1 onto datum 2: {'yes' if ok else 'no'}"]
+    return _emit(args, report, lines, ok)
 
 
 def cmd_split_check(args) -> int:
@@ -421,93 +407,85 @@ def cmd_split_check(args) -> int:
     if args.witness and args.solve_abelian:
         raise SchemaError("pass either --witness or --solve-abelian, not both")
     if args.witness:
-        b = formats.parse_map(formats.load_json(args.witness), (gname, datum.g.space),
-                              (hname, datum.h.space), where=args.witness)
+        b = _load_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
         ok = check_split_witness(datum, b)
         report = {"command": "split-check", "split": ok}
-        _emit(args, report, [f"witness splits the datum: {'yes' if ok else 'no'}"])
-        return EXIT_OK if ok else EXIT_FAIL
-    if args.solve_abelian:
-        if not datum.h.is_abelian():
-            raise CheckFailed("--solve-abelian requires an abelian kernel")
-        b = solve_split_abelian(datum)
-        if b is None:
-            report = {"command": "split-check", "split": False, "witness": None}
-            _emit(args, report, ["no splitting witness exists: the class is nonzero"])
-            return EXIT_FAIL
-        report = {
-            "command": "split-check",
-            "split": True,
-            "witness": formats.format_map(b, gname, hname),
-        }
-        _emit(args, report, ["splitting witness found:",
-                             f"  b = {_fmt_matrix(b.matrix)}"])
-        return EXIT_OK
-    raise SchemaError("pass --witness FILE or --solve-abelian")
+        return _emit(args, report, [f"witness splits the datum: {'yes' if ok else 'no'}"], ok)
+    if not args.solve_abelian:
+        raise SchemaError("pass --witness FILE or --solve-abelian")
+    if not datum.h.is_abelian():
+        raise CheckFailed("--solve-abelian requires an abelian kernel")
+    b = solve_split_abelian(datum)
+    if b is None:
+        report = {"command": "split-check", "split": False, "witness": None}
+        return _emit(args, report, ["no splitting witness exists: the class is nonzero"], False)
+    report = {
+        "command": "split-check",
+        "split": True,
+        "witness": formats.format_map(b, gname, hname),
+    }
+    return _emit(args, report, ["splitting witness found:", f"  b = {_fmt_matrix(b.matrix)}"])
 
 
 def _on_outer_action(args, run):
-    """Load h, g and the outer action abar: g -> out(h); return them and run(outer, g, abar)."""
+    """Load h, g and abar: g -> out(h); return (h's name, g's name, run(outer, g, abar))."""
     hname, halg = _load_valid_algebra(args.h, args.allow_large)
     gname, galg = _load_valid_algebra(args.g, args.allow_large)
     outer = outer_algebra(halg)  # built once: it types abar and serves the command
-    abar = formats.parse_map(formats.load_json(args.alpha_bar), (gname, galg.space),
-                             (f"out({hname})", outer.out.space), where=args.alpha_bar)
+    abar = _load_map(args.alpha_bar, (gname, galg.space), (f"out({hname})", outer.out.space))
     try:
-        return (hname, halg), (gname, galg), run(outer, galg, abar)
+        return hname, gname, run(outer, galg, abar)
     except ValueError as ex:
         raise CheckFailed(str(ex)) from None
 
 
 def cmd_obstruction(args) -> int:
     from .cohomology import _obstruction_class
-    (hname, _), (gname, _), obs = _on_outer_action(args, _obstruction_class)
+    hname, gname, obs = _on_outer_action(args, _obstruction_class)
     zname = f"Z({hname})"
+    coords = [str(c) for c in obs.class_coords]
     report = {
         "command": "obstruction",
         "g": gname, "h": hname,
         "center_dim": obs.module.space.dim,
         "lambda": formats.format_cochain(obs.lam, gname, zname),
-        "class_coords": [str(c) for c in obs.class_coords],
+        "class_coords": coords,
         "vanishes": obs.vanishes,
         "mu": formats.format_cochain(obs.mu, gname, zname) if obs.mu is not None else None,
         "convention": COCHAIN_NOTE,
     }
     lines = [f"obstruction of {gname} -> out({hname}):",
              f"  center dimension {obs.module.space.dim}",
-             f"  class coordinates in H^3: ({', '.join(str(c) for c in obs.class_coords)})",
-             f"  vanishes: {'yes' if obs.vanishes else 'no'}"]
-    lines.append(f"note: {COCHAIN_NOTE}")
-    _emit(args, report, lines)
-    return EXIT_OK if obs.vanishes else EXIT_FAIL
+             f"  class coordinates in H^3: ({', '.join(coords)})",
+             f"  vanishes: {'yes' if obs.vanishes else 'no'}",
+             f"note: {COCHAIN_NOTE}"]
+    return _emit(args, report, lines, obs.vanishes)
 
 
 def cmd_classify(args) -> int:
     from .cohomology import _classify_extensions
-    (hname, halg), (gname, galg), rep = _on_outer_action(args, _classify_extensions)
+    hname, gname, rep = _on_outer_action(args, _classify_extensions)
+    coords = [str(c) for c in rep.obstruction.class_coords]
     report = {
         "command": "classify",
         "g": gname, "h": hname,
         "vanishes": rep.obstruction.vanishes,
-        "class_coords": [str(c) for c in rep.obstruction.class_coords],
+        "class_coords": coords,
         "centerless_kernel": rep.centerless,
         "abelian_kernel": rep.abelian_kernel,
         "convention": COCHAIN_NOTE,
     }
-    lines = []
     if not rep.obstruction.vanishes:
         report["data"] = []
-        lines.append(f"no extensions of {gname} by {hname} induce the given outer action;")
-        lines.append("  obstruction class coordinates: "
-                     f"({', '.join(str(c) for c in rep.obstruction.class_coords)})")
-        _emit(args, report, lines)
-        return EXIT_FAIL
+        return _emit(args, report, [
+            f"no extensions of {gname} by {hname} induce the given outer action;",
+            f"  obstruction class coordinates: ({', '.join(coords)})"], False)
     h2w0 = rep.h2.weight(0)
     report["h2_dim_weight0"] = h2w0.dim
     report["base"] = formats.format_datum(rep.base, args.g, args.h)
     report["data"] = [formats.format_datum(d, args.g, args.h) for d in rep.data]
-    lines.append(f"extensions of {gname} by {hname} inducing the outer action: "
-                 f"base point + H^2 torsor of dimension {h2w0.dim}")
+    lines = [f"extensions of {gname} by {hname} inducing the outer action: "
+             f"base point + H^2 torsor of dimension {h2w0.dim}"]
     if rep.centerless:
         lines.append("  kernel is centerless: the outer action alone determines the class")
     if rep.abelian_kernel:
@@ -516,28 +494,73 @@ def cmd_classify(args) -> int:
                  "(the base point, then base + each H^2 representative)")
     for k, d in enumerate(rep.data):
         tag = "base" if k == 0 else f"base + rep {k - 1}"
-        rho_str = "; ".join(
-            f"rho({','.join(galg.space.names[i] for i in tup)}) = {_fmt_vec(v, halg.space)}"
-            for tup, v in d.rho.values
-        ) or "rho = 0"
-        lines.append(f"  [{k}] ({tag}) {rho_str}")
+        rho = "; ".join(f"rho({a}) = {v}" for a, v in _fmt_values(d.rho)) or "rho = 0"
+        lines.append(f"  [{k}] ({tag}) {rho}")
     lines.append("note: the base point is a choice; the torsor structure is canonical")
     lines.append(f"note: {COCHAIN_NOTE}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, report, lines)
 
 
 def cmd_pullback(args) -> int:
     from .extensions import _pullback_extension
-    (hname, _), (gname, _), triple = _on_outer_action(args, _pullback_extension)
+    hname, gname, triple = _on_outer_action(args, _pullback_extension)
     name = args.name or f"pullback({hname},{gname})"
-    report = _triple_report(args, name, triple, command="pullback", g=gname, h=hname)
-    lines = [f"pullback algebra {name}: dim "
-             f"({triple.e.space.dim_even}|{triple.e.space.dim_odd})"]
-    if args.output:
-        lines.append(f"written to {args.output}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    report, written = _triple_report(args, name, triple, command="pullback", g=gname, h=hname)
+    sp = triple.e.space
+    lines = [f"pullback algebra {name}: dim ({sp.dim_even}|{sp.dim_odd})"]
+    return _emit(args, report, lines + written)
+
+
+def _arg(*flags, **kwargs):
+    """One `add_argument` call of a subcommand, as (flags, keyword arguments)."""
+    return flags, kwargs
+
+
+ALGEBRA, DATUM = _arg("algebra"), _arg("datum")
+OUTER_ACTION = (_arg("--g", required=True), _arg("--h", required=True),
+                _arg("--alpha-bar", required=True, dest="alpha_bar",
+                     help="map file g -> out(h) of degree 0"))
+
+# (name, handler, help, arguments); every subcommand also takes --json and --allow-large
+COMMANDS = (
+    ("validate", cmd_validate, "check the super Lie algebra axioms", (ALGEBRA,)),
+    ("center", cmd_center, "basis of the graded center", (ALGEBRA,)),
+    ("derivations", cmd_derivations, "basis of der(h), inner members flagged", (ALGEBRA,)),
+    ("out", cmd_out, "the quotient out(h) = der(h)/ad(h)",
+     (ALGEBRA, _arg("-o", "--output", help="write out(h) as an algebra file"))),
+    ("cohomology", cmd_cohomology, "graded Chevalley cohomology, split by weight",
+     (ALGEBRA, _arg("--degree", type=int, required=True),
+      _arg("--module", help="module file (default: trivial line)"))),
+    ("section-data", cmd_section_data, "connection and curvature of a section",
+     (_arg("--e", required=True, help="total algebra file"),
+      _arg("--h", required=True, help="kernel algebra file"),
+      _arg("--g", required=True, help="quotient algebra file"),
+      _arg("--i", required=True, help="inclusion map file h -> e"),
+      _arg("--p", required=True, help="projection map file e -> g"),
+      _arg("--section", required=True, help="section map file g -> e"),
+      _arg("-o", "--output", help="write the induced datum file"))),
+    ("check-data", cmd_check_data, "extension-data conditions with residuals", (DATUM,)),
+    ("build", cmd_build, "build the extension algebra from a datum",
+     (DATUM, _arg("-o", "--output", help="write the built algebra file"),
+      _arg("--name", help="name for the built algebra"))),
+    ("transform", cmd_transform, "move a datum by a witness b: g -> h",
+     (DATUM, _arg("--witness", required=True, help="map file g -> h of degree 0"),
+      _arg("-o", "--output", help="write the transformed datum file"))),
+    ("equivalent", cmd_equivalent, "check a witness between two data",
+     (DATUM, _arg("datum2"), _arg("--witness", required=True))),
+    ("split-check", cmd_split_check, "splitting witnesses; linear solver for abelian kernels",
+     (DATUM, _arg("--witness"), _arg("--solve-abelian", action="store_true"))),
+    ("obstruction", cmd_obstruction, "degree-3 obstruction class of an outer action",
+     OUTER_ACTION),
+    ("classify", cmd_classify, "classification of extensions inducing an outer action",
+     OUTER_ACTION),
+    ("pullback", cmd_pullback, "pullback extension for a centerless kernel",
+     OUTER_ACTION + (_arg("-o", "--output", help="write the pullback algebra file"),
+                     _arg("--name", help="name for the pullback algebra"))),
+)
+COMMON = (_arg("--json", action="store_true", help="machine-readable report"),
+          _arg("--allow-large", action="store_true",
+               help=f"lift the dimension guard (default max {MAX_DIM})"))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -547,100 +570,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"superext {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"lift the dimension guard (default max {MAX_DIM})")
-
-    p = sub.add_parser("validate", help="check the super Lie algebra axioms")
-    p.add_argument("algebra")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("center", help="basis of the graded center")
-    p.add_argument("algebra")
-    common(p)
-    p.set_defaults(func=cmd_center)
-
-    p = sub.add_parser("derivations", help="basis of der(h), inner members flagged")
-    p.add_argument("algebra")
-    common(p)
-    p.set_defaults(func=cmd_derivations)
-
-    p = sub.add_parser("out", help="the quotient out(h) = der(h)/ad(h)")
-    p.add_argument("algebra")
-    p.add_argument("-o", "--output", help="write out(h) as an algebra file")
-    common(p)
-    p.set_defaults(func=cmd_out)
-
-    p = sub.add_parser("cohomology", help="graded Chevalley cohomology, split by weight")
-    p.add_argument("algebra")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--module", help="module file (default: trivial line)")
-    common(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("section-data", help="connection and curvature of a section")
-    p.add_argument("--e", required=True, help="total algebra file")
-    p.add_argument("--h", required=True, help="kernel algebra file")
-    p.add_argument("--g", required=True, help="quotient algebra file")
-    p.add_argument("--i", required=True, help="inclusion map file h -> e")
-    p.add_argument("--p", required=True, help="projection map file e -> g")
-    p.add_argument("--section", required=True, help="section map file g -> e")
-    p.add_argument("-o", "--output", help="write the induced datum file")
-    common(p)
-    p.set_defaults(func=cmd_section_data)
-
-    p = sub.add_parser("check-data", help="extension-data conditions with residuals")
-    p.add_argument("datum")
-    common(p)
-    p.set_defaults(func=cmd_check_data)
-
-    p = sub.add_parser("build", help="build the extension algebra from a datum")
-    p.add_argument("datum")
-    p.add_argument("-o", "--output", help="write the built algebra file")
-    p.add_argument("--name", help="name for the built algebra")
-    common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("transform", help="move a datum by a witness b: g -> h")
-    p.add_argument("datum")
-    p.add_argument("--witness", required=True, help="map file g -> h of degree 0")
-    p.add_argument("-o", "--output", help="write the transformed datum file")
-    common(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("equivalent", help="check a witness between two data")
-    p.add_argument("datum")
-    p.add_argument("datum2")
-    p.add_argument("--witness", required=True)
-    common(p)
-    p.set_defaults(func=cmd_equivalent)
-
-    p = sub.add_parser("split-check", help="splitting witnesses; linear solver for abelian kernels")
-    p.add_argument("datum")
-    p.add_argument("--witness")
-    p.add_argument("--solve-abelian", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_split_check)
-
-    for cmd, func, help_ in (
-        ("obstruction", cmd_obstruction, "degree-3 obstruction class of an outer action"),
-        ("classify", cmd_classify, "classification of extensions inducing an outer action"),
-        ("pullback", cmd_pullback, "pullback extension for a centerless kernel"),
-    ):
-        p = sub.add_parser(cmd, help=help_)
-        p.add_argument("--g", required=True)
-        p.add_argument("--h", required=True)
-        p.add_argument("--alpha-bar", required=True, dest="alpha_bar",
-                       help="map file g -> out(h) of degree 0")
-        if cmd == "pullback":
-            p.add_argument("-o", "--output", help="write the pullback algebra file")
-            p.add_argument("--name", help="name for the pullback algebra")
-        common(p)
+    for name, func, help_, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments + COMMON:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
-
     return parser
 
 
@@ -661,9 +595,8 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
+    args.arity_cap = cap
     try:
-        if args.func is cmd_cohomology:
-            return cmd_cohomology(args, cap)
         return args.func(args)
     except SchemaError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -88,8 +88,8 @@ def gmodule(g: SuperLieAlgebra, space: SuperVectorSpace,
     return GModule(g, space, action)
 
 
-def trivial_module(g: SuperLieAlgebra, space: SuperVectorSpace = TRIVIAL_LINE) -> GModule:
-    return gmodule(g, space, zero_ops(g.space, space))
+def trivial_module(g: SuperLieAlgebra) -> GModule:
+    return gmodule(g, TRIVIAL_LINE, zero_ops(g.space, TRIVIAL_LINE))
 
 
 def module_delta(mod: GModule, phi: Cochain) -> Cochain:

@@ -393,9 +393,6 @@ class SuperVectorSpace(Record):
     def dim_odd(self) -> int:
         return sum(1 for p in self.parities if p == ODD)
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)

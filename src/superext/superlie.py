@@ -165,12 +165,12 @@ def abelian_algebra(names: Sequence[str], parities: Sequence[int]) -> SuperLieAl
     return make_algebra(SuperVectorSpace(tuple(names), tuple(parities)), {})
 
 
-def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra, suffixes=(".1", ".2")) -> SuperLieAlgebra:
-    """Direct sum with the basis of `a` first; names suffixed only on clash."""
+def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra) -> SuperLieAlgebra:
+    """Direct sum with the basis of `a` first; names get .1 and .2 only on clash."""
     names_a, names_b = list(a.space.names), list(b.space.names)
     if set(names_a) & set(names_b):
-        names_a = [n + suffixes[0] for n in names_a]
-        names_b = [n + suffixes[1] for n in names_b]
+        names_a = [n + ".1" for n in names_a]
+        names_b = [n + ".2" for n in names_b]
     space = SuperVectorSpace(tuple(names_a + names_b), a.space.parities + b.space.parities)
     table = {(s + i, s + j): zero_vec(s) + v + zero_vec(space.dim - s - alg.dim)
              for s, alg in ((0, a), (a.dim, b)) for i, row in enumerate(alg.brackets)

@@ -27,6 +27,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 STRUCTURE = "tests/test_structure_constants.py"
 DIFFERENTIAL = "tests/test_differential.py"
+HUMAN = "tests/test_cli_human.py"
 
 
 class Mutant(NamedTuple):
@@ -102,6 +103,28 @@ MUTANTS = [
     Mutant("ad transposed", "superlie.py",
            "out[k * n + j] = out.get(k * n + j, 0) + xi * c",
            "out[j * n + k] = out.get(j * n + k, 0) + xi * c", (STRUCTURE,)),
+    # ---- the CLI's renderers, pinned by the human-output goldens ----
+    Mutant("cochain arguments joined with ', '", "cli.py",
+           'yield ",".join(phi.source.names[i] for i in tup)',
+           'yield ", ".join(phi.source.names[i] for i in tup)', (HUMAN,)),
+    Mutant("cochain values named in the source's basis", "cli.py",
+           "_fmt_vec(v, phi.target)", "_fmt_vec(v, phi.source)", (HUMAN,)),
+    Mutant("datum lines without the rho = 0 fallback", "cli.py",
+           'for a, v in _fmt_values(d.rho)] or ["  rho = 0"]', "for a, v in _fmt_values(d.rho)]",
+           (HUMAN,)),
+    Mutant("no written-to line", "cli.py", 'return [f"written to {path}"]', "return []", (HUMAN,)),
+    Mutant("map file's domain and codomain swapped", "cli.py",
+           "formats.load_json(path), domain, codomain,",
+           "formats.load_json(path), codomain, domain,", (HUMAN,)),
+    Mutant("classify exits 0 on a class that does not vanish", "cli.py",
+           """f"  obstruction class coordinates: ({', '.join(coords)})"], False)""",
+           """f"  obstruction class coordinates: ({', '.join(coords)})"], True)""", (HUMAN,)),
+    Mutant("obstruction exits 0 on a class that does not vanish", "cli.py",
+           "return _emit(args, report, lines, obs.vanishes)", "return _emit(args, report, lines)",
+           (HUMAN,)),
+    Mutant("obstruction ignores the first class coordinate", "cohomology.py",
+           "vanishes = is_zero_vec(class_coords)", "vanishes = is_zero_vec(class_coords[1:])",
+           ("tests/test_cohomology.py", HUMAN)),
 ]
 
 EQUIVALENT = {

@@ -609,8 +609,8 @@ def test_classify_obstructed_kernel():
     h = algebra_from_table(("x", "v0", "v1", "z"), (0, 0, 1, 1),
                            {("x", "v0"): {"v0": 2}, ("x", "v1"): {"v1": 2}})
     g = abelian_algebra(("Q",), (1,))
-    out_alg, _ = out_quotient(h)
-    abar = GradedLinearMap(g.space, out_alg.space, 0, ((0,), (0,), (1,), (1,), (1,)))
+    out_space = outer_algebra(h).out.space
+    abar = GradedLinearMap(g.space, out_space, 0, ((0,), (0,), (1,), (1,), (1,)))
     rep = classify_extensions(h, g, abar)
     obs = rep.obstruction
     assert obs.vanishes is False

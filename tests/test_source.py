@@ -128,3 +128,15 @@ def test_one_structure_view():
     assert {s for s in _references("lcm") if not s.startswith("gvs.py:")} == {
         "superlie.py:SuperLieAlgebra.structure", "cohomology.py:_torus",
         "cochains.py:differential_matrix"}
+
+
+def test_cli_makes_each_decision_once():
+    # one table declares the subcommands, one helper reads map files, and
+    # `main` dispatches every command the same way
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    called = [getattr(n.func, "attr", None) or getattr(n.func, "id", None)
+              for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert called.count("add_parser") == 1
+    assert called.count("parse_map") == 1
+    main = next(n for n in tree.body if getattr(n, "name", None) == "main")
+    assert not {n.id for n in ast.walk(main) if isinstance(n, ast.Name) and n.id.startswith("cmd_")}
