@@ -24,18 +24,17 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
-    dense_vec,
     from_columns,
     is_zero_vec,
     sparse_kernel_basis,
     sparse_transpose,
-    unit_vec,
+    vec_add,
     vec_scale,
+    zero_vec,
 )
 from .superlie import (
     OuterAlgebra,
     SuperLieAlgebra,
-    _ad_flat,
     center,
     commutator_defect,
     is_homomorphism,
@@ -395,32 +394,32 @@ def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
                  for i, p in enumerate(g.space.parities))
 
 
-def rho_from_lift(h: SuperLieAlgebra, g: SuperLieAlgebra,
+def rho_from_lift(outer: OuterAlgebra, g: SuperLieAlgebra,
                   alpha: tuple[GradedLinearMap, ...]) -> Cochain:
     """The canonical curvature of a lift: solve ad_H = commutator defect.
 
-    The defect [alpha_X, alpha_Y] - alpha_[X,Y] must be an inner
-    derivation for every pair (it is exactly when the projected lift is a
-    homomorphism); the canonical solution zeroes the free (central)
-    coordinates, which pins rho down.
+    `outer` is the caller's `outer_algebra(h)`.  The defect
+    [alpha_X, alpha_Y] - alpha_[X,Y] must be an inner derivation for every
+    pair (it is exactly when the projected lift is a homomorphism): its
+    der(h) coordinates vanish on the complement.  H is then the same
+    combination of `inner_preimages`, each the canonical solution of its
+    ad system, which zeroes the free (central) coordinates and pins rho down.
     """
-    # one system per parity, its columns the flattened ad_{e_k} of that parity
-    gens, ad_systems = [], []
-    for deg in (0, 1):
-        gens.append([k for k in range(h.dim) if h.space.parities[k] == deg])
-        cols = [_ad_flat(h, unit_vec(h.dim, k)) for k in gens[deg]]
-        ad_systems.append(LinearSystem(cols, h.dim * h.dim))
+    ds = outer.ds
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
-        deg = (g.space.parities[i] + g.space.parities[j]) % 2
-        x = ad_systems[deg].solve(commutator_defect(g, alpha, i, j))
-        if x is None:
+        x = ds.coordinates_of(commutator_defect(g, alpha, i, j))
+        if x is None or any(x[ds.inner_count:]):
             raise ValueError(
                 f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) is not "
                 "inner: the projected lift is not a homomorphism"
             )
-        table[(i, j)] = dense_vec(dict(zip(gens[deg], x)), h.dim)
-    return make_cochain(g.space, h.space, 2, 0, table)
+        v = zero_vec(ds.algebra.dim)
+        for c, pre in zip(x, ds.inner_preimages):
+            if c:
+                v = vec_add(v, vec_scale(c, pre))
+        table[(i, j)] = v
+    return make_cochain(g.space, ds.algebra.space, 2, 0, table)
 
 
 class ObstructionReport(Record):
@@ -468,7 +467,7 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
     h = outer.ds.algebra
     alpha = lift_alpha_bar(outer, g, abar)
     mod, incl = center_module(h, g, alpha)
-    rho = rho_from_lift(h, g, alpha)
+    rho = rho_from_lift(outer, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
     incl_system = LinearSystem(map(incl.column, range(incl.domain.dim)), h.dim)
     table = {}
@@ -478,26 +477,21 @@ def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
             raise RuntimeError("internal fault: obstruction cocycle not valued in the center")
         table[tup] = z
     lam = make_cochain(g.space, mod.space, 3, 0, table)
-    if not module_delta(mod, lam).is_zero():
-        raise RuntimeError("internal fault: obstruction cocycle is not closed")
 
-    # only weight 0 matters, and its D_2 also gives the primitive mu
+    # only weight 0 matters: the columns of its D_2, then the H^3
+    # representatives, span Z^3, so one solve gives the class, the primitive
+    # mu when the class vanishes, and no solution when lam is not closed
     h3, (d2, basis2, basis3, d2_scale) = _weight_cohomology(mod, 3, 0, ())
-    lam_coords = cochain_coordinates(lam, basis3)
-    cols = [dict(v) for v in h3.coboundary_coords + h3.representative_coords]
-    x = LinearSystem(cols, len(basis3)).solve(lam_coords)
+    cols = sparse_transpose(d2, len(basis2)) + list(h3.representative_coords)
+    x = LinearSystem(cols, len(basis3)).solve(cochain_coordinates(lam, basis3))
     if x is None:
-        raise RuntimeError("internal fault: obstruction cocycle is not a cocycle")
-    class_coords = tuple(x[h3.dim_coboundaries:])
+        raise RuntimeError("internal fault: obstruction cocycle is not closed")
+    class_coords = x[len(basis2):]
     vanishes = is_zero_vec(class_coords)
-
     mu = None
-    if vanishes:
-        d2_system = LinearSystem(sparse_transpose(d2, len(basis2)), len(basis3))
-        mu_coords = d2_system.solve(vec_scale(d2_scale, lam_coords))  # d2 is d2_scale D_2
-        if mu_coords is None:
-            raise RuntimeError("internal fault: vanishing class but no primitive")
-        mu = cochain_from_coordinates(g.space, mod.space, 2, 0, basis2, mu_coords)
+    if vanishes:  # d2 is d2_scale D_2
+        mu = cochain_from_coordinates(g.space, mod.space, 2, 0, basis2,
+                                      vec_scale(d2_scale, x[:len(basis2)]))
     return ObstructionReport(alpha, rho, lam, mod, incl, class_coords, vanishes, mu)
 
 

@@ -13,6 +13,7 @@ solver and the pullback construction for centerless kernels.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .gvs import (
     GradedLinearMap,
@@ -206,9 +207,12 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
 
     Three layers: each alpha operator is a graded derivation of h; the
     commutator defect [alpha_X, alpha_Y] - alpha_[X,Y] equals ad_rho(X,Y)
-    on all basis pairs; and the cyclic curvature sum
-    sum_cyc (-1)^{xz} (alpha_X rho(Y,Z) - rho([X,Y], Z)) vanishes on all
-    basis triples.
+    on all basis pairs; and delta_alpha rho = 0, read from `covariant_delta`.
+    A failure of the last is reported on each ordered basis triple as the
+    cyclic curvature sum sum_cyc (-1)^{xz} (alpha_X rho(Y,Z) - rho([X,Y], Z)),
+    which is (-1)^{xz} (delta_alpha rho)(X, Y, Z).  g must be a valid
+    algebra, as `validate_algebra` checks: on a bracket that is not degree
+    0, `covariant_delta` raises ValueError.
     """
     g, h = d.g, d.h
     fails: list[str] = []
@@ -227,38 +231,13 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
                     "is not ad of the curvature"
                 )
 
-    curv_ok = True
-    n = g.dim
-    den, gnz = g.structure
-    rho = [[[(q, y) for q, y in enumerate(d.rho.evaluate((b, c))) if y] for c in range(n)]
-           for b in range(n)]
-    # den alpha, so that each residual is den times its value
-    alpha_cols = [[[(q, den * row[p]) for q, row in enumerate(op.matrix) if row[p]]
-                   for p in range(h.dim)] for op in d.alpha]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # sum_cyc sgn (alpha_a rho(b, c) - sum_m c^m_ab rho(m, c))
-                res: dict[int, Fraction] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    sgn = -1 if (g.space.parities[a] * g.space.parities[c]) % 2 else 1
-                    cols = alpha_cols[a]
-                    for p, y in rho[b][c]:
-                        sy = sgn * y
-                        for q, x in cols[p]:
-                            res[q] = res.get(q, 0) + x * sy
-                    for m, cm in gnz[a][b]:
-                        scm = sgn * cm
-                        for q, y in rho[m][c]:
-                            res[q] = res.get(q, 0) - scm * y
-                if any(res.values()):
-                    curv_ok = False
-                    res_vec = tuple(Fraction(res.get(q, 0)) / den for q in range(h.dim))
-                    fails.append(
-                        f"cyclic curvature residual on ({g.space.names[i]},"
-                        f"{g.space.names[j]},{g.space.names[k]}) = {res_vec}"
-                    )
-    return DatumReport(der_ok, conn_ok, curv_ok, tuple(fails))
+    lam, par, names = covariant_delta(g, d.alpha, d.rho), g.space.parities, g.space.names
+    for i, j, k in product(range(g.dim), repeat=3) if lam.values else ():
+        res = lam.evaluate((i, j, k))
+        if any(res):
+            res = vec_scale(Fraction(-1), res) if par[i] * par[k] else res
+            fails.append(f"cyclic curvature residual on ({names[i]},{names[j]},{names[k]}) = {res}")
+    return DatumReport(der_ok, conn_ok, lam.is_zero(), tuple(fails))
 
 
 def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:

@@ -9,8 +9,9 @@ All select the leftmost pivot, so particular solutions, kernel bases and
 echelon spans are canonical: identical inputs give bit-identical outputs.
 
 A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
-sparse vector or row an {index: nonzero rational} dict, whose values may
-be ints where only a row space matters.  Entry (i, j) is the coefficient
+sparse vector or row an {index: rational} dict, whose values may be ints
+where only a row space matters.  A sparse input may carry explicit zeros;
+every entry point drops them.  Entry (i, j) is the coefficient
 of codomain basis element i in the image of domain basis j; the sparse
 form of a map of one space keys entry (i, j) by i n + j, as `_commutator`
 returns it.
@@ -163,9 +164,9 @@ def _absorb(echelon: dict[int, dict[int, int]], row: dict, width: int | None = N
 
 
 def _integral(row: dict) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators."""
+    """A sparse rational row times the lcm of its denominators, its zero entries dropped."""
     d = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
 
 
 def _cancel(row: dict[int, int], c: int, e: dict[int, int]) -> None:
@@ -194,7 +195,7 @@ class LinearSystem:
     """The matrix A with columns `cols`, eliminated once, for solving A x = b with many b.
 
     A column, like b, is a dense sequence of `nrows` entries or a sparse
-    {row: nonzero rational} dict.  `solve(b)` reduces all of b and
+    {row: rational} dict.  `solve(b)` reduces all of b and
     returns exactly what an elimination of the augmented matrix [A | b]
     would give: the kept columns are the pivot columns of the RREF of A,
     i.e. the columns outside the span of the columns before them, b is
@@ -248,7 +249,7 @@ def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
                         ncols: int) -> list[dict[int, Fraction]]:
     """Exact basis of the kernel of a matrix given as sparse rows, as sparse vectors.
 
-    Each row is a {column: nonzero rational} dict, fed to `_absorb` one at
+    Each row is a {column: rational} dict, fed to `_absorb` one at
     a time, as in `IncrementalSpan`.  The echelon rows over their pivot
     entries are the nonzero rows of the RREF, so the basis is canonical:
     for each free column f, the vector with 1 at f, minus the reduced
@@ -287,7 +288,7 @@ def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[di
 class IncrementalSpan:
     """Row span grown one vector at a time; `rows()` is its canonical RREF.
 
-    A vector is a dense sequence or a sparse {index: nonzero rational} dict,
+    A vector is a dense sequence or a sparse {index: rational} dict,
     fed to `_absorb`.  Any exact elimination gives the same `rows()`: the
     RREF of a matrix depends only on its row space (its nonzero rows are
     the unique basis of that space with a leading 1 in each pivot column

@@ -9,6 +9,7 @@ from superext.cochains import make_cochain
 from superext.gvs import GradedLinearMap, unit_vec
 from superext.superlie import (
     ad,
+    algebra_from_table,
     center,
     derivation_algebra,
     direct_sum,
@@ -166,6 +167,15 @@ def test_check_flags_cyclic_curvature():
     assert rep.derivation_ok == (True, True, True)
     assert rep.commutator_defect_ok  # h abelian: ad = 0 = defect (alphas commute)
     assert not rep.cyclic_curvature_ok
+
+
+def test_check_datum_needs_a_degree_zero_bracket():
+    # delta_alpha rho is read from covariant_delta, which refuses a bracket
+    # that leaves the cochain space; the CLI and classify validate g first
+    g = algebra_from_table(("H", "Q"), (0, 1), {("Q", "Q"): {"Q": 1}})
+    assert not validate_algebra(g).degree_zero
+    with pytest.raises(ValueError, match="the bracket is not degree 0"):
+        check_datum(trivial_datum(g, abelian(1, 0, "Z")))
 
 
 # ---------- build_extension ----------

@@ -216,6 +216,31 @@ def test_solve_on_dependent_columns_matches_dense_oracle(matrix, data):
             assert got is None or all_fractions(got)
 
 
+def with_zeros(rows):
+    """Sparse dicts that keep every entry of dense rows, zeros included."""
+    return [dict(enumerate(r)) for r in rows]
+
+
+def test_sparse_inputs_may_carry_zeros():
+    # an explicit zero, here in the leftmost place, is dropped by every entry point
+    row = {0: F(0), 1: F(1)}
+    assert IncrementalSpan([row]).rows() == IncrementalSpan([(0, 1)]).rows() == [{1: F(1)}]
+    assert sparse_kernel_basis([row], 2) == [{0: F(1)}]
+    assert LinearSystem([{0: F(0), 1: F(2)}], 2).solve({1: F(1)}) == (F(1, 2),)
+    assert LinearSystem([[0, 2]], 2).solve({0: F(0), 1: F(1)}) == (F(1, 2),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_inputs_with_zeros_match_dense_ones(matrix):
+    rows, ncols = matrix
+    assert IncrementalSpan(with_zeros(rows)).rows() == IncrementalSpan(rows).rows()
+    assert sparse_kernel_basis(with_zeros(rows), ncols) == sparse_kernel_basis(sparse(rows), ncols)
+    dense, zeros = LinearSystem(rows, ncols), LinearSystem(with_zeros(rows), ncols)
+    for b in [*rows[:2], unit_vec(ncols, 0)]:  # the drawn rows are the columns
+        assert zeros.solve(b) == dense.solve(with_zeros([b])[0]) == dense.solve(b)
+
+
 def test_linear_system_checks_dense_column_length():
     with pytest.raises(ValueError, match="column 1 has 1 entries, not 2"):
         LinearSystem([(1, 2), (3,)], 2)

@@ -140,3 +140,12 @@ def test_cli_makes_each_decision_once():
     assert called.count("parse_map") == 1
     main = next(n for n in tree.body if getattr(n, "name", None) == "main")
     assert not {n.id for n in ast.walk(main) if isinstance(n, ast.Name) and n.id.startswith("cmd_")}
+
+
+def test_mutant_catalog_is_not_stale():
+    # every snippet of the mutation catalog occurs once in its file: a
+    # refactor that deletes a mutant's target fails here, not only in the
+    # slow run of the catalog itself
+    from mutants import stale_entries
+
+    assert stale_entries() == []

@@ -2,7 +2,8 @@
 
 `validate_algebra`, the Leibniz system of `derivations`, `graded_commutator`,
 `commutator_defect`, `ad`, `is_derivation`, `is_homomorphism` and the
-cyclic-curvature check of `check_datum` sum over nonzero entries only.
+cyclic-curvature check of `check_datum` (delta_alpha rho, from the
+differential's stencil) sum over nonzero entries only.
 Each must give exactly what the dense computation in `oracles` gives:
 equal reports with byte-identical failure strings, tuple-identical bases,
 and Fraction entries throughout.  The rescaled algebras have structure
