@@ -177,8 +177,8 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
     table = {}
     for (j, k) in canonical_tuples(g.space, 2):
         w = e.bracket_vec(s.column(j), s.column(k))
-        w = vec_add(w, vec_scale(Fraction(-1), s.apply(g.brackets[j][k])))
-        v = incl_system.solve(w)
+        s_jk = s.apply(g.bracket_vec(unit_vec(g.dim, j), unit_vec(g.dim, k)))
+        v = incl_system.solve(vec_add(w, vec_scale(Fraction(-1), s_jk)))
         if v is None:
             raise ValueError(
                 f"curvature on ({g.space.names[j]},{g.space.names[k]}) lands outside h: "
@@ -254,9 +254,9 @@ def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
     names_h, names_g = h.space.names, g.space.names
     if set(names_h) & set(names_g):
         names_h, names_g = [n + ".h" for n in names_h], [n + ".g" for n in names_g]
-    table = {(s + i, s + j): {s + k: alg.brackets[i][j][k] for k, _c in v}
-             for s, alg in ((0, h), (nh, g)) for i, row in enumerate(alg.structure[1])
-             for j, v in enumerate(row) if v}
+    table = {(s + i, s + j): {s + k: Fraction(c, den) for k, c in v}
+             for s, (den, nz) in ((0, h.structure), (nh, g.structure))
+             for i, row in enumerate(nz) for j, v in enumerate(row) if v}
 
     def put(i, j, k, x):  # [e_i, e_j] gets x e_k, and [e_j, e_i] its graded mirror
         table.setdefault((i, j), {})[k] = x
@@ -454,4 +454,4 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
 
 def same_structure(a: SuperLieAlgebra, b: SuperLieAlgebra) -> bool:
     """Equal parities and structure constants in the given basis order."""
-    return a.space.parities == b.space.parities and a.brackets == b.brackets
+    return a.space.parities == b.space.parities and a.structure == b.structure

@@ -220,6 +220,8 @@ class LinearSystem:
                 if len(col) != nrows:
                     raise ValueError(f"column {j} has {len(col)} entries, not {nrows}")
                 col = {i: x for i, x in enumerate(col) if x}
+            elif col and (min(col) < 0 or max(col) >= nrows):
+                raise ValueError(f"column {j} has a row index outside 0..{nrows - 1}")
             _absorb(self._echelon, {**col, nrows + j: 1}, nrows)
 
     def solve(self, rhs: Sequence | dict[int, Fraction]) -> Vector | None:
@@ -266,6 +268,9 @@ def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
         for j, x in row.items():
             if j != p:
                 by_col.setdefault(j, []).append((p, Fraction(-x, d)))
+    met = (*echelon, *by_col)  # every column that some row meets, as the echelon spans them
+    if met and (min(met) < 0 or max(met) >= ncols):
+        raise ValueError(f"a row has a column index outside 0..{ncols - 1}")
     one = Fraction(1)
     basis = []
     for f in range(ncols):

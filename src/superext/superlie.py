@@ -6,7 +6,7 @@ c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 is exact linear algebra on that table.  der(h) has one coordinate system,
 its inner-first basis, whose trailing coordinates are out(h); its brackets
 are computed where they are read, once per unordered pair.  The cached
-views are an algebra's integer `structure` and a `DerivationSpace`'s
+views are an algebra's dense `brackets`, for output, and a `DerivationSpace`'s
 eliminated basis; no result is cached across calls: a pipeline that needs
 der(h) or out(h) builds one `OuterAlgebra` and passes it along.
 """
@@ -40,24 +40,24 @@ from .gvs import (
 
 
 class SuperLieAlgebra(Record):
-    """A super vector space with structure constants of a bilinear bracket.
+    """A super vector space with the structure constants of a bilinear bracket.
 
-    The constructor only checks shapes; use `validate_algebra` for the
-    degree-0, antisymmetry and Jacobi conditions (invalid tables must be
-    constructible so they can be reported on).
+    `structure` = (den, table): table[i][j] lists the nonzero (k, den c^k_ij)
+    of [e_i, e_j] as ints, den being the lcm of the constants' denominators.
+    `make_algebra` writes it; every sparse loop over the constants reads it,
+    and divides by den (den^2 for a Jacobi residual) only where a value
+    leaves the loop.  The constructor only checks shapes; use
+    `validate_algebra` for the degree-0, antisymmetry and Jacobi conditions
+    (invalid tables must be constructible so they can be reported on).
     """
 
     space: SuperVectorSpace
-    brackets: tuple[tuple[Vector, ...], ...]
+    structure: tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
 
     def __post_init__(self):
-        n = self.space.dim
-        if len(self.brackets) != n or any(len(row) != n for row in self.brackets):
+        n, table = self.space.dim, self.structure[1]
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("bracket table must be dim x dim")
-        for row in self.brackets:
-            for v in row:
-                if len(v) != n:
-                    raise ValueError("bracket value has wrong length")
 
     @property
     def dim(self) -> int:
@@ -79,30 +79,31 @@ class SuperLieAlgebra(Record):
         return tuple(x / den for x in out)
 
     def is_abelian(self) -> bool:
-        return all(is_zero_vec(v) for row in self.brackets for v in row)
+        return not any(v for row in self.structure[1] for v in row)
 
     @cached_property
-    def structure(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """(den, table): table[i][j] lists the nonzero (k, den c^k_ij) of [e_i, e_j]
-        as ints, den being the lcm of the structure constants' denominators.
-
-        Built on first read and kept with the algebra, its one cached view;
-        every sparse loop over the constants reads it, and divides by den
-        (den^2 for a Jacobi residual) only where a value leaves the loop.
-        """
-        nz = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.brackets]
-        den = lcm(*(c.denominator for row in nz for v in row for _k, c in v))
-        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v)
-                                for v in row) for row in nz)
+    def brackets(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense table c[i][j] = [e_i, e_j] of Fractions, a view of `structure`
+        for output, built on first read and kept with the algebra."""
+        den, table = self.structure
+        return tuple(tuple(dense_vec({k: Fraction(c, den) for k, c in v}, self.dim) for v in row)
+                     for row in table)
 
 
 def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]) -> SuperLieAlgebra:
     """Algebra from a sparse {(i, j): vector} table; unlisted entries are 0."""
     n = space.dim
-    rows = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
+    nz = [[()] * n for _ in range(n)]
     for (i, j), v in table.items():
-        rows[i][j] = vec(v)
-    return SuperLieAlgebra(space, tuple(tuple(r) for r in rows))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"bracket pair ({i}, {j}) is outside the basis 0..{n - 1}")
+        v = vec(v)
+        if len(v) != n:
+            raise ValueError("bracket value has wrong length")
+        nz[i][j] = tuple((k, c) for k, c in enumerate(v) if c)
+    den = lcm(*(c.denominator for row in nz for v in row for _k, c in v))
+    return SuperLieAlgebra(space, (den, tuple(tuple(tuple(
+        (k, c.numerator * (den // c.denominator)) for k, c in v) for v in row) for row in nz)))
 
 
 def antisymmetric_completion(space: SuperVectorSpace, given: dict) -> dict[tuple[int, int], Vector]:
@@ -135,7 +136,7 @@ def algebra_from_table(
     Unlisted brackets are zero.  A bracket listed for (i, j) fills (j, i)
     by graded antisymmetry; listing both is an error unless consistent.
     """
-    space = SuperVectorSpace(tuple(names), tuple(int(p) for p in parities))
+    space = SuperVectorSpace(tuple(names), tuple(parities))
     given: dict[tuple[int, int], Vector] = {}
     for (ln, rn), val in table.items():
         i, j = space.index(ln), space.index(rn)
@@ -172,9 +173,9 @@ def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra) -> SuperLieAlgebra:
         names_a = [n + ".1" for n in names_a]
         names_b = [n + ".2" for n in names_b]
     space = SuperVectorSpace(tuple(names_a + names_b), a.space.parities + b.space.parities)
-    table = {(s + i, s + j): zero_vec(s) + v + zero_vec(space.dim - s - alg.dim)
-             for s, alg in ((0, a), (a.dim, b)) for i, row in enumerate(alg.brackets)
-             for j, v in enumerate(row) if not is_zero_vec(v)}
+    table = {(s + i, s + j): dense_vec({s + k: Fraction(c, den) for k, c in v}, space.dim)
+             for s, (den, nz) in ((0, a.structure), (a.dim, b.structure))
+             for i, row in enumerate(nz) for j, v in enumerate(row) if v}
     return make_algebra(space, table)
 
 

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STRUCTURE = "tests/test_structure_constants.py"
 DIFFERENTIAL = "tests/test_differential.py"
 HUMAN = "tests/test_cli_human.py"
+GVS = "tests/test_gvs.py"
 
 
 class Mutant(NamedTuple):
@@ -43,6 +44,10 @@ MUTANTS = [
     # ---- where the integer structure view and the differential's rows are scaled ----
     Mutant("structure keeps numerators only", "superlie.py",
            "c.numerator * (den // c.denominator))", "c.numerator)", (STRUCTURE,)),
+    Mutant("dense brackets view not divided by den", "superlie.py",
+           "{k: Fraction(c, den) for k, c in v}", "{k: Fraction(c) for k, c in v}", (STRUCTURE,)),
+    Mutant("make_algebra keeps zero entries in structure", "superlie.py",
+           "for k, c in enumerate(v) if c)", "for k, c in enumerate(v))", (STRUCTURE,)),
     Mutant("bracket_vec not divided by den", "superlie.py",
            "return tuple(x / den for x in out)", "return tuple(out)", ("tests/test_solve.py",)),
     Mutant("ad not divided by den", "superlie.py",
@@ -102,6 +107,16 @@ MUTANTS = [
     Mutant("ad transposed", "superlie.py",
            "out[k * n + j] = out.get(k * n + j, 0) + xi * c",
            "out[j * n + k] = out.get(j * n + k, 0) + xi * c", (STRUCTURE,)),
+    # ---- the elimination kernel ----
+    Mutant("dependent columns allowed to pivot", "gvs.py",
+           "_absorb(self._echelon, {**col, nrows + j: 1}, nrows)",
+           "_absorb(self._echelon, {**col, nrows + j: 1})", (GVS,)),
+    Mutant("span rows in reversed pivot order", "gvs.py",
+           "for p in sorted(self._echelon)]", "for p in sorted(self._echelon, reverse=True)]",
+           (GVS,)),
+    Mutant("_cancel scales by b, not b/g", "gvs.py", "row[j] *= b // g", "row[j] *= b", (GVS,)),
+    Mutant("_integral keeps numerators only", "gvs.py",
+           "x.numerator * (d // x.denominator)", "x.numerator", (GVS,)),
     # ---- the CLI's renderers, pinned by the human-output goldens ----
     Mutant("cochain arguments joined with ', '", "cli.py",
            'yield ",".join(phi.source.names[i] for i in tup)',
@@ -124,6 +139,9 @@ MUTANTS = [
     Mutant("obstruction ignores the first class coordinate", "cohomology.py",
            "vanishes = is_zero_vec(class_coords)", "vanishes = is_zero_vec(class_coords[1:])",
            ("tests/test_cohomology.py", HUMAN)),
+    Mutant("class coordinates read from the leading slice", "cohomology.py",
+           "class_coords = x[len(basis2):]", "class_coords = x[:len(x) - len(basis2)]",
+           ("tests/test_cohomology.py",)),
 ]
 
 EQUIVALENT = {

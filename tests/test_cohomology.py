@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import canonical_tuples, covariant_delta
@@ -626,6 +628,65 @@ def test_classify_obstructed_kernel():
     assert rep.data == () and rep.h2 is None
     assert obs.lam.target.names == ("z0",)
     assert obs.lam.values == (((0, 0, 0), (3,)),)
+
+
+def h_t(p, q, t_even, t_odd):
+    """h_T = <x> x| V (+) <z> on V of dims (p|q), and its odd derivation D.
+
+    T is odd on V: t_even[a][b] is the v_a coefficient of T w_b and
+    t_odd[b][a] the w_b coefficient of T v_a.  [x, v] = 2 T^2 v, z is odd
+    and central, and D is T on V with D(x) = z; kx4 is T^2 = id on (1|1).
+    """
+    names = ("x", *(f"v{a}" for a in range(p)), *(f"w{b}" for b in range(q)), "z")
+    n = len(names)
+    t = [[F(0)] * n for _ in range(n)]  # T on V as an n x n matrix
+    for a in range(p):
+        for b in range(q):
+            t[1 + a][1 + p + b], t[1 + p + b][1 + a] = F(t_even[a][b]), F(t_odd[b][a])
+    t2 = [[sum(t[i][m] * t[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    table = {("x", names[j]): {names[i]: 2 * t2[i][j] for i in range(n) if t2[i][j]}
+             for j in range(1, n - 1) if any(row[j] for row in t2)}
+    h = algebra_from_table(names, (0, *[0] * p, *[1] * q, 1), table)
+    t[n - 1][0] = F(1)
+    return h, GradedLinearMap(h.space, h.space, 1, tuple(map(tuple, t))), any(map(any, t2))
+
+
+@st.composite
+def h_t_args(draw):
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entries = st.integers(-2, 2)
+    t_even = draw(st.lists(st.lists(entries, min_size=q, max_size=q), min_size=p, max_size=p))
+    t_odd = draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=q, max_size=q))
+    return p, q, t_even, t_odd
+
+
+# kx4 plus an even central v1: Z(h)_0 = <v1> makes the weight-0 C^2 nonempty,
+# so the class coordinates do not start the solution of the obstruction's solve
+@example((2, 1, [[1], [0]], [[1, 0]]))
+@settings(max_examples=8, deadline=None)
+@given(h_t_args())
+def test_h_t_is_obstructed_exactly_when_t_squared_is_nonzero(args):
+    # the paper's criterion on a family with a known answer: an extension of
+    # A(0|1) inducing the class of D exists iff [lam] = 0 in H^3, and here
+    # lam(Q,Q,Q) = 3 D(x) = 3z is a coboundary exactly when T^2 = 0
+    h, d, t2_nonzero = h_t(*args)
+    assert validate_algebra(h).ok
+    g, outer = abelian_algebra(("Q",), (1,)), outer_algebra(h)
+    coords = outer.ds.coordinates_of(d)
+    abar = GradedLinearMap(g.space, outer.out.space, 0,
+                           tuple((c,) for c in coords[outer.ds.inner_count:]))
+    obs = obstruction_class(h, g, abar)
+    assert obs.vanishes is not t2_nonzero
+    rep = classify_extensions(h, g, abar)
+    assert (rep.data == ()) is t2_nonzero
+
+
+def test_h_t_contains_kx4():
+    h, d, t2_nonzero = h_t(1, 1, [[1]], [[1]])
+    assert t2_nonzero
+    kx4 = algebra_from_table(("x", "v0", "w0", "z"), (0, 0, 1, 1),
+                             {("x", "v0"): {"v0": 2}, ("x", "w0"): {"w0": 2}})
+    assert same_structure(h, kx4) and h.space.names == kx4.space.names
 
 
 def test_classify_respects_nonzero_action():

@@ -248,6 +248,21 @@ def test_linear_system_checks_dense_column_length():
     assert LinearSystem([], 2).solve((0, 1)) is None
 
 
+def test_sparse_indices_outside_the_shape_are_refused():
+    # a sparse row or column index is checked as the length of a dense one is:
+    # row 5 of a 2-row column is not a tag, and row -1 is not b's coefficient
+    with pytest.raises(ValueError, match="column 0 has a row index outside 0..1"):
+        LinearSystem([{5: F(1)}], 2)
+    with pytest.raises(ValueError, match="column 0 has a row index outside 0..1"):
+        LinearSystem([{-1: F(1)}, {0: F(1)}], 2)
+    with pytest.raises(ValueError, match="column index outside 0..1"):
+        sparse_kernel_basis([{0: F(1), 3: F(1)}], 2)
+    with pytest.raises(ValueError, match="column index outside 0..1"):
+        sparse_kernel_basis([{0: F(1), -1: F(2)}, {0: F(1)}], 2)
+    assert LinearSystem([{1: F(2)}], 2).solve({1: F(1)}) == (F(1, 2),)
+    assert sparse_kernel_basis([{1: F(1)}], 2) == [{0: F(1)}]
+
+
 def test_scalar_takes_the_string_rule_of_the_file_formats():
     assert scalar("-3/4") == F(-3, 4)
     assert scalar("+12") == 12

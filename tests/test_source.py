@@ -117,17 +117,24 @@ def _references(name: str) -> set[str]:
 
 
 def test_one_structure_view():
-    # an algebra keeps one integer view of its structure constants, and
-    # nothing clears them again per call: lcm is taken only where a scale is made
+    # an algebra stores its structure constants once, as the integer
+    # `structure` that `make_algebra` writes; the dense `brackets` is its one
+    # cached view, read only for output, and nothing clears the constants
+    # again per call: lcm is taken only where a scale is made
     tree = ast.parse((SRC / "superlie.py").read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if getattr(n, "name", None) == "SuperLieAlgebra")
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
     cached = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
               and any(getattr(d, "id", None) == "cached_property" for d in n.decorator_list)]
-    assert cached == ["structure"]
+    assert fields == ["space", "structure"]
+    assert cached == ["brackets"]
     assert _references("nonzeros") == set()
     assert {s for s in _references("lcm") if not s.startswith("gvs.py:")} == {
-        "superlie.py:SuperLieAlgebra.structure", "cohomology.py:_torus",
-        "cochains.py:differential_matrix"}
+        "superlie.py:make_algebra", "cohomology.py:_torus", "cochains.py:differential_matrix"}
+    readers = {path.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, ast.Attribute) and n.attr == "brackets"}
+    assert readers == {"formats.py", "cli.py"}
 
 
 def test_cli_makes_each_decision_once():

@@ -27,7 +27,6 @@ from superext.cochains import make_cochain
 from superext.extensions import ExtensionDatum, check_datum
 from superext.gvs import GradedLinearMap, dense_vec, graded_commutator, sparse_kernel_basis
 from superext.superlie import (
-    SuperLieAlgebra,
     ad,
     algebra_from_table,
     commutator_defect,
@@ -35,6 +34,7 @@ from superext.superlie import (
     direct_sum,
     is_derivation,
     is_homomorphism,
+    make_algebra,
     out_quotient,
     validate_algebra,
 )
@@ -61,9 +61,9 @@ def rescaled(alg, factors):
     """alg in the basis e'_i = s_i e_i, so c'^k_ij = s_i s_j c^k_ij / s_k; validated."""
     s = [F(x) for x in factors]
     n = alg.dim
-    table = tuple(tuple(tuple(s[i] * s[j] * alg.brackets[i][j][k] / s[k] for k in range(n))
-                        for j in range(n)) for i in range(n))
-    out = SuperLieAlgebra(alg.space, table)
+    out = make_algebra(alg.space, {
+        (i, j): tuple(s[i] * s[j] * alg.brackets[i][j][k] / s[k] for k in range(n))
+        for i in range(n) for j in range(n)})
     assert validate_algebra(out).ok
     return out
 
@@ -140,7 +140,8 @@ def perturbed(alg, i, j, k, delta, mirror):
     if mirror and i != j:
         odd = alg.space.parities[i] * alg.space.parities[j] % 2
         table[j][i][k] += delta if odd else -delta
-    return SuperLieAlgebra(alg.space, tuple(tuple(tuple(v) for v in row) for row in table))
+    return make_algebra(alg.space, {(i, j): v for i, row in enumerate(table)
+                                    for j, v in enumerate(row)})
 
 
 deltas = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-5, 3)])
@@ -389,3 +390,29 @@ def test_out_projection_matches_dense_oracle(name):
     assert is_homomorphism(pi, der_alg, out) and dense_is_homomorphism(pi, der_alg, out)
     for moved in moved_entries(pi):
         assert is_homomorphism(moved, der_alg, out) == dense_is_homomorphism(moved, der_alg, out)
+
+
+def test_pipeline_builds_no_dense_table(monkeypatch):
+    # the integer `structure` is the record: validation, der(h) and out(h),
+    # cohomology, the classification and the pullback never build the dense
+    # `brackets` view of an algebra passed in or built
+    from superext import cohomology
+    from superext.extensions import pullback_extension
+
+    built, build = [], cohomology.build_extension
+
+    def recording_build(d):
+        t = build(d)
+        built.append(t.e)
+        return t
+
+    monkeypatch.setattr(cohomology, "build_extension", recording_build)
+    h, g, k = heis3(), susy_line(), sl2()
+    assert all(validate_algebra(a).ok for a in (h, g, k))
+    outer_h, outer_k = superlie.outer_algebra(h), superlie.outer_algebra(k)
+    cohomology.cohomology_space(g, cohomology.trivial_module(g), 2)
+    rep = cohomology.classify_extensions(h, g, GradedLinearMap.zero(g.space, outer_h.out.space))
+    t = pullback_extension(k, g, GradedLinearMap.zero(g.space, outer_k.out.space))
+    assert len(built) == len(rep.data) > 0
+    for a in (h, g, k, outer_h.out, outer_k.out, t.e, *built):
+        assert "brackets" not in vars(a)

@@ -15,6 +15,7 @@ from superext.superlie import (
     direct_sum,
     is_derivation,
     is_homomorphism,
+    make_algebra,
     out_quotient,
     outer_algebra,
     validate_algebra,
@@ -83,6 +84,18 @@ def test_ad_susy_odd_generator():
     assert adq.degree == 1
     assert adq.apply(unit_vec(2, 1)) == (2, 0)   # Q -> 2H
     assert adq.apply(unit_vec(2, 0)) == (0, 0)   # H -> 0
+
+
+def test_constructors_refuse_malformed_input():
+    # parities pass through unconverted to the space's own check, and a
+    # bracket pair must index the basis: (-1, 0) is not row n - 1
+    for bad in ((0.5,), (True,)):
+        with pytest.raises(ValueError, match="parities must be 0 or 1"):
+            algebra_from_table(("a",), bad, {})
+    space = susy_line().space
+    for pair in ((-1, 0), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match=rf"bracket pair \({pair[0]}, {pair[1]}\)"):
+            make_algebra(space, {pair: (1, 0)})
 
 
 def test_ad_requires_homogeneous():
