@@ -50,6 +50,7 @@ from .gvs import (
     Vector,
     is_zero_vec,
     scalar,
+    sparse_transpose,
     vec,
     vec_add,
     vec_scale,
@@ -426,13 +427,12 @@ def differential_matrix(
     src_basis, dst_basis = bases or (space_basis(src, target, arity, weight),
                                      space_basis(src, target, arity + 1, weight))
     col = {key: k for k, key in enumerate(src_basis)}
-    action = [[[(m, c) for m, c in enumerate(row) if c] for row in op.matrix] for op in alpha_ops]
     den = source_alg.structure[0]
-    scale = lcm(den, *(c.denominator for op in action for row in op for _m, c in row))
+    scale = lcm(den, *(c.denominator for op in alpha_ops for col in op.columns for _r, c in col))
     bracket_factor = scale // den
     # action[i][r] (negated[i][r]): the nonzero entries (m, scale c) of row r of alpha_i (-alpha_i)
-    action = [[[(m, c.numerator * (scale // c.denominator)) for m, c in row] for row in op]
-              for op in action]
+    action = [[[(m, c.numerator * (scale // c.denominator)) for m, c in row.items()]
+               for row in sparse_transpose(map(dict, op.columns), target.dim)] for op in alpha_ops]
     negated = [[[(m, -c) for m, c in row] for row in op] for op in action]
     acting = [any(op) for op in action]
     rows = []

@@ -24,7 +24,7 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
-    from_columns,
+    _map,
     is_zero_vec,
     sparse_kernel_basis,
     sparse_transpose,
@@ -103,7 +103,7 @@ def center_embedding(h: SuperLieAlgebra) -> GradedLinearMap:
         tuple(f"z{k}" for k in range(len(basis))),
         tuple(h.space.vector_parity(v) for v in basis),
     )
-    return GradedLinearMap(zspace, h.space, 0, from_columns(basis, h.dim))
+    return _map(zspace, h.space, 0, basis)
 
 
 def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
@@ -117,18 +117,16 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
     property is verified by `gmodule`.  Nothing is cached across calls.
     """
     incl = center_embedding(h)
-    zdim = incl.domain.dim
-    incl_system = LinearSystem(map(incl.column, range(zdim)), h.dim)
+    incl_system = LinearSystem(map(dict, incl.columns), h.dim)
     ops = []
     for op in alpha:
         cols = []
-        for c in range(zdim):
-            z = incl_system.solve(op.apply(incl.column(c)))
+        for col in op.compose(incl).columns:
+            z = incl_system.solve(dict(col))
             if z is None:
                 raise RuntimeError("internal fault: lifted derivation leaves the center")
             cols.append(z)
-        ops.append(GradedLinearMap(incl.domain, incl.domain, op.degree,
-                                   from_columns(cols, zdim)))
+        ops.append(_map(incl.domain, incl.domain, op.degree, cols))
     return gmodule(g, incl.domain, tuple(ops)), incl
 
 
@@ -228,14 +226,12 @@ def _torus(mod: GModule) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     g, torus = mod.g, []
     den, table = g.structure
     for k, brackets in enumerate(table):
-        op = mod.action[k].matrix
+        op = mod.action[k].columns
         if g.space.parities[k] or any(len(t) > 1 or (t and t[0][0] != j)
-                                      for j, t in enumerate(brackets)):
-            continue
-        if any(c and r != m for r, row in enumerate(op) for m, c in enumerate(row)):
+                                      for diag in (brackets, op) for j, t in enumerate(diag)):
             continue
         eig = [Fraction(t[0][1], den) if t else 0 for t in brackets]
-        eig += [op[m][m] for m in range(len(op))]
+        eig += [t[0][1] if t else 0 for t in op]
         if any(eig):
             d = lcm(*(Fraction(x).denominator for x in eig))
             eig = [int(x * d) for x in eig]

@@ -22,8 +22,8 @@ from .gvs import (
     Record,
     SuperVectorSpace,
     Vector,
+    _map,
     dense_vec,
-    from_columns,
     sparse_kernel_basis,
     sparse_transpose,
     unit_vec,
@@ -123,9 +123,9 @@ def _check_section(t: ExtensionTriple, s: GradedLinearMap) -> None:
 
 def validate_triple(t: ExtensionTriple) -> bool:
     """Exactness and homomorphism checks for a triple."""
-    if IncrementalSpan(t.incl.matrix).rank != t.h.dim:
+    if IncrementalSpan(map(dict, t.incl.columns)).rank != t.h.dim:
         return False
-    if IncrementalSpan(t.proj.matrix).rank != t.g.dim:
+    if IncrementalSpan(map(dict, t.proj.columns)).rank != t.g.dim:
         return False
     if t.e.dim != t.h.dim + t.g.dim:
         return False
@@ -136,14 +136,14 @@ def validate_triple(t: ExtensionTriple) -> bool:
 
 def canonical_section(t: ExtensionTriple) -> GradedLinearMap:
     """The canonical right inverse of the projection (free coordinates 0)."""
-    proj_system = LinearSystem(map(t.proj.column, range(t.e.dim)), t.g.dim)
+    proj_system = LinearSystem(map(dict, t.proj.columns), t.g.dim)
     cols = []
     for j in range(t.g.dim):
         v = proj_system.solve(unit_vec(t.g.dim, j))
         if v is None:
             raise ValueError("projection is not surjective")
         cols.append(v)
-    return GradedLinearMap(t.g.space, t.e.space, 0, from_columns(cols, t.e.dim))
+    return _map(t.g.space, t.e.space, 0, cols)
 
 
 def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> ExtensionDatum:
@@ -160,7 +160,7 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
             raise ValueError("the triple carries no section; pass one")
     _check_section(t, s)
     h, g, e = t.h, t.g, t.e
-    incl_system = LinearSystem(map(t.incl.column, range(h.dim)), e.dim)
+    incl_system = LinearSystem(map(dict, t.incl.columns), e.dim)
     alpha = []
     for j in range(g.dim):
         sx = s.column(j)
@@ -172,8 +172,7 @@ def induced_data(t: ExtensionTriple, s: GradedLinearMap | None = None) -> Extens
                     f"[s({g.space.names[j]}), h] leaves the kernel: the sequence is not exact"
                 )
             cols.append(v)
-        alpha.append(GradedLinearMap(h.space, h.space, g.space.parities[j],
-                                     from_columns(cols, h.dim)))
+        alpha.append(_map(h.space, h.space, g.space.parities[j], cols))
     table = {}
     for (j, k) in canonical_tuples(g.space, 2):
         w = e.bracket_vec(s.column(j), s.column(k))
@@ -263,10 +262,9 @@ def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
         table.setdefault((j, i), {})[k] = x if (par[i] * par[j]) % 2 else -x
 
     for j, op in enumerate(d.alpha):
-        for k, row in enumerate(op.matrix):
-            for a, x in enumerate(row):
-                if x:
-                    put(nh + j, a, k, x)
+        for a, col in enumerate(op.columns):
+            for k, x in col:
+                put(nh + j, a, k, x)
     for (i, j), val in d.rho.values:
         for k, x in enumerate(val):
             if x:
@@ -288,15 +286,13 @@ def build_extension(d: ExtensionDatum) -> ExtensionTriple:
         raise ValueError("datum fails the extension conditions: " + "; ".join(rep.failures[:3]))
     g, h = d.g, d.h
     nh, ng = h.dim, g.dim
-    n = nh + ng
     e = raw_extension_algebra(d)
     space = e.space
     if not validate_algebra(e).ok:
         raise RuntimeError("internal fault: built extension fails validation")
-    incl = GradedLinearMap(h.space, space, 0, from_columns([unit_vec(n, j) for j in range(nh)], n))
-    proj = GradedLinearMap(space, g.space, 0, tuple(unit_vec(n, nh + i) for i in range(ng)))
-    section = GradedLinearMap(g.space, space, 0,
-                              from_columns([unit_vec(n, nh + j) for j in range(ng)], n))
+    incl = _map(h.space, space, 0, [{j: 1} for j in range(nh)])
+    proj = _map(space, g.space, 0, [{}] * nh + [{i: 1} for i in range(ng)])
+    section = _map(g.space, space, 0, [{nh + j: 1} for j in range(ng)])
     return ExtensionTriple(h, g, e, incl, proj, section)
 
 
@@ -378,10 +374,8 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
     x = system.solve(vec_scale(scale, cochain_coordinates(d.rho, basis2)))  # dmat is scale delta
     if x is None:
         return None
-    m = [[Fraction(0)] * g.dim for _ in range(h.dim)]
-    for c, (k, j) in zip(x, slots):
-        m[k][j] = c
-    return GradedLinearMap(g.space, h.space, 0, tuple(tuple(r) for r in m))
+    return _map(g.space, h.space, 0, [{k: c for c, (k, i) in zip(x, slots) if i == j}
+                                      for j in range(g.dim)])
 
 
 def pullback_extension(
@@ -411,8 +405,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
     ds = outer.ds
     m, n = len(ds.basis), g.dim
     # pi(D) - abar(X) = 0, one sparse row per out(h) coordinate
-    cond = [{**{c: x for c, x in enumerate(p) if x}, **{m + c: -x for c, x in enumerate(a) if x}}
-            for p, a in zip(outer.proj.matrix, abar.matrix)]
+    cond = sparse_transpose(map(dict, outer.proj.columns + abar.scale(-1).columns), outer.out.dim)
     kern = [dense_vec(v, m + n) for v in sparse_kernel_basis(cond, m + n)]
     prod_parities = ds.space.parities + g.space.parities
 
@@ -441,11 +434,11 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
 
     incl_cols = [to_e_coords(ds.coordinates_of(_ad_flat(h, unit_vec(h.dim, k))) + zero_vec(n))
                  for k in range(h.dim)]
-    incl = GradedLinearMap(h.space, e_space, 0, from_columns(incl_cols, len(kern)))
-    proj_e = GradedLinearMap(e_space, g.space, 0, from_columns([v[m:] for v in kern], n))
+    incl = _map(h.space, e_space, 0, incl_cols)
+    proj_e = _map(e_space, g.space, 0, [v[m:] for v in kern])
     sec_cols = [to_e_coords(outer.lift_coordinates(abar.column(j)) + unit_vec(n, j))
                 for j in range(n)]
-    section = GradedLinearMap(g.space, e_space, 0, from_columns(sec_cols, len(kern)))
+    section = _map(g.space, e_space, 0, sec_cols)
     triple = ExtensionTriple(h, g, e, incl, proj_e, section)
     if not validate_algebra(e).ok or not validate_triple(triple):
         raise RuntimeError("internal fault: pullback algebra failed validation")

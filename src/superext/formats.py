@@ -18,8 +18,8 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, scalar, unit_vec, vec_add,
-                  vec_scale, zero_vec)
+from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, linear_map, scalar,
+                  unit_vec, vec_add, vec_scale, zero_vec)
 from .superlie import SuperLieAlgebra, antisymmetric_completion, make_algebra
 
 if TYPE_CHECKING:  # the layers above are imported by the parsers that build their records
@@ -183,7 +183,7 @@ def parse_map(doc: Any, domain: tuple[str, SuperVectorSpace],
     m = _parse_matrix(_require(doc, "matrix", where), codomain[1].dim, domain[1].dim,
                       f"{where}.matrix")
     try:
-        return GradedLinearMap(domain[1], codomain[1], degree, m)
+        return linear_map(domain[1], codomain[1], degree, m)
     except ValueError as ex:
         raise InvariantError(f"{where}.matrix: {ex}") from None
 
@@ -282,7 +282,7 @@ def _parse_operators(doc: Any, key: str, g: SuperLieAlgebra, space: SuperVectorS
             raise InvariantError(f"{loc}: {what} for {arg!r} listed twice")
         m = _parse_matrix(_require(entry, "matrix", loc), space.dim, space.dim, f"{loc}.matrix")
         try:
-            ops[i] = GradedLinearMap(space, space, g.space.parities[i], m)
+            ops[i] = linear_map(space, space, g.space.parities[i], m)
         except ValueError as ex:
             raise InvariantError(f"{loc}.matrix: {ex}") from None
     return tuple(ops.get(i, GradedLinearMap.zero(space, space, g.space.parities[i]))

@@ -8,13 +8,13 @@ canonical solutions of A x = b, and `sparse_kernel_basis` for a kernel.
 All select the leftmost pivot, so particular solutions, kernel bases and
 echelon spans are canonical: identical inputs give bit-identical outputs.
 
-A vector is a tuple of Fractions, a matrix a tuple of row tuples, and a
-sparse vector or row an {index: rational} dict, whose values may be ints
-where only a row space matters.  A sparse input may carry explicit zeros;
-every entry point drops them.  Entry (i, j) is the coefficient
-of codomain basis element i in the image of domain basis j; the sparse
-form of a map of one space keys entry (i, j) by i n + j, as `_commutator`
-returns it.
+A vector is a tuple of Fractions, and a sparse vector or row an
+{index: rational} dict, whose values may be ints where only a row space
+matters.  A sparse input may carry explicit zeros; every entry point drops
+them.  A linear map stores, per domain basis element j, the nonzero
+entries (i, a_ij) of its image: a_ij is the coefficient of codomain basis
+element i.  Its dense row matrix is a view for output.  The flat form of a
+map of one space keys entry (i, j) by i n + j, as `_commutator` returns it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -29,7 +30,6 @@ EVEN = 0
 ODD = 1
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
 
 
 # "p" or "p/q": checked before Fraction, which would build 10**5000 from "1e5000"
@@ -78,52 +78,6 @@ def dense_vec(v: dict[int, Fraction], n: int) -> Vector:
     out = [Fraction(0)] * n
     for i, x in v.items():
         out[i] = x
-    return tuple(out)
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple(zero_vec(ncols) for _ in range(nrows))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
-def from_columns(cols: Sequence[Sequence], nrows: int) -> Matrix:
-    """The matrix whose j-th column is cols[j]; `nrows` fixes the shape when cols is empty."""
-    return tuple(tuple(c[i] for c in cols) for i in range(nrows))
-
-
-def mat_vec(A: Matrix, v: Vector) -> Vector:
-    """A v, summing over the nonzeros of v; every entry is a Fraction."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    zero = Fraction(0)
-    out = []
-    for row in A:
-        acc = zero
-        for j, x in nz:
-            a = row[j]
-            if a:
-                acc += a * x
-        out.append(acc)
-    return tuple(out)
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """A B, summing over nonzero pairs only; every entry is a Fraction."""
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("dimension mismatch in matrix product")
-    ncols = len(B[0]) if B else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
-    zero = Fraction(0)
-    out = []
-    for row in A:
-        acc = [zero] * ncols
-        for a, b_row in zip(row, b_rows):
-            if a:
-                for j, y in b_row:
-                    acc[j] += a * y
-        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -419,115 +373,138 @@ class SuperVectorSpace(Record):
 
 
 class GradedLinearMap(Record):
-    """A rational matrix between super spaces, homogeneous of a fixed degree.
+    """A rational linear map between super spaces, homogeneous of a fixed degree.
 
-    Entry (i, j) is the coefficient of codomain basis i in the image of
-    domain basis j; entries are forced to 0 unless
-    parity(codomain_i) = parity(domain_j) + degree (mod 2).
+    `columns[j]` lists the nonzero (i, a_ij) of the image of domain basis j,
+    Fractions in ascending row order; a_ij is 0 unless
+    parity(codomain_i) = parity(domain_j) + degree (mod 2).  The record is
+    canonical, so equal maps are equal records: `_map` and `linear_map`
+    write it from columns or rows, and the constructor refuses anything
+    else.  `matrix` is the dense view, for output.
     """
 
     domain: SuperVectorSpace
     codomain: SuperVectorSpace
     degree: int
-    matrix: Matrix
+    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self):
         if type(self.degree) is not int or self.degree not in (0, 1):
             raise ValueError("degree must be 0 or 1")
-        if len(self.matrix) != self.codomain.dim:
-            raise ValueError("row count != codomain dimension")
-        for row in self.matrix:
-            if len(row) != self.domain.dim:
-                raise ValueError("column count != domain dimension")
-        dpar = self.domain.parities
-        for i, row in enumerate(self.matrix):
-            want = (self.codomain.parities[i] + self.degree) % 2  # the domain parity allowed
-            for j, a in enumerate(row):
-                if a and dpar[j] != want:
-                    raise ValueError(
-                        f"entry ({i},{j}) violates homogeneity of degree {self.degree}"
-                    )
+        cols, m, bad = self.columns, self.codomain.dim, []
+        if type(cols) is not tuple or len(cols) != self.domain.dim:
+            raise ValueError("column count != domain dimension")
+        for j, (col, p) in enumerate(zip(cols, self.domain.parities)):
+            want, last = (p + self.degree) % 2, -1  # the codomain parity allowed
+            for e in col if type(col) is tuple else (None,):  # a column not a tuple fails too
+                if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                        and last < e[0] < m and type(e[1]) is Fraction and e[1]):
+                    raise ValueError(f"column {j} must list its nonzero (row, Fraction) "
+                                     "entries in ascending row order")
+                last = e[0]
+                if self.codomain.parities[last] != want:
+                    bad.append((last, j))
+        if bad:
+            raise ValueError("entry ({},{}) violates homogeneity of degree {}".format(
+                *min(bad), self.degree))
 
     @staticmethod
     def zero(domain, codomain, degree=0) -> "GradedLinearMap":
-        return GradedLinearMap(domain, codomain, degree, zeros(codomain.dim, domain.dim))
+        return GradedLinearMap(domain, codomain, degree, ((),) * domain.dim)
 
     @staticmethod
     def identity_map(space) -> "GradedLinearMap":
-        return GradedLinearMap(space, space, 0, identity(space.dim))
+        return _map(space, space, 0, [{j: 1} for j in range(space.dim)])
+
+    @cached_property
+    def matrix(self) -> tuple[Vector, ...]:
+        """The dense rows of Fractions, a view of `columns` built on first read."""
+        cols = [self.column(j) for j in range(self.domain.dim)]
+        return tuple(tuple(c[i] for c in cols) for i in range(self.codomain.dim))
 
     def apply(self, v: Sequence) -> Vector:
-        return mat_vec(self.matrix, vec(v))
+        """The image of a coordinate vector of length dim domain."""
+        v = vec(v)
+        if len(v) != self.domain.dim:
+            raise ValueError(f"vector length {len(v)} != domain dimension {self.domain.dim}")
+        out = [Fraction(0)] * self.codomain.dim
+        for x, col in zip(v, self.columns):
+            if x:
+                for i, a in col:
+                    out[i] += a * x
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.matrix)
+        return dense_vec(dict(self.columns[j]), self.codomain.dim)
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        """self after other."""
+        """self after other: column j is the sum of other's a_kj times self's column k."""
         if other.codomain != self.domain:
             raise ValueError("composition: domains do not match")
-        return GradedLinearMap(
-            other.domain, self.codomain, (self.degree + other.degree) % 2,
-            mat_mul(self.matrix, other.matrix),
-        )
+        cols = []
+        for col in other.columns:
+            acc: dict[int, Fraction] = {}
+            for k, y in col:
+                for i, x in self.columns[k]:
+                    acc[i] = acc.get(i, 0) + x * y
+            cols.append(acc)
+        return _map(other.domain, self.codomain, (self.degree + other.degree) % 2, cols)
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         if (self.domain, self.codomain, self.degree) != (other.domain, other.codomain, other.degree):
             raise ValueError("maps not addable")
-        return GradedLinearMap(self.domain, self.codomain, self.degree, tuple(
-            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.matrix, other.matrix)))
+        pairs = [(dict(a), dict(b)) for a, b in zip(self.columns, other.columns)]
+        return _map(self.domain, self.codomain, self.degree,
+                    [{i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()} for a, b in pairs])
 
     def scale(self, c) -> "GradedLinearMap":
         c = scalar(c)
-        return GradedLinearMap(self.domain, self.codomain, self.degree,
-                               tuple(vec_scale(c, r) for r in self.matrix))
+        return _map(self.domain, self.codomain, self.degree,
+                    [{i: c * a for i, a in col} for col in self.columns])
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.matrix)
+        return not any(self.columns)
 
-    def flat(self) -> Vector:
-        """Row-major flattening; the coordinate convention for spaces of maps."""
-        return tuple(a for row in self.matrix for a in row)
-
-
-def _square(flat: dict, n: int) -> Matrix:
-    """The n x n matrix of a sparse row-major {i n + j: entry} dict, Fraction(0) elsewhere."""
-    v = dense_vec(flat, n * n)
-    return tuple(v[i * n:i * n + n] for i in range(n))
+    def _flat_nonzeros(self) -> dict[int, Fraction]:
+        """The nonzero entries keyed by their row-major flat index i n + j, n = dim domain."""
+        n = self.domain.dim
+        return {i * n + j: a for j, col in enumerate(self.columns) for i, a in col}
 
 
-def _flat_nonzeros(m: GradedLinearMap) -> dict[int, Fraction]:
-    """The nonzero entries of a map, keyed by their row-major flat index."""
-    n = m.domain.dim
-    return {i * n + j: x for i, row in enumerate(m.matrix) for j, x in enumerate(row) if x}
+def _map(domain, codomain, degree, cols) -> GradedLinearMap:
+    """The map whose column j is cols[j], a {row: rational} dict or a dense sequence.
+
+    Each entry passes `scalar` and zeros are dropped, so the record is canonical.
+    """
+    entries = (col.items() if isinstance(col, dict) else enumerate(col) for col in cols)
+    return GradedLinearMap(domain, codomain, degree, tuple(
+        tuple(sorted((i, a) for i, a in ((i, scalar(a)) for i, a in col) if a)) for col in entries))
+
+
+def linear_map(domain: SuperVectorSpace, codomain: SuperVectorSpace, degree: int,
+               matrix: Sequence[Sequence]) -> GradedLinearMap:
+    """The map with the dense row matrix `matrix`: entry (i, j) is the coefficient of
+    codomain basis i in the image of domain basis j."""
+    if len(matrix) != codomain.dim or any(len(row) != domain.dim for row in matrix):
+        raise ValueError(f"the matrix is not {codomain.dim} x {domain.dim}")
+    return _map(domain, codomain, degree, [[row[j] for row in matrix] for j in range(domain.dim)])
 
 
 def _commutator(a: GradedLinearMap, b: GradedLinearMap) -> dict[int, Fraction]:
     """[a, b] = a b - (-1)^{deg a deg b} b a as {i n + j: nonzero}, for maps of one space.
 
-    Both products are summed into one dict over the nonzero entries of
-    the two maps; no map and no dense row is built.
+    Column j of a b sums b's entries (k, j) times a's column k, and b a
+    likewise; both products go into one dict over the two maps' columns.
     """
-    n = a.domain.dim
-    a_nz = [[(k, x) for k, x in enumerate(row) if x] for row in a.matrix]
-    b_nz = [[(k, y) for k, y in enumerate(row) if y] for row in b.matrix]
+    n, a_cols, b_cols = a.domain.dim, a.columns, b.columns
     sign = 1 if a.degree * b.degree else -1  # b a enters with sign -(-1)^{deg a deg b}
     out: dict[int, Fraction] = {}
-    for i, (a_row, b_row) in enumerate(zip(a_nz, b_nz)):
-        base = i * n
-        for k, x in a_row:
-            for j, y in b_nz[k]:
-                out[base + j] = out.get(base + j, 0) + x * y
-        for k, y in b_row:
-            sy = sign * y
-            for j, x in a_nz[k]:
-                out[base + j] = out.get(base + j, 0) + sy * x
+    for j, (a_col, b_col) in enumerate(zip(a_cols, b_cols)):
+        for k, y in b_col:
+            for i, x in a_cols[k]:
+                out[i * n + j] = out.get(i * n + j, 0) + x * y
+        for k, x in a_col:
+            sx = sign * x
+            for i, y in b_cols[k]:
+                out[i * n + j] = out.get(i * n + j, 0) + sx * y
     return {t: x for t, x in out.items() if x}
-
-
-def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
-    """[a, b] on a common space, entries Fractions: a dense view of `_commutator`."""
-    if not a.domain == a.codomain == b.domain == b.codomain:
-        raise ValueError("a graded commutator needs two maps of one space")
-    flat = {t: Fraction(x) for t, x in _commutator(a, b).items()}
-    return GradedLinearMap(a.domain, a.domain, (a.degree + b.degree) % 2, _square(flat, a.domain.dim))

@@ -26,8 +26,7 @@ from .gvs import (
     SuperVectorSpace,
     Vector,
     _commutator,
-    _flat_nonzeros,
-    _square,
+    _map,
     dense_vec,
     is_zero_vec,
     scalar,
@@ -268,7 +267,18 @@ def ad(alg: SuperLieAlgebra, x: Sequence, degree: int | None = None) -> GradedLi
         if not is_zero_vec(x) and degree != p:
             raise ValueError(f"element has parity {p}, not {degree}")
         p = degree
-    return GradedLinearMap(alg.space, alg.space, p, _square(_ad_flat(alg, x), alg.dim))
+    return _flat_map(alg.space, p, _ad_flat(alg, x))
+
+
+def _flat_map(space: SuperVectorSpace, degree: int, flat: dict[int, Fraction]) -> GradedLinearMap:
+    """The map of one space with the Fraction entries {i n + j: a_ij}, zeros dropped,
+    written as they are: in row-major order each column's rows ascend."""
+    n = space.dim
+    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for t, a in sorted(flat.items()):
+        if a:
+            cols[t % n].append((t // n, a))
+    return GradedLinearMap(space, space, degree, tuple(map(tuple, cols)))
 
 
 def _ad_flat(alg: SuperLieAlgebra, x: Sequence) -> dict[int, Fraction]:
@@ -306,9 +316,7 @@ def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     Each residual, den times its value, is summed over the integer
     `structure` and the nonzero entries of D.
     """
-    n = alg.dim
-    nz = alg.structure[1]
-    cols = [[(i, row[j]) for i, row in enumerate(d.matrix) if row[j]] for j in range(n)]
+    n, nz, cols = alg.dim, alg.structure[1], d.columns
     for a in range(n):
         s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1
         for b in range(n):
@@ -352,21 +360,20 @@ class DerivationSpace(Record):
     @cached_property
     def _coordinates(self) -> LinearSystem:
         """The flattened basis as columns, eliminated on first use and kept."""
-        return LinearSystem([_flat_nonzeros(d) for d in self.basis], self.algebra.dim ** 2)
+        return LinearSystem([d._flat_nonzeros() for d in self.basis], self.algebra.dim ** 2)
 
     def coordinates_of(self, m: GradedLinearMap | dict[int, Fraction]) -> Vector | None:
         """Coordinates of a map or its {flat index: nonzero} dict; None outside the span."""
-        return self._coordinates.solve(m if isinstance(m, dict) else _flat_nonzeros(m))
+        return self._coordinates.solve(m if isinstance(m, dict) else m._flat_nonzeros())
 
     def combination(self, coords: Sequence, degree: int) -> GradedLinearMap:
         """sum_k coords[k] D_k, a map of the given degree (zero for zero coords)."""
         acc: dict[int, Fraction] = {}
         for d, c in zip(self.basis, coords):
             if c:
-                for t, x in _flat_nonzeros(d).items():
+                for t, x in d._flat_nonzeros().items():
                     acc[t] = acc.get(t, 0) + c * x
-        sp = self.algebra.space
-        return GradedLinearMap(sp, sp, degree, _square(acc, sp.dim))
+        return _flat_map(self.algebra.space, degree, acc)
 
     def bracket(self, a: GradedLinearMap, b: GradedLinearMap) -> Vector:
         """Coordinates of the graded commutator of two derivations in this basis."""
@@ -422,9 +429,8 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
                     if r:
                         yield r
 
-    return [GradedLinearMap(sp, sp, deg, _square(
-        {slots[k][0] * n + slots[k][1]: x for k, x in kv.items()}, n))
-        for kv in sparse_kernel_basis(leibniz_rows(), len(slots))]
+    return [_flat_map(sp, deg, {slots[k][0] * n + slots[k][1]: x for k, x in kv.items()})
+            for kv in sparse_kernel_basis(leibniz_rows(), len(slots))]
 
 
 def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
@@ -450,21 +456,16 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
         # columns ad_{e_i}: solving against them expresses a member as ad_H
         ad_system = LinearSystem(ad_flat, n * n)
         for row in span.rows():
-            inner_maps.append(GradedLinearMap(alg.space, alg.space, deg, _square(row, n)))
+            inner_maps.append(_flat_map(alg.space, deg, row))
             y = ad_system.solve(row)
             if y is None:
                 raise RuntimeError("internal fault: an inner derivation is not an ad_H")
             preimages.append(dense_vec(dict(zip(gens, y)), n))
         outer_maps.append([d for d in _derivation_basis_of_parity(alg, deg)
-                           if span.add(_flat_nonzeros(d))])
+                           if span.add(d._flat_nonzeros())])
     # inner parity 0, inner parity 1, complement parity 0, complement parity 1
     basis = tuple(inner_maps) + tuple(outer_maps[0]) + tuple(outer_maps[1])
     return DerivationSpace(alg, basis, len(inner_maps), tuple(preimages))
-
-
-def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
-    """der(h) as a super Lie algebra under the graded commutator."""
-    return bracket_algebra(ds.space, lambda i, j: ds.bracket(ds.basis[i], ds.basis[j]))
 
 
 class OuterAlgebra(Record):
@@ -490,8 +491,7 @@ def outer_algebra(alg: SuperLieAlgebra) -> OuterAlgebra:
     ds = derivations(alg)
     c, m = ds.inner_count, len(ds.basis)
     out_space = SuperVectorSpace(ds.space.names[c:], ds.space.parities[c:])
-    proj = GradedLinearMap(ds.space, out_space, 0,
-                           tuple(unit_vec(m, c + a) for a in range(m - c)))
+    proj = _map(ds.space, out_space, 0, [{}] * c + [{a: 1} for a in range(m - c)])
     out = bracket_algebra(out_space, lambda a, b: ds.bracket(ds.basis[c + a], ds.basis[c + b])[c:])
     return OuterAlgebra(ds, out, proj)
 
@@ -515,7 +515,7 @@ def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],
     defect = _commutator(ops[i], ops[j])
     for m, c in table[i][j]:
         c = Fraction(c, den)
-        for t, x in _flat_nonzeros(ops[m]).items():
+        for t, x in ops[m]._flat_nonzeros().items():
             defect[t] = defect.get(t, 0) - c * x
     return {t: x for t, x in defect.items() if x}
 
@@ -526,8 +526,7 @@ def is_homomorphism(f: GradedLinearMap, src: SuperLieAlgebra, dst: SuperLieAlgeb
         raise ValueError("homomorphisms are of degree 0")
     if f.domain != src.space or f.codomain != dst.space:
         raise ValueError("map does not connect the given algebras")
-    cols = [[(k, row[j]) for k, row in enumerate(f.matrix) if row[j]] for j in range(src.dim)]
-    (src_den, src_table), (dst_den, dst_table) = src.structure, dst.structure
+    cols, (src_den, src_table), (dst_den, dst_table) = f.columns, src.structure, dst.structure
     for i, row in enumerate(src_table):
         for j, v in enumerate(row):
             res: dict[int, Fraction] = {}  # both dens times f[e_i, e_j] - [f e_i, f e_j]

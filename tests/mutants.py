@@ -142,6 +142,34 @@ MUTANTS = [
     Mutant("class coordinates read from the leading slice", "cohomology.py",
            "class_coords = x[len(basis2):]", "class_coords = x[:len(x) - len(basis2)]",
            ("tests/test_cohomology.py",)),
+    Mutant("coboundary rows read after the representatives are absorbed", "cohomology.py",
+           """    cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
+    cocycle_coords = sparse_kernel_basis(dmat, len(src))
+    reps = [v for v in cocycle_coords if span.add(v)]""",
+           """    cocycle_coords = sparse_kernel_basis(dmat, len(src))
+    reps = [v for v in cocycle_coords if span.add(v)]
+    cobound_coords = span.rows()""", (DIFFERENTIAL,)),
+    Mutant("representatives chosen in reverse", "cohomology.py",
+           "reps = [v for v in cocycle_coords if span.add(v)]",
+           "reps = [v for v in reversed(cocycle_coords) if span.add(v)]", (DIFFERENTIAL,)),
+    # ---- the map record: sparse columns, the dense matrix a view ----
+    Mutant("map constructor keeps zero entries", "gvs.py",
+           "for i, a in ((i, scalar(a)) for i, a in col) if a))",
+           "for i, a in ((i, scalar(a)) for i, a in col)))", (GVS,)),
+    Mutant("compose multiplies in the wrong order", "gvs.py",
+           """        for col in other.columns:
+            acc: dict[int, Fraction] = {}
+            for k, y in col:
+                for i, x in self.columns[k]:""",
+           """        for col in self.columns:
+            acc: dict[int, Fraction] = {}
+            for k, y in col:
+                for i, x in other.columns[k]:""", ("tests/test_solve.py",)),
+    Mutant("matrix view transposed", "gvs.py",
+           "return tuple(tuple(c[i] for c in cols) for i in range(self.codomain.dim))",
+           "return tuple(cols)", ("tests/test_solve.py",)),
+    Mutant("apply pads or truncates a vector of the wrong length", "gvs.py",
+           "if len(v) != self.domain.dim:", "if False:", (GVS,)),
 ]
 
 EQUIVALENT = {

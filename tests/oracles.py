@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (brute-force
 loops, full-symmetrization sums, closed-form signs) without reusing the
-library code paths it checks.
+library code paths it checks.  The exceptions are the two views at the
+end, `graded_commutator` and `derivation_algebra`: views of library
+results that only tests read.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from superext.gvs import GradedLinearMap, scalar, unit_vec, vec, vec_add, vec_scale, zero_vec
-from superext.superlie import SuperLieAlgebra, ValidationReport
+from superext.gvs import (GradedLinearMap, _commutator, linear_map, scalar, unit_vec, vec, vec_add,
+                          vec_scale, zero_vec)
+from superext.superlie import (DerivationSpace, SuperLieAlgebra, ValidationReport, _flat_map,
+                               bracket_algebra)
 from superext.cochains import TRIVIAL_LINE, Cochain, canonical_tuples, make_cochain
 from superext.extensions import (
     ExtensionDatum,
@@ -228,7 +232,7 @@ def random_witness(g: SuperLieAlgebra, h: SuperLieAlgebra, rng) -> GradedLinearM
         ]
         for r in range(h.dim)
     ]
-    return GradedLinearMap(g.space, h.space, 0, tuple(tuple(r) for r in m))
+    return linear_map(g.space, h.space, 0, tuple(tuple(r) for r in m))
 
 
 def random_central_datum(g: SuperLieAlgebra, h: SuperLieAlgebra, rng) -> ExtensionDatum:
@@ -476,9 +480,10 @@ def dense_columns(A, ncols=None):
     return [tuple(row[j] for row in A) for j in range(ncols)]
 
 
-def dense_mat_mul(A, B):
-    """Every entry as a full sum over the inner index."""
-    ncols = len(B[0]) if B else 0
+def dense_mat_mul(A, B, ncols=None):
+    """Every entry as a full sum over the inner index; `ncols` wide when B has no rows."""
+    if ncols is None:
+        ncols = len(B[0]) if B else 0
     return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0))
                        for j in range(ncols)) for i in range(len(A)))
 
@@ -590,7 +595,7 @@ def dense_derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int):
         m = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), k in slot_index.items():
             m[i][j] = kv[k]
-        basis.append(GradedLinearMap(sp, sp, deg, tuple(tuple(r) for r in m)))
+        basis.append(linear_map(sp, sp, deg, tuple(tuple(r) for r in m)))
     return basis
 
 
@@ -623,8 +628,8 @@ def dense_ad(alg: SuperLieAlgebra, x, degree: int) -> GradedLinearMap:
     """ad_x with column j the full double sum [x, e_j]."""
     n = alg.dim
     cols = [dense_bracket(alg, x, unit_vec(n, j)) for j in range(n)]
-    return GradedLinearMap(alg.space, alg.space, degree,
-                           tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    return linear_map(alg.space, alg.space, degree,
+                      tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
 
 def dense_is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
@@ -701,3 +706,15 @@ def dense_curvature_failures(d: ExtensionDatum) -> list[str]:
                         f"{g.space.names[j]},{g.space.names[k]}) = {res}"
                     )
     return fails
+
+
+def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:
+    """[a, b] on a common space, as a map: a view of the library's sparse `_commutator`."""
+    if not a.domain == a.codomain == b.domain == b.codomain:
+        raise ValueError("a graded commutator needs two maps of one space")
+    return _flat_map(a.domain, (a.degree + b.degree) % 2, _commutator(a, b))
+
+
+def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
+    """der(h) as a super Lie algebra under the graded commutator."""
+    return bracket_algebra(ds.space, lambda i, j: ds.bracket(ds.basis[i], ds.basis[j]))

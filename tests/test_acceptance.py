@@ -25,7 +25,7 @@ from superext.cochains import (
     nr_bracket,
     permute_word,
 )
-from superext.gvs import GradedLinearMap
+from superext.gvs import GradedLinearMap, linear_map
 from superext.superlie import abelian_algebra, ad, center, out_quotient
 from superext.extensions import (
     ExtensionDatum,
@@ -221,7 +221,7 @@ def test_criterion_6_obstruction_pipeline():
         # the cocycle is valued in the center ...
         for _tup, val in obs.lam.values:
             v = obs.center_incl.apply(val)
-            assert all(c == 0 for c in ad(h, v, degree=h.space.vector_parity(v)).flat())
+            assert ad(h, v, degree=h.space.vector_parity(v)).is_zero()
         # ... and closed for the module differential
         assert module_delta(obs.module, obs.lam).is_zero()
         # cochain-level lift invariance under 20 random perturbations
@@ -264,7 +264,7 @@ def test_criterion_7_super_regression():
     # rigidity: the only degree-0 witness g -> h is zero, so different
     # curvature scalings are inequivalent
     with pytest.raises(ValueError):
-        GradedLinearMap(g.space, h.space, 0, ((1,),))
+        linear_map(g.space, h.space, 0, ((1,),))
     b0 = GradedLinearMap.zero(g.space, h.space, 0)
     for c, c2 in ((2, 4), (1, 2), (2, -2)):
         dc = ExtensionDatum(g, h, d.alpha,

@@ -355,8 +355,8 @@ def test_covariant_classical_arity_one():
         ad(h, (0, 0), degree=0) for _ in range(3)
     )
     # use a genuine action: P acts by a nilpotent matrix N, Q and Z by 0
-    from superext.gvs import GradedLinearMap
-    N = GradedLinearMap(h.space, h.space, 0, ((0, 1), (0, 0)))
+    from superext.gvs import GradedLinearMap, linear_map
+    N = linear_map(h.space, h.space, 0, ((0, 1), (0, 0)))
     Z0 = GradedLinearMap.zero(h.space, h.space, 0)
     ops = (N, Z0, Z0)
     phi = random_cochain(g.space, h.space, 1, 0, rng)

@@ -17,7 +17,7 @@ from superext import cochains
 from superext.catalog import gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import covariant_delta
 from superext.cohomology import _torus, cohomology_space, delta_matrix, gmodule, trivial_module
-from superext.gvs import GradedLinearMap, IncrementalSpan, dense_vec, unit_vec
+from superext.gvs import IncrementalSpan, dense_vec, linear_map, unit_vec
 from superext.superlie import ad, direct_sum
 
 from oracles import (
@@ -63,7 +63,7 @@ def scaled_adjoint(g):
     """
     s = [(F(1), F(2), F(1, 3))[m % 3] for m in range(g.dim)]
     ops = [ad(g, unit_vec(g.dim, i)) for i in range(g.dim)]
-    return gmodule(g, g.space, tuple(GradedLinearMap(g.space, g.space, op.degree, tuple(
+    return gmodule(g, g.space, tuple(linear_map(g.space, g.space, op.degree, tuple(
         tuple(op.matrix[k][m] * s[m] / s[k] for m in range(g.dim)) for k in range(g.dim)))
         for op in ops))
 

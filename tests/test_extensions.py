@@ -6,12 +6,11 @@ import pytest
 
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import make_cochain
-from superext.gvs import GradedLinearMap, unit_vec
+from superext.gvs import GradedLinearMap, linear_map, unit_vec
 from superext.superlie import (
     ad,
     algebra_from_table,
     center,
-    derivation_algebra,
     direct_sum,
     is_homomorphism,
     out_quotient,
@@ -38,6 +37,8 @@ from superext.extensions import (
 
 from oracles import (
     brute_jacobi,
+    derivation_algebra,
+    graded_commutator,
     normalized_structure,
     product_bracket,
     pullback_members,
@@ -138,7 +139,7 @@ def test_check_susy_datum_passes():
 def test_check_flags_non_derivation_alpha():
     g, h = abelian(1, 0, "t"), heis3()
     # a map that is not a derivation of heis3: P -> P alone
-    bad_op = GradedLinearMap(h.space, h.space, 0, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    bad_op = linear_map(h.space, h.space, 0, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
     d = ExtensionDatum(g, h, (bad_op,), make_cochain(g.space, h.space, 2, 0))
     rep = check_datum(d)
     assert not rep.derivation_ok[0]
@@ -159,7 +160,7 @@ def test_check_flags_cyclic_curvature():
     # g of dim 3 so the genuinely cyclic condition bites: pick rho failing it
     g, h = abelian(3, 0, "u"), abelian(1, 0, "Z")
     # alpha nonzero on u0 only; rho(u1,u2) = Z: cyclic sum = alpha_{u0} Z != 0
-    op = GradedLinearMap(h.space, h.space, 0, ((1,),))
+    op = linear_map(h.space, h.space, 0, ((1,),))
     zero = GradedLinearMap.zero(h.space, h.space, 0)
     rho = make_cochain(g.space, h.space, 2, 0, {(1, 2): (1,)})
     d = ExtensionDatum(g, h, (op, zero, zero), rho)
@@ -212,7 +213,7 @@ def test_build_refuses_invalid():
 def test_raw_build_of_broken_datum_fails_jacobi():
     # violating the cyclic curvature condition produces a Jacobi failure
     g, h = abelian(3, 0, "u"), abelian(1, 0, "Z")
-    op = GradedLinearMap(h.space, h.space, 0, ((1,),))
+    op = linear_map(h.space, h.space, 0, ((1,),))
     zero = GradedLinearMap.zero(h.space, h.space, 0)
     rho = make_cochain(g.space, h.space, 2, 0, {(1, 2): (1,)})
     d = ExtensionDatum(g, h, (op, zero, zero), rho)
@@ -276,7 +277,7 @@ def test_transform_heis3_kernel_central_witness():
     # b into the center of heis3 leaves alpha unchanged
     g, h = abelian(1, 0, "t"), heis3()
     d = trivial_datum(g, h)
-    b = GradedLinearMap(g.space, h.space, 0, ((0,), (0,), (1,)))  # t -> Z
+    b = linear_map(g.space, h.space, 0, ((0,), (0,), (1,)))  # t -> Z
     moved = transform_datum(d, b)
     assert moved.alpha == d.alpha
     # with abelian g and alpha = 0 the curvature is unchanged too
@@ -299,7 +300,7 @@ def test_transform_preserves_validity_and_gives_isomorphism(rng):
         for r in range(ng):
             rows.append(tuple(F(0) for _ in range(nh))
                         + tuple(F(1 if c == r else 0) for c in range(ng)))
-        iso = GradedLinearMap(e1.e.space, e2.e.space, 0, tuple(rows))
+        iso = linear_map(e1.e.space, e2.e.space, 0, tuple(rows))
         assert is_homomorphism(iso, e1.e, e2.e)
         from oracles import dense_rref
         assert len(dense_rref(iso.matrix)[1]) == e1.e.dim  # invertible
@@ -319,9 +320,9 @@ def test_two_sections_differ_by_witness(rng):
             v = LinearSystem(map(t.incl.column, range(h.dim)), t.e.dim).solve(w)
             assert v is not None
             cols.append(v)
-        b = GradedLinearMap(g.space, h.space, 0,
-                            tuple(tuple(cols[j][i] for j in range(g.dim))
-                                  for i in range(h.dim)))
+        b = linear_map(g.space, h.space, 0,
+                       tuple(tuple(cols[j][i] for j in range(g.dim))
+                             for i in range(h.dim)))
         assert transform_datum(d1, b) == d2
         assert check_equivalence_witness(d1, d2, b)
 
@@ -350,7 +351,7 @@ def test_susy_scaling_rigidity():
     b = GradedLinearMap.zero(g.space, h.space, 0)
     assert not check_equivalence_witness(d2, d4, b)
     with pytest.raises(ValueError):
-        GradedLinearMap(g.space, h.space, 0, ((1,),))  # no nonzero b exists at all
+        linear_map(g.space, h.space, 0, ((1,),))  # no nonzero b exists at all
 
 
 def test_equivalence_rejects_mismatched_algebras():
@@ -467,7 +468,7 @@ def test_pullback_nonzero_outer_action():
     out_alg, _ = out_quotient(h)
     assert out_alg.dim == 1  # the scaling of the module part
     g = abelian(1, 0, "t")
-    abar = GradedLinearMap(g.space, out_alg.space, 0, ((F(1),),))
+    abar = linear_map(g.space, out_alg.space, 0, ((F(1),),))
     t = pullback_extension(h, g, abar)
     assert validate_triple(t)
     d = induced_data(t)
@@ -485,7 +486,7 @@ def test_pullback_matches_product_bracket_oracle(case):
     outer = outer_algebra(h)
     abar = GradedLinearMap.zero(g.space, outer.out.space, 0)
     if case == "semidirect":  # the one case with nonzero out(h) and nonzero abar
-        abar = GradedLinearMap(g.space, outer.out.space, 0, ((F(1),),))
+        abar = linear_map(g.space, outer.out.space, 0, ((F(1),),))
     t = pullback_extension(h, g, abar)
     der_alg = derivation_algebra(outer.ds)
     members = pullback_members(t, outer, abar)
@@ -511,7 +512,7 @@ def test_pullback_rejects_non_homomorphism():
     h = _sl2_semidirect_plane()
     out_alg, _ = out_quotient(h)
     g = sl2()
-    bad = GradedLinearMap(g.space, out_alg.space, 0, ((F(1), F(0), F(0)),))
+    bad = linear_map(g.space, out_alg.space, 0, ((F(1), F(0), F(0)),))
     with pytest.raises(ValueError):
         pullback_extension(h, g, bad)
 
@@ -530,15 +531,14 @@ def test_induced_curvature_is_covariantly_closed(rng):
 
 def test_ad_is_homomorphism_into_derivations(corpus):
     # ad_[X,Y] = [ad_X, ad_Y] with the graded commutator sign
-    from superext.gvs import graded_commutator as gc
     for alg in corpus.values():
         n = alg.dim
         for i in range(n):
             for j in range(n):
                 lhs = ad(alg, alg.brackets[i][j],
                          degree=(alg.space.parities[i] + alg.space.parities[j]) % 2)
-                rhs = gc(ad(alg, unit_vec(n, i), degree=alg.space.parities[i]),
-                         ad(alg, unit_vec(n, j), degree=alg.space.parities[j]))
+                rhs = graded_commutator(ad(alg, unit_vec(n, i), degree=alg.space.parities[i]),
+                                        ad(alg, unit_vec(n, j), degree=alg.space.parities[j]))
                 assert lhs == rhs
 
 
@@ -548,9 +548,9 @@ def test_induced_data_rejects_inexact_sequence():
     e = heis3()
     h = abelian(1, 0, "Z")
     g = algebra_from_table(("u", "v"), (0, 0), {("u", "v"): {"u": 1}})  # wrong bracket
-    incl = GradedLinearMap(h.space, e.space, 0, ((0,), (0,), (1,)))
-    proj = GradedLinearMap(e.space, g.space, 0, ((1, 0, 0), (0, 1, 0)))
-    sec = GradedLinearMap(g.space, e.space, 0, ((1, 0), (0, 1), (0, 0)))
+    incl = linear_map(h.space, e.space, 0, ((0,), (0,), (1,)))
+    proj = linear_map(e.space, g.space, 0, ((1, 0, 0), (0, 1, 0)))
+    sec = linear_map(g.space, e.space, 0, ((1, 0), (0, 1), (0, 0)))
     t = ExtensionTriple(h, g, e, incl, proj, sec)
     with pytest.raises(ValueError, match="outside h"):
         induced_data(t)
@@ -565,8 +565,8 @@ def test_heisenberg_split_fails_on_spanning_probe_set():
             if h.space.parities[k] == g.space.parities[j]:
                 m = [[F(0)] * g.dim for _ in range(h.dim)]
                 m[k][j] = F(1)
-                probes.append(GradedLinearMap(g.space, h.space, 0,
-                                              tuple(tuple(r) for r in m)))
+                probes.append(linear_map(g.space, h.space, 0,
+                                         tuple(tuple(r) for r in m)))
     assert probes
     for b in probes:
         assert not check_split_witness(d, b)

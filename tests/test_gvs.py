@@ -12,14 +12,14 @@ from superext.gvs import (
     LinearSystem,
     SuperVectorSpace,
     dense_vec,
-    mat_vec,
+    linear_map,
     scalar,
     sparse_kernel_basis,
     unit_vec,
     zero_vec,
 )
 
-from oracles import dense_columns, dense_kernel_basis, dense_rref, dense_solve
+from oracles import dense_columns, dense_kernel_basis, dense_mat_vec, dense_rref, dense_solve
 
 F = Fraction
 
@@ -53,7 +53,7 @@ def test_solve_canonical_particular():
     A = ((F(1), F(2)), (F(2), F(4)))
     sol = solve(A, (1, 2))
     assert sol == (1, 0)
-    assert mat_vec(A, sol) == (1, 2)
+    assert dense_mat_vec(A, sol) == (1, 2)
 
 
 def test_solve_inconsistent():
@@ -77,7 +77,7 @@ def test_kernel_rank_one():
     A = ((F(1), F(2)), (F(2), F(4)))
     ker = kernel(A, 2)
     assert ker == [(-2, 1)] == dense_kernel_basis(A, 2)
-    assert mat_vec(A, ker[0]) == (0, 0)
+    assert dense_mat_vec(A, ker[0]) == (0, 0)
 
 
 def test_kernel_of_no_rows_is_the_whole_domain():
@@ -90,7 +90,7 @@ def test_rank_nullity(rng):
         A = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(ncols)) for _ in range(nrows))
         ker = kernel(A, ncols)
         for v in ker:
-            assert mat_vec(A, v) == tuple(F(0) for _ in range(nrows))
+            assert dense_mat_vec(A, v) == tuple(F(0) for _ in range(nrows))
         assert len(ker) + IncrementalSpan(A).rank == ncols
         # independent rank: count nonzero rows after elimination
         assert len(ker) + len(dense_rref(A)[0]) == ncols
@@ -101,18 +101,53 @@ def test_solutions_are_exact(rng):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         A = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(ncols)) for _ in range(nrows))
         x = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols))
-        rhs = mat_vec(A, x)
+        rhs = dense_mat_vec(A, x)
         sol = solve(A, rhs)
         assert sol is not None
-        assert mat_vec(A, sol) == rhs
+        assert dense_mat_vec(A, sol) == rhs
 
 
 def test_homogeneity_enforced():
     dom = SuperVectorSpace(("x",), (0,))
     cod = SuperVectorSpace(("y",), (1,))
     with pytest.raises(ValueError):
-        GradedLinearMap(dom, cod, 0, ((F(1),),))
-    GradedLinearMap(dom, cod, 1, ((F(1),),))  # degree 1 is fine
+        linear_map(dom, cod, 0, ((F(1),),))
+    linear_map(dom, cod, 1, ((F(1),),))  # degree 1 is fine
+
+
+def test_map_record_refuses_floats():
+    # a float entry once sat in the dense matrix; the record holds Fractions only
+    sp = SuperVectorSpace(("x", "y"), (0, 0))
+    with pytest.raises((TypeError, ValueError)):
+        GradedLinearMap(sp, sp, 0, ((1, 0.5), (0, 1)))
+    with pytest.raises(ValueError, match="nonzero \\(row, Fraction\\) entries"):
+        GradedLinearMap(sp, sp, 0, (((0, 0.5),), ((1, F(1)),)))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linear_map(sp, sp, 0, ((1, 0.5), (0, 1)))
+
+
+def test_map_record_is_canonical():
+    # a list of dense rows once built a map unequal to the same map as tuples,
+    # and unhashable; the record is refused, and `linear_map` makes it canonical
+    sp = SuperVectorSpace(("x", "y"), (0, 0))
+    with pytest.raises(ValueError):
+        GradedLinearMap(sp, sp, 0, [[1, 0], [0, 1]])
+    for bad in ((((1, F(1)), (0, F(1))), ()), (((0, F(0)),), ()), ((((0, F(1)),),), ())):
+        with pytest.raises(ValueError, match="ascending row order"):
+            GradedLinearMap(sp, sp, 0, bad)
+    ident = GradedLinearMap.identity_map(sp)
+    built = linear_map(sp, sp, 0, [[1, 0], ["0", 1]])
+    assert built == ident and hash(built) == hash(ident)
+    assert built.columns == (((0, F(1)),), ((1, F(1)),))
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3)])
+def test_apply_refuses_a_vector_of_the_wrong_length(v):
+    # a short vector was padded with zeros, a long one raised IndexError
+    ident = GradedLinearMap.identity_map(SuperVectorSpace(("x", "y"), (0, 0)))
+    with pytest.raises(ValueError, match="vector length"):
+        ident.apply(v)
+    assert ident.apply((1, 2)) == (1, 2)
 
 
 @pytest.mark.parametrize("parity", [1.0, True, Fraction(1), "1"])
@@ -127,7 +162,7 @@ def test_space_rejects_non_integer_parity(parity):
 def test_map_rejects_non_integer_degree(degree):
     sp = SuperVectorSpace(("x",), (0,))
     with pytest.raises(ValueError, match="degree must be 0 or 1"):
-        GradedLinearMap(sp, sp, degree, ((F(0),),))
+        linear_map(sp, sp, degree, ((F(0),),))
 
 
 def test_determinism_bit_for_bit():

@@ -7,13 +7,13 @@ import pytest
 from superext.catalog import heis3, sl2
 from superext.cochains import Cochain
 from superext.extensions import ExtensionTriple, build_extension, trivial_datum
-from superext.gvs import GradedLinearMap, SuperVectorSpace
+from superext.gvs import SuperVectorSpace, linear_map
 
 
 def _records():
     space = SuperVectorSpace(("x", "y"), (0, 1))
     zero, one = Fraction(0), Fraction(1)
-    swap = GradedLinearMap(space, space, 1, ((zero, one), (one, zero)))
+    swap = linear_map(space, space, 1, ((zero, one), (one, zero)))
     phi = Cochain(space, space, 1, 1, (((0,), (0, 1)),))
     return space, swap, phi
 

@@ -1,7 +1,7 @@
 """The factored solver and the sparse products, against dense oracles.
 
 `LinearSystem(cols, nrows).solve(b)` must give exactly the augmented-RREF answer of
-`oracles.dense_solve` for every b, and `mat_mul`, `mat_vec` and
+`oracles.dense_solve` for every b, and a map's `compose` and `apply` and
 `bracket_vec` must equal full dense sums with every entry a Fraction.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superext.catalog import gl11, heis3, osp12, sl2, susy_line
-from superext.gvs import LinearSystem, mat_mul, mat_vec
+from superext.gvs import LinearSystem, SuperVectorSpace, linear_map
 from superext.superlie import ad, derivations, direct_sum
 
 from oracles import dense_bracket, dense_columns, dense_mat_mul, dense_mat_vec, dense_solve
@@ -163,22 +163,29 @@ def corpus_maps():
     maps = []
     for alg in (sl2(), heis3(), susy_line(), gl11(), osp12(), direct_sum(sl2(), heis3())):
         n = alg.dim
-        maps.extend(ad(alg, tuple(F(int(i == k)) for i in range(n))).matrix for k in range(n))
-        maps.extend(d.matrix for d in derivations(alg).basis)
+        maps.extend(ad(alg, tuple(F(int(i == k)) for i in range(n))) for k in range(n))
+        maps.extend(derivations(alg).basis)
     return maps
+
+
+def space(n):
+    return SuperVectorSpace(tuple(f"x{i}" for i in range(n)), (0,) * n)
 
 
 def test_products_of_corpus_maps_match_dense_oracle():
     maps = corpus_maps()
-    for A in maps:
-        for B in maps:
-            if len(A[0]) == len(B):
-                prod = mat_mul(A, B)
-                assert prod == dense_mat_mul(A, B)
+    for f in maps:
+        A = f.matrix
+        for g in maps:
+            if f.domain.parities == g.codomain.parities:
+                # g read as a map into f's space, so maps of equal shape compose
+                g = linear_map(g.domain, f.domain, g.degree, g.matrix)
+                prod = f.compose(g).matrix
+                assert prod == dense_mat_mul(A, g.matrix)
                 assert all(all_fractions(row) for row in prod)
         v = tuple(F(k % 3 - 1, 1 + k % 2) for k in range(len(A[0])))
-        assert mat_vec(A, v) == dense_mat_vec(A, v)
-        assert all_fractions(mat_vec(A, v))
+        assert f.apply(v) == dense_mat_vec(A, v)
+        assert all_fractions(f.apply(v))
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,20 +194,22 @@ def test_sparse_products_match_dense_oracle(n, k, m, data):
     A = tuple(tuple(data.draw(entries) for _ in range(k)) for _ in range(n))
     B = tuple(tuple(data.draw(entries) for _ in range(m)) for _ in range(k))
     v = tuple(data.draw(entries) for _ in range(k))
-    prod = mat_mul(A, B)
-    assert prod == dense_mat_mul(A, B)
+    f, g = linear_map(space(k), space(n), 0, A), linear_map(space(m), space(k), 0, B)
+    prod = f.compose(g).matrix
+    assert prod == dense_mat_mul(A, B, m)
     assert all(all_fractions(row) for row in prod)
-    assert mat_vec(A, v) == dense_mat_vec(A, v)
-    assert all_fractions(mat_vec(A, v))
+    assert f.apply(v) == dense_mat_vec(A, v)
+    assert all_fractions(f.apply(v))
 
 
 def test_products_of_int_entries_are_fractions():
     # a zero or an int entry must still come out as a Fraction, so JSON and
     # human formatting cannot tell the sparse sums from the dense ones
-    A, B = ((1, 0), (0, 0)), ((0, 2), (3, 0))
-    assert mat_mul(A, B) == ((0, 2), (0, 0))
-    assert all(all_fractions(row) for row in mat_mul(A, B))
-    assert all_fractions(mat_vec(A, (0, 5)))
+    A = linear_map(space(2), space(2), 0, ((1, 0), (0, 0)))
+    B = linear_map(space(2), space(2), 0, ((0, 2), (3, 0)))
+    assert A.compose(B).matrix == ((0, 2), (0, 0))
+    assert all(all_fractions(row) for row in A.compose(B).matrix)
+    assert all_fractions(A.apply((0, 5)))
 
 
 def test_bracket_vec_matches_dense_oracle(rng):

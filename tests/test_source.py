@@ -137,6 +137,27 @@ def test_one_structure_view():
     assert readers == {"formats.py", "cli.py"}
 
 
+def test_one_map_view():
+    # a map stores its nonzero entries once, as the sparse `columns` that
+    # its constructors write; the dense `matrix` is its one cached view, read
+    # only for output, and the dense helpers it replaced are gone
+    tree = ast.parse((SRC / "gvs.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if getattr(n, "name", None) == "GradedLinearMap")
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    cached = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in n.decorator_list)]
+    assert fields == ["domain", "codomain", "degree", "columns"]
+    assert cached == ["matrix"]
+    readers = {path.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, ast.Attribute) and n.attr == "matrix"}
+    assert readers == {"formats.py", "cli.py"}
+    defined = {n.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_square", "from_columns", "mat_mul", "mat_vec"} == set()
+
+
 def test_cli_makes_each_decision_once():
     # one table declares the subcommands, one helper reads map files, and
     # `main` dispatches every command the same way

@@ -25,7 +25,7 @@ from superext import formats, superlie
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import make_cochain
 from superext.extensions import ExtensionDatum, check_datum
-from superext.gvs import GradedLinearMap, dense_vec, graded_commutator, sparse_kernel_basis
+from superext.gvs import GradedLinearMap, dense_vec, linear_map, sparse_kernel_basis
 from superext.superlie import (
     ad,
     algebra_from_table,
@@ -50,6 +50,8 @@ from oracles import (
     dense_is_homomorphism,
     dense_kernel_basis,
     dense_validate_algebra,
+    derivation_algebra,
+    graded_commutator,
     random_cochain,
     random_homogeneous_vector,
 )
@@ -195,12 +197,12 @@ def test_commutator_refuses_maps_on_different_spaces():
 def test_homogeneity_check_kept():
     sp = susy_line().space  # H even, Q odd
     with pytest.raises(ValueError, match="violates homogeneity"):
-        GradedLinearMap(sp, sp, 0, ((F(0), F(1)), (F(0), F(0))))
+        linear_map(sp, sp, 0, ((F(0), F(1)), (F(0), F(0))))
 
 
 def random_map(space, deg, rng):
     """A random homogeneous map of degree deg with entries in {-1, 0, 1}."""
-    return GradedLinearMap(space, space, deg, tuple(
+    return linear_map(space, space, deg, tuple(
         tuple(F(rng.randint(-1, 1)) if space.parities[i] == (space.parities[j] + deg) % 2
               else F(0) for j in range(space.dim))
         for i in range(space.dim)))
@@ -346,12 +348,12 @@ def moved_entries(f):
                 for delta in (F(1), F(-1, 2)):
                     m = [list(row) for row in f.matrix]
                     m[r][c] += delta
-                    yield GradedLinearMap(f.domain, f.codomain, 0, tuple(map(tuple, m)))
+                    yield linear_map(f.domain, f.codomain, 0, tuple(map(tuple, m)))
 
 
 def diagonal(src, dst, entries):
     n = src.dim
-    return GradedLinearMap(src.space, dst.space, 0, tuple(
+    return linear_map(src.space, dst.space, 0, tuple(
         tuple(F(entries[i]) if i == j else F(0) for j in range(n)) for i in range(n)))
 
 
@@ -367,9 +369,9 @@ def homomorphism_cases():
         yield diagonal(dst, src, factors), dst, src
     s, h = sl2(), heis3()
     total = direct_sum(s, h)
-    yield GradedLinearMap(s.space, total.space, 0, tuple(
+    yield linear_map(s.space, total.space, 0, tuple(
         tuple(F(int(i == j)) for j in range(3)) for i in range(6))), s, total
-    yield GradedLinearMap(total.space, h.space, 0, tuple(
+    yield linear_map(total.space, h.space, 0, tuple(
         tuple(F(int(j == 3 + i)) for j in range(6)) for i in range(3))), total, h
 
 
@@ -386,7 +388,7 @@ def test_out_projection_matches_dense_oracle(name):
     # sparse commutator; a moved entry is judged like the dense sums judge it
     alg = ALGEBRAS[name]()
     out, pi = out_quotient(alg)
-    der_alg = superlie.derivation_algebra(derivations(alg))
+    der_alg = derivation_algebra(derivations(alg))
     assert is_homomorphism(pi, der_alg, out) and dense_is_homomorphism(pi, der_alg, out)
     for moved in moved_entries(pi):
         assert is_homomorphism(moved, der_alg, out) == dense_is_homomorphism(moved, der_alg, out)
@@ -395,24 +397,42 @@ def test_out_projection_matches_dense_oracle(name):
 def test_pipeline_builds_no_dense_table(monkeypatch):
     # the integer `structure` is the record: validation, der(h) and out(h),
     # cohomology, the classification and the pullback never build the dense
-    # `brackets` view of an algebra passed in or built
-    from superext import cohomology
+    # `brackets` view of an algebra passed in or built, and the sparse
+    # `columns` are: no map passed in or built reads its dense `matrix` view
+    from superext import cohomology, extensions
     from superext.extensions import pullback_extension
 
     built, build = [], cohomology.build_extension
+    outers, outer_algebra = [], superlie.outer_algebra
 
     def recording_build(d):
         t = build(d)
-        built.append(t.e)
+        built.append(t)
         return t
 
+    def recording_outer(alg):
+        outers.append(outer_algebra(alg))
+        return outers[-1]
+
     monkeypatch.setattr(cohomology, "build_extension", recording_build)
+    monkeypatch.setattr(cohomology, "outer_algebra", recording_outer)
+    monkeypatch.setattr(extensions, "outer_algebra", recording_outer)
     h, g, k = heis3(), susy_line(), sl2()
     assert all(validate_algebra(a).ok for a in (h, g, k))
     outer_h, outer_k = superlie.outer_algebra(h), superlie.outer_algebra(k)
     cohomology.cohomology_space(g, cohomology.trivial_module(g), 2)
-    rep = cohomology.classify_extensions(h, g, GradedLinearMap.zero(g.space, outer_h.out.space))
-    t = pullback_extension(k, g, GradedLinearMap.zero(g.space, outer_k.out.space))
-    assert len(built) == len(rep.data) > 0
-    for a in (h, g, k, outer_h.out, outer_k.out, t.e, *built):
+    abar_h = GradedLinearMap.zero(g.space, outer_h.out.space)
+    rep = cohomology.classify_extensions(h, g, abar_h)
+    abar_k = GradedLinearMap.zero(g.space, outer_k.out.space)
+    t = pullback_extension(k, g, abar_k)
+    assert len(built) == len(rep.data) > 0 and len(outers) == 2
+    for a in (h, g, k, outer_h.out, outer_k.out, t.e, *(b.e for b in built)):
         assert "brackets" not in vars(a)
+    maps = [abar_h, abar_k, *(m for d in rep.data for m in d.alpha)]
+    for outer in (outer_h, outer_k, *outers):
+        maps += [*outer.ds.basis, outer.proj]
+    for triple in (t, *built):
+        maps += [triple.incl, triple.proj, triple.section]
+    assert len(maps) > 20
+    for m in maps:
+        assert "matrix" not in vars(m)

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
-from superext.gvs import GradedLinearMap, graded_commutator, unit_vec
+from superext.gvs import GradedLinearMap, linear_map, unit_vec
 from superext.superlie import (
     ad,
     algebra_from_table,
     center,
-    derivation_algebra,
     derivations,
     direct_sum,
     is_derivation,
@@ -21,8 +20,8 @@ from superext.superlie import (
     validate_algebra,
 )
 
-from oracles import (brute_jacobi, dense_ad, dense_kernel_basis, dense_rref,
-                     random_homogeneous_vector)
+from oracles import (brute_jacobi, dense_ad, dense_kernel_basis, dense_rref, derivation_algebra,
+                     graded_commutator, random_homogeneous_vector)
 
 F = Fraction
 
@@ -131,8 +130,8 @@ def test_center_is_kernel_of_ad(corpus):
     # cross-check: Z(h) = kernel of X -> ad_X
     for alg in corpus.values():
         n = alg.dim
-        cols = [ad(alg, unit_vec(n, i), degree=alg.space.parities[i]).flat()
-                for i in range(n)]
+        cols = [[x for row in ad(alg, unit_vec(n, i), degree=alg.space.parities[i]).matrix
+                 for x in row] for i in range(n)]
         rows = tuple(tuple(c[r] for c in cols) for r in range(n * n))
         assert dense_kernel_basis(rows, n) == center(alg)
 
@@ -302,19 +301,19 @@ def test_zero_is_homomorphism():
 def test_heis3_quotient_maps():
     h, a = heis3(), abelian(1, 0, "e")
     # P -> e, Q -> 0, Z -> 0: a homomorphism
-    f1 = GradedLinearMap(h.space, a.space, 0, ((1, 0, 0),))
+    f1 = linear_map(h.space, a.space, 0, ((1, 0, 0),))
     assert is_homomorphism(f1, h, a)
     # P -> e, Q -> e, Z -> 0: still one ([P,Q] = Z -> 0 = [e,e])
-    f2 = GradedLinearMap(h.space, a.space, 0, ((1, 1, 0),))
+    f2 = linear_map(h.space, a.space, 0, ((1, 1, 0),))
     assert is_homomorphism(f2, h, a)
     # P,Q -> 0, Z -> e: not one
-    f3 = GradedLinearMap(h.space, a.space, 0, ((0, 0, 1),))
+    f3 = linear_map(h.space, a.space, 0, ((0, 0, 1),))
     assert not is_homomorphism(f3, h, a)
 
 
 def test_homomorphism_rejects_degree_one():
     s = susy_line()
-    f = GradedLinearMap(s.space, s.space, 1, ((0, 1), (0, 0)))
+    f = linear_map(s.space, s.space, 1, ((0, 1), (0, 0)))
     with pytest.raises(ValueError):
         is_homomorphism(f, s, s)
 
