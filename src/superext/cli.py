@@ -123,6 +123,22 @@ def _load_map(path: str, domain, codomain):
     return formats.parse_map(formats.load_json(path), domain, codomain, where=path)
 
 
+def _load_witness(args, datum, gname: str, hname: str):
+    """The degree-0 witness map g -> h named by `--witness`."""
+    b = _load_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
+    if b.degree != 0:
+        raise SchemaError(f"{args.witness}: witness must be degree 0")
+    return b
+
+
+def _checked(run, *args):
+    """run(*args), with a ValueError of the library read as a failed check."""
+    try:
+        return run(*args)
+    except ValueError as ex:
+        raise CheckFailed(str(ex)) from None
+
+
 def _write_output(path: str | None, doc) -> list[str]:
     """Write `doc` to `path` if one is given; the human report line that says so."""
     if not path:
@@ -378,10 +394,7 @@ def cmd_build(args) -> int:
 def cmd_transform(args) -> int:
     from .extensions import transform_datum
     datum, (gname, gref), (hname, href) = _load_datum(args.datum, args.allow_large)
-    b = _load_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
-    if b.degree != 0:
-        raise SchemaError(f"{args.witness}: witness must be degree 0")
-    moved = transform_datum(datum, b)
+    moved = transform_datum(datum, _load_witness(args, datum, gname, hname))
     written = _write_output(args.output, _datum_file_doc(moved, gname, hname))
     report = {"command": "transform", "datum": formats.format_datum(moved, gref, href),
               "convention": COCHAIN_NOTE}
@@ -394,8 +407,7 @@ def cmd_equivalent(args) -> int:
     d2, _, _ = _load_datum(args.datum2, args.allow_large)
     if d1.g != d2.g or d1.h != d2.h:
         raise SchemaError("the two data live over different algebras")
-    b = _load_map(args.witness, (gname, d1.g.space), (hname, d1.h.space))
-    ok = check_equivalence_witness(d1, d2, b)
+    ok = check_equivalence_witness(d1, d2, _load_witness(args, d1, gname, hname))
     report = {"command": "equivalent", "equivalent": ok}
     lines = [f"witness carries datum 1 onto datum 2: {'yes' if ok else 'no'}"]
     return _emit(args, report, lines, ok)
@@ -407,15 +419,12 @@ def cmd_split_check(args) -> int:
     if args.witness and args.solve_abelian:
         raise SchemaError("pass either --witness or --solve-abelian, not both")
     if args.witness:
-        b = _load_map(args.witness, (gname, datum.g.space), (hname, datum.h.space))
-        ok = check_split_witness(datum, b)
+        ok = _checked(check_split_witness, datum, _load_witness(args, datum, gname, hname))
         report = {"command": "split-check", "split": ok}
         return _emit(args, report, [f"witness splits the datum: {'yes' if ok else 'no'}"], ok)
     if not args.solve_abelian:
         raise SchemaError("pass --witness FILE or --solve-abelian")
-    if not datum.h.is_abelian():
-        raise CheckFailed("--solve-abelian requires an abelian kernel")
-    b = solve_split_abelian(datum)
+    b = _checked(solve_split_abelian, datum)
     if b is None:
         report = {"command": "split-check", "split": False, "witness": None}
         return _emit(args, report, ["no splitting witness exists: the class is nonzero"], False)
@@ -433,15 +442,12 @@ def _on_outer_action(args, run):
     gname, galg = _load_valid_algebra(args.g, args.allow_large)
     outer = outer_algebra(halg)  # built once: it types abar and serves the command
     abar = _load_map(args.alpha_bar, (gname, galg.space), (f"out({hname})", outer.out.space))
-    try:
-        return hname, gname, run(outer, galg, abar)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    return hname, gname, _checked(run, outer, galg, abar)
 
 
 def cmd_obstruction(args) -> int:
-    from .cohomology import _obstruction_class
-    hname, gname, obs = _on_outer_action(args, _obstruction_class)
+    from .cohomology import obstruction_class
+    hname, gname, obs = _on_outer_action(args, obstruction_class)
     zname = f"Z({hname})"
     coords = [str(c) for c in obs.class_coords]
     report = {

@@ -134,10 +134,8 @@ class WeightReport(Record):
     """Cohomology of one weight component at one arity.
 
     The representatives are sparse coordinate vectors, {position in
-    `basis`: nonzero Fraction} dicts over the whole `space_basis`.  The
-    full bases `cocycle_coords` and `coboundary_coords`, which the torus
-    reduction skips, and the cochains of `cocycle_basis`,
-    `coboundary_basis` and `representatives` are built on first read.
+    `basis`: nonzero Fraction} dicts over the whole `space_basis`; their
+    cochains are built on first read.  The dims count every torus weight.
     """
 
     module: GModule
@@ -153,32 +151,10 @@ class WeightReport(Record):
         return self.dim_cocycles - self.dim_coboundaries
 
     @cached_property
-    def _full_bases(self) -> tuple[tuple[dict[int, Fraction], ...], ...]:
-        return _weight_cohomology(self.module, self.arity, self.weight, ())[0]._full_bases
-
-    @property
-    def cocycle_coords(self) -> tuple[dict[int, Fraction], ...]:
-        return self._full_bases[0]
-
-    @property
-    def coboundary_coords(self) -> tuple[dict[int, Fraction], ...]:
-        return self._full_bases[1]
-
-    def _cochains(self, coords) -> tuple[Cochain, ...]:
-        return tuple(cochain_from_coordinates(self.module.g.space, self.module.space, self.arity,
-                                              self.weight, self.basis, v) for v in coords)
-
-    @cached_property
-    def cocycle_basis(self) -> tuple[Cochain, ...]:
-        return self._cochains(self.cocycle_coords)
-
-    @cached_property
-    def coboundary_basis(self) -> tuple[Cochain, ...]:
-        return self._cochains(self.coboundary_coords)
-
-    @cached_property
     def representatives(self) -> tuple[Cochain, ...]:
-        return self._cochains(self.representative_coords)
+        return tuple(cochain_from_coordinates(self.module.g.space, self.module.space, self.arity,
+                                              self.weight, self.basis, v)
+                     for v in self.representative_coords)
 
 
 class CohomologyReport(Record):
@@ -191,16 +167,6 @@ class CohomologyReport(Record):
     @property
     def total_dim(self) -> int:
         return sum(w.dim for w in self.weights)
-
-
-def delta_matrix(mod: GModule, arity: int, weight: int, bases=None):
-    """Sparse rows of the module differential L^{arity,weight} -> L^{arity+1,weight}.
-
-    It is `cochains.differential_matrix` for the module's action, on the block
-    `bases` if given, with each row divided by the scale: {column: nonzero Fraction}.
-    """
-    rows, src, dst, scale = differential_matrix(mod.g, mod.action, mod.space, arity, weight, bases)
-    return tuple({k: Fraction(x, scale) for k, x in row.items()} for row in rows), src, dst
 
 
 def _check_squares_to_zero(outer, inner, n: int) -> None:
@@ -320,12 +286,11 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
 def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
     """The weight-y part of `cohomology_space` on the weight-0 block of `torus`.
 
-    `counted` is (dim C^n, dim B^n) over the nonzero weights.  Returns
-    (report, previous), previous being `differential_matrix`'s D_{n-1} on the
-    block (None for n = 0) for a caller that needs it too.  Its integer
-    rows are eliminated as they are: a scale changes no kernel or image.
-    With the empty torus the block is whole, and the report's full bases
-    are set at once.
+    `counted` is (dim C^n, dim B^n) over the nonzero weights; with the empty
+    torus the block is the whole complex.  Returns (report, previous),
+    previous being `differential_matrix`'s D_{n-1} on the block (None for
+    n = 0) for a caller that needs it too.  Its integer rows are eliminated
+    as they are: a scale changes no kernel or image.
     """
     outside, exact = counted
 
@@ -336,38 +301,30 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
                 return False
         return True
 
-    if torus:  # C^{n-1}, C^n and C^{n+1} are each listed once
-        full = {k: space_basis(mod.g.space, mod.space, k, y) for k in range(max(n - 1, 0), n + 2)}
-        block = {k: [entry for entry in entries if weight0(entry)] for k, entries in full.items()}
+    # C^{n-1}, C^n and C^{n+1} are each listed once
+    full = {k: space_basis(mod.g.space, mod.space, k, y) for k in range(max(n - 1, 0), n + 2)}
+    block = {k: [entry for entry in entries if weight0(entry)] for k, entries in full.items()}
 
     def assemble(k):  # integer D_k on the block, with its scale
-        return differential_matrix(mod.g, mod.action, mod.space, k, y,
-                                   (block[k], block[k + 1]) if torus else None)
+        return differential_matrix(mod.g, mod.action, mod.space, k, y, (block[k], block[k + 1]))
 
     dmat, src, _dst, _scale = assemble(n)
     if len(src) + outside != _closed_form_dim(mod, n, y):
         raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form")
     previous = None if n == 0 else assemble(n - 1)
-    span = IncrementalSpan()  # the columns of D_{n-1}, then the cocycles
     if previous:
         _check_squares_to_zero(dmat, previous[0], n)
-        for col in sparse_transpose(previous[0], len(previous[1])):
-            span.add(col)
-    cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
-    cocycle_coords = sparse_kernel_basis(dmat, len(src))
-    reps = [v for v in cocycle_coords if span.add(v)]
-    if span.rank != len(cocycle_coords):
+    # the columns of D_{n-1}, whose rank is dim B^n on the block, then the cocycles
+    span = IncrementalSpan(sparse_transpose(previous[0], len(previous[1])) if previous else ())
+    dim_coboundaries = span.rank
+    cocycles = sparse_kernel_basis(dmat, len(src))
+    reps = [v for v in cocycles if span.add(v)]
+    if span.rank != len(cocycles):
         raise RuntimeError(f"internal fault: a coboundary of degree {n} is not a cocycle")
-    basis = src
-    if torus:  # representatives back to their positions in the whole basis
-        basis = full[n]
-        index = {entry: i for i, entry in enumerate(basis)}
-        reps = [{index[src[c]]: x for c, x in v.items()} for v in reps]
-    report = WeightReport(mod, n, y, tuple(basis), len(cocycle_coords) + exact,
-                          len(cobound_coords) + exact, tuple(reps))
-    if not torus:
-        vars(report)["_full_bases"] = (tuple(cocycle_coords), tuple(cobound_coords))
-    return report, previous
+    index = {entry: i for i, entry in enumerate(full[n])}  # block column -> whole-basis position
+    reps = tuple({index[src[c]]: x for c, x in v.items()} for v in reps)
+    return WeightReport(mod, n, y, tuple(full[n]), len(cocycles) + exact,
+                        dim_coboundaries + exact, reps), previous
 
 
 def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
@@ -445,21 +402,15 @@ def push_center_cochain(phi: Cochain, incl: GradedLinearMap) -> Cochain:
     )
 
 
-def obstruction_class(h: SuperLieAlgebra, g: SuperLieAlgebra,
+def obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
                       abar: GradedLinearMap) -> ObstructionReport:
     """Lift, curvature, and the obstruction cocycle of an outer action.
 
-    The pipeline asserts the two facts the construction guarantees: the
-    cocycle is valued in the center and is closed for the module
-    differential.  Its class in weight-0 H^3 decides whether any extension
-    induces abar.  der(h) and out(h) are built once, here.
+    `outer` is the caller's `outer_algebra(h)`.  The pipeline asserts the
+    two facts the construction guarantees: the cocycle is valued in the
+    center and is closed for the module differential.  Its class in
+    weight-0 H^3 decides whether any extension induces abar.
     """
-    return _obstruction_class(outer_algebra(h), g, abar)
-
-
-def _obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
-                       abar: GradedLinearMap) -> ObstructionReport:
-    """`obstruction_class` on the caller's `outer_algebra(h)`."""
     h = outer.ds.algebra
     alpha = lift_alpha_bar(outer, g, abar)
     mod, incl = center_module(h, g, alpha)
@@ -520,7 +471,7 @@ def _classify_extensions(outer: OuterAlgebra, g: SuperLieAlgebra,
                          abar: GradedLinearMap) -> ClassificationReport:
     """`classify_extensions` on the caller's `outer_algebra(h)`."""
     h = outer.ds.algebra
-    obs = _obstruction_class(outer, g, abar)
+    obs = obstruction_class(outer, g, abar)
     centerless = obs.center_incl.domain.dim == 0
     abelian_kernel = h.is_abelian()
     if not obs.vanishes:

@@ -239,6 +239,12 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
     return DatumReport(der_ok, conn_ok, lam.is_zero(), tuple(fails))
 
 
+def _require_valid(d: ExtensionDatum) -> None:
+    """Raise ValueError naming `check_datum`'s first failures of d, if it has any."""
+    if not (rep := check_datum(d)).ok:
+        raise ValueError("datum fails the extension conditions: " + "; ".join(rep.failures[:3]))
+
+
 def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
     """The bracket table on h (+) g from a datum, with no validity check.
 
@@ -281,9 +287,7 @@ def build_extension(d: ExtensionDatum) -> ExtensionTriple:
     the result always passes `validate_algebra` and round-trips through
     `induced_data` with the canonical section.
     """
-    rep = check_datum(d)
-    if not rep.ok:
-        raise ValueError("datum fails the extension conditions: " + "; ".join(rep.failures[:3]))
+    _require_valid(d)
     g, h = d.g, d.h
     nh, ng = h.dim, g.dim
     e = raw_extension_algebra(d)
@@ -335,9 +339,11 @@ def check_equivalence_witness(d: ExtensionDatum, d2: ExtensionDatum, b: GradedLi
 def check_split_witness(d: ExtensionDatum, b: GradedLinearMap) -> bool:
     """True iff rho = delta_alpha b - [b,b]/2, i.e. b splits the extension.
 
-    On success the consequences are verified: transforming by -b kills the
+    d must pass `check_datum`, or ValueError names its first failure.  On
+    success the consequences are verified: transforming by -b kills the
     curvature and the transformed connection is a homomorphism into der(h).
     """
+    _require_valid(d)
     bc = witness_cochain(b)
     target = covariant_delta(d.g, d.alpha, bc) - nr_bracket(bc, bc, d.h).scale(Fraction(1, 2))
     if d.rho != target:
@@ -355,10 +361,12 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
     """For abelian h the split condition is linear: solve rho = delta_alpha b.
 
     Returns the canonical solution, or None when the curvature class is
-    nonzero and no witness exists.
+    nonzero and no witness exists.  d must pass `check_datum`, or
+    ValueError names its first failure.
     """
     if not d.h.is_abelian():
         raise ValueError("linear split solving requires an abelian kernel")
+    _require_valid(d)
     g, h = d.g, d.h
     slots = [
         (k, j)

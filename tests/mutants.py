@@ -30,6 +30,7 @@ STRUCTURE = "tests/test_structure_constants.py"
 DIFFERENTIAL = "tests/test_differential.py"
 HUMAN = "tests/test_cli_human.py"
 GVS = "tests/test_gvs.py"
+TORUS = "tests/test_torus.py"
 
 
 class Mutant(NamedTuple):
@@ -63,7 +64,7 @@ MUTANTS = [
            "res[k] = res.get(k, 0) + dst_den * c * x", "res[k] = res.get(k, 0) + src_den * c * x",
            (STRUCTURE,)),
     Mutant("torus eigenvalues not divided by den", "cohomology.py",
-           "Fraction(t[0][1], den) if t else 0", "t[0][1] if t else 0", ("tests/test_torus.py",)),
+           "Fraction(t[0][1], den) if t else 0", "t[0][1] if t else 0", (TORUS,)),
     Mutant("differential: bracket terms off the common scale", "cochains.py",
            "bracket_factor = scale // den", "bracket_factor = 1", (DIFFERENTIAL,)),
     Mutant("differential: action terms off the common scale", "cochains.py",
@@ -71,8 +72,6 @@ MUTANTS = [
     Mutant("differential: the scale is g's alone", "cochains.py",
            "scale = lcm(den, *(c.denominator", "scale = den or lcm(den, *(c.denominator",
            (DIFFERENTIAL,)),
-    Mutant("delta_matrix not divided by the scale", "cohomology.py",
-           "Fraction(x, scale)", "Fraction(x)", (DIFFERENTIAL,)),
     Mutant("covariant_delta not divided by the scale", "cochains.py",
            "x = {k: c / scale for k", "x = {k: c for k", (DIFFERENTIAL,)),
     Mutant("split solver rhs not scaled", "extensions.py",
@@ -142,16 +141,24 @@ MUTANTS = [
     Mutant("class coordinates read from the leading slice", "cohomology.py",
            "class_coords = x[len(basis2):]", "class_coords = x[:len(x) - len(basis2)]",
            ("tests/test_cohomology.py",)),
-    Mutant("coboundary rows read after the representatives are absorbed", "cohomology.py",
-           """    cobound_coords = span.rows()  # the RREF of the image of D_{n-1}
-    cocycle_coords = sparse_kernel_basis(dmat, len(src))
-    reps = [v for v in cocycle_coords if span.add(v)]""",
-           """    cocycle_coords = sparse_kernel_basis(dmat, len(src))
-    reps = [v for v in cocycle_coords if span.add(v)]
-    cobound_coords = span.rows()""", (DIFFERENTIAL,)),
+    Mutant("coboundary count read after the representatives are absorbed", "cohomology.py",
+           """    dim_coboundaries = span.rank
+    cocycles = sparse_kernel_basis(dmat, len(src))
+    reps = [v for v in cocycles if span.add(v)]""",
+           """    cocycles = sparse_kernel_basis(dmat, len(src))
+    reps = [v for v in cocycles if span.add(v)]
+    dim_coboundaries = span.rank""", (DIFFERENTIAL,)),
     Mutant("representatives chosen in reverse", "cohomology.py",
-           "reps = [v for v in cocycle_coords if span.add(v)]",
-           "reps = [v for v in reversed(cocycle_coords) if span.add(v)]", (DIFFERENTIAL,)),
+           "reps = [v for v in cocycles if span.add(v)]",
+           "reps = [v for v in reversed(cocycles) if span.add(v)]", (DIFFERENTIAL,)),
+    # ---- the torus reduction ----
+    Mutant("representatives not mapped back to whole-basis positions", "cohomology.py",
+           "reps = tuple({index[src[c]]: x for c, x in v.items()} for v in reps)",
+           "reps = tuple(reps)", (TORUS,)),
+    Mutant("no nonzero-weight count in dim Z^n", "cohomology.py",
+           "len(cocycles) + exact,", "len(cocycles),", (TORUS,)),
+    Mutant("alternating sum's sign flipped in the nonzero-weight count", "cohomology.py",
+           "(-1) ** (n - 1 - k)", "(-1) ** (n - k)", (TORUS,)),
     # ---- the map record: sparse columns, the dense matrix a view ----
     Mutant("map constructor keeps zero entries", "gvs.py",
            "for i, a in ((i, scalar(a)) for i, a in col) if a))",

@@ -2,9 +2,9 @@
 
 Everything here recomputes results from first principles (brute-force
 loops, full-symmetrization sums, closed-form signs) without reusing the
-library code paths it checks.  The exceptions are the two views at the
-end, `graded_commutator` and `derivation_algebra`: views of library
-results that only tests read.
+library code paths it checks.  The exceptions are the three views at the
+end, `graded_commutator`, `derivation_algebra` and `delta_matrix`: views
+of library results that only tests read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from superext.gvs import (GradedLinearMap, _commutator, linear_map, scalar, unit
                           vec_scale, zero_vec)
 from superext.superlie import (DerivationSpace, SuperLieAlgebra, ValidationReport, _flat_map,
                                bracket_algebra)
-from superext.cochains import TRIVIAL_LINE, Cochain, canonical_tuples, make_cochain
+from superext.cochains import (TRIVIAL_LINE, Cochain, canonical_tuples, differential_matrix,
+                               make_cochain)
 from superext.extensions import (
     ExtensionDatum,
     ExtensionTriple,
@@ -387,7 +388,6 @@ def eager_weight_cohomology(mod, n: int, y: int):
     Returns (cocycles, coboundaries, representatives, rank D_n).
     """
     from superext.cochains import space_basis
-    from superext.cohomology import delta_matrix
 
     g = mod.g
     rows, src, _ = delta_matrix(mod, n, y)
@@ -718,3 +718,13 @@ def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap
 def derivation_algebra(ds: DerivationSpace) -> SuperLieAlgebra:
     """der(h) as a super Lie algebra under the graded commutator."""
     return bracket_algebra(ds.space, lambda i, j: ds.bracket(ds.basis[i], ds.basis[j]))
+
+
+def delta_matrix(mod, arity: int, weight: int):
+    """Sparse rows of a module's differential L^{arity,weight} -> L^{arity+1,weight}.
+
+    A view of `differential_matrix` for the module's action, each row
+    divided by the scale: ({column: nonzero Fraction}, ...), src, dst.
+    """
+    rows, src, dst, scale = differential_matrix(mod.g, mod.action, mod.space, arity, weight)
+    return tuple({k: Fraction(x, scale) for k, x in row.items()} for row in rows), src, dst

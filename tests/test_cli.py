@@ -425,6 +425,42 @@ def test_float_map_degree_exit_2(command, tmp_path):
     assert r.stderr == f"error: {witness}.degree: must be 0 or 1\n".encode()
 
 
+@pytest.mark.parametrize("argv", [["transform", "split_datum.json"],
+                                  ["equivalent", "split_datum.json", "split_datum.json"],
+                                  ["split-check", "split_datum.json"]],
+                         ids=["transform", "equivalent", "split-check"])
+def test_odd_witness_exit_2(argv, tmp_path):
+    # a witness is degree 0: an odd one ended in a traceback in equivalent and split-check
+    def change(doc):
+        doc["degree"], doc["matrix"] = 1, [["0", "0", "0"]]
+
+    witness = _write_changed(tmp_path, "b_split.json", change)
+    r = run_cli([*argv, "--witness", witness])
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"error: {witness}: witness must be degree 0\n".encode()
+
+
+def test_split_check_refuses_a_datum_that_fails_check_data(tmp_path):
+    # on the abelian a20, [alpha_u0, alpha_u1] = alpha_u1 is not ad of rho = 0:
+    # check-data fails the datum, and split-check exits 1 naming that
+    # failure on both paths (a traceback, and a witness "found", before)
+    a20 = str(INPUTS / "a20.json")
+    datum = tmp_path / "bad.json"
+    datum.write_text(json.dumps({
+        "g": a20, "h": a20, "rho": {"entries": []},
+        "alpha": [{"arg": "u0", "matrix": [["1", "0"], ["0", "0"]]},
+                  {"arg": "u1", "matrix": [["0", "1"], ["0", "0"]]}]}))
+    zero = tmp_path / "b0.json"
+    zero.write_text(json.dumps({"domain": "a20", "codomain": "a20", "degree": 0,
+                                "matrix": [["0", "0"], ["0", "0"]]}))
+    assert run_cli(["check-data", str(datum)], cwd=tmp_path).returncode == 1
+    for how in (["--witness", str(zero)], ["--solve-abelian"]):
+        r = run_cli(["split-check", str(datum), *how, "--json"], cwd=tmp_path)
+        assert (r.returncode, r.stdout) == (1, b""), (how, r.stderr)
+        assert r.stderr.startswith(b"check failed: datum fails the extension conditions: "
+                                   b"commutator defect on (u0,u1) is not ad of the curvature"), r.stderr
+
+
 @pytest.mark.parametrize("name", [5, ["x"], {"a": 1}, None], ids=["int", "list", "object", "null"])
 def test_module_name_must_be_a_string_exit_2(name, tmp_path):
     # as for an algebra's name: a module's name used to be echoed back as given

@@ -407,6 +407,21 @@ def test_solve_split_zero_curvature():
     assert b is not None and b.is_zero()
 
 
+def test_split_checks_refuse_a_datum_that_fails_check_datum():
+    # alpha on the abelian h = g: [alpha_u0, alpha_u1] = alpha_u1 is not
+    # ad of rho = 0, so the datum defines no extension and no witness can
+    # split it; both checks name check_datum's first failure
+    g = h = abelian(2, 0, "u")
+    alpha = tuple(linear_map(h.space, h.space, 0, m) for m in (((1, 0), (0, 0)), ((0, 1), (0, 0))))
+    d = ExtensionDatum(g, h, alpha, make_cochain(g.space, h.space, 2, 0))
+    first = check_datum(d).failures[0]
+    assert first == "commutator defect on (u0,u1) is not ad of the curvature"
+    with pytest.raises(ValueError, match=r"fails the extension conditions: commutator defect on \(u0,u1\)"):
+        check_split_witness(d, GradedLinearMap.zero(g.space, h.space, 0))
+    with pytest.raises(ValueError, match=r"fails the extension conditions: commutator defect on \(u0,u1\)"):
+        solve_split_abelian(d)
+
+
 def test_solve_split_requires_abelian():
     g, h = abelian(1, 0), sl2()
     with pytest.raises(ValueError):

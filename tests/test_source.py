@@ -158,6 +158,27 @@ def test_one_map_view():
     assert defined & {"_square", "from_columns", "mat_mul", "mat_vec"} == set()
 
 
+def test_one_cohomology_path():
+    # cohomology eliminates one block, of torus weight 0 (the whole complex
+    # when there is no torus), on one path; a report holds what that
+    # elimination computed, and `representatives` is its one cached view
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    top = {getattr(n, "name", None): n for n in tree.body}
+    branches = [n for n in ast.walk(top["_weight_cohomology"]) if isinstance(n, (ast.If, ast.IfExp))
+                and "torus" in {x.id for x in ast.walk(n.test) if isinstance(x, ast.Name)}]
+    assert branches == []
+    cls = top["WeightReport"]
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    cached = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in n.decorator_list)]
+    assert fields == ["module", "arity", "weight", "basis", "dim_cocycles", "dim_coboundaries",
+                      "representative_coords"]
+    assert cached == ["representatives"]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "vars"]
+    assert {"delta_matrix", "_obstruction_class"} & set(top) == set()
+
+
 def test_cli_makes_each_decision_once():
     # one table declares the subcommands, one helper reads map files, and
     # `main` dispatches every command the same way
