@@ -25,7 +25,6 @@ from .superlie import (
     SuperLieAlgebra,
     center,
     derivations,
-    outer_algebra,
     validate_algebra,
 )
 from . import formats
@@ -255,8 +254,8 @@ def cmd_derivations(args) -> int:
 
 def cmd_out(args) -> int:
     name, alg = _load_valid_algebra(args.algebra, args.allow_large)
-    outer = outer_algebra(alg)
-    ds, out_alg = outer.ds, outer.out
+    ds = derivations(alg)
+    out_alg = ds.out
     out_doc = formats.format_algebra(f"out({name})", out_alg)
     report = {
         "command": "out",
@@ -264,7 +263,7 @@ def cmd_out(args) -> int:
         "der_dim": len(ds.basis),
         "inner_dim": ds.inner_count,
         "out": out_doc,
-        "projection": formats.format_matrix(outer.proj.matrix),
+        "projection": formats.format_matrix(ds.proj.matrix),
     }
     written = _write_output(args.output, out_doc)
     lines = [
@@ -373,12 +372,13 @@ def cmd_check_data(args) -> int:
 def cmd_build(args) -> int:
     from .extensions import build_extension, check_datum
     datum, (gname, _), (hname, _) = _load_datum(args.datum, args.allow_large)
-    rep = check_datum(datum)
-    if not rep.ok:
+    try:
+        triple = build_extension(datum)
+    except ValueError:  # the datum fails check_datum: report every failure
+        rep = check_datum(datum)
         report = {"command": "build", "ok": False, "failures": list(rep.failures)}
         return _emit(args, report, ["datum fails the extension conditions:"]
                      + [f"  {f}" for f in rep.failures], False)
-    triple = build_extension(datum)
     name = args.name or f"{hname}(+){gname}"
     report, written = _triple_report(args, name, triple, command="build", ok=True)
     e = triple.e
@@ -437,12 +437,12 @@ def cmd_split_check(args) -> int:
 
 
 def _on_outer_action(args, run):
-    """Load h, g and abar: g -> out(h); return (h's name, g's name, run(outer, g, abar))."""
+    """Load h, g and abar: g -> out(h); return (h's name, g's name, run(ds, g, abar))."""
     hname, halg = _load_valid_algebra(args.h, args.allow_large)
     gname, galg = _load_valid_algebra(args.g, args.allow_large)
-    outer = outer_algebra(halg)  # built once: it types abar and serves the command
-    abar = _load_map(args.alpha_bar, (gname, galg.space), (f"out({hname})", outer.out.space))
-    return hname, gname, _checked(run, outer, galg, abar)
+    ds = derivations(halg)  # built once: its out(h) types abar, and it serves the command
+    abar = _load_map(args.alpha_bar, (gname, galg.space), (f"out({hname})", ds.out.space))
+    return hname, gname, _checked(run, ds, galg, abar)
 
 
 def cmd_obstruction(args) -> int:

@@ -358,17 +358,17 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
                     yield (-c if (sign < 0) != odd else c), srt, None
 
 
-def _check_delta_args(src: SuperVectorSpace, target: SuperVectorSpace,
-                      alpha_ops: Sequence[GradedLinearMap]) -> None:
-    if len(alpha_ops) != src.dim:
-        raise ValueError("need one operator per source basis element")
-    for i, op in enumerate(alpha_ops):
+def _check_operators(src: SuperVectorSpace, target: SuperVectorSpace,
+                     ops: Sequence[GradedLinearMap]) -> None:
+    """ValueError unless `ops` holds one operator on `target` per basis element of
+    `src`, each of that element's parity: the assignment is then degree 0."""
+    if len(ops) != src.dim:
+        raise ValueError("need one operator per basis element of g")
+    for i, op in enumerate(ops):
         if op.domain != target or op.codomain != target:
-            raise ValueError(f"operator {i} does not act on the cochain target")
+            raise ValueError(f"operator {i} does not act on the target space")
         if op.degree != src.parities[i]:
-            raise ValueError(
-                f"operator {i} has degree {op.degree}, the assignment is not degree 0"
-            )
+            raise ValueError(f"operator {i} has degree {op.degree}: the assignment is not degree 0")
 
 
 def chevalley_delta(source_alg: SuperLieAlgebra, phi: Cochain) -> Cochain:
@@ -423,7 +423,7 @@ def differential_matrix(
     outside its columns is an internal fault.
     """
     src = source_alg.space
-    _check_delta_args(src, target, alpha_ops)
+    _check_operators(src, target, alpha_ops)
     src_basis, dst_basis = bases or (space_basis(src, target, arity, weight),
                                      space_basis(src, target, arity + 1, weight))
     col = {key: k for k, key in enumerate(src_basis)}

@@ -3,11 +3,11 @@
 For a graded module (M, action) over g the covariant derivative of
 `cochains` squares to zero and computes cohomology by exact kernel/image
 linear algebra, split by weight, on the cochains of torus weight 0 (the
-other weights are exact).  On top of that sit the deterministic lift of
-an outer action out(h) <- g, the canonical curvature solving ad_H =
-commutator defect, the degree-3 obstruction cocycle valued in the
-center, and the classification of extensions by the weight-0 part of
-H^2.
+other weights are exact).  On top of that sit, for an outer action
+g -> out(h) lifted by `superlie.lift_alpha_bar`, the canonical curvature
+solving ad_H = commutator defect, the degree-3 obstruction cocycle valued
+in the center, and the classification of extensions by the weight-0 part
+of H^2.  Each takes the caller's `derivations(h)`, which carries out(h).
 """
 
 from __future__ import annotations
@@ -33,16 +33,17 @@ from .gvs import (
     zero_vec,
 )
 from .superlie import (
-    OuterAlgebra,
+    DerivationSpace,
     SuperLieAlgebra,
     center,
     commutator_defect,
-    is_homomorphism,
-    outer_algebra,
+    derivations,
+    lift_alpha_bar,
 )
 from .cochains import (
     Cochain,
     TRIVIAL_LINE,
+    _check_operators,
     canonical_tuples,
     cochain_coordinates,
     cochain_from_coordinates,
@@ -70,13 +71,7 @@ class GModule(Record):
 
 def gmodule(g: SuperLieAlgebra, space: SuperVectorSpace,
             action: tuple[GradedLinearMap, ...]) -> GModule:
-    if len(action) != g.dim:
-        raise ValueError("need one action operator per g basis element")
-    for i, op in enumerate(action):
-        if op.domain != space or op.codomain != space:
-            raise ValueError(f"action[{i}] does not act on the module space")
-        if op.degree != g.space.parities[i]:
-            raise ValueError(f"action[{i}] has the wrong parity")
+    _check_operators(g.space, space, action)
     for i in range(g.dim):
         for j in range(g.dim):
             if commutator_defect(g, action, i, j):
@@ -327,38 +322,17 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
                         dim_coboundaries + exact, reps), previous
 
 
-def lift_alpha_bar(outer: OuterAlgebra, g: SuperLieAlgebra,
-                   abar: GradedLinearMap) -> tuple[GradedLinearMap, ...]:
-    """The deterministic linear lift of abar: g -> out(h) to operators on h.
-
-    `outer` is the caller's `outer_algebra(h)`.  Each out(h) basis element
-    corresponds to one complement member of the inner-first derivation
-    basis, so abar(e_i) lifts to the combination with coordinates
-    `outer.lift_coordinates(abar(e_i))` and the projection of the lift is
-    abar again.  This is the one check on abar: it must be a degree-0
-    homomorphism g -> out(h), or ValueError is raised.  Nothing is cached
-    across calls.
-    """
-    if abar.domain != g.space or abar.codomain != outer.out.space or abar.degree != 0:
-        raise ValueError("abar must be a degree-0 map g -> out(h)")
-    if not is_homomorphism(abar, g, outer.out):
-        raise ValueError("abar is not a homomorphism into out(h)")
-    return tuple(outer.ds.combination(outer.lift_coordinates(abar.column(i)), p)
-                 for i, p in enumerate(g.space.parities))
-
-
-def rho_from_lift(outer: OuterAlgebra, g: SuperLieAlgebra,
+def rho_from_lift(ds: DerivationSpace, g: SuperLieAlgebra,
                   alpha: tuple[GradedLinearMap, ...]) -> Cochain:
     """The canonical curvature of a lift: solve ad_H = commutator defect.
 
-    `outer` is the caller's `outer_algebra(h)`.  The defect
+    `ds` is the caller's `derivations(h)`.  The defect
     [alpha_X, alpha_Y] - alpha_[X,Y] must be an inner derivation for every
     pair (it is exactly when the projected lift is a homomorphism): its
     der(h) coordinates vanish on the complement.  H is then the same
     combination of `inner_preimages`, each the canonical solution of its
     ad system, which zeroes the free (central) coordinates and pins rho down.
     """
-    ds = outer.ds
     table = {}
     for (i, j) in canonical_tuples(g.space, 2):
         x = ds.coordinates_of(commutator_defect(g, alpha, i, j))
@@ -402,19 +376,19 @@ def push_center_cochain(phi: Cochain, incl: GradedLinearMap) -> Cochain:
     )
 
 
-def obstruction_class(outer: OuterAlgebra, g: SuperLieAlgebra,
+def obstruction_class(ds: DerivationSpace, g: SuperLieAlgebra,
                       abar: GradedLinearMap) -> ObstructionReport:
     """Lift, curvature, and the obstruction cocycle of an outer action.
 
-    `outer` is the caller's `outer_algebra(h)`.  The pipeline asserts the
+    `ds` is the caller's `derivations(h)`.  The pipeline asserts the
     two facts the construction guarantees: the cocycle is valued in the
     center and is closed for the module differential.  Its class in
     weight-0 H^3 decides whether any extension induces abar.
     """
-    h = outer.ds.algebra
-    alpha = lift_alpha_bar(outer, g, abar)
+    h = ds.algebra
+    alpha = lift_alpha_bar(ds, g, abar)
     mod, incl = center_module(h, g, alpha)
-    rho = rho_from_lift(outer, g, alpha)
+    rho = rho_from_lift(ds, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
     incl_system = LinearSystem(map(incl.column, range(incl.domain.dim)), h.dim)
     table = {}
@@ -464,14 +438,14 @@ class ClassificationReport(Record):
 def classify_extensions(h: SuperLieAlgebra, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ClassificationReport:
     """All extensions inducing abar: g -> out(h); der(h) and out(h) are built once, here."""
-    return _classify_extensions(outer_algebra(h), g, abar)
+    return _classify_extensions(derivations(h), g, abar)
 
 
-def _classify_extensions(outer: OuterAlgebra, g: SuperLieAlgebra,
+def _classify_extensions(ds: DerivationSpace, g: SuperLieAlgebra,
                          abar: GradedLinearMap) -> ClassificationReport:
-    """`classify_extensions` on the caller's `outer_algebra(h)`."""
-    h = outer.ds.algebra
-    obs = obstruction_class(outer, g, abar)
+    """`classify_extensions` on the caller's `derivations(h)`."""
+    h = ds.algebra
+    obs = obstruction_class(ds, g, abar)
     centerless = obs.center_incl.domain.dim == 0
     abelian_kernel = h.is_abelian()
     if not obs.vanishes:

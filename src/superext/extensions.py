@@ -32,21 +32,23 @@ from .gvs import (
     zero_vec,
 )
 from .superlie import (
-    OuterAlgebra,
+    DerivationSpace,
     SuperLieAlgebra,
     _ad_flat,
     ad,
     bracket_algebra,
     center,
     commutator_defect,
+    derivations,
     is_derivation,
     is_homomorphism,
+    lift_alpha_bar,
     make_algebra,
-    outer_algebra,
     validate_algebra,
 )
 from .cochains import (
     Cochain,
+    _check_operators,
     canonical_tuples,
     cochain_coordinates,
     covariant_delta,
@@ -74,14 +76,7 @@ class ExtensionDatum(Record):
     rho: Cochain
 
     def __post_init__(self):
-        if len(self.alpha) != self.g.dim:
-            raise ValueError("need one alpha operator per g basis element")
-        for i, op in enumerate(self.alpha):
-            if op.domain != self.h.space or op.codomain != self.h.space:
-                raise ValueError(f"alpha[{i}] does not act on h")
-            if op.degree != self.g.space.parities[i]:
-                raise ValueError(f"alpha[{i}] has degree {op.degree}; the assignment "
-                                 "g -> der(h) must be degree 0")
+        _check_operators(self.g.space, self.h.space, self.alpha)
         if (self.rho.source, self.rho.target) != (self.g.space, self.h.space):
             raise ValueError("rho must map g^2 to h")
         if (self.rho.arity, self.rho.weight) != (2, 0):
@@ -398,22 +393,19 @@ def pullback_extension(
     the datum it induces is exactly (lifted abar, its curvature).  der(h)
     and out(h) are built once, here.
     """
-    return _pullback_extension(outer_algebra(h), g, abar)
+    return _pullback_extension(derivations(h), g, abar)
 
 
-def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
+def _pullback_extension(ds: DerivationSpace, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ExtensionTriple:
-    """`pullback_extension` on the caller's `outer_algebra(h)`."""
-    from .cohomology import lift_alpha_bar
-
-    h = outer.ds.algebra
+    """`pullback_extension` on the caller's `derivations(h)`."""
+    h = ds.algebra
     if center(h):
         raise ValueError("pullback construction requires a centerless kernel")
-    lift_alpha_bar(outer, g, abar)  # checks abar; the section reuses its coordinates
-    ds = outer.ds
+    lift_alpha_bar(ds, g, abar)  # checks abar; the section reuses its coordinates
     m, n = len(ds.basis), g.dim
     # pi(D) - abar(X) = 0, one sparse row per out(h) coordinate
-    cond = sparse_transpose(map(dict, outer.proj.columns + abar.scale(-1).columns), outer.out.dim)
+    cond = sparse_transpose(map(dict, ds.proj.columns + abar.scale(-1).columns), ds.out.dim)
     kern = [dense_vec(v, m + n) for v in sparse_kernel_basis(cond, m + n)]
     prod_parities = ds.space.parities + g.space.parities
 
@@ -444,7 +436,7 @@ def _pullback_extension(outer: OuterAlgebra, g: SuperLieAlgebra,
                  for k in range(h.dim)]
     incl = _map(h.space, e_space, 0, incl_cols)
     proj_e = _map(e_space, g.space, 0, [v[m:] for v in kern])
-    sec_cols = [to_e_coords(outer.lift_coordinates(abar.column(j)) + unit_vec(n, j))
+    sec_cols = [to_e_coords(ds.lift_coordinates(abar.column(j)) + unit_vec(n, j))
                 for j in range(n)]
     section = _map(g.space, e_space, 0, sec_cols)
     triple = ExtensionTriple(h, g, e, incl, proj_e, section)

@@ -3,12 +3,12 @@
 An algebra is an ordered graded basis plus the bracket table
 c[i][j] = [e_i, e_j] as a coordinate vector.  Everything downstream
 (validation, ad, center, derivations, out = der/ad, homomorphism checks)
-is exact linear algebra on that table.  der(h) has one coordinate system,
-its inner-first basis, whose trailing coordinates are out(h); its brackets
-are computed where they are read, once per unordered pair.  The cached
-views are an algebra's dense `brackets`, for output, and a `DerivationSpace`'s
-eliminated basis; no result is cached across calls: a pipeline that needs
-der(h) or out(h) builds one `OuterAlgebra` and passes it along.
+is exact linear algebra on that table.  der(h) is one record, the
+`DerivationSpace`, whose inner-first basis is its one coordinate system and
+whose trailing coordinates are out(h); `lift_alpha_bar` lifts g -> out(h)
+through it.  The cached views are an algebra's dense `brackets`, for
+output, and a `DerivationSpace`'s eliminated basis and out(h); nothing is
+cached across calls: a pipeline calls `derivations` once and passes it on.
 """
 
 from __future__ import annotations
@@ -341,8 +341,10 @@ class DerivationSpace(Record):
 
     `inner_preimages[k]` is an explicit H in h with ad_H = basis[k], for
     k < inner_count.  The inner-first ordering makes ad(h) the span of the
-    leading coordinates and out(h) the trailing ones, which fixes the
-    lifts used by the cohomology pipeline.
+    leading coordinates and out(h) = der(h)/ad(h) the trailing ones: `out`
+    brackets the complement members, `proj` keeps their coordinates and
+    `lift_coordinates` is its section, which fixes the lifts used by the
+    cohomology pipeline.
     """
 
     algebra: SuperLieAlgebra
@@ -381,6 +383,23 @@ class DerivationSpace(Record):
         if coords is None:
             raise RuntimeError("derivations are not closed under the commutator")
         return coords
+
+    @cached_property
+    def out(self) -> SuperLieAlgebra:
+        """out(h), bracketed on the complement members on first read and kept."""
+        c, sp, basis = self.inner_count, self.space, self.basis
+        out_space = SuperVectorSpace(sp.names[c:], sp.parities[c:])
+        return bracket_algebra(out_space, lambda a, b: self.bracket(basis[c + a], basis[c + b])[c:])
+
+    @property
+    def proj(self) -> GradedLinearMap:
+        """The projection der(h) -> out(h), which keeps the trailing coordinates."""
+        c, m = self.inner_count, len(self.basis)
+        return _map(self.space, self.out.space, 0, [{}] * c + [{a: 1} for a in range(m - c)])
+
+    def lift_coordinates(self, x: Sequence) -> Vector:
+        """der(h) coordinates of the complement representative of x in out(h)."""
+        return zero_vec(self.inner_count) + vec(x)
 
 
 def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLinearMap]:
@@ -468,38 +487,30 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
     return DerivationSpace(alg, basis, len(inner_maps), tuple(preimages))
 
 
-class OuterAlgebra(Record):
-    """der(h)'s basis, and out(h) = der(h)/ad(h) with the projection.
-
-    `outer_algebra` builds the record once per call; whatever needs der(h)
-    or out(h) within that call receives it explicitly.  out(h) has the
-    trailing members of der(h)'s inner-first basis as its basis; the
-    projection keeps their coordinates, and `lift_coordinates` is its section.
-    """
-
-    ds: DerivationSpace
-    out: SuperLieAlgebra
-    proj: GradedLinearMap
-
-    def lift_coordinates(self, x: Sequence) -> Vector:
-        """der(h) coordinates of the complement representative of x in out(h)."""
-        return zero_vec(self.ds.inner_count) + vec(x)
-
-
-def outer_algebra(alg: SuperLieAlgebra) -> OuterAlgebra:
-    """Solve der(h) and bracket out(h)'s basis on the complement members, once."""
-    ds = derivations(alg)
-    c, m = ds.inner_count, len(ds.basis)
-    out_space = SuperVectorSpace(ds.space.names[c:], ds.space.parities[c:])
-    proj = _map(ds.space, out_space, 0, [{}] * c + [{a: 1} for a in range(m - c)])
-    out = bracket_algebra(out_space, lambda a, b: ds.bracket(ds.basis[c + a], ds.basis[c + b])[c:])
-    return OuterAlgebra(ds, out, proj)
-
-
 def out_quotient(alg: SuperLieAlgebra) -> tuple[SuperLieAlgebra, GradedLinearMap]:
     """The quotient out(h) = der(h)/ad(h) with its projection from der(h)."""
-    outer = outer_algebra(alg)
-    return outer.out, outer.proj
+    ds = derivations(alg)
+    return ds.out, ds.proj
+
+
+def lift_alpha_bar(ds: DerivationSpace, g: SuperLieAlgebra,
+                   abar: GradedLinearMap) -> tuple[GradedLinearMap, ...]:
+    """The deterministic linear lift of abar: g -> out(h) to operators on h.
+
+    `ds` is the caller's `derivations(h)`.  Each out(h) basis element
+    corresponds to one complement member of the inner-first derivation
+    basis, so abar(e_i) lifts to the combination with coordinates
+    `ds.lift_coordinates(abar(e_i))` and the projection of the lift is
+    abar again.  This is the one check on abar: it must be a degree-0
+    homomorphism g -> out(h), or ValueError is raised.  Nothing is cached
+    across calls.
+    """
+    if abar.domain != g.space or abar.codomain != ds.out.space or abar.degree != 0:
+        raise ValueError("abar must be a degree-0 map g -> out(h)")
+    if not is_homomorphism(abar, g, ds.out):
+        raise ValueError("abar is not a homomorphism into out(h)")
+    return tuple(ds.combination(ds.lift_coordinates(abar.column(i)), p)
+                 for i, p in enumerate(g.space.parities))
 
 
 def commutator_defect(g: SuperLieAlgebra, ops: Sequence[GradedLinearMap],

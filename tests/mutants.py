@@ -4,12 +4,14 @@ Run it from anywhere as `python tests/mutants.py`; pytest does not collect
 it.  Each entry names a file under `src/superext`, a snippet that must occur
 exactly once there (a stale entry fails loudly, here and in the fast suite's
 `tests/test_source.py`), its replacement, and the test files expected to
-kill it.  The script copies `src/`, `tests/` and
-`pyproject.toml` into a temporary directory, checks that the unmutated copy
-passes every target, then applies one mutant at a time and runs
-`pytest -x -q -p no:cacheprovider <targets>` there.  It exits 1 if any
-mutant survives, naming it.  Hypothesis runs derandomized (`CI=1`, see
-`conftest.py`), so a kill does not depend on the draw.
+kill it.  The script copies `src/`, `tests/` and `pyproject.toml` into one
+temporary tree per worker, one worker per usable CPU at most, checks that
+an unmutated copy passes every target, then runs the mutants in parallel:
+a worker applies one mutant to its own tree, runs
+`pytest -x -q -p no:cacheprovider <targets>` there and restores the file.
+Results print in catalog order.  It exits 1 if any mutant survives, naming
+it.  Hypothesis runs derandomized (`CI=1`, see `conftest.py`), so a kill
+does not depend on the draw.
 
 Known equivalent mutants are not entries; they are listed in EQUIVALENT
 with the reason they change no result.
@@ -18,10 +20,12 @@ with the reason they change no result.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,6 +120,10 @@ MUTANTS = [
     Mutant("_cancel scales by b, not b/g", "gvs.py", "row[j] *= b // g", "row[j] *= b", (GVS,)),
     Mutant("_integral keeps numerators only", "gvs.py",
            "x.numerator * (d // x.denominator)", "x.numerator", (GVS,)),
+    Mutant("no back-clearing of a new pivot from the older rows", "gvs.py",
+           "if p in other:", "if False:", (GVS,)),
+    Mutant("solve not divided by b's scale", "gvs.py",
+           "Fraction(-x, s)", "Fraction(-x)", ("tests/test_solve.py",)),
     # ---- the CLI's renderers, pinned by the human-output goldens ----
     Mutant("cochain arguments joined with ', '", "cli.py",
            'yield ",".join(phi.source.names[i] for i in tup)',
@@ -159,6 +167,21 @@ MUTANTS = [
            "len(cocycles) + exact,", "len(cocycles),", (TORUS,)),
     Mutant("alternating sum's sign flipped in the nonzero-weight count", "cohomology.py",
            "(-1) ** (n - 1 - k)", "(-1) ** (n - k)", (TORUS,)),
+    Mutant("torus weight of a tuple with the wrong sign", "cohomology.py",
+           "tuple(-r * lam[j] for lam, _mu in torus)", "tuple(r * lam[j] for lam, _mu in torus)",
+           (TORUS,)),
+    Mutant("odd elements counted once in the weight counts", "cohomology.py",
+           "(n if p else 1)", "1", (TORUS,)),
+    # ---- der(h) carries out(h): its brackets, projection and section ----
+    Mutant("out(h) bracketed on the leading members", "superlie.py",
+           "self.bracket(basis[c + a], basis[c + b])[c:]", "self.bracket(basis[a], basis[b])[c:]",
+           ("tests/test_superlie.py",)),
+    Mutant("proj keeps the leading coordinates", "superlie.py",
+           "[{}] * c + [{a: 1} for a in range(m - c)]", "[{a: 1} for a in range(m - c)] + [{}] * c",
+           ("tests/test_superlie.py",)),
+    Mutant("lift coordinates padded after the out(h) part", "superlie.py",
+           "zero_vec(self.inner_count) + vec(x)", "vec(x) + zero_vec(self.inner_count)",
+           ("tests/test_superlie.py",)),
     # ---- the map record: sparse columns, the dense matrix a view ----
     Mutant("map constructor keeps zero entries", "gvs.py",
            "for i, a in ((i, scalar(a)) for i, a in col) if a))",
@@ -183,6 +206,9 @@ EQUIVALENT = {
     "gvs._absorb without the positive-pivot sign": "every echelon row is divided by its pivot "
     "entry before it is read (`_rational`, `sparse_kernel_basis`, `LinearSystem.solve`), so the "
     "sign of a stored row changes no result",
+    "cohomology._torus lets odd elements be toral": "on degree-0 data an odd element's "
+    "eigenvalues are all 0 ([e_k, e_j] and its action change parity, so no diagonal entry is "
+    "nonzero), and an element whose eigenvalues are all 0 is skipped anyway",
 }
 
 
@@ -206,31 +232,48 @@ def stale_entries() -> list[str]:
             if (src / m.file).read_text(encoding="utf-8").count(m.snippet) != 1]
 
 
+def copy_tree(work: Path) -> Path:
+    """A copy of what the targets need to run: `src/`, `tests/` and `pyproject.toml`."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, work / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", work)
+    return work
+
+
 def main() -> int:
     stale = stale_entries()
     if stale:
         print("stale entries, whose snippet does not occur exactly once:", *stale, sep="\n  ")
         return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, len(MUTANTS)))
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, work / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        trees: queue.Queue[Path] = queue.Queue()
+        for k in range(workers):
+            trees.put(copy_tree(Path(tmp) / f"tree{k}"))
         targets = sorted({t for m in MUTANTS for t in m.targets})
-        if not run_pytest(targets, work):
+        if not run_pytest(targets, Path(tmp) / "tree0"):
             print("the unmutated tree fails its targets, so no kill means anything:", *targets)
             return 1
-        survivors = []
-        for m in MUTANTS:
+
+        def killed(m: Mutant) -> bool:
+            work = trees.get()  # a tree no other worker holds
             path = work / "src" / "superext" / m.file
             original = path.read_text(encoding="utf-8")
-            path.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
-            killed = not run_pytest(m.targets, work)
-            path.write_text(original, encoding="utf-8")
-            print(f"{'killed  ' if killed else 'SURVIVED'} {m.name}  ({m.file})", flush=True)
-            if not killed:
-                survivors.append(m.name)
+            try:
+                path.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+                return not run_pytest(m.targets, work)
+            finally:
+                path.write_text(original, encoding="utf-8")
+                trees.put(work)
+
+        survivors = []
+        with ThreadPoolExecutor(workers) as pool:
+            for m, dead in zip(MUTANTS, pool.map(killed, MUTANTS)):  # in catalog order
+                print(f"{'killed  ' if dead else 'SURVIVED'} {m.name}  ({m.file})", flush=True)
+                if not dead:
+                    survivors.append(m.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed; "
           f"{len(EQUIVALENT)} known equivalent mutant(s) not run")
     return 1 if survivors else 0

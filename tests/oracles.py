@@ -660,16 +660,16 @@ def product_bracket(der_alg: SuperLieAlgebra, g: SuperLieAlgebra, u, v):
     return dpart + dense_bracket(g, u[m:], v[m:])
 
 
-def pullback_members(t: ExtensionTriple, outer, abar: GradedLinearMap) -> list[tuple]:
+def pullback_members(t: ExtensionTriple, ds, abar: GradedLinearMap) -> list[tuple]:
     """Each basis element of a pullback's e as a vector of der(h) x g.
 
     e_a = incl(H) + section(X) with X = proj(e_a), read off the triple's
     maps; its der(h) part is ad_H plus the lift of abar(X).
     """
-    ds, h, n = outer.ds, t.h, t.g.dim
+    h, n = t.h, t.g.dim
     ad_coords = [ds.coordinates_of(dense_ad(h, unit_vec(h.dim, k), h.space.parities[k]))
                  for k in range(h.dim)]
-    lifts = [outer.lift_coordinates(abar.column(j)) for j in range(n)]
+    lifts = [ds.lift_coordinates(abar.column(j)) for j in range(n)]
     members = []
     for a in range(t.e.dim):
         x = t.proj.column(a)
@@ -681,6 +681,42 @@ def pullback_members(t: ExtensionTriple, outer, abar: GradedLinearMap) -> list[t
             d = vec_add(d, vec_scale(c, v))
         members.append(d + tuple(x))
     return members
+
+
+def extension_exists(ds: DerivationSpace, g: SuperLieAlgebra,
+                     abar: GradedLinearMap) -> tuple[bool, int]:
+    """Whether a datum (alpha, rho) inducing abar exists, and the nullity of its system.
+
+    alpha is the library's lift of abar, each member checked by
+    `dense_is_derivation`; the unknowns are rho's coordinates over the
+    weight-0 2-cochains g^2 -> h.  Both datum conditions are affine-linear
+    in rho: ad rho(i, j) equals `dense_commutator_defect` on each canonical
+    pair, and delta_alpha rho = 0, summed by `delta_by_terms` over unit
+    cochains.  The system is solved by `dense_solve` and its nullity read
+    off `dense_rref`, sharing no code with the cohomology layer.
+    """
+    from superext.cochains import cochain_coordinates, space_basis
+    from superext.superlie import lift_alpha_bar
+
+    h, n = ds.algebra, ds.algebra.dim
+    alpha = lift_alpha_bar(ds, g, abar)
+    if not all(dense_is_derivation(h, op) for op in alpha):
+        raise AssertionError("the lift of abar holds an operator that is not a derivation")
+    unknowns = space_basis(g.space, h.space, 2, 0)
+    rows, rhs = [], []
+    for pair in canonical_tuples(g.space, 2):
+        defect = dense_commutator_defect(g, alpha, *pair)
+        for r, s in product(range(n), repeat=2):  # entry (r, s) of ad rho(pair): rho_m c^r_ms
+            rows.append([h.brackets[m][s][r] if tup == pair else Fraction(0)
+                         for tup, m in unknowns])
+            rhs.append(defect.get(r * n + s, Fraction(0)))
+    basis3 = space_basis(g.space, h.space, 3, 0)
+    cols = [cochain_coordinates(delta_by_terms(g, alpha, make_cochain(
+        g.space, h.space, 2, 0, {tup: unit_vec(n, m)})), basis3) for tup, m in unknowns]
+    rows += [[col[r] for col in cols] for r in range(len(basis3))]
+    rhs += [Fraction(0)] * len(basis3)
+    exists = dense_solve(rows, rhs, len(unknowns)) is not None
+    return exists, len(unknowns) - len(dense_rref(rows)[1])
 
 
 def dense_curvature_failures(d: ExtensionDatum) -> list[str]:

@@ -26,7 +26,7 @@ from superext.cochains import (
     permute_word,
 )
 from superext.gvs import GradedLinearMap, linear_map
-from superext.superlie import abelian_algebra, ad, center, out_quotient, outer_algebra
+from superext.superlie import abelian_algebra, ad, center, derivations, out_quotient
 from superext.extensions import (
     ExtensionDatum,
     build_extension,
@@ -217,7 +217,7 @@ def test_criterion_6_obstruction_pipeline():
     for h, g in cases:
         out_alg, _ = out_quotient(h)
         abar = GradedLinearMap.zero(g.space, out_alg.space, 0)
-        obs = obstruction_class(outer_algebra(h), g, abar)
+        obs = obstruction_class(derivations(h), g, abar)
         # the cocycle is valued in the center ...
         for _tup, val in obs.lam.values:
             v = obs.center_incl.apply(val)

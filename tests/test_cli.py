@@ -391,6 +391,27 @@ def test_out_built_once_per_command(name, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_build_checks_a_valid_datum_once(monkeypatch, capsys):
+    # `build` runs `check_datum` once, inside `build_extension`; the report
+    # of a failing datum is the one place that reads it again
+    from superext import extensions
+
+    argv, want_exit = next((c[1], c[2]) for c in CASES if c[0] == "build")
+    calls = []
+    fn = extensions.check_datum
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(extensions, "check_datum", counted)
+    monkeypatch.chdir(INPUTS)
+    assert argv[:2] == ["build", "susy_datum.json"] and "--json" in argv
+    assert cli.main(argv) == want_exit
+    assert capsys.readouterr().out.encode() == (EXPECTED / "build.out").read_bytes()
+    assert len(calls) == 1
+
+
 def _write_changed(tmp_path, name, change):
     """A golden input file with one field changed by `change(doc)`, written to tmp_path."""
     doc = json.loads((INPUTS / name).read_text())

@@ -13,6 +13,7 @@ transform run moves the split datum by minus its splitting witness, so its
 curvature prints as `rho = 0`.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -76,3 +77,36 @@ def test_written_golden(name, argv, want_exit, tmp_path):
     assert r.returncode == want_exit, r.stderr.decode()
     assert r.stdout == (GOLDEN / "expected_human" / f"{name}.out").read_bytes()
     assert (work / "written.json").is_file()
+
+
+# g = h = a20 with alpha(u0) = E_00 and alpha(u1) = E_01: both operators are
+# derivations of the abelian h, but [alpha(u0), alpha(u1)] = E_01 is not
+# ad of any curvature, so `build` lists both ordered pairs and exits 1
+REFUSED_DATUM = {"g": "a20.json", "h": "a20.json",
+                 "alpha": [{"arg": "u0", "matrix": [["1", "0"], ["0", "0"]]},
+                           {"arg": "u1", "matrix": [["0", "1"], ["0", "0"]]}]}
+REFUSED = {
+    "human": b"""datum fails the extension conditions:
+  commutator defect on (u0,u1) is not ad of the curvature
+  commutator defect on (u1,u0) is not ad of the curvature
+""",
+    "json": b"""{
+  "command": "build",
+  "failures": [
+    "commutator defect on (u0,u1) is not ad of the curvature",
+    "commutator defect on (u1,u0) is not ad of the curvature"
+  ],
+  "ok": false
+}
+""",
+}
+
+
+@pytest.mark.parametrize("form", sorted(REFUSED))
+def test_build_refuses_a_datum_that_fails_check_datum(form, tmp_path):
+    shutil.copy(INPUTS / "a20.json", tmp_path)
+    (tmp_path / "bad_datum.json").write_text(json.dumps(REFUSED_DATUM))
+    argv = ["build", "bad_datum.json"] + (["--json"] if form == "json" else [])
+    r = run_cli(argv, cwd=tmp_path)
+    assert r.returncode == 1, r.stderr.decode()
+    assert r.stdout == REFUSED[form]

@@ -18,9 +18,9 @@ from superext.superlie import (
     derivations,
     direct_sum,
     is_homomorphism,
+    lift_alpha_bar,
     make_algebra,
     out_quotient,
-    outer_algebra,
     validate_algebra,
 )
 from superext.extensions import (
@@ -35,7 +35,6 @@ from superext.cohomology import (
     classify_extensions,
     cohomology_space,
     gmodule,
-    lift_alpha_bar,
     module_delta,
     obstruction_class,
     push_center_cochain,
@@ -43,8 +42,9 @@ from superext.cohomology import (
     trivial_module,
 )
 
-from oracles import (classical_ce_delta, graded_commutator, normalized_structure, random_cochain,
-                     random_witness, scalar_cochain)
+from oracles import (classical_ce_delta, delta_matrix_by_columns, dense_rref, extension_exists,
+                     graded_commutator, normalized_structure, random_cochain, random_witness,
+                     scalar_cochain)
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_gmodule_rejects_non_homomorphism():
 
 def test_center_module_centerless_is_zero():
     h, g = sl2(), abelian(1, 0, "t")
-    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g)))
+    mod, incl = center_module(h, g, lift_alpha_bar(derivations(h), g, zero_abar(h, g)))
     assert mod.space.dim == 0
 
 
@@ -77,14 +77,14 @@ def test_center_module_abelian_kernel_is_whole_space():
     # a nonzero action: t acts by the identity on the even part
     ds = derivations(h)
     abar = GradedLinearMap.zero(g.space, out_alg.space, 0)
-    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, abar))
+    mod, incl = center_module(h, g, lift_alpha_bar(derivations(h), g, abar))
     assert mod.space.dim == 2
     assert sorted(mod.space.parities) == [0, 1]
 
 
 def test_center_module_heis3_trivial_action():
     h, g = heis3(), abelian(1, 0, "t")
-    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g)))
+    mod, incl = center_module(h, g, lift_alpha_bar(derivations(h), g, zero_abar(h, g)))
     assert mod.space.dim == 1
     assert all(op.is_zero() for op in mod.action)
     assert incl.column(0) == (0, 0, 1)
@@ -101,7 +101,7 @@ def test_center_module_nonzero_action():
     assert coords is not None
     abar = linear_map(g.space, out_alg.space, 0,
                       tuple((c,) for c in coords[ds.inner_count:]))
-    mod, incl = center_module(h, g, lift_alpha_bar(outer_algebra(h), g, abar))
+    mod, incl = center_module(h, g, lift_alpha_bar(derivations(h), g, abar))
     assert mod.action[0].matrix == ((1, 0), (0, 2))
 
 
@@ -171,7 +171,7 @@ def test_module_delta_squares_to_zero(rng):
     ops = tuple(linear_map(nat, nat, g2.space.parities[i], mats[i]) for i in range(4))
     cases.append((g2, gmodule(g2, nat, ops)))
     h, g3 = heis3(), abelian(1, 0, "t")
-    alpha3 = lift_alpha_bar(outer_algebra(h), g3, zero_abar(h, g3))
+    alpha3 = lift_alpha_bar(derivations(h), g3, zero_abar(h, g3))
     cases.append((g3, center_module(h, g3, alpha3)[0]))
     for g, mod in cases:
         for arity in range(0, 4):
@@ -206,12 +206,12 @@ def test_center_module_does_not_depend_on_the_lift(rng):
     # adding an inner ad_H of matching parity to each lifted operator leaves
     # the center module unchanged; g has an odd generator, so odd H occur
     h = gl11()
-    outer = outer_algebra(h)
-    g = direct_sum(outer.out, abelian(0, 1, "q"))
-    k = outer.out.dim
-    abar = linear_map(g.space, outer.out.space, 0,
+    ds = derivations(h)
+    g = direct_sum(ds.out, abelian(0, 1, "q"))
+    k = ds.out.dim
+    abar = linear_map(g.space, ds.out.space, 0,
                       tuple(tuple(F(int(r == c)) for c in range(g.dim)) for r in range(k)))
-    alpha = lift_alpha_bar(outer, g, abar)
+    alpha = lift_alpha_bar(ds, g, abar)
     mod, incl = center_module(h, g, alpha)
     assert not all(op.is_zero() for op in mod.action)
     for _ in range(5):
@@ -287,11 +287,16 @@ def test_fixed_systems_eliminated_once(monkeypatch):
     der_h, der_sl2 = der_cols(h), der_cols(sl2())
     monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
     monkeypatch.setattr(coh, "rho_from_lift", measured("rho_from_lift", coh.rho_from_lift))
-    outer = measured("outer_algebra", outer_algebra)(h)
-    assert (len(outer.ds.basis), outer.out.dim) == (9, 4)  # 10 out(h) commutators
-    assert sum(cols == der_h for cols in inside["outer_algebra"]) == 1
+    def der_and_out(alg):  # out(h) is bracketed on first read
+        ds = derivations(alg)
+        ds.out
+        return ds
+
+    ds = measured("der_and_out", der_and_out)(h)
+    assert (len(ds.basis), ds.out.dim) == (9, 4)  # 10 out(h) commutators
+    assert sum(cols == der_h for cols in inside["der_and_out"]) == 1
     built.clear()
-    obstruction_class(outer, g, abar)  # on the caller's out(h): it eliminates no der(h) basis
+    obstruction_class(ds, g, abar)  # on the caller's out(h): it eliminates no der(h) basis
     assert not any(cols == der_h for cols in built)
     assert inside["rho_from_lift"] == []
 
@@ -329,7 +334,7 @@ def test_obstruction_assembles_each_differential_once(monkeypatch):
                 vars(mod).get("differential_matrix") is differential_matrix:
             monkeypatch.setattr(mod, "differential_matrix", counted_differential)
     monkeypatch.setattr(coh, "_check_squares_to_zero", counted_check)
-    obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+    obs = obstruction_class(derivations(h), g, zero_abar(h, g))
     assert obs.vanishes and obs.mu is not None
     z = obs.module.space
     assert len(built) == 3 and set(built) == {(h.space, 2), (z, 2), (z, 3)}
@@ -345,13 +350,13 @@ def test_primitive_of_an_exact_obstruction_cocycle(monkeypatch, rng):
 
     h, g = heis3(), rescaled(osp12(), (1, 1, 1, F(1, 2), 3))
     abar = zero_abar(h, g)
-    obs = obstruction_class(outer_algebra(h), g, abar)
+    obs = obstruction_class(derivations(h), g, abar)
     lam = module_delta(obs.module, random_cochain(g.space, obs.module.space, 2, 0, rng))
     assert not lam.is_zero()
     lam_h, real = push_center_cochain(lam, obs.center_incl), coh.covariant_delta
     monkeypatch.setattr(coh, "covariant_delta",
                         lambda g_, ops, phi: lam_h if phi == obs.rho else real(g_, ops, phi))
-    obs = obstruction_class(outer_algebra(h), g, abar)
+    obs = obstruction_class(derivations(h), g, abar)
     assert obs.lam == lam and obs.vanishes
     assert module_delta(obs.module, obs.mu) == lam
 
@@ -360,7 +365,7 @@ def test_primitive_of_an_exact_obstruction_cocycle(monkeypatch, rng):
 
 def test_lift_zero():
     h, g = sl2(), abelian(1, 0, "t")
-    alpha = lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g))
+    alpha = lift_alpha_bar(derivations(h), g, zero_abar(h, g))
     assert all(op.is_zero() for op in alpha)
 
 
@@ -369,7 +374,7 @@ def test_lift_point_kernel_identity():
     h, g = abelian(1, 0, "w"), abelian(1, 0, "t")
     out_alg, _ = out_quotient(h)
     abar = linear_map(g.space, out_alg.space, 0, ((F(3),),))
-    alpha = lift_alpha_bar(outer_algebra(h), g, abar)
+    alpha = lift_alpha_bar(derivations(h), g, abar)
     assert alpha[0].matrix == ((3,),)
 
 
@@ -386,7 +391,7 @@ def test_lift_projects_back(rng):
         m = tuple((c0 * xi[r], c1 * xi[r]) for r in range(out_alg.dim))
         abar = linear_map(g.space, out_alg.space, 0, m)
         assert is_homomorphism(abar, g, out_alg)
-        alpha = lift_alpha_bar(outer_algebra(h), g, abar)
+        alpha = lift_alpha_bar(derivations(h), g, abar)
         for j in range(g.dim):
             coords = ds.coordinates_of(alpha[j])
             assert coords is not None
@@ -395,8 +400,8 @@ def test_lift_projects_back(rng):
 
 def test_rho_from_lift_zero_for_homomorphism():
     h, g = sl2(), abelian(1, 0, "t")
-    alpha = lift_alpha_bar(outer_algebra(h), g, zero_abar(h, g))
-    rho = rho_from_lift(outer_algebra(h), g, alpha)
+    alpha = lift_alpha_bar(derivations(h), g, zero_abar(h, g))
+    rho = rho_from_lift(derivations(h), g, alpha)
     assert rho.is_zero()
 
 
@@ -412,7 +417,7 @@ def test_rho_from_lift_canonical_center_drop():
     ad_p = ad(h, unit_vec(3, 0))
     assert graded_commutator(scaling, ad_p) == ad_p
     g = abelian(2, 0, "u")
-    rho = rho_from_lift(outer_algebra(h), g, (scaling, ad_p))
+    rho = rho_from_lift(derivations(h), g, (scaling, ad_p))
     v = rho.value((0, 1))
     assert ad(h, v, degree=0) == ad_p
     assert v == (1, 0, 0)  # = P; the free center coordinate is dropped
@@ -430,7 +435,7 @@ def test_rho_from_lift_rejects_non_inner_defect():
             coords = ds.coordinates_of(comm)
             if coords is not None and any(c != 0 for c in coords[ds.inner_count:]):
                 with pytest.raises(ValueError):
-                    rho_from_lift(outer_algebra(h), g, (d1, d2))
+                    rho_from_lift(derivations(h), g, (d1, d2))
                 return
     pytest.skip("no pair with non-inner commutator found")
 
@@ -439,7 +444,7 @@ def test_rho_from_lift_rejects_non_inner_defect():
 
 def test_obstruction_abelian_kernel_vanishes():
     h, g = abelian(1, 1, "m"), susy_line()
-    obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+    obs = obstruction_class(derivations(h), g, zero_abar(h, g))
     assert obs.vanishes
     assert obs.rho.is_zero()
     assert obs.lam.is_zero()
@@ -448,7 +453,7 @@ def test_obstruction_abelian_kernel_vanishes():
 def test_obstruction_centerless_vanishes():
     h = sl2()
     for g in (sl2(), susy_line(), abelian(1, 1)):
-        obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+        obs = obstruction_class(derivations(h), g, zero_abar(h, g))
         assert obs.vanishes
         assert obs.lam.is_zero()
         assert obs.class_coords == ()
@@ -456,7 +461,7 @@ def test_obstruction_centerless_vanishes():
 
 def test_obstruction_heis3_pipeline():
     h, g = heis3(), abelian(0, 1, "q")
-    obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+    obs = obstruction_class(derivations(h), g, zero_abar(h, g))
     assert obs.vanishes
     # the repaired datum satisfies all extension conditions
     mu_h = push_center_cochain(obs.mu, obs.center_incl)
@@ -469,7 +474,7 @@ def test_obstruction_closedness_and_center_membership(rng):
     cases = [(heis3(), abelian(2, 0, "u")), (gl11(), abelian(1, 1, "t")),
              (abelian(2, 1, "m"), susy_line())]
     for h, g in cases:
-        obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+        obs = obstruction_class(derivations(h), g, zero_abar(h, g))
         assert module_delta(obs.module, obs.lam).is_zero()
         for tup, val in obs.lam.values:
             # membership was enforced during coercion; re-check through h
@@ -484,7 +489,7 @@ def test_lift_invariance_of_obstruction_cochain(rng):
     from superext.extensions import witness_cochain
     cases = [(heis3(), abelian(0, 1, "q")), (gl11(), abelian(1, 0, "t"))]
     for h, g in cases:
-        obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+        obs = obstruction_class(derivations(h), g, zero_abar(h, g))
         lam_h = covariant_delta(g, obs.alpha, obs.rho)
         for _ in range(20):
             b = random_witness(g, h, rng)
@@ -503,7 +508,7 @@ def test_two_admissible_curvatures_differ_by_center(rng):
     # fixed lift, rho' = rho + (center-valued mu): lambda difference is the
     # module differential of mu
     h, g = heis3(), abelian(0, 1, "q")
-    obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+    obs = obstruction_class(derivations(h), g, zero_abar(h, g))
     incl = obs.center_incl
     mod = obs.module
     for _ in range(10):
@@ -604,7 +609,7 @@ def test_classify_obstructed_report_shape():
     # vanishing branch, then unit-check the obstructed branch fields
     from superext.cohomology import ClassificationReport, ObstructionReport
     h, g = heis3(), abelian(0, 1, "q")
-    obs = obstruction_class(outer_algebra(h), g, zero_abar(h, g))
+    obs = obstruction_class(derivations(h), g, zero_abar(h, g))
     fake = ObstructionReport(obs.alpha, obs.rho, obs.lam, obs.module,
                              obs.center_incl, (F(1),), False, None)
     rep = ClassificationReport(fake, None, None, (), (), False, False)
@@ -620,7 +625,7 @@ def test_classify_obstructed_kernel():
     h = algebra_from_table(("x", "v0", "v1", "z"), (0, 0, 1, 1),
                            {("x", "v0"): {"v0": 2}, ("x", "v1"): {"v1": 2}})
     g = abelian_algebra(("Q",), (1,))
-    out_space = outer_algebra(h).out.space
+    out_space = derivations(h).out.space
     abar = linear_map(g.space, out_space, 0, ((0,), (0,), (1,), (1,), (1,)))
     rep = classify_extensions(h, g, abar)
     obs = rep.obstruction
@@ -673,14 +678,15 @@ def test_h_t_is_obstructed_exactly_when_t_squared_is_nonzero(args):
     # lam(Q,Q,Q) = 3 D(x) = 3z is a coboundary exactly when T^2 = 0
     h, d, t2_nonzero = h_t(*args)
     assert validate_algebra(h).ok
-    g, outer = abelian_algebra(("Q",), (1,)), outer_algebra(h)
-    coords = outer.ds.coordinates_of(d)
-    abar = linear_map(g.space, outer.out.space, 0,
-                      tuple((c,) for c in coords[outer.ds.inner_count:]))
-    obs = obstruction_class(outer, g, abar)
+    g, ds = abelian_algebra(("Q",), (1,)), derivations(h)
+    coords = ds.coordinates_of(d)
+    abar = linear_map(g.space, ds.out.space, 0,
+                      tuple((c,) for c in coords[ds.inner_count:]))
+    obs = obstruction_class(ds, g, abar)
     assert obs.vanishes is not t2_nonzero
     rep = classify_extensions(h, g, abar)
     assert (rep.data == ()) is t2_nonzero
+    assert assert_existence_oracle_agrees(h, g, abar) is not t2_nonzero
 
 
 def test_h_t_contains_kx4():
@@ -689,6 +695,44 @@ def test_h_t_contains_kx4():
     kx4 = algebra_from_table(("x", "v0", "w0", "z"), (0, 0, 1, 1),
                              {("x", "v0"): {"v0": 2}, ("x", "w0"): {"w0": 2}})
     assert same_structure(h, kx4) and h.space.names == kx4.space.names
+
+
+def assert_existence_oracle_agrees(h, g, abar):
+    # an extension inducing abar exists iff [lam] = 0, and then the data form
+    # a torsor: nullity - rank of delta on C^1_0(g; Z(h)) = weight-0 dim H^2
+    exists, nullity = extension_exists(derivations(h), g, abar)
+    rep = classify_extensions(h, g, abar)
+    assert exists == rep.obstruction.vanishes
+    if exists:
+        mod = rep.obstruction.module
+        d1 = delta_matrix_by_columns(g, mod.action, mod.space, 1, 0)
+        assert nullity - len(dense_rref(d1)[1]) == rep.h2.weight(0).dim
+    return exists
+
+
+ORACLE_KERNELS = {"heis3": heis3, "gl11": gl11, "sl2+heis3": lambda: direct_sum(sl2(), heis3())}
+
+
+def test_existence_oracle_on_kx4():
+    h = algebra_from_table(("x", "v0", "v1", "z"), (0, 0, 1, 1),
+                           {("x", "v0"): {"v0": 2}, ("x", "v1"): {"v1": 2}})
+    g = abelian_algebra(("Q",), (1,))
+    abar = linear_map(g.space, derivations(h).out.space, 0, ((0,), (0,), (1,), (1,), (1,)))
+    assert assert_existence_oracle_agrees(h, g, abar) is False
+
+
+@pytest.mark.parametrize("action", ["zero", "identity"])
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_existence_oracle_on_kernels(name, action):
+    # the zero action of A(1|1), and g = out(h) acting by the identity
+    h = ORACLE_KERNELS[name]()
+    out = derivations(h).out
+    if action == "zero":
+        g = abelian(1, 1, "t")
+        abar = GradedLinearMap.zero(g.space, out.space, 0)
+    else:
+        g, abar = out, GradedLinearMap.identity_map(out.space)
+    assert_existence_oracle_agrees(h, g, abar)
 
 
 def test_classify_respects_nonzero_action():
@@ -744,7 +788,7 @@ def test_classify_with_nonzero_outer_action():
     g = abelian(1, 0, "t")
     out_alg, _ = out_quotient(h)
     abar = linear_map(g.space, out_alg.space, 0, ((F(3),),))
-    obs = obstruction_class(outer_algebra(h), g, abar)
+    obs = obstruction_class(derivations(h), g, abar)
     assert obs.vanishes
     assert obs.alpha[0].matrix == ((3,),)
     rep = classify_extensions(h, g, abar)
@@ -767,7 +811,7 @@ def test_obstruction_with_nonzero_action_on_center():
     coords = ds.coordinates_of(diag)
     abar = linear_map(g.space, out_alg.space, 0,
                       tuple((c,) for c in coords[ds.inner_count:]))
-    obs = obstruction_class(outer_algebra(h), g, abar)
+    obs = obstruction_class(derivations(h), g, abar)
     assert obs.vanishes
     assert obs.module.action[0].matrix == ((1, 0), (0, -1))
     rep = classify_extensions(h, g, abar)

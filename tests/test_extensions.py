@@ -11,10 +11,10 @@ from superext.superlie import (
     ad,
     algebra_from_table,
     center,
+    derivations,
     direct_sum,
     is_homomorphism,
     out_quotient,
-    outer_algebra,
     validate_algebra,
 )
 from superext.extensions import (
@@ -498,13 +498,13 @@ def test_pullback_matches_product_bracket_oracle(case):
     h, g = {"sl2": (sl2(), sl2()), "osp12": (osp12(), abelian(1, 1, "t")),
             "sl2+sl2": (direct_sum(sl2(), sl2()), abelian(1, 0, "t")),
             "semidirect": (_sl2_semidirect_plane(), abelian(1, 0, "t"))}[case]
-    outer = outer_algebra(h)
-    abar = GradedLinearMap.zero(g.space, outer.out.space, 0)
+    ds = derivations(h)
+    abar = GradedLinearMap.zero(g.space, ds.out.space, 0)
     if case == "semidirect":  # the one case with nonzero out(h) and nonzero abar
-        abar = linear_map(g.space, outer.out.space, 0, ((F(1),),))
+        abar = linear_map(g.space, ds.out.space, 0, ((F(1),),))
     t = pullback_extension(h, g, abar)
-    der_alg = derivation_algebra(outer.ds)
-    members = pullback_members(t, outer, abar)
+    der_alg = derivation_algebra(ds)
+    members = pullback_members(t, ds, abar)
     for a, u in enumerate(members):
         for b, v in enumerate(members):
             got = [F(0)] * len(u)

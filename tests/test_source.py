@@ -179,6 +179,41 @@ def test_one_cohomology_path():
     assert {"delta_matrix", "_obstruction_class"} & set(top) == set()
 
 
+def test_one_derivation_record():
+    # der(h) is one record that carries out(h): its eliminated basis and
+    # out(h)'s brackets are its cached views, and no wrapper record or
+    # builder of out(h) sits beside it
+    tree = ast.parse((SRC / "superlie.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if getattr(n, "name", None) == "DerivationSpace")
+    cached = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in n.decorator_list)]
+    assert cached == ["_coordinates", "out"]
+    defined = {n.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"OuterAlgebra", "outer_algebra"} == set()
+
+
+LAYERS = ("gvs", "superlie", "catalog", "cochains", "extensions", "cohomology", "formats", "cli")
+
+
+def test_layers_import_downward():
+    # every import of a sibling, at the top or inside a function, names a
+    # lower layer, so no import cycle needs a deferred import to break it;
+    # `from . import x` names x, or the package itself for a plain attribute
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    rank = {name: k for k, name in enumerate(("__init__",) + LAYERS)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for name in [node.module] if node.module else [a.name for a in node.names]:
+                    target = name if name in rank else "__init__"
+                    if rank[target] >= rank[path.stem]:
+                        found.append(f"{path.name}:{node.lineno} imports {target}")
+    assert found == []
+
+
 def test_cli_makes_each_decision_once():
     # one table declares the subcommands, one helper reads map files, and
     # `main` dispatches every command the same way

@@ -403,34 +403,34 @@ def test_pipeline_builds_no_dense_table(monkeypatch):
     from superext.extensions import pullback_extension
 
     built, build = [], cohomology.build_extension
-    outers, outer_algebra = [], superlie.outer_algebra
+    records, derivations = [], superlie.derivations
 
     def recording_build(d):
         t = build(d)
         built.append(t)
         return t
 
-    def recording_outer(alg):
-        outers.append(outer_algebra(alg))
-        return outers[-1]
+    def recording_derivations(alg):
+        records.append(derivations(alg))
+        return records[-1]
 
     monkeypatch.setattr(cohomology, "build_extension", recording_build)
-    monkeypatch.setattr(cohomology, "outer_algebra", recording_outer)
-    monkeypatch.setattr(extensions, "outer_algebra", recording_outer)
+    monkeypatch.setattr(cohomology, "derivations", recording_derivations)
+    monkeypatch.setattr(extensions, "derivations", recording_derivations)
     h, g, k = heis3(), susy_line(), sl2()
     assert all(validate_algebra(a).ok for a in (h, g, k))
-    outer_h, outer_k = superlie.outer_algebra(h), superlie.outer_algebra(k)
+    ds_h, ds_k = derivations(h), derivations(k)
     cohomology.cohomology_space(g, cohomology.trivial_module(g), 2)
-    abar_h = GradedLinearMap.zero(g.space, outer_h.out.space)
+    abar_h = GradedLinearMap.zero(g.space, ds_h.out.space)
     rep = cohomology.classify_extensions(h, g, abar_h)
-    abar_k = GradedLinearMap.zero(g.space, outer_k.out.space)
+    abar_k = GradedLinearMap.zero(g.space, ds_k.out.space)
     t = pullback_extension(k, g, abar_k)
-    assert len(built) == len(rep.data) > 0 and len(outers) == 2
-    for a in (h, g, k, outer_h.out, outer_k.out, t.e, *(b.e for b in built)):
+    assert len(built) == len(rep.data) > 0 and len(records) == 2
+    for a in (h, g, k, ds_h.out, ds_k.out, t.e, *(b.e for b in built)):
         assert "brackets" not in vars(a)
     maps = [abar_h, abar_k, *(m for d in rep.data for m in d.alpha)]
-    for outer in (outer_h, outer_k, *outers):
-        maps += [*outer.ds.basis, outer.proj]
+    for ds in (ds_h, ds_k, *records):
+        maps += [*ds.basis, ds.proj]
     for triple in (t, *built):
         maps += [triple.incl, triple.proj, triple.section]
     assert len(maps) > 20

@@ -16,7 +16,7 @@ from superext import cohomology as coh
 from superext.catalog import gl11, heis3, osp12, sl2
 from superext.cohomology import cohomology_space, gmodule, trivial_module
 from superext.gvs import unit_vec
-from superext.superlie import ad, direct_sum, make_algebra, validate_algebra
+from superext.superlie import ad, algebra_from_table, direct_sum, make_algebra, validate_algebra
 
 from oracles import cartan_torus, cartan_weight
 
@@ -74,8 +74,12 @@ ALGEBRAS = {
     "sl2+heis3": lambda: direct_sum(sl2(), heis3()),
     "gl11+sl2+heis3": lambda: direct_sum(direct_sum(gl11(), sl2()), heis3()),
     "rescaled osp12": rescaled_osp12,
+    # x acts on kx4 with eigenvalues 0, 2, 2, 0: the adjoint module's weights
+    # are not symmetric under negation, so the sign of a tuple's weight matters
+    "kx4": lambda: algebra_from_table(("x", "v0", "v1", "z"), (0, 0, 1, 1),
+                                      {("x", "v0"): {"v0": 2}, ("x", "v1"): {"v1": 2}}),
 }
-CASES = [(name, module) for name in ("sl2", "gl11", "osp12", "rescaled osp12")
+CASES = [(name, module) for name in ("sl2", "gl11", "osp12", "rescaled osp12", "kx4")
          for module in ("trivial", "adjoint")] + \
         [("sl2+heis3", "trivial"), ("gl11+sl2+heis3", "trivial")]
 MODULES = {"trivial": trivial_module, "adjoint": adjoint_module}
