@@ -328,16 +328,10 @@ def cmd_section_data(args) -> int:
     incl = _load_map(args.i, (hname, halg.space), (ename, ealg.space))
     proj = _load_map(args.p, (ename, ealg.space), (gname, galg.space))
     sec = _load_map(args.section, (gname, galg.space), (ename, ealg.space))
-    try:
-        triple = ExtensionTriple(halg, galg, ealg, incl, proj, sec)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    triple = _checked(ExtensionTriple, halg, galg, ealg, incl, proj, sec)
     if not validate_triple(triple):
         raise CheckFailed("the maps do not form an exact sequence of homomorphisms")
-    try:
-        datum = induced_data(triple)
-    except ValueError as ex:
-        raise CheckFailed(str(ex)) from None
+    datum = _checked(induced_data, triple)
     written = _write_output(args.output, _datum_file_doc(datum, gname, hname))
     report = {
         "command": "section-data",

@@ -35,6 +35,7 @@ from .superlie import (
     DerivationSpace,
     SuperLieAlgebra,
     _ad_flat,
+    _block_sum,
     ad,
     bracket_algebra,
     center,
@@ -243,20 +244,13 @@ def _require_valid(d: ExtensionDatum) -> None:
 def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
     """The bracket table on h (+) g from a datum, with no validity check.
 
-    It is written from the nonzero entries of h's and g's tables, as their
-    `structure` lists them, and of each alpha operator and of rho.  For a
-    datum failing the extension conditions the result fails the Jacobi
-    identity; `build_extension` is the checked entry point.  Basis names
-    get the suffixes .h and .g if h and g share one.
+    It is `_block_sum`'s table of h and g, names suffixed .h and .g on a
+    clash, with the nonzero entries of each alpha operator and of rho added.
+    For a datum failing the extension conditions the result fails the Jacobi
+    identity; `build_extension` is the checked entry point.
     """
-    g, h = d.g, d.h
-    nh, par = h.dim, h.space.parities + g.space.parities
-    names_h, names_g = h.space.names, g.space.names
-    if set(names_h) & set(names_g):
-        names_h, names_g = [n + ".h" for n in names_h], [n + ".g" for n in names_g]
-    table = {(s + i, s + j): {s + k: Fraction(c, den) for k, c in v}
-             for s, (den, nz) in ((0, h.structure), (nh, g.structure))
-             for i, row in enumerate(nz) for j, v in enumerate(row) if v}
+    space, table = _block_sum(d.h, d.g, (".h", ".g"))
+    nh, par = d.h.dim, space.parities
 
     def put(i, j, k, x):  # [e_i, e_j] gets x e_k, and [e_j, e_i] its graded mirror
         table.setdefault((i, j), {})[k] = x
@@ -270,8 +264,7 @@ def raw_extension_algebra(d: ExtensionDatum) -> SuperLieAlgebra:
         for k, x in enumerate(val):
             if x:
                 put(nh + i, nh + j, k, x)
-    space = SuperVectorSpace(tuple(names_h) + tuple(names_g), par)
-    return make_algebra(space, {ij: dense_vec(v, nh + g.dim) for ij, v in table.items()})
+    return make_algebra(space, {ij: dense_vec(v, space.dim) for ij, v in table.items()})
 
 
 def build_extension(d: ExtensionDatum) -> ExtensionTriple:
@@ -312,9 +305,7 @@ def transform_datum(d: ExtensionDatum, b: GradedLinearMap) -> ExtensionDatum:
     """
     if b.domain != d.g.space or b.codomain != d.h.space:
         raise ValueError("witness must map g to h")
-    if b.degree != 0:
-        raise ValueError("witness must be degree 0")
-    bc = witness_cochain(b)
+    bc = witness_cochain(b)  # refuses a witness of nonzero degree
     alpha = tuple(
         op + ad(d.h, b.column(i), degree=d.g.space.parities[i])
         for i, op in enumerate(d.alpha)

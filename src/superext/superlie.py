@@ -165,17 +165,24 @@ def abelian_algebra(names: Sequence[str], parities: Sequence[int]) -> SuperLieAl
     return make_algebra(SuperVectorSpace(tuple(names), tuple(parities)), {})
 
 
-def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra) -> SuperLieAlgebra:
-    """Direct sum with the basis of `a` first; names get .1 and .2 only on clash."""
-    names_a, names_b = list(a.space.names), list(b.space.names)
+def _block_sum(a: SuperLieAlgebra, b: SuperLieAlgebra, suffixes: tuple[str, str]):
+    """The space of a (+) b, basis of `a` first, and its two-block table
+    {(i, j): {k: nonzero Fraction}}; names get the suffixes only on clash."""
+    names_a, names_b = a.space.names, b.space.names
     if set(names_a) & set(names_b):
-        names_a = [n + ".1" for n in names_a]
-        names_b = [n + ".2" for n in names_b]
-    space = SuperVectorSpace(tuple(names_a + names_b), a.space.parities + b.space.parities)
-    table = {(s + i, s + j): dense_vec({s + k: Fraction(c, den) for k, c in v}, space.dim)
+        names_a = tuple(n + suffixes[0] for n in names_a)
+        names_b = tuple(n + suffixes[1] for n in names_b)
+    space = SuperVectorSpace(names_a + names_b, a.space.parities + b.space.parities)
+    table = {(s + i, s + j): {s + k: Fraction(c, den) for k, c in v}
              for s, (den, nz) in ((0, a.structure), (a.dim, b.structure))
              for i, row in enumerate(nz) for j, v in enumerate(row) if v}
-    return make_algebra(space, table)
+    return space, table
+
+
+def direct_sum(a: SuperLieAlgebra, b: SuperLieAlgebra) -> SuperLieAlgebra:
+    """Direct sum with the basis of `a` first; names get .1 and .2 only on clash."""
+    space, table = _block_sum(a, b, (".1", ".2"))
+    return make_algebra(space, {ij: dense_vec(v, space.dim) for ij, v in table.items()})
 
 
 class ValidationReport(Record):
@@ -310,27 +317,34 @@ def center(alg: SuperLieAlgebra) -> list[Vector]:
     return [dense_vec(v, alg.dim) for v in sparse_kernel_basis(rows, alg.dim)]
 
 
+def _leibniz_terms(nz, s: int, a: int, b: int, cols) -> Iterator[tuple[int, int, object]]:
+    """den (D[e_a,e_b] - [De_a,e_b] - s[e_a,De_b]) over the integer table `nz`, term by
+    term: (k, c, x) adds c x to component k, for each entry (i, x) of D's column
+    lists `cols`, which hold values for a given D or the slots of an unknown one."""
+    for m, c in nz[a][b]:  # D[e_a, e_b] = sum_m c^m_ab D e_m
+        for k, x in cols[m]:
+            yield k, c, x
+    for i, x in cols[a]:  # -[D e_a, e_b] = -sum_i D_ia [e_i, e_b]
+        for k, c in nz[i][b]:
+            yield k, -c, x
+    for i, x in cols[b]:  # -s [e_a, D e_b] = -s sum_i D_ib [e_a, e_i]
+        for k, c in nz[a][i]:
+            yield k, -s * c, x
+
+
 def is_derivation(alg: SuperLieAlgebra, d: GradedLinearMap) -> bool:
     """Graded Leibniz check D[X,Y] = [DX,Y] + (-1)^{deg D * x}[X,DY] on all pairs.
 
-    Each residual, den times its value, is summed over the integer
-    `structure` and the nonzero entries of D.
+    Each residual, den times its value, is summed by `_leibniz_terms` over
+    the integer `structure` and the nonzero entries of D.
     """
-    n, nz, cols = alg.dim, alg.structure[1], d.columns
+    n, nz = alg.dim, alg.structure[1]
     for a in range(n):
         s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1
         for b in range(n):
             res: dict[int, Fraction] = {}
-            for m, c in nz[a][b]:  # D[e_a, e_b]
-                for k, x in cols[m]:
-                    res[k] = res.get(k, 0) + c * x
-            for i, x in cols[a]:  # -[D e_a, e_b]
-                for k, c in nz[i][b]:
-                    res[k] = res.get(k, 0) - x * c
-            for i, x in cols[b]:  # -(-1)^{deg D * x_a} [e_a, D e_b]
-                sx = s * x
-                for k, c in nz[a][i]:
-                    res[k] = res.get(k, 0) - sx * c
+            for k, c, x in _leibniz_terms(nz, s, a, b, d.columns):
+                res[k] = res.get(k, 0) + c * x
             if any(res.values()):
                 return False
     return True
@@ -410,9 +424,9 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     D[e_a,e_b] - [D e_a,e_b] - (-1)^{deg*x_a}[e_a,D e_b] = 0.  On a graded
     antisymmetric table the rows of (b, a) are -(-1)^{x_a x_b} times those
     of (a, b), so only pairs a <= b are written, and the kernel, which
-    depends on the row space only, is unchanged.  The rows are sparse
-    {slot: int} dicts over the integer `structure`, all den times their
-    values, and go straight to `sparse_kernel_basis`.
+    depends on the row space only, is unchanged.  The rows, summed by
+    `_leibniz_terms` over the integer `structure`, are sparse {slot: int}
+    dicts, all den times their values, and go straight to `sparse_kernel_basis`.
     """
     sp = alg.space
     n = alg.dim
@@ -431,18 +445,9 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
             s = -1 if (deg * sp.parities[a]) % 2 else 1
             for b in range(a, n):
                 rows: dict[int, dict[int, int]] = {}  # component k -> row
-                for m, c in nz[a][b]:  # D([e_a,e_b]) = sum_m c^m_ab D e_m
-                    for k, t in col_slots[m]:
-                        r = rows.setdefault(k, {})
-                        r[t] = r.get(t, 0) + c
-                for i, t in col_slots[a]:  # -[D e_a, e_b] = -sum_i D_ia [e_i, e_b]
-                    for k, c in nz[i][b]:
-                        r = rows.setdefault(k, {})
-                        r[t] = r.get(t, 0) - c
-                for i, t in col_slots[b]:  # -(-1)^{deg*x_a} sum_i D_ib [e_a, e_i]
-                    for k, c in nz[a][i]:
-                        r = rows.setdefault(k, {})
-                        r[t] = r.get(t, 0) - s * c
+                for k, c, t in _leibniz_terms(nz, s, a, b, col_slots):
+                    r = rows.setdefault(k, {})
+                    r[t] = r.get(t, 0) + c
                 for r in rows.values():
                     r = {t: x for t, x in r.items() if x}
                     if r:

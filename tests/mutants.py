@@ -35,6 +35,7 @@ DIFFERENTIAL = "tests/test_differential.py"
 HUMAN = "tests/test_cli_human.py"
 GVS = "tests/test_gvs.py"
 TORUS = "tests/test_torus.py"
+COEFFICIENTS = "tests/test_coefficients.py"
 
 
 class Mutant(NamedTuple):
@@ -95,12 +96,12 @@ MUTANTS = [
            "yield (1 if (word[i] * weight + a[i]) % 2 else -1)", (DIFFERENTIAL,)),
     Mutant("Jacobi sign dropped", "superlie.py",
            "s = -1 if (sp.parities[a] * sp.parities[c]) % 2 else 1", "s = 1", (STRUCTURE,)),
-    Mutant("Leibniz third-term sign flipped", "superlie.py",
-           "r[t] = r.get(t, 0) - s * c", "r[t] = r.get(t, 0) + s * c", (STRUCTURE,)),
+    Mutant("Leibniz terms: third-term sign flipped", "superlie.py",
+           "yield k, -s * c, x", "yield k, s * c, x", (STRUCTURE,)),
     Mutant("half Leibniz system on pairs a < b", "superlie.py",
            "for b in range(a, n):", "for b in range(a + 1, n):", (STRUCTURE,)),
-    Mutant("is_derivation sign dropped", "superlie.py",
-           "res[k] = res.get(k, 0) - sx * c", "res[k] = res.get(k, 0) - x * c", (STRUCTURE,)),
+    Mutant("is_derivation's sign held at 1", "superlie.py",
+           "s = -1 if (d.degree * alg.space.parities[a]) % 2 else 1", "s = 1", (STRUCTURE,)),
     Mutant("commutator sign flipped", "gvs.py",
            "sign = 1 if a.degree * b.degree else -1", "sign = -1 if a.degree * b.degree else 1",
            (STRUCTURE,)),
@@ -182,6 +183,17 @@ MUTANTS = [
     Mutant("lift coordinates padded after the out(h) part", "superlie.py",
            "zero_vec(self.inner_count) + vec(x)", "vec(x) + zero_vec(self.inner_count)",
            ("tests/test_superlie.py",)),
+    # ---- the h (+) g block table, and the classification's check of its data ----
+    Mutant("_block_sum adds the second block at offset 0", "superlie.py",
+           "(a.dim, b.structure)", "(0, b.structure)", (STRUCTURE,)),
+    Mutant("classification checks data[0] only", "cohomology.py",
+           "if not all(check_datum(d).ok for d in data):", "if not check_datum(data[0]).ok:",
+           ("tests/test_cohomology.py",)),
+    # ---- modules beyond trivial and adjoint: the differential's action rows, the torus ----
+    Mutant("differential: action rows sized by g, not by the module", "cochains.py",
+           "target.dim)] for op in alpha_ops]", "src.dim)] for op in alpha_ops]", (COEFFICIENTS,)),
+    Mutant("torus: a toral element need not act diagonally on M", "cohomology.py",
+           "for diag in (brackets, op)", "for diag in (brackets,)", (COEFFICIENTS,)),
     # ---- the map record: sparse columns, the dense matrix a view ----
     Mutant("map constructor keeps zero entries", "gvs.py",
            "for i, a in ((i, scalar(a)) for i, a in col) if a))",

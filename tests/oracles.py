@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from superext.gvs import (GradedLinearMap, _commutator, linear_map, scalar, unit_vec, vec, vec_add,
-                          vec_scale, zero_vec)
+from superext.gvs import (GradedLinearMap, SuperVectorSpace, _commutator, linear_map, scalar,
+                          unit_vec, vec, vec_add, vec_scale, zero_vec)
 from superext.superlie import (DerivationSpace, SuperLieAlgebra, ValidationReport, _flat_map,
                                bracket_algebra)
 from superext.cochains import (TRIVIAL_LINE, Cochain, canonical_tuples, differential_matrix,
@@ -742,6 +742,87 @@ def dense_curvature_failures(d: ExtensionDatum) -> list[str]:
                         f"{g.space.names[j]},{g.space.names[k]}) = {res}"
                     )
     return fails
+
+
+# ---------- modules from closed forms, as (space, one operator per basis element of g) ----------
+
+def _module(parities, degrees, matrices):
+    space = SuperVectorSpace(tuple(f"m{k}" for k in range(len(parities))), tuple(parities))
+    return space, tuple(linear_map(space, space, d, m) for d, m in zip(degrees, matrices))
+
+
+def sl2_irrep(n: int):
+    """sl(2)'s V_n on the weight basis v_0..v_n, acted on by H, E, F (`catalog.sl2`'s order):
+    H v_k = (n - 2k) v_k, F v_k = v_{k+1}, E v_k = k (n - k + 1) v_{k-1}."""
+    def matrix(entry):  # entry(i, k): the v_i coefficient of X v_k
+        return [[Fraction(entry(i, k)) for k in range(n + 1)] for i in range(n + 1)]
+
+    return _module((0,) * (n + 1), (0, 0, 0), (
+        matrix(lambda i, k: (n - 2 * k) * (i == k)),
+        matrix(lambda i, k: k * (n - k + 1) * (i == k - 1)),
+        matrix(lambda i, k: i == k + 1)))
+
+
+def osp12_standard():
+    """osp(1|2) on (e0 | e1, e2), acted on by H, E, F, Q+, Q- (`catalog.osp12`'s order):
+    H = diag(0, 1, -1), E = E_12, F = E_21, Q+ = E_02 + E_10, Q- = E_01 - E_20."""
+    def unit(*entries):  # sum of c E_ij
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        for i, j, c in entries:
+            m[i][j] = Fraction(c)
+        return m
+
+    return _module((0, 1, 1), (0, 0, 0, 1, 1), (
+        unit((1, 1, 1), (2, 2, -1)), unit((1, 2, 1)), unit((2, 1, 1)),
+        unit((0, 2, 1), (1, 0, 1)), unit((0, 1, 1), (2, 0, -1))))
+
+
+def trivial_lines(g: SuperLieAlgebra, k: int):
+    """C^k, k even lines on which g acts by 0."""
+    zero = [[Fraction(0)] * k for _ in range(k)]
+    return _module((0,) * k, g.space.parities, [zero] * g.dim)
+
+
+def module_sum(*parts):
+    """The direct sum of modules over one g: block-diagonal operators."""
+    parities = [p for space, _ in parts for p in space.parities]
+    n, blocks = len(parities), []
+    for gen in zip(*(action for _, action in parts)):
+        m, at = [[Fraction(0)] * n for _ in range(n)], 0
+        for op in gen:
+            for i, row in enumerate(op.matrix):
+                m[at + i][at:at + len(row)] = row
+            at += op.domain.dim
+        blocks.append(m)
+    return _module(parities, [op.degree for op in parts[0][1]], blocks)
+
+
+def rebased(part, i: int, j: int):
+    """The same module on the basis v_i + v_j and the other v_k (v_i, v_j of one parity):
+    each operator A becomes P^-1 A P with P = 1 + E_ji."""
+    space, action = part
+    n = space.dim
+    P = [[Fraction((r == c) + (r == j and c == i)) for c in range(n)] for r in range(n)]
+    P_inv = [[Fraction((r == c) - (r == j and c == i)) for c in range(n)] for r in range(n)]
+    return _module(space.parities, [op.degree for op in action],
+                   [dense_mat_mul(dense_mat_mul(P_inv, op.matrix), P) for op in action])
+
+
+def outer_tensor(part1, part2):
+    """M1 (x) M2 over g1 (+) g2, both modules even: g1 acts by A (x) 1, g2 by 1 (x) B;
+    basis m_a (x) m_b at position a dim M2 + b."""
+    (s1, act1), (s2, act2) = part1, part2
+    if any(s1.parities + s2.parities):
+        raise ValueError("outer_tensor takes even modules only")
+    n1, n2 = s1.dim, s2.dim
+
+    def matrix(entry):  # entry(a, b, a2, b2): the m_a (x) m_b coefficient of X (m_a2 (x) m_b2)
+        return [[entry(r // n2, r % n2, c // n2, c % n2) for c in range(n1 * n2)]
+                for r in range(n1 * n2)]
+
+    ops = [matrix(lambda a, b, a2, b2, A=op.matrix: A[a][a2] * (b == b2)) for op in act1]
+    ops += [matrix(lambda a, b, a2, b2, B=op.matrix: B[b][b2] * (a == a2)) for op in act2]
+    return _module((0,) * (n1 * n2), [op.degree for op in act1 + act2], ops)
 
 
 def graded_commutator(a: GradedLinearMap, b: GradedLinearMap) -> GradedLinearMap:

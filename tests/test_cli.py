@@ -245,6 +245,19 @@ def test_section_data_rejects_non_section():
     assert r.returncode == 2  # domain/codomain names do not match
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_section_data_refuses_a_map_that_is_not_a_right_inverse(flags, tmp_path):
+    # Q -> 2Q is a degree-0 map a01 -> susy_line, but p(s(Q)) = 2Q
+    doc = json.loads((INPUTS / "s_susy.json").read_text())
+    doc["matrix"] = [["0"], ["2"]]
+    (tmp_path / "s_twice.json").write_text(json.dumps(doc))
+    r = run_cli(["section-data", "--e", "susy_line.json", "--h", "a10.json",
+                 "--g", "a01.json", "--i", "i_susy.json", "--p", "p_susy.json",
+                 "--section", str(tmp_path / "s_twice.json"), *flags])
+    assert (r.returncode, r.stdout) == (1, b"")
+    assert r.stderr == b"check failed: section is not a right inverse of the projection\n"
+
+
 def test_cochain_non_canonical_tuple_rejected(tmp_path):
     doc = {
         "g": str(INPUTS / "a20.json"), "h": str(INPUTS / "a10.json"),

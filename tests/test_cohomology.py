@@ -546,24 +546,42 @@ def test_classify_heisenberg_two_classes():
     assert centers == [1, 3]  # direct sum vs the Heisenberg algebra
 
 
-@pytest.mark.parametrize("kernel", ["heis3", "gl11"])
+def unobstructed_h_t():
+    """An h_T member with T^2 = 0 (T w0 = v0, T v0 = 0), over A(0|1) by the class of D."""
+    h, d, _ = h_t(1, 1, [[1]], [[0]])
+    g, ds = abelian_algebra(("Q",), (1,)), derivations(h)
+    coords = ds.coordinates_of(d)
+    return h, g, linear_map(g.space, ds.out.space, 0, tuple((c,) for c in coords[ds.inner_count:]))
+
+
+@pytest.mark.parametrize("kernel", ["heis3", "gl11", "h_T"])
 def test_classify_checks_each_datum_once(monkeypatch, kernel):
-    # build_extension checks its datum; the classification adds no second
-    # check, through any superext binding of check_datum
+    # the classification checks each emitted datum once, through any
+    # superext binding of check_datum, and builds no algebra to do it
     from superext import extensions
-    h, g = {"heis3": heis3, "gl11": gl11}[kernel](), abelian(2, 0, "u")
-    check, calls = extensions.check_datum, []
+    if kernel == "h_T":
+        h, g, abar = unobstructed_h_t()
+    else:
+        h, g = {"heis3": heis3, "gl11": gl11}[kernel](), abelian(2, 0, "u")
+        abar = zero_abar(h, g)
+    check, raw, calls, built = extensions.check_datum, extensions.raw_extension_algebra, [], []
 
     def counted(d):
         calls.append(d)
         return check(d)
 
+    def counted_raw(d):
+        built.append(d)
+        return raw(d)
+
     for mod in list(sys.modules.values()):
         if mod.__name__.split(".")[0] == "superext" and vars(mod).get("check_datum") is check:
             monkeypatch.setattr(mod, "check_datum", counted)
-    rep = classify_extensions(h, g, zero_abar(h, g))
-    assert len(rep.data) == 2
+    monkeypatch.setattr(extensions, "raw_extension_algebra", counted_raw)
+    rep = classify_extensions(h, g, abar)
+    assert len(rep.data) == (1 if kernel == "h_T" else 2)
     assert calls == list(rep.data)
+    assert built == []
 
 
 def test_classify_susy_pair():

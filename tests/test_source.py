@@ -100,6 +100,15 @@ def test_delta_stencil_has_one_caller():
     assert found == ["cochains.py:differential_matrix"]
 
 
+def test_leibniz_rule_and_block_table_written_once():
+    # the graded Leibniz residual and the h (+) g block table each have one
+    # writer, read by exactly the two jobs that need them
+    assert _references("_leibniz_terms") == {
+        "superlie.py:is_derivation", "superlie.py:_derivation_basis_of_parity.leibniz_rows"}
+    assert _references("_block_sum") == {
+        "superlie.py:direct_sum", "extensions.py:raw_extension_algebra"}
+
+
 def _references(name: str) -> set[str]:
     """"file:enclosing def" for every read of `name`, as a name or an attribute, under src/."""
     found = set()
