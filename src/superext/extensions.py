@@ -24,7 +24,6 @@ from .gvs import (
     Vector,
     _map,
     dense_vec,
-    sparse_kernel_basis,
     sparse_transpose,
     unit_vec,
     vec_add,
@@ -38,7 +37,6 @@ from .superlie import (
     _block_sum,
     ad,
     bracket_algebra,
-    center,
     commutator_defect,
     derivations,
     is_derivation,
@@ -378,11 +376,13 @@ def pullback_extension(
     """The extension of g by a centerless h induced by abar: g -> out(h).
 
     The total algebra is the subalgebra {(D, X) : pi(D) = abar(X)} of
-    der(h) x g with the product bracket; h embeds as H -> (ad_H, 0) and
-    the projection forgets the derivation part.  The carried section is
-    the canonical one through the lift coordinates of `lift_alpha_bar`, so
-    the datum it induces is exactly (lifted abar, its curvature).  der(h)
-    and out(h) are built once, here.
+    der(h) x g with the product bracket.  Its basis is read off der(h)'s
+    inner-first coordinates: (D_k, 0) for the inner members, then
+    (alpha_j, e_j) for the lifts of `lift_alpha_bar`.  h embeds as
+    H -> (ad_H, 0), the projection forgets the derivation part, and the
+    carried section is X_j -> (alpha_j, e_j), so the datum it induces is
+    exactly (lifted abar, its curvature).  der(h) and out(h) are built
+    once, here.
     """
     return _pullback_extension(derivations(h), g, abar)
 
@@ -390,46 +390,26 @@ def pullback_extension(
 def _pullback_extension(ds: DerivationSpace, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ExtensionTriple:
     """`pullback_extension` on the caller's `derivations(h)`."""
-    h = ds.algebra
-    if center(h):
+    h, c, n = ds.algebra, ds.inner_count, g.dim
+    if c != h.dim:  # ad is injective exactly when Z(h) = 0
         raise ValueError("pullback construction requires a centerless kernel")
-    lift_alpha_bar(ds, g, abar)  # checks abar; the section reuses its coordinates
-    m, n = len(ds.basis), g.dim
-    # pi(D) - abar(X) = 0, one sparse row per out(h) coordinate
-    cond = sparse_transpose(map(dict, ds.proj.columns + abar.scale(-1).columns), ds.out.dim)
-    kern = [dense_vec(v, m + n) for v in sparse_kernel_basis(cond, m + n)]
-    prod_parities = ds.space.parities + g.space.parities
+    maps = ds.basis[:c] + lift_alpha_bar(ds, g, abar)
+    e_space = SuperVectorSpace(tuple(f"e{k}" for k in range(c + n)),
+                               ds.space.parities[:c] + g.space.parities)
+    xs = [zero_vec(n)] * c + [unit_vec(n, j) for j in range(n)]  # the g parts
 
-    def vec_parity(v: Vector) -> int:
-        ps = {prod_parities[i] for i, a in enumerate(v) if a != 0}
-        if len(ps) > 1:
-            raise RuntimeError("internal fault: inhomogeneous pullback basis vector")
-        return ps.pop() if ps else 0
-
-    e_space = SuperVectorSpace(
-        tuple(f"e{k}" for k in range(len(kern))),
-        tuple(vec_parity(v) for v in kern),
-    )
-    kern_system = LinearSystem(kern, m + n)
-
-    def to_e_coords(w: Vector) -> Vector:
-        x = kern_system.solve(w)
-        if x is None:
+    def to_e_coords(d: Vector, x: Vector) -> Vector:  # pi keeps d[c:], so e holds d[:c] + x
+        if d[c:] != abar.apply(x):
             raise RuntimeError("internal fault: vector not in the pullback subalgebra")
-        return x
+        return d[:c] + x
 
-    # the der(h) part of each member, so a bracket is one commutator of two maps
-    maps = [ds.combination(v[:m], p) for v, p in zip(kern, e_space.parities)]
     e = bracket_algebra(e_space, lambda a, b: to_e_coords(
-        ds.bracket(maps[a], maps[b]) + g.bracket_vec(kern[a][m:], kern[b][m:])))
-
-    incl_cols = [to_e_coords(ds.coordinates_of(_ad_flat(h, unit_vec(h.dim, k))) + zero_vec(n))
-                 for k in range(h.dim)]
-    incl = _map(h.space, e_space, 0, incl_cols)
-    proj_e = _map(e_space, g.space, 0, [v[m:] for v in kern])
-    sec_cols = [to_e_coords(ds.lift_coordinates(abar.column(j)) + unit_vec(n, j))
-                for j in range(n)]
-    section = _map(g.space, e_space, 0, sec_cols)
+        ds.bracket(maps[a], maps[b]), g.bracket_vec(xs[a], xs[b])))
+    incl = _map(h.space, e_space, 0, [
+        to_e_coords(ds.coordinates_of(_ad_flat(h, unit_vec(h.dim, k))), zero_vec(n))
+        for k in range(h.dim)])
+    proj_e = _map(e_space, g.space, 0, xs)
+    section = _map(g.space, e_space, 0, [{c + j: 1} for j in range(n)])
     triple = ExtensionTriple(h, g, e, incl, proj_e, section)
     if not validate_algebra(e).ok or not validate_triple(triple):
         raise RuntimeError("internal fault: pullback algebra failed validation")

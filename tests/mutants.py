@@ -183,6 +183,15 @@ MUTANTS = [
     Mutant("lift coordinates padded after the out(h) part", "superlie.py",
            "zero_vec(self.inner_count) + vec(x)", "vec(x) + zero_vec(self.inner_count)",
            ("tests/test_superlie.py",)),
+    # ---- the pullback's basis read off der(h)'s inner-first coordinates ----
+    Mutant("pullback parities taken from h's basis", "extensions.py",
+           "ds.space.parities[:c] + g.space.parities", "h.space.parities + g.space.parities",
+           (HUMAN,)),
+    Mutant("pullback section at e_j, not at the lift of e_j", "extensions.py",
+           "[{c + j: 1} for j in range(n)]", "[{j: 1} for j in range(n)]",
+           ("tests/test_extensions.py",)),
+    Mutant("pullback refuses only a kernel with more inner members than dim h", "extensions.py",
+           "if c != h.dim:", "if c > h.dim:", ("tests/test_extensions.py",)),
     # ---- the h (+) g block table, and the classification's check of its data ----
     Mutant("_block_sum adds the second block at offset 0", "superlie.py",
            "(a.dim, b.structure)", "(0, b.structure)", (STRUCTURE,)),

@@ -493,11 +493,12 @@ def dense_mat_vec(A, v):
 
 
 def dense_bracket(alg: SuperLieAlgebra, u, v):
-    """[u, v] as the full double sum of u_i v_j [e_i, e_j] over the table."""
+    """[u, v] as the full double sum of u_i v_j [e_i, e_j] over the table
+    (terms with u_i = 0 or v_j = 0 are zero and are skipped)."""
     n = alg.dim
-    return tuple(sum((Fraction(u[i]) * Fraction(v[j]) * alg.brackets[i][j][k]
-                      for i in range(n) for j in range(n)), Fraction(0))
-                 for k in range(n))
+    pairs = [(Fraction(u[i]) * Fraction(v[j]), alg.brackets[i][j])
+             for i in range(n) if u[i] for j in range(n) if v[j]]
+    return tuple(sum((c * w[k] for c, w in pairs), Fraction(0)) for k in range(n))
 
 
 # ---------- the Lie-algebra layer on dense structure constants ----------

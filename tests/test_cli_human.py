@@ -4,7 +4,10 @@
   `CASES` and `OBSTRUCTED` run without `--json` (`validate_ok` without it
   is `validate_human`, already in `CASES`), and of the `WRITTEN` runs;
 - `golden/expected_obstructed/<name>.out`: the JSON reports of `OBSTRUCTED`,
-  an outer action whose degree-3 obstruction class is nonzero.
+  an outer action whose degree-3 obstruction class is nonzero;
+- `golden/expected_super/<name>.out`: the JSON reports of `SUPER`, a
+  pullback whose kernel's basis parities are not in the order of its inner
+  derivations' parities.
 
 Human output is pinned byte for byte, as the JSON reports are.  `WRITTEN`
 runs pass `-o written.json` and run in a temporary copy of the inputs, so
@@ -35,6 +38,15 @@ OBSTRUCTED = [
       "--alpha-bar", "ab_a01_kx4.json", "--json"], 1),
 ]
 
+# osp12_std = osp(1|2) ⋉ its (1|2) module v0 | v1, v2 (`oracles.osp12_standard`):
+# centerless, der 9 = inner 8 + the scaling of the module, so out = (1|0);
+# abar sends the even t of A(1|1) to that scaling and the odd Q to 0
+SUPER = [
+    ("pullback_super",
+     ["pullback", "--g", "a11.json", "--h", "osp12_std.json",
+      "--alpha-bar", "ab_a11_osp12_std.json", "--json"], 0),
+]
+
 HUMAN = [(name, [a for a in argv if a != "--json"], code)
          for name, argv, code in CASES + OBSTRUCTED
          if "--json" in argv and name != "validate_ok"]
@@ -60,6 +72,13 @@ def test_obstructed_golden(name, argv, want_exit):
     r = run_cli(argv)
     assert r.returncode == want_exit, r.stderr.decode()
     assert r.stdout == (GOLDEN / "expected_obstructed" / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name,argv,want_exit", SUPER, ids=[c[0] for c in SUPER])
+def test_super_golden(name, argv, want_exit):
+    r = run_cli(argv)
+    assert r.returncode == want_exit, r.stderr.decode()
+    assert r.stdout == (GOLDEN / "expected_super" / f"{name}.out").read_bytes()
 
 
 @pytest.mark.parametrize("name,argv,want_exit", HUMAN, ids=[c[0] for c in HUMAN])

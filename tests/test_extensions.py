@@ -513,6 +513,40 @@ def test_pullback_matches_product_bracket_oracle(case):
             assert tuple(got) == product_bracket(der_alg, g, u, v), (case, a, b)
 
 
+def test_pullback_eliminates_nothing_beyond_der_coordinates(monkeypatch):
+    # e's basis is read off der(h)'s inner-first coordinates: on a caller's
+    # der(h) whose out(h) has been read, the pullback builds no LinearSystem
+    # and solves no kernel, and the centerless test is inner_count == dim h
+    import sys
+    from superext import gvs, superlie
+    from superext.extensions import _pullback_extension
+
+    h = _sl2_semidirect_plane()
+    ds = derivations(h)
+    g = abelian(1, 0, "t")
+    abar = linear_map(g.space, ds.out.space, 0, ((F(1),),))
+    counts = {"LinearSystem": 0, "sparse_kernel_basis": 0, "center": 0}
+    init = gvs.LinearSystem.__init__
+
+    def counted_init(self, *args):
+        counts["LinearSystem"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
+    for name, fn in (("sparse_kernel_basis", gvs.sparse_kernel_basis),
+                     ("center", superlie.center)):
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.split(".")[0] == "superext" and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    t = _pullback_extension(ds, g, abar)
+    assert counts == {"LinearSystem": 0, "sparse_kernel_basis": 0, "center": 0}
+    assert t.e.dim == h.dim + g.dim
+
+
 def test_pullback_rejects_centered_kernel():
     h = heis3()
     out_alg, _ = out_quotient(h)
