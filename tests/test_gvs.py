@@ -276,6 +276,19 @@ def test_sparse_inputs_with_zeros_match_dense_ones(matrix):
         assert zeros.solve(b) == dense.solve(with_zeros([b])[0]) == dense.solve(b)
 
 
+def test_entry_points_leave_integer_rows_unchanged():
+    # all-int rows, explicit zeros included, are read and never written:
+    # an entry point that reduced them in place would corrupt its caller's data
+    rows = [{0: 2, 1: 0, 2: -4}, {1: 3, 2: 6}, {0: 1, 2: 0}, {0: 0}]
+    rhs = {0: 4, 1: 0, 2: -2}
+    kept = [dict(r) for r in rows], dict(rhs)
+    system = LinearSystem(rows, 3)
+    system.solve(rhs)
+    IncrementalSpan(rows).rows()
+    sparse_kernel_basis(rows, 3)
+    assert (rows, rhs) == kept
+
+
 def test_linear_system_checks_dense_column_length():
     with pytest.raises(ValueError, match="column 1 has 1 entries, not 2"):
         LinearSystem([(1, 2), (3,)], 2)

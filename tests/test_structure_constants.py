@@ -96,6 +96,22 @@ def test_rescaled_algebras_have_fractional_structure_constants(name, lcm):
     assert math.lcm(*dens) == lcm
 
 
+@pytest.mark.parametrize("entry, error, message", [
+    (0.0, TypeError, "not an exact rational: 0.0"),
+    (1.5, TypeError, "not an exact rational: 1.5"),
+    ("0.5", ValueError, "not an exact rational 'p' or 'p/q': '0.5'"),
+    ("1e3", ValueError, "not an exact rational 'p' or 'p/q': '1e3'"),
+])
+def test_make_algebra_refuses_inexact_entries(entry, error, message):
+    # a dense bracket value is exact or refused, a zero float included,
+    # wherever the entry sits beside exact zeros
+    space = sl2().space
+    for value in ((entry, 0, 0), (0, F(0), entry), (1, entry, 0)):
+        with pytest.raises(error) as info:
+            make_algebra(space, {(0, 1): value})
+        assert str(info.value) == message
+
+
 def all_fractions(m):
     return all(type(x) is F for row in m for x in row)
 
