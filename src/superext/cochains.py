@@ -391,11 +391,16 @@ def covariant_delta(
     """
     if phi.source != source_alg.space:
         raise ValueError("cochain source does not match the algebra")
-    rows, src_basis, dst_basis, scale = differential_matrix(source_alg, alpha_ops, phi.target,
-                                                            phi.arity, phi.weight)
+    return _apply_delta(differential_matrix(source_alg, alpha_ops, phi.target, phi.arity,
+                                            phi.weight), phi)
+
+
+def _apply_delta(delta, phi: Cochain) -> Cochain:
+    """phi's image under `delta`, the `differential_matrix` of phi's (arity, weight) cochains."""
+    rows, src_basis, dst_basis, scale = delta
     x = {k: c / scale for k, c in enumerate(cochain_coordinates(phi, src_basis)) if c}
     coords = {r: sum(c * x[k] for k, c in row.items() if k in x) for r, row in enumerate(rows)}
-    return cochain_from_coordinates(source_alg.space, phi.target, phi.arity + 1, phi.weight,
+    return cochain_from_coordinates(phi.source, phi.target, phi.arity + 1, phi.weight,
                                     dst_basis, coords)
 
 

@@ -7,8 +7,8 @@ other weights are exact).  On top of that sit, for an outer action
 g -> out(h) lifted by `superlie.lift_alpha_bar`, the canonical curvature
 solving ad_H = commutator defect, the degree-3 obstruction cocycle valued
 in the center, and the classification of extensions by the weight-0 part
-of H^2, whose emitted data are checked by `check_datum`, with no algebra
-built.  Each takes the caller's `derivations(h)`, which carries out(h).
+of H^2, whose emitted data pass `check_datum`'s conditions on one shared
+delta_alpha, no algebra built.  Each takes the caller's `derivations(h)`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .cochains import (
     space_basis,
     zero_ops,
 )
-from .extensions import ExtensionDatum, check_datum
+from .extensions import ExtensionDatum, _connection_checks, _datum_report
 
 
 class GModule(Record):
@@ -459,7 +459,8 @@ def _classify_extensions(ds: DerivationSpace, g: SuperLieAlgebra,
     for nu in reps:
         nu_h = push_center_cochain(nu, obs.center_incl)
         data.append(ExtensionDatum(g, h, obs.alpha, base.rho + nu_h))
-    if not all(check_datum(d).ok for d in data):
+    checks = _connection_checks(g, h, obs.alpha)
+    if not all(_datum_report(d, checks).ok for d in data):
         raise RuntimeError("internal fault: emitted datum fails the extension conditions")
     return ClassificationReport(obs, h2, base, tuple(reps), tuple(data),
                                 centerless, abelian_kernel)

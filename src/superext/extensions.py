@@ -47,6 +47,7 @@ from .superlie import (
 )
 from .cochains import (
     Cochain,
+    _apply_delta,
     _check_operators,
     canonical_tuples,
     cochain_coordinates,
@@ -200,37 +201,39 @@ def check_datum(d: ExtensionDatum) -> DatumReport:
 
     Three layers: each alpha operator is a graded derivation of h; the
     commutator defect [alpha_X, alpha_Y] - alpha_[X,Y] equals ad_rho(X,Y)
-    on all basis pairs; and delta_alpha rho = 0, read from `covariant_delta`.
+    on all basis pairs; and delta_alpha rho = 0, read from `_apply_delta`.
     A failure of the last is reported on each ordered basis triple as the
     cyclic curvature sum sum_cyc (-1)^{xz} (alpha_X rho(Y,Z) - rho([X,Y], Z)),
-    which is (-1)^{xz} (delta_alpha rho)(X, Y, Z).  g must be a valid
-    algebra, as `validate_algebra` checks: on a bracket that is not degree
-    0, `covariant_delta` raises ValueError.
+    which is (-1)^{xz} (delta_alpha rho)(X, Y, Z).  A classification computes
+    what alpha alone fixes, `_connection_checks`, once for all its data.  g
+    must be valid (`validate_algebra`): a bracket not of degree 0 raises ValueError.
     """
-    g, h = d.g, d.h
-    fails: list[str] = []
-    der_ok = tuple(is_derivation(h, op) for op in d.alpha)
-    for i, ok in enumerate(der_ok):
-        if not ok:
-            fails.append(f"alpha[{g.space.names[i]}] is not a graded derivation of h")
+    return _datum_report(d, _connection_checks(d.g, d.h, d.alpha))
 
-    conn_ok = True
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if commutator_defect(g, d.alpha, i, j) != _ad_flat(h, d.rho.evaluate((i, j))):
-                conn_ok = False
-                fails.append(
-                    f"commutator defect on ({g.space.names[i]},{g.space.names[j]}) "
-                    "is not ad of the curvature"
-                )
 
-    lam, par, names = covariant_delta(g, d.alpha, d.rho), g.space.parities, g.space.names
-    for i, j, k in product(range(g.dim), repeat=3) if lam.values else ():
+def _connection_checks(g: SuperLieAlgebra, h: SuperLieAlgebra, alpha):
+    """What `check_datum` reads of alpha alone: which operators are derivations of h,
+    the commutator defects of all basis pairs of g, and delta_alpha on C^2(g; h), assembled."""
+    return (tuple(is_derivation(h, op) for op in alpha),
+            {(i, j): commutator_defect(g, alpha, i, j) for i, j in product(range(g.dim), repeat=2)},
+            differential_matrix(g, alpha, h.space, 2, 0))
+
+
+def _datum_report(d: ExtensionDatum, checks) -> DatumReport:
+    """`check_datum` of d, given `_connection_checks` of its g, h and alpha."""
+    (der_ok, defects, delta), names, par = checks, d.g.space.names, d.g.space.parities
+    fails = [f"alpha[{names[i]}] is not a graded derivation of h"
+             for i, ok in enumerate(der_ok) if not ok]
+    bad = [ij for ij, defect in defects.items() if defect != _ad_flat(d.h, d.rho.evaluate(ij))]
+    fails += [f"commutator defect on ({names[i]},{names[j]}) is not ad of the curvature"
+              for i, j in bad]
+    lam = _apply_delta(delta, d.rho)
+    for i, j, k in product(range(len(names)), repeat=3) if lam.values else ():
         res = lam.evaluate((i, j, k))
         if any(res):
             res = vec_scale(Fraction(-1), res) if par[i] * par[k] else res
             fails.append(f"cyclic curvature residual on ({names[i]},{names[j]},{names[k]}) = {res}")
-    return DatumReport(der_ok, conn_ok, lam.is_zero(), tuple(fails))
+    return DatumReport(der_ok, not bad, lam.is_zero(), tuple(fails))
 
 
 def _require_valid(d: ExtensionDatum) -> None:

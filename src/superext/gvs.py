@@ -118,7 +118,9 @@ def _absorb(echelon: dict[int, dict[int, int]], row: dict, width: int | None = N
 
 
 def _integral(row: dict) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators, its zero entries dropped."""
+    """A sparse rational row times the lcm of its denominators, zeros dropped, as a new dict."""
+    if all(type(x) is int for x in row.values()):
+        return {j: x for j, x in row.items() if x}
     d = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
 
@@ -164,19 +166,30 @@ class LinearSystem:
     """
 
     def __init__(self, cols: Iterable[Sequence | dict[int, Fraction]], nrows: int):
-        cols = list(cols)
-        self.nrows, self.ncols = nrows, len(cols)
         # echelon vectors live on row indices; the tag of column j sits at nrows + j
-        self._echelon: dict[int, dict[int, int]] = {}
-        for j, col in enumerate(cols):
-            if not isinstance(col, dict):
-                col = vec(col)
-                if len(col) != nrows:
-                    raise ValueError(f"column {j} has {len(col)} entries, not {nrows}")
-                col = {i: x for i, x in enumerate(col) if x}
-            elif col and (min(col) < 0 or max(col) >= nrows):
-                raise ValueError(f"column {j} has a row index outside 0..{nrows - 1}")
-            _absorb(self._echelon, {**col, nrows + j: 1}, nrows)
+        self.nrows, self.ncols, self._echelon = nrows, 0, {}
+        for col in cols:
+            self.add_column(col)
+
+    def add_column(self, col: Sequence | dict[int, Fraction]) -> bool:
+        """Append a column to A; True if it is kept, i.e. outside the span of those before it."""
+        j, nrows = self.ncols, self.nrows
+        if not isinstance(col, dict):
+            col = vec(col)
+            if len(col) != nrows:
+                raise ValueError(f"column {j} has {len(col)} entries, not {nrows}")
+            col = {i: x for i, x in enumerate(col) if x}
+        elif col and (min(col) < 0 or max(col) >= nrows):
+            raise ValueError(f"column {j} has a row index outside 0..{nrows - 1}")
+        self.ncols += 1
+        return _absorb(self._echelon, {**col, nrows + j: 1}, nrows)
+
+    def kept_rows(self) -> list[tuple[int, dict[int, int], dict[int, int]]]:
+        """The kept columns eliminated, in pivot order, as integer (p, r, t): r = sum_j t[j] A_j,
+        and r over r[p] is a row of the RREF of the span of A's columns."""
+        n, echelon = self.nrows, self._echelon
+        return [(p, {i: x for i, x in echelon[p].items() if i < n},
+                 {i - n: x for i, x in echelon[p].items() if i >= n}) for p in sorted(echelon)]
 
     def solve(self, rhs: Sequence | dict[int, Fraction]) -> Vector | None:
         """The canonical solution of A x = rhs, dense or sparse; None if rhs is not in the image."""
@@ -493,12 +506,17 @@ def linear_map(domain: SuperVectorSpace, codomain: SuperVectorSpace, degree: int
 def _commutator(a: GradedLinearMap, b: GradedLinearMap) -> dict[int, Fraction]:
     """[a, b] = a b - (-1)^{deg a deg b} b a as {i n + j: nonzero}, for maps of one space.
 
-    Column j of a b sums b's entries (k, j) times a's column k, and b a
-    likewise; both products go into one dict over the two maps' columns.
+    Each map is scaled to ints by the lcm of its denominators, da and db.  Column j
+    of a b sums b's entries (k, j) times a's column k, and b a likewise, into one
+    int dict; each nonzero sum becomes one Fraction over da db.
     """
-    n, a_cols, b_cols = a.domain.dim, a.columns, b.columns
+    n = a.domain.dim
+    da = lcm(*(x.denominator for col in a.columns for _i, x in col))
+    db = lcm(*(x.denominator for col in b.columns for _i, x in col))
+    a_cols = [[(i, x.numerator * (da // x.denominator)) for i, x in col] for col in a.columns]
+    b_cols = [[(i, x.numerator * (db // x.denominator)) for i, x in col] for col in b.columns]
     sign = 1 if a.degree * b.degree else -1  # b a enters with sign -(-1)^{deg a deg b}
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for j, (a_col, b_col) in enumerate(zip(a_cols, b_cols)):
         for k, y in b_col:
             for i, x in a_cols[k]:
@@ -507,4 +525,4 @@ def _commutator(a: GradedLinearMap, b: GradedLinearMap) -> dict[int, Fraction]:
             sx = sign * x
             for i, y in b_cols[k]:
                 out[i * n + j] = out.get(i * n + j, 0) + sx * y
-    return {t: x for t, x in out.items() if x}
+    return {t: Fraction(x, da * db) for t, x in out.items() if x}

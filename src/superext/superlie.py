@@ -20,18 +20,17 @@ from typing import Callable, Iterator, Sequence
 
 from .gvs import (
     GradedLinearMap,
-    IncrementalSpan,
     LinearSystem,
     Record,
     SuperVectorSpace,
     Vector,
     _commutator,
     _map,
+    _rational,
     dense_vec,
     is_zero_vec,
     scalar,
     sparse_kernel_basis,
-    unit_vec,
     vec,
     vec_scale,
     zero_vec,
@@ -90,16 +89,17 @@ class SuperLieAlgebra(Record):
 
 
 def make_algebra(space: SuperVectorSpace, table: dict[tuple[int, int], Sequence]) -> SuperLieAlgebra:
-    """Algebra from a sparse {(i, j): vector} table; unlisted entries are 0."""
+    """Algebra from a sparse {(i, j): vector} table; unlisted entries are 0.  An entry
+    that is not an exact zero (int or Fraction 0) passes `scalar`: 0.0 is refused."""
     n = space.dim
     nz = [[()] * n for _ in range(n)]
     for (i, j), v in table.items():
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bracket pair ({i}, {j}) is outside the basis 0..{n - 1}")
-        v = vec(v)
         if len(v) != n:
             raise ValueError("bracket value has wrong length")
-        nz[i][j] = tuple((k, c) for k, c in enumerate(v) if c)
+        nz[i][j] = tuple((k, c) for k, c in ((k, scalar(c)) for k, c in enumerate(v)
+                                             if c or type(c) not in (int, Fraction)) if c)
     den = lcm(*(c.denominator for row in nz for v in row for _k, c in v))
     return SuperLieAlgebra(space, (den, tuple(tuple(tuple(
         (k, c.numerator * (den // c.denominator)) for k, c in v) for v in row) for row in nz)))
@@ -463,30 +463,33 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
     Basis order: inner derivations (parities 0 then 1, in reduced echelon
     form of the span of the ad matrices), then complement members taken
     from the per-parity solution bases, sifted by the same span of the ad
-    matrices.  Every call solves the system afresh.  The table must be
-    graded antisymmetric, or ValueError names the first pair that is not.
+    matrices.  One `LinearSystem` per parity holds the integer columns den
+    ad_{e_i}: each kept row (p, r, t) gives the member r / r[p] and the
+    canonical preimage den t / r[p], checked as r = sum_j t_j den ad_{e_j};
+    the Leibniz kernel is sifted as its further columns.  Every call solves
+    the system afresh.  The table must be graded antisymmetric, or
+    ValueError names the first pair that is not.
     """
     bad = next(_antisymmetry_failures(alg), None)
     if bad is not None:
         raise ValueError(f"derivations need a graded antisymmetric table: {bad}")
-    n = alg.dim
-    inner_maps: list[GradedLinearMap] = []
-    preimages: list[Vector] = []
-    outer_maps: list[list[GradedLinearMap]] = []
+    n, (den, table) = alg.dim, alg.structure
+    inner_maps, preimages, outer_maps = [], [], []  # outer_maps: one list per parity
     for deg in (0, 1):
         gens = [i for i in range(n) if alg.space.parities[i] == deg]
-        ad_flat = [_ad_flat(alg, unit_vec(n, i)) for i in gens]
-        span = IncrementalSpan(ad_flat)
-        # columns ad_{e_i}: solving against them expresses a member as ad_H
-        ad_system = LinearSystem(ad_flat, n * n)
-        for row in span.rows():
-            inner_maps.append(_flat_map(alg.space, deg, row))
-            y = ad_system.solve(row)
-            if y is None:
+        cols = [{k * n + j: c for j, v in enumerate(table[i]) for k, c in v} for i in gens]
+        system = LinearSystem(cols, n * n)
+        for p, r, ts in system.kept_rows():
+            acc: dict[int, int] = {}
+            for j, t in ts.items():
+                for i, x in cols[j].items():
+                    acc[i] = acc.get(i, 0) + t * x
+            if {i: x for i, x in acc.items() if x} != r:
                 raise RuntimeError("internal fault: an inner derivation is not an ad_H")
-            preimages.append(dense_vec(dict(zip(gens, y)), n))
+            inner_maps.append(_flat_map(alg.space, deg, _rational(r, p)))
+            preimages.append(dense_vec({gens[j]: Fraction(den * t, r[p]) for j, t in ts.items()}, n))
         outer_maps.append([d for d in _derivation_basis_of_parity(alg, deg)
-                           if span.add(d._flat_nonzeros())])
+                           if system.add_column(d._flat_nonzeros())])
     # inner parity 0, inner parity 1, complement parity 0, complement parity 1
     basis = tuple(inner_maps) + tuple(outer_maps[0]) + tuple(outer_maps[1])
     return DerivationSpace(alg, basis, len(inner_maps), tuple(preimages))

@@ -53,7 +53,9 @@ MUTANTS = [
     Mutant("dense brackets view not divided by den", "superlie.py",
            "{k: Fraction(c, den) for k, c in v}", "{k: Fraction(c) for k, c in v}", (STRUCTURE,)),
     Mutant("make_algebra keeps zero entries in structure", "superlie.py",
-           "for k, c in enumerate(v) if c)", "for k, c in enumerate(v))", (STRUCTURE,)),
+           "if c or type(c) not in (int, Fraction)) if c)", "))", (STRUCTURE,)),
+    Mutant("make_algebra skips every falsy entry unchecked, 0.0 included", "superlie.py",
+           "if c or type(c) not in (int, Fraction))", "if c)", (STRUCTURE,)),
     Mutant("bracket_vec not divided by den", "superlie.py",
            "return tuple(x / den for x in out)", "return tuple(out)", ("tests/test_solve.py",)),
     Mutant("ad not divided by den", "superlie.py",
@@ -195,9 +197,17 @@ MUTANTS = [
     # ---- the h (+) g block table, and the classification's check of its data ----
     Mutant("_block_sum adds the second block at offset 0", "superlie.py",
            "(a.dim, b.structure)", "(0, b.structure)", (STRUCTURE,)),
-    Mutant("classification checks data[0] only", "cohomology.py",
-           "if not all(check_datum(d).ok for d in data):", "if not check_datum(data[0]).ok:",
+    Mutant("the shared check applies delta_alpha to the base datum only", "cohomology.py",
+           "_datum_report(d, checks)", "_datum_report(base, checks)",
            ("tests/test_cohomology.py",)),
+    # ---- der(h) on integer rows: one tagged ad elimination, an integer commutator ----
+    Mutant("inner preimage without its den factor", "superlie.py",
+           "Fraction(den * t, r[p])", "Fraction(t, r[p])", (STRUCTURE,)),
+    Mutant("integer ad_H self-check reads the tags with the wrong sign", "superlie.py",
+           "acc[i] = acc.get(i, 0) + t * x", "acc[i] = acc.get(i, 0) - t * x", (STRUCTURE,)),
+    Mutant("_commutator scales both maps by da", "gvs.py",
+           "x.numerator * (db // x.denominator)", "x.numerator * (da // x.denominator)",
+           (STRUCTURE,)),
     # ---- modules beyond trivial and adjoint: the differential's action rows, the torus ----
     Mutant("differential: action rows sized by g, not by the module", "cochains.py",
            "target.dim)] for op in alpha_ops]", "src.dim)] for op in alpha_ops]", (COEFFICIENTS,)),

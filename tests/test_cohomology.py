@@ -1,5 +1,6 @@
 """Modules, cohomology spaces, lifts, the obstruction and classification."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -339,6 +340,14 @@ def test_obstruction_assembles_each_differential_once(monkeypatch):
     z = obs.module.space
     assert len(built) == 3 and set(built) == {(h.space, 2), (z, 2), (z, 3)}
     assert checked == [3]
+    # a classification adds one delta_alpha on C^2(g; h), shared by every
+    # emitted datum's check, so (h, 2) is assembled twice whatever the count
+    for h, g, abar in ((heis3(), abelian(2, 0, "u"), None), (gl11(), abelian(2, 0, "u"), None),
+                       unobstructed_h_t()):
+        built.clear()
+        rep = classify_extensions(h, g, abar or zero_abar(h, g))
+        assert rep.obstruction.vanishes and len(rep.data) >= 1
+        assert built.count((h.space, 2)) <= 2
 
 
 def test_primitive_of_an_exact_obstruction_cocycle(monkeypatch, rng):
@@ -554,34 +563,54 @@ def unobstructed_h_t():
     return h, g, linear_map(g.space, ds.out.space, 0, tuple((c,) for c in coords[ds.inner_count:]))
 
 
-@pytest.mark.parametrize("kernel", ["heis3", "gl11", "h_T"])
+@pytest.mark.parametrize("kernel", ["heis3", "gl11", "heis3 over gl11+A(1|0)", "h_T"])
 def test_classify_checks_each_datum_once(monkeypatch, kernel):
-    # the classification checks each emitted datum once, through any
-    # superext binding of check_datum, and builds no algebra to do it
+    # the classification builds no algebra, and it checks every emitted
+    # datum: with the second datum's nu corrupted it raises its internal
+    # fault.  Over A(2|0) the corruption is not center-valued, so the
+    # defect condition fails; over gl(1|1)+A(1|0) it is a center-valued
+    # cochain that is not closed, so only delta_alpha rho = 0 fails
+    from superext import cohomology as coh
     from superext import extensions
     if kernel == "h_T":
         h, g, abar = unobstructed_h_t()
     else:
-        h, g = {"heis3": heis3, "gl11": gl11}[kernel](), abelian(2, 0, "u")
+        h = {"heis3": heis3, "gl11": gl11}[kernel.split()[0]]()
+        g = direct_sum(gl11(), abelian(1, 0, "u")) if "over" in kernel else abelian(2, 0, "u")
         abar = zero_abar(h, g)
-    check, raw, calls, built = extensions.check_datum, extensions.raw_extension_algebra, [], []
-
-    def counted(d):
-        calls.append(d)
-        return check(d)
-
-    def counted_raw(d):
-        built.append(d)
-        return raw(d)
-
-    for mod in list(sys.modules.values()):
-        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("check_datum") is check:
-            monkeypatch.setattr(mod, "check_datum", counted)
-    monkeypatch.setattr(extensions, "raw_extension_algebra", counted_raw)
+    built = []
+    for name in ("raw_extension_algebra", "build_extension"):
+        real = getattr(extensions, name)
+        monkeypatch.setattr(extensions, name, lambda d, real=real: built.append(d) or real(d))
     rep = classify_extensions(h, g, abar)
-    assert len(rep.data) == (1 if kernel == "h_T" else 2)
-    assert calls == list(rep.data)
-    assert built == []
+    assert built == [] and len(rep.data) == (1 if kernel == "h_T" else 2)
+    if kernel == "h_T":
+        return
+    obs, rng = rep.obstruction, random.Random(kernel)
+    if "over" in kernel:
+        bad = next(c for c in iter(lambda: random_cochain(g.space, obs.module.space, 2, 0, rng),
+                                   None) if not module_delta(obs.module, c).is_zero())
+        bad = push_center_cochain(bad, obs.center_incl)
+    else:
+        bad = random_cochain(g.space, h.space, 2, 0, rng)
+    push, pushed, corrupted = coh.push_center_cochain, [], []
+
+    def corrupting(phi, incl):  # the first push is mu, the second the first nu
+        pushed.append(phi)
+        return push(phi, incl) + bad if len(pushed) == 2 else push(phi, incl)
+
+    monkeypatch.setattr(coh, "push_center_cochain", corrupting)
+    monkeypatch.setattr(coh, "ExtensionDatum", lambda *a: corrupted.append(ExtensionDatum(*a))
+                        or corrupted[-1])
+    with pytest.raises(RuntimeError, match="emitted datum fails the extension conditions"):
+        classify_extensions(h, g, abar)
+    first, second = (check_datum(d) for d in corrupted)
+    assert first.ok and not second.ok and built == []
+    if "over" in kernel:
+        assert all(second.derivation_ok) and second.commutator_defect_ok
+        assert not second.cyclic_curvature_ok
+    else:
+        assert not second.commutator_defect_ok
 
 
 def test_classify_susy_pair():

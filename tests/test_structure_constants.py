@@ -25,7 +25,15 @@ from superext import formats, superlie
 from superext.catalog import abelian, gl11, heis3, osp12, sl2, susy_line
 from superext.cochains import make_cochain
 from superext.extensions import ExtensionDatum, check_datum
-from superext.gvs import GradedLinearMap, dense_vec, linear_map, sparse_kernel_basis
+from superext.gvs import (
+    GradedLinearMap,
+    LinearSystem,
+    _commutator,
+    dense_vec,
+    linear_map,
+    sparse_kernel_basis,
+    unit_vec,
+)
 from superext.superlie import (
     ad,
     algebra_from_table,
@@ -49,6 +57,8 @@ from oracles import (
     dense_is_derivation,
     dense_is_homomorphism,
     dense_kernel_basis,
+    dense_rref,
+    dense_solve,
     dense_validate_algebra,
     derivation_algebra,
     graded_commutator,
@@ -326,6 +336,87 @@ def test_leibniz_rows_per_derivations_call(monkeypatch, name, rows):
     derivations(alg)
     assert len(seen) == rows
     assert all(type(x) is int for r in seen for x in r.values())
+
+
+@pytest.mark.parametrize("name", ["sl2+heis3", "gl11"])
+def test_derivations_eliminate_the_ad_columns_once_per_parity(monkeypatch, name):
+    # one tagged elimination per parity gives the inner rows, their
+    # preimages and the sift of the Leibniz kernel: no span beside it and
+    # no solve per inner row; sl2+heis3 has even elements only, gl(1|1) both
+    alg, systems, solves, spans = ALGEBRAS[name](), [], [], []
+
+    class Counted(LinearSystem):
+        def __init__(self, cols, nrows):
+            systems.append(nrows)
+            super().__init__(cols, nrows)
+
+        def solve(self, rhs):
+            solves.append(rhs)
+            return super().solve(rhs)
+
+    monkeypatch.setattr(superlie, "LinearSystem", Counted)
+    monkeypatch.setattr(superlie, "IncrementalSpan", lambda *a: spans.append(a), raising=False)
+    ds = derivations(alg)
+    assert ds.inner_count > 0
+    assert {d.degree for d in ds.basis} == ({0, 1} if name == "gl11" else {0})
+    assert (systems, solves, spans) == ([alg.dim ** 2] * 2, [], [])
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_inner_members_and_preimages_match_dense_oracles(name):
+    # per parity, the inner members are the RREF rows of the flattened ad
+    # matrices and each preimage is the canonical solution of its ad
+    # system; on the rescaled algebras den > 1 enters every preimage
+    alg = ALGEBRAS[name]()
+    n, ds = alg.dim, derivations(alg)
+    rows, pres = [], []
+    for deg in (0, 1):
+        gens = [i for i in range(n) if alg.space.parities[i] == deg]
+        cols = [tuple(x for row in dense_ad(alg, unit_vec(n, i), deg).matrix for x in row)
+                for i in gens]
+        red = dense_rref(cols)[0] if cols else []
+        rows += red
+        ad_rows = [[c[t] for c in cols] for t in range(n * n)]
+        pres += [dense_vec(dict(zip(gens, dense_solve(ad_rows, r, len(gens)))), n) for r in red]
+    inner = ds.basis[:ds.inner_count]
+    assert [tuple(x for row in d.matrix for x in row) for d in inner] == [tuple(r) for r in rows]
+    assert list(ds.inner_preimages) == pres
+    assert all(type(x) is F for v in ds.inner_preimages for x in v)
+
+
+def test_inner_derivation_fault_can_fire(monkeypatch):
+    # the integer check r = sum_j t_j den ad_{e_j} of each kept row stays live
+    kept = LinearSystem.kept_rows
+
+    def wrong_tags(self):
+        return [(p, r, {j: 2 * t for j, t in t.items()}) for p, r, t in kept(self)]
+
+    monkeypatch.setattr(LinearSystem, "kept_rows", wrong_tags)
+    with pytest.raises(RuntimeError, match="an inner derivation is not an ad_H"):
+        derivations(sl2())
+
+
+denominators = st.sampled_from([F(0)] * 4 + [F(1), F(-2), F(1, 2), F(-2, 3), F(5, 6), F(3, 10)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["gl11", "osp12", "sl2+heis3"]), st.integers(0, 1), st.integers(0, 1),
+       st.data())
+def test_commutator_matches_compose_on_maps_with_mixed_denominators(name, deg_a, deg_b, data):
+    # each map is scaled to integers by its own lcm, so entries over
+    # different denominators in the two maps must still meet exactly
+    space = ALGEBRAS[name]().space
+    n = space.dim
+
+    def draw(deg):
+        return linear_map(space, space, deg, tuple(
+            tuple(data.draw(denominators) if space.parities[i] == (space.parities[j] + deg) % 2
+                  else F(0) for j in range(n)) for i in range(n)))
+
+    a, b = draw(deg_a), draw(deg_b)
+    got = _commutator(a, b)
+    assert got == compose_commutator(a, b)._flat_nonzeros()
+    assert all(type(x) is F and x for x in got.values())
 
 
 def defect_cases(h, rng):
