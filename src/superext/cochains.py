@@ -35,6 +35,7 @@ Sign conventions used throughout (and documented here once):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby
@@ -77,20 +78,25 @@ def multigraded_sign(sigma: Sequence[int], parities: Sequence[int]) -> int:
 
 
 def _sort_sign(work: list[int], parities: Sequence[int]) -> int:
-    """Insertion-sort `work` in place; the product of the adjacent-swap signs.
-
-    Entries index into `parities`; swapping entries of parities x, x'
-    contributes -(-1)^(x x').
-    """
+    """Insertion-sort `work` in place; the product of the adjacent-swap signs."""
     sign = 1
     for i in range(1, len(work)):
-        j = i
-        while j > 0 and work[j - 1] > work[j]:
-            if (parities[work[j - 1]] * parities[work[j]]) % 2 == 0:
-                sign = -sign
-            work[j - 1], work[j] = work[j], work[j - 1]
-            j -= 1
+        x = work[i]
+        if work[i - 1] > x:  # x moves left past the greater entries of the sorted work[:i]
+            p = bisect_right(work, x, 0, i)
+            sign *= _passing_sign(parities, x, work[p:i])
+            work[p + 1:i + 1] = work[p:i]
+            work[p] = x
     return sign
+
+
+def _passing_sign(parities: Sequence[int], x: int, passed: Sequence[int]) -> int:
+    """The sign of moving entry x past the entries `passed`, which index into `parities`.
+
+    Each adjacent swap of entries of parities x, x' contributes -(-1)^(x x').
+    """
+    odd = sum(parities[k] for k in passed) if parities[x] else 0
+    return -1 if (len(passed) - odd) % 2 else 1
 
 
 def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
@@ -331,8 +337,10 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
     tuple)), where generator None means no operator.  Source tuples are
     canonical.  The action term i drops argument i and carries
     (-1)^(x_i y + a_i); the bracket term (i < j, m) inserts e_m, m running
-    over the support of [X_i, X_j] in `alg.structure`, and carries its
-    integer den c^m_ij times (-1)^a_ij and the sign of sorting (m, rest).
+    over the support of [X_i, X_j] in `alg.structure`, into the canonical
+    rest with one bisection, and carries its integer den c^m_ij times
+    (-1)^a_ij and the `_passing_sign` of the entries e_m moves past; an
+    even e_m already in the rest gives no term.
     This is the one place the signs of the differential are written down;
     `differential_matrix`, its one caller, writes them into sparse rows.
     """
@@ -352,10 +360,12 @@ def _delta_stencil(alg: SuperLieAlgebra, tup: tuple[int, ...], weight: int):
                 continue
             rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
             odd = (a[i] + a[j] + word[i] * word[j]) % 2 == 1
-            for m, c in bracket:
-                srt, sign = sort_indices(space, (m,) + rest)
-                if sign:
-                    yield (-c if (sign < 0) != odd else c), srt, None
+            for m, c in bracket:  # e_m moves past the smaller entries of the canonical rest
+                p = bisect_left(rest, m)
+                if p < len(rest) and rest[p] == m and not space.parities[m]:
+                    continue
+                sign = _passing_sign(space.parities, m, rest[:p])
+                yield (-c if (sign < 0) != odd else c), rest[:p] + (m,) + rest[p:], None
 
 
 def _check_operators(src: SuperVectorSpace, target: SuperVectorSpace,

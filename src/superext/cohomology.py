@@ -130,14 +130,14 @@ class WeightReport(Record):
     """Cohomology of one weight component at one arity.
 
     The representatives are sparse coordinate vectors, {position in
-    `basis`: nonzero Fraction} dicts over the whole `space_basis`; their
-    cochains are built on first read.  The dims count every torus weight.
+    `basis`: nonzero Fraction} dicts over the whole `space_basis`, which
+    is listed where it is read; their cochains are built on first read.
+    The dims count every torus weight.
     """
 
     module: GModule
     arity: int
     weight: int
-    basis: tuple[tuple[tuple[int, ...], int], ...]
     dim_cocycles: int
     dim_coboundaries: int
     representative_coords: tuple[dict[int, Fraction], ...]
@@ -145,6 +145,10 @@ class WeightReport(Record):
     @property
     def dim(self) -> int:
         return self.dim_cocycles - self.dim_coboundaries
+
+    @property
+    def basis(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple(space_basis(self.module.g.space, self.module.space, self.arity, self.weight))
 
     @cached_property
     def representatives(self) -> tuple[Cochain, ...]:
@@ -226,13 +230,12 @@ def _weight_counts(mod: GModule, torus, n: int) -> list[list[dict[tuple[int, ...
 
 
 def _nonzero_weights(mod: GModule, torus, n: int) -> list[tuple[int, int]]:
-    """[(dim C^{n,y}, dim B^{n,y}) for y = 0, 1] over the nonzero torus weights.
+    """[(dim B^{n,y} over the nonzero torus weights, dim C^{n,y} of weight 0) for y = 0, 1].
 
-    Their complexes are exact: dim B^n_w = dim Z^n_w = dim C^{n-1}_w - ...
+    The complexes of nonzero weight are exact: dim B^n_w = dim Z^n_w = dim C^{n-1}_w - ...
     The counts are checked against the closed form, and 0 <= dim B^n_w <= dim C^n_w.
+    With the empty torus every entry has weight 0, and the counts are the closed forms.
     """
-    if not torus:
-        return [(0, 0), (0, 0)]
     zero, out = (0,) * len(torus), []
     for y, counts in enumerate(_weight_counts(mod, torus, n)):
         for k, by_weight in enumerate(counts):
@@ -246,7 +249,7 @@ def _nonzero_weights(mod: GModule, torus, n: int) -> list[tuple[int, int]]:
                 raise RuntimeError(f"internal fault: dim B^{n} of torus weight {w} is not "
                                    f"between 0 and dim C^{n}")
             exact += b
-        out.append((sum(counts[n].values()) - counts[n].get(zero, 0), exact))
+        out.append((exact, counts[n].get(zero, 0)))
     return out
 
 
@@ -279,16 +282,21 @@ def cohomology_space(g: SuperLieAlgebra, mod: GModule, n: int) -> CohomologyRepo
                                      for y, c in enumerate(_nonzero_weights(mod, torus, n))))
 
 
-def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
+def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=None):
     """The weight-y part of `cohomology_space` on the weight-0 block of `torus`.
 
-    `counted` is (dim C^n, dim B^n) over the nonzero weights; with the empty
-    torus the block is the whole complex.  Returns (report, previous),
-    previous being `differential_matrix`'s D_{n-1} on the block (None for
-    n = 0) for a caller that needs it too.  Its integer rows are eliminated
-    as they are: a scale changes no kernel or image.
+    `counted` is `_nonzero_weights`' (dim B^n over the nonzero weights,
+    dim C^n of weight 0).  An empty block has Z^n = 0 and D_{n-1} of rank 0
+    into it, so its report is read off the counts, and nothing is listed,
+    assembled or eliminated.  The default, for the empty torus, counts the
+    whole complex by its closed form and never skips.  Returns (report,
+    previous), previous being `differential_matrix`'s D_{n-1} on the block
+    (None for n = 0 or a skipped block) for a caller that needs it too.  Its
+    integer rows are eliminated as they are: a scale changes no kernel or image.
     """
-    outside, exact = counted
+    exact, inside = counted or (0, _closed_form_dim(mod, n, y))
+    if counted and not inside:
+        return WeightReport(mod, n, y, exact, exact, ()), None
 
     def weight0(entry):  # mu(m) is the sum of lambda over the tuple, for each toral element
         tup, m = entry
@@ -297,7 +305,7 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
                 return False
         return True
 
-    # C^{n-1}, C^n and C^{n+1} are each listed once
+    # C^{n-1}, C^n and C^{n+1} are each listed once, and only where the block is not empty
     full = {k: space_basis(mod.g.space, mod.space, k, y) for k in range(max(n - 1, 0), n + 2)}
     block = {k: [entry for entry in entries if weight0(entry)] for k, entries in full.items()}
 
@@ -305,8 +313,9 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
         return differential_matrix(mod.g, mod.action, mod.space, k, y, (block[k], block[k + 1]))
 
     dmat, src, _dst, _scale = assemble(n)
-    if len(src) + outside != _closed_form_dim(mod, n, y):
-        raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form")
+    if len(src) != inside:  # the counts of all weights sum to the closed form
+        raise RuntimeError(f"internal fault: dim C^{n} of weight {y} is not its closed form: "
+                           f"the weight-0 block has {len(src)} entries, not the {inside} counted")
     previous = None if n == 0 else assemble(n - 1)
     if previous:
         _check_squares_to_zero(dmat, previous[0], n)
@@ -319,8 +328,7 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=(0, 0)):
         raise RuntimeError(f"internal fault: a coboundary of degree {n} is not a cocycle")
     index = {entry: i for i, entry in enumerate(full[n])}  # block column -> whole-basis position
     reps = tuple({index[src[c]]: x for c, x in v.items()} for v in reps)
-    return WeightReport(mod, n, y, tuple(full[n]), len(cocycles) + exact,
-                        dim_coboundaries + exact, reps), previous
+    return WeightReport(mod, n, y, len(cocycles) + exact, dim_coboundaries + exact, reps), previous
 
 
 def rho_from_lift(ds: DerivationSpace, g: SuperLieAlgebra,

@@ -1,15 +1,16 @@
 """The mutation catalog: each entry breaks the library in one place, and its tests must notice.
 
-Run it from anywhere as `python tests/mutants.py`; pytest does not collect
-it.  Each entry names a file under `src/superext`, a snippet that must occur
-exactly once there (a stale entry fails loudly, here and in the fast suite's
-`tests/test_source.py`), its replacement, and the test files expected to
-kill it.  The script copies `src/`, `tests/` and `pyproject.toml` into one
-temporary tree per worker, one worker per usable CPU at most, checks that
-an unmutated copy passes every target, then runs the mutants in parallel:
-a worker applies one mutant to its own tree, runs
-`pytest -x -q -p no:cacheprovider <targets>` there and restores the file.
-Results print in catalog order.  It exits 1 if any mutant survives, naming
+Run it from anywhere as `python tests/mutants.py [NAME ...]`: with names it
+runs only those entries, an unknown name exits 2, and `--help` prints the
+usage; pytest does not collect it.  Each entry names a file under
+`src/superext`, a snippet that must occur exactly once there (a stale entry
+fails loudly, here and in the fast suite's `tests/test_source.py`), its
+replacement, and the test files expected to kill it.  The script copies
+`src/`, `tests/` and `pyproject.toml` into one temporary tree per worker, one
+worker per usable CPU at most, checks that an unmutated copy passes every
+target, then runs the mutants in parallel: a worker applies one mutant to
+its own tree, runs `pytest -x -q -p no:cacheprovider <targets>` there and
+restores the file.  Results print in catalog order.  It exits 1 if any mutant survives, naming
 it.  Hypothesis runs derandomized (`CI=1`, see `conftest.py`), so a kill
 does not depend on the draw.
 
@@ -19,6 +20,7 @@ with the reason they change no result.
 
 from __future__ import annotations
 
+import argparse
 import os
 import queue
 import shutil
@@ -91,8 +93,14 @@ MUTANTS = [
            ("tests/test_cohomology.py",)),
     # ---- signs of the rewritten cores ----
     Mutant("stencil: bracket term sign flipped", "cochains.py",
-           "yield (-c if (sign < 0) != odd else c), srt, None",
-           "yield (c if (sign < 0) != odd else -c), srt, None", (DIFFERENTIAL,)),
+           "yield (-c if (sign < 0) != odd else c), rest[:p] + (m,) + rest[p:], None",
+           "yield (c if (sign < 0) != odd else -c), rest[:p] + (m,) + rest[p:], None",
+           (DIFFERENTIAL,)),
+    Mutant("stencil: insertion position off by one", "cochains.py",
+           "p = bisect_left(rest, m)", "p = bisect_left(rest, m) + 1", (DIFFERENTIAL,)),
+    Mutant("passing sign: odd past odd also flips", "cochains.py",
+           "odd = sum(parities[k] for k in passed) if parities[x] else 0", "odd = 0",
+           (DIFFERENTIAL,)),
     Mutant("stencil: action term sign flipped", "cochains.py",
            "yield (-1 if (word[i] * weight + a[i]) % 2 else 1)",
            "yield (1 if (word[i] * weight + a[i]) % 2 else -1)", (DIFFERENTIAL,)),
@@ -175,6 +183,11 @@ MUTANTS = [
            (TORUS,)),
     Mutant("odd elements counted once in the weight counts", "cohomology.py",
            "(n if p else 1)", "1", (TORUS,)),
+    Mutant("weight skipped on a zero-weight count of 1", "cohomology.py",
+           "if counted and not inside:", "if counted and inside <= 1:", (TORUS,)),
+    Mutant("skipped weight reports no coboundaries", "cohomology.py",
+           "return WeightReport(mod, n, y, exact, exact, ()), None",
+           "return WeightReport(mod, n, y, exact, 0, ()), None", (TORUS,)),
     # ---- der(h) carries out(h): its brackets, projection and section ----
     Mutant("out(h) bracketed on the leading members", "superlie.py",
            "self.bracket(basis[c + a], basis[c + b])[c:]", "self.bracket(basis[a], basis[b])[c:]",
@@ -272,18 +285,26 @@ def copy_tree(work: Path) -> Path:
     return work
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="run only the entries of these names (default: every entry)")
+    names = parser.parse_args(argv).names
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        parser.error(f"no catalog entry named {', '.join(map(repr, unknown))}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     stale = stale_entries()
     if stale:
         print("stale entries, whose snippet does not occur exactly once:", *stale, sep="\n  ")
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, len(MUTANTS)))
+    workers = max(1, min(cpus or 1, len(chosen)))
     with tempfile.TemporaryDirectory() as tmp:
         trees: queue.Queue[Path] = queue.Queue()
         for k in range(workers):
             trees.put(copy_tree(Path(tmp) / f"tree{k}"))
-        targets = sorted({t for m in MUTANTS for t in m.targets})
+        targets = sorted({t for m in chosen for t in m.targets})
         if not run_pytest(targets, Path(tmp) / "tree0"):
             print("the unmutated tree fails its targets, so no kill means anything:", *targets)
             return 1
@@ -301,11 +322,11 @@ def main() -> int:
 
         survivors = []
         with ThreadPoolExecutor(workers) as pool:
-            for m, dead in zip(MUTANTS, pool.map(killed, MUTANTS)):  # in catalog order
+            for m, dead in zip(chosen, pool.map(killed, chosen)):  # in catalog order
                 print(f"{'killed  ' if dead else 'SURVIVED'} {m.name}  ({m.file})", flush=True)
                 if not dead:
                     survivors.append(m.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed; "
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; "
           f"{len(EQUIVALENT)} known equivalent mutant(s) not run")
     return 1 if survivors else 0
 

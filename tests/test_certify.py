@@ -14,10 +14,14 @@ parsed with its inputs and its claims are checked against `tests/oracles.py`:
   Leibniz check, an inner one is ad of its preimage, and the counts are the
   dense Leibniz system's nullity and the rank of the dense ad matrices;
 - center: each vector brackets to 0 with every basis element, and the
-  dimension is the nullity of the dense system [z, e_j] = 0.
+  dimension is the nullity of the dense system [z, e_j] = 0;
+- cohomology (also the torus-reduced goldens): each representative is a
+  cocycle by the term-by-term differential, the representatives are
+  independent modulo the oracle's coboundaries, and the dims are the
+  eager dense elimination's.
 Values are read with `json` and the library's own parsers
 (`formats.parse_algebra`, `parse_map`, `parse_datum`, `_parse_matrix`,
-`_parse_value`).
+`_parse_value`, `parse_module_doc`, `parse_cochain_entries`).
 """
 
 import json
@@ -28,15 +32,19 @@ import pytest
 from cli_cases import CASES
 from cli_run import INPUTS
 from superext import formats
+from superext.cochains import cochain_coordinates, space_basis
+from superext.cohomology import gmodule, trivial_module
 from superext.extensions import ExtensionTriple, build_extension
 from superext.gvs import linear_map, unit_vec, vec_add, vec_scale, zero_vec
 from superext.superlie import derivations
+from test_cli import REDUCED
 from test_cli_human import OBSTRUCTED, SUPER
 
-from oracles import (dense_ad, dense_bracket, dense_curvature_failures,
+from oracles import (delta_by_terms, dense_ad, dense_bracket, dense_curvature_failures,
                      dense_derivation_basis_of_parity, dense_is_derivation, dense_kernel_basis,
                      dense_rref, dense_validate_algebra, derivation_algebra,
-                     extension_exists, product_bracket, pullback_members)
+                     eager_weight_cohomology, extension_exists, product_bracket,
+                     pullback_members)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +58,9 @@ PULLBACK = [(f"expected/{name}", argv) for name, argv, code in CASES
 PULLBACK += [(f"expected_super/{name}", argv) for name, argv, _ in SUPER]
 ONE_ALGEBRA = [(name, argv) for name, argv, _ in CASES
                if argv[0] in ("derivations", "out", "center")]
+COHOMOLOGY = [(f"expected/{name}", argv) for name, argv, _ in CASES if argv[0] == "cohomology"]
+COHOMOLOGY += [(f"expected_reduced/cohomology_{alg}_h{n}",
+                ["cohomology", f"{alg}.json", "--degree", str(n), "--json"]) for alg, n in REDUCED]
 
 
 def option(argv, flag):
@@ -147,3 +158,26 @@ def test_one_algebra_goldens_hold_their_claims(name, argv):
         if m["inner"]:
             assert d == dense_ad(h, formats._parse_value(m["preimage"], h.space, "preimage"),
                                 d.degree)
+
+
+@pytest.mark.parametrize("golden, argv", COHOMOLOGY, ids=[g for g, _ in COHOMOLOGY])
+def test_cohomology_goldens_hold_their_claims(golden, argv):
+    report = json.loads((GOLDEN / f"{golden}.out").read_text(encoding="utf-8"))
+    gname, g = load(argv[1])
+    n = int(option(argv, "--degree"))
+    if "--module" in argv:
+        doc = formats.load_json(str(INPUTS / option(argv, "--module")))
+        mod = gmodule(g, *formats.parse_module_doc(doc, (gname, g))[1:])
+    else:
+        mod = trivial_module(g)
+    assert [w["weight"] for w in report["weights"]] == [0, 1]
+    for y, w in enumerate(report["weights"]):
+        reps = [formats.parse_cochain_entries(entries, g.space, mod.space, n, y, "rep")
+                for entries in w["representatives"]]
+        assert all(delta_by_terms(g, mod.action, phi).is_zero() for phi in reps)
+        cocycles, coboundaries, _reps, _rank = eager_weight_cohomology(mod, n, y)
+        assert (w["dim_cocycles"], w["dim_coboundaries"]) == (len(cocycles), len(coboundaries))
+        assert len(reps) == w["dim"] == len(cocycles) - len(coboundaries)
+        basis = space_basis(g.space, mod.space, n, y)
+        together = [cochain_coordinates(phi, basis) for phi in (*coboundaries, *reps)]
+        assert len(dense_rref(together)[1]) == len(together)

@@ -91,7 +91,7 @@ def test_reduced_equals_full(name, module):
     mod = MODULES[module](g)
     torus = cartan_torus(g, mod.action)
     assert coh._torus(mod)  # the reduction acts
-    for n in range(5):
+    for n in range(6):
         rep = cohomology_space(g, mod, n)
         for y in (0, 1):
             w = rep.weight(y)
@@ -150,6 +150,47 @@ def test_weight_counts_off_the_closed_form_fire(monkeypatch):
     with pytest.raises(RuntimeError, match=r"internal fault: the torus weights of C\^1 of "
                                            r"weight 0 do not sum to its closed form"):
         cohomology_space(g, trivial_module(g), 2)
+
+
+def test_block_off_its_count_fires(monkeypatch):
+    # one entry of sl(2)'s adjoint C^2 moved from torus weight 0 to a weight
+    # that occurs in no lower degree: every other check still holds, but the
+    # listed block has 3 entries where 2 are counted
+    counts = coh._weight_counts
+
+    def one_moved(mod, torus, n):
+        out = counts(mod, torus, n)
+        out[0][n][(0,)] -= 1
+        out[0][n][(999,)] = 1
+        return out
+
+    g = sl2()
+    monkeypatch.setattr(coh, "_weight_counts", one_moved)
+    with pytest.raises(RuntimeError, match=r"internal fault: dim C\^2 of weight 0 is not its "
+                                           r"closed form: the weight-0 block has 3 entries, "
+                                           r"not the 2 counted"):
+        cohomology_space(g, adjoint_module(g), 2)
+
+
+@pytest.mark.parametrize("name", ["osp12", "gl11"])
+def test_empty_blocks_are_not_assembled(name, monkeypatch):
+    # weight 1 has no cochain of torus weight 0 here, at every degree: only
+    # weight 0 assembles, D_n and D_{n-1} once each
+    g = ALGEBRAS[name]()
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[4])  # the weight
+        return cochains.differential_matrix(*args, **kw)
+
+    monkeypatch.setattr(coh, "differential_matrix", counted)
+    for module in MODULES.values():
+        mod = module(g)
+        for n in range(6):
+            calls.clear()
+            rep = cohomology_space(g, mod, n)
+            assert rep.weight(1).dim == 0
+            assert calls == [0] * min(n + 1, 2)
 
 
 def test_negative_alternating_sum_fires(monkeypatch):
