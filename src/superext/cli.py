@@ -463,8 +463,8 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .cohomology import _classify_extensions
-    hname, gname, rep = _on_outer_action(args, _classify_extensions)
+    from .cohomology import classify_extensions
+    hname, gname, rep = _on_outer_action(args, classify_extensions)
     coords = [str(c) for c in rep.obstruction.class_coords]
     report = {
         "command": "classify",
@@ -502,8 +502,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    from .extensions import _pullback_extension
-    hname, gname, triple = _on_outer_action(args, _pullback_extension)
+    from .extensions import pullback_extension
+    hname, gname, triple = _on_outer_action(args, pullback_extension)
     name = args.name or f"pullback({hname},{gname})"
     report, written = _triple_report(args, name, triple, command="pullback", g=gname, h=hname)
     sp = triple.e.space

@@ -92,27 +92,21 @@ def module_delta(mod: GModule, phi: Cochain) -> Cochain:
     return covariant_delta(mod.g, mod.action, phi)
 
 
-def center_embedding(h: SuperLieAlgebra) -> GradedLinearMap:
-    """The inclusion of the graded center into h, with basis names z0, z1, ..."""
-    basis = center(h)
-    zspace = SuperVectorSpace(
-        tuple(f"z{k}" for k in range(len(basis))),
-        tuple(h.space.vector_parity(v) for v in basis),
-    )
-    return _map(zspace, h.space, 0, basis)
-
-
 def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
                   alpha: tuple[GradedLinearMap, ...]) -> tuple[GModule, GradedLinearMap]:
     """Z(h) as a g-module through a lifted outer action; returns (module, inclusion).
 
+    The inclusion maps Z(h), with basis names z0, z1, ..., into h.
     `alpha` holds one derivation of h per g basis element, e.g. the
     operators of `lift_alpha_bar`; each is restricted to the center.
     Inner derivations kill the center, so the action does not depend on
     the lift, only on the outer action it projects to; the homomorphism
     property is verified by `gmodule`.  Nothing is cached across calls.
     """
-    incl = center_embedding(h)
+    basis = center(h)
+    zspace = SuperVectorSpace(tuple(f"z{k}" for k in range(len(basis))),
+                              tuple(map(h.space.vector_parity, basis)))
+    incl = _map(zspace, h.space, 0, basis)
     incl_system = LinearSystem(map(dict, incl.columns), h.dim)
     ops = []
     for op in alpha:
@@ -444,15 +438,10 @@ class ClassificationReport(Record):
     abelian_kernel: bool
 
 
-def classify_extensions(h: SuperLieAlgebra, g: SuperLieAlgebra,
+def classify_extensions(h: SuperLieAlgebra | DerivationSpace, g: SuperLieAlgebra,
                         abar: GradedLinearMap) -> ClassificationReport:
-    """All extensions inducing abar: g -> out(h); der(h) and out(h) are built once, here."""
-    return _classify_extensions(derivations(h), g, abar)
-
-
-def _classify_extensions(ds: DerivationSpace, g: SuperLieAlgebra,
-                         abar: GradedLinearMap) -> ClassificationReport:
-    """`classify_extensions` on the caller's `derivations(h)`."""
+    """All extensions inducing abar: g -> out(h), from h or the caller's `derivations(h)`."""
+    ds = h if isinstance(h, DerivationSpace) else derivations(h)
     h = ds.algebra
     obs = obstruction_class(ds, g, abar)
     centerless = obs.center_incl.domain.dim == 0

@@ -374,7 +374,7 @@ def solve_split_abelian(d: ExtensionDatum) -> GradedLinearMap | None:
 
 
 def pullback_extension(
-    h: SuperLieAlgebra, g: SuperLieAlgebra, abar: GradedLinearMap
+    h: SuperLieAlgebra | DerivationSpace, g: SuperLieAlgebra, abar: GradedLinearMap
 ) -> ExtensionTriple:
     """The extension of g by a centerless h induced by abar: g -> out(h).
 
@@ -384,15 +384,10 @@ def pullback_extension(
     (alpha_j, e_j) for the lifts of `lift_alpha_bar`.  h embeds as
     H -> (ad_H, 0), the projection forgets the derivation part, and the
     carried section is X_j -> (alpha_j, e_j), so the datum it induces is
-    exactly (lifted abar, its curvature).  der(h) and out(h) are built
-    once, here.
+    exactly (lifted abar, its curvature).  The first argument is h or the
+    caller's `derivations(h)`; given h, der(h) and out(h) are built once, here.
     """
-    return _pullback_extension(derivations(h), g, abar)
-
-
-def _pullback_extension(ds: DerivationSpace, g: SuperLieAlgebra,
-                        abar: GradedLinearMap) -> ExtensionTriple:
-    """`pullback_extension` on the caller's `derivations(h)`."""
+    ds = h if isinstance(h, DerivationSpace) else derivations(h)
     h, c, n = ds.algebra, ds.inner_count, g.dim
     if c != h.dim:  # ad is injective exactly when Z(h) = 0
         raise ValueError("pullback construction requires a centerless kernel")

@@ -207,6 +207,15 @@ MUTANTS = [
            ("tests/test_extensions.py",)),
     Mutant("pullback refuses only a kernel with more inner members than dim h", "extensions.py",
            "if c != h.dim:", "if c > h.dim:", ("tests/test_extensions.py",)),
+    # ---- the outer-action jobs take h or the caller's der(h) ----
+    Mutant("classify rebuilds the caller's der(h)", "cohomology.py",
+           "ds = h if isinstance(h, DerivationSpace) else derivations(h)",
+           "ds = derivations(h.algebra if isinstance(h, DerivationSpace) else h)",
+           ("tests/test_cohomology.py",)),
+    Mutant("pullback rebuilds the caller's der(h)", "extensions.py",
+           "ds = h if isinstance(h, DerivationSpace) else derivations(h)",
+           "ds = derivations(h.algebra if isinstance(h, DerivationSpace) else h)",
+           ("tests/test_cohomology.py",)),
     # ---- the h (+) g block table, and the classification's check of its data ----
     Mutant("_block_sum adds the second block at offset 0", "superlie.py",
            "(a.dim, b.structure)", "(0, b.structure)", (STRUCTURE,)),

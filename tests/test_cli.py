@@ -347,15 +347,17 @@ def test_deeply_nested_json_exit_2(tmp_path):
 
 
 def test_fuzzed_inputs_never_traceback(tmp_path):
-    # mutate a valid algebra file in deterministic ways; the CLI must exit
+    # every golden case, run in a copy of the inputs with one of its JSON
+    # arguments mutated in a deterministic way per run: the CLI must exit
     # 0/1/2 with a clean message, never a traceback
     import random
-    base = json.loads((INPUTS / "susy_line.json").read_text())
+    import shutil
+    work = tmp_path / "inputs"
+    shutil.copytree(INPUTS, work)
     rng = random.Random(99)
     junk = [None, True, 3.5, "", "x", [], {}, -1, [{"weird": 1}], "1/0"]
 
     def mutate(doc):
-        doc = json.loads(json.dumps(doc))
         path = []
         node = doc
         while isinstance(node, (dict, list)) and node and rng.random() < 0.8:
@@ -371,13 +373,19 @@ def test_fuzzed_inputs_never_traceback(tmp_path):
         parent[path[-1]] = rng.choice(junk)
         return doc
 
-    for i in range(60):
-        doc = mutate(base)
-        p = tmp_path / f"fuzz{i}.json"
-        p.write_text(json.dumps(doc))
-        r = run_cli(["validate", str(p)], cwd=tmp_path)
-        assert r.returncode in (0, 1, 2), r.stderr.decode()
-        assert b"Traceback" not in r.stderr, (doc, r.stderr.decode())
+    for name, argv, _ in CASES:
+        files = sorted({a for a in argv if a.endswith(".json")})
+        for _ in range(8):
+            target = work / rng.choice(files)
+            original = target.read_text()
+            doc = mutate(json.loads(original))
+            target.write_text(json.dumps(doc))
+            try:
+                r = run_cli(argv, cwd=work)
+            finally:
+                target.write_text(original)
+            assert r.returncode in (0, 1, 2), (name, doc, r.stderr.decode())
+            assert b"Traceback" not in r.stderr, (name, doc, r.stderr.decode())
 
 
 @pytest.mark.parametrize("name", ["obstruction", "classify", "pullback",

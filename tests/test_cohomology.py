@@ -228,12 +228,15 @@ def test_center_module_does_not_depend_on_the_lift(rng):
 @pytest.mark.parametrize("kind", ["classify", "pullback"])
 def test_der_and_out_built_once_per_call(monkeypatch, kind):
     # every superext namespace binding derivations gets a counting wrapper,
-    # so no call path escapes the count
+    # so no call path escapes the count; given h the job builds der(h) once,
+    # given the caller's der(h) it builds none, and both give equal results
     from superext import superlie
     from superext.extensions import pullback_extension
     h = heis3() if kind == "classify" else sl2()
     g = abelian(1, 0, "t")
     abar = zero_abar(h, g)
+    job = classify_extensions if kind == "classify" else pullback_extension
+    ds = derivations(h)
     counts = {}
     for name in ("derivations",):
         fn = getattr(superlie, name)
@@ -246,11 +249,11 @@ def test_der_and_out_built_once_per_call(monkeypatch, kind):
         for mod in list(sys.modules.values()):
             if mod.__name__.split(".")[0] == "superext" and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    if kind == "classify":
-        classify_extensions(h, g, abar)
-    else:
-        pullback_extension(h, g, abar)
+    from_ds = job(ds, g, abar)
+    assert counts == {"derivations": 0}
+    from_h = job(h, g, abar)
     assert counts == {"derivations": 1}
+    assert from_ds == from_h
 
 
 def test_fixed_systems_eliminated_once(monkeypatch):

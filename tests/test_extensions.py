@@ -519,7 +519,6 @@ def test_pullback_eliminates_nothing_beyond_der_coordinates(monkeypatch):
     # and solves no kernel, and the centerless test is inner_count == dim h
     import sys
     from superext import gvs, superlie
-    from superext.extensions import _pullback_extension
 
     h = _sl2_semidirect_plane()
     ds = derivations(h)
@@ -542,7 +541,7 @@ def test_pullback_eliminates_nothing_beyond_der_coordinates(monkeypatch):
         for mod in list(sys.modules.values()):
             if mod.__name__.split(".")[0] == "superext" and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    t = _pullback_extension(ds, g, abar)
+    t = pullback_extension(ds, g, abar)
     assert counts == {"LinearSystem": 0, "sparse_kernel_basis": 0, "center": 0}
     assert t.e.dim == h.dim + g.dim
 

@@ -246,3 +246,17 @@ def test_mutant_catalog_is_not_stale():
     from mutants import stale_entries
 
     assert stale_entries() == []
+
+
+def test_one_public_entry_per_outer_action_job():
+    # classify and pullback take h or the caller's der(h) under their public
+    # names, so the CLI reaches no sibling's private name and no twin remains
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{n.module}.{a.name}" for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module
+               for a in n.names if a.name.startswith("_")]
+    assert private == []
+    defined = {n.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_classify_extensions", "_pullback_extension", "center_embedding"} == set()
