@@ -171,8 +171,8 @@ class Cochain(Record):
             for k, c in enumerate(val):
                 if c != 0 and self.target.parities[k] != want:
                     raise ValueError(
-                        f"value on {tup} has a parity-{self.target.parities[k]} "
-                        f"component but must lie in parity {want}"
+                        f"value on ({','.join(self.source.names[i] for i in tup)}) has a "
+                        f"parity-{self.target.parities[k]} component but must lie in parity {want}"
                     )
 
     @cached_property

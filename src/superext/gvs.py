@@ -381,9 +381,6 @@ class SuperVectorSpace(Record):
             return None
         return ps.pop()
 
-    def __str__(self):
-        return f"({self.dim_even}|{self.dim_odd})[{', '.join(self.names)}]"
-
 
 class GradedLinearMap(Record):
     """A rational linear map between super spaces, homogeneous of a fixed degree.

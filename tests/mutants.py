@@ -216,6 +216,13 @@ MUTANTS = [
            "ds = h if isinstance(h, DerivationSpace) else derivations(h)",
            "ds = derivations(h.algebra if isinstance(h, DerivationSpace) else h)",
            ("tests/test_cohomology.py",)),
+    # ---- a datum moved by a witness: the split check and the emitted connection ----
+    Mutant("split decided by moving along +b, not -b", "extensions.py",
+           "flat = transform_datum(d, b.scale(-1))", "flat = transform_datum(d, b)",
+           ("tests/test_extensions.py",)),
+    Mutant("emitted alpha matrices with their rows reversed", "formats.py",
+           '"matrix": format_matrix(op.matrix)}', '"matrix": format_matrix(op.matrix[::-1])}',
+           (HUMAN,)),
     # ---- the h (+) g block table, and the classification's check of its data ----
     Mutant("_block_sum adds the second block at offset 0", "superlie.py",
            "(a.dim, b.structure)", "(0, b.structure)", (STRUCTURE,)),

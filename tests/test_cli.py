@@ -349,13 +349,20 @@ def test_deeply_nested_json_exit_2(tmp_path):
 def test_fuzzed_inputs_never_traceback(tmp_path):
     # every golden case, run in a copy of the inputs with one of its JSON
     # arguments mutated in a deterministic way per run: the CLI must exit
-    # 0/1/2 with a clean message, never a traceback
+    # 0/1/2 with a clean message, never a traceback.  Every other mutation
+    # swaps in junk of any type; the rest keep each value's type and shape
+    # (another exact rational, another basis name from the same file, a
+    # rotated list, a bit flipped), so that the commands built on an outer
+    # action and cohomology also get past the parsers on a quarter of their
+    # runs: exit 0, or exit 1 on a failed check of the library
     import random
     import shutil
     work = tmp_path / "inputs"
     shutil.copytree(INPUTS, work)
     rng = random.Random(99)
     junk = [None, True, 3.5, "", "x", [], {}, -1, [{"weird": 1}], "1/0"]
+    rationals = ["0", "1", "-1", "2", "1/2", "-3/2"]
+    rational = re.compile(r"-?\d+(/\d+)?")
 
     def mutate(doc):
         path = []
@@ -373,12 +380,58 @@ def test_fuzzed_inputs_never_traceback(tmp_path):
         parent[path[-1]] = rng.choice(junk)
         return doc
 
+    def spots(node, names, path=()):
+        """Where a change can keep type and shape: a list of unequal items to
+        rotate, a bit, an exact rational, or a basis name when the file has another."""
+        if isinstance(node, dict):
+            for key in sorted(node):
+                yield from spots(node[key], names, path + (key,))
+        elif isinstance(node, list):
+            if any(v != node[0] for v in node):
+                yield path
+            for k, v in enumerate(node):
+                yield from spots(v, names, path + (k,))
+        elif type(node) is int and node in (0, 1) or isinstance(node, str) and (
+                rational.fullmatch(node) or len(names) > 1 and node in names):
+            yield path
+
+    def strings(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in strings(v)]
+        if isinstance(node, list):
+            return [x for v in node for x in strings(v)]
+        return [node] if isinstance(node, str) else []
+
+    def reshape(doc):
+        # top-level strings name files and algebras; every other name is a basis name
+        names = sorted({x for v in doc.values() if not isinstance(v, str)
+                        for x in strings(v) if not rational.fullmatch(x)})
+        path = rng.choice(list(spots(doc, names)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if isinstance(node, list):
+            parent[path[-1]] = node[1:] + node[:1]
+        elif type(node) is int:
+            parent[path[-1]] = 1 - node
+        else:
+            pool = rationals if rational.fullmatch(node) else names
+            parent[path[-1]] = rng.choice([x for x in pool if x != node])
+        return doc
+
+    past_parsers = {}
     for name, argv, _ in CASES:
         files = sorted({a for a in argv if a.endswith(".json")})
-        for _ in range(8):
+        for k in range(8):
             target = work / rng.choice(files)
             original = target.read_text()
-            doc = mutate(json.loads(original))
+            doc = json.loads(original)
+            if k % 2:
+                doc = reshape(doc)
+                assert doc != json.loads(original)
+            else:
+                doc = mutate(doc)
             target.write_text(json.dumps(doc))
             try:
                 r = run_cli(argv, cwd=work)
@@ -386,6 +439,12 @@ def test_fuzzed_inputs_never_traceback(tmp_path):
                 target.write_text(original)
             assert r.returncode in (0, 1, 2), (name, doc, r.stderr.decode())
             assert b"Traceback" not in r.stderr, (name, doc, r.stderr.decode())
+            runs = past_parsers.setdefault(argv[0], [0, 0])
+            runs[0] += r.returncode == 0 or r.stderr.startswith(b"check failed: ")
+            runs[1] += 1
+    for command in ("classify", "pullback", "obstruction", "cohomology"):
+        got, runs = past_parsers[command]
+        assert 4 * got >= runs, (command, got, runs)
 
 
 @pytest.mark.parametrize("name", ["obstruction", "classify", "pullback",

@@ -7,7 +7,9 @@
   an outer action whose degree-3 obstruction class is nonzero;
 - `golden/expected_super/<name>.out`: the JSON reports of `SUPER`, a
   pullback whose kernel's basis parities are not in the order of its inner
-  derivations' parities.
+  derivations' parities;
+- `golden/expected_alpha/<name>.out`: the JSON reports of `ALPHA`, a datum
+  emitted with a nonzero connection alpha.
 
 Human output is pinned byte for byte, as the JSON reports are.  `WRITTEN`
 runs pass `-o written.json` and run in a temporary copy of the inputs, so
@@ -47,6 +49,13 @@ SUPER = [
       "--alpha-bar", "ab_a11_osp12_std.json", "--json"], 0),
 ]
 
+# the zero datum of a20 by heis3 moved by b(u0) = P, b(u1) = Q: alpha = (ad_P, ad_Q)
+# and rho(u0,u1) = [P,Q] = Z, so the report lists an "arg" entry per basis element
+ALPHA = [
+    ("transform_nonabelian",
+     ["transform", "trivial_a20_heis3.json", "--witness", "b_a20_heis3.json", "--json"], 0),
+]
+
 HUMAN = [(name, [a for a in argv if a != "--json"], code)
          for name, argv, code in CASES + OBSTRUCTED
          if "--json" in argv and name != "validate_ok"]
@@ -79,6 +88,13 @@ def test_super_golden(name, argv, want_exit):
     r = run_cli(argv)
     assert r.returncode == want_exit, r.stderr.decode()
     assert r.stdout == (GOLDEN / "expected_super" / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name,argv,want_exit", ALPHA, ids=[c[0] for c in ALPHA])
+def test_alpha_golden(name, argv, want_exit):
+    r = run_cli(argv)
+    assert r.returncode == want_exit, r.stderr.decode()
+    assert r.stdout == (GOLDEN / "expected_alpha" / f"{name}.out").read_bytes()
 
 
 @pytest.mark.parametrize("name,argv,want_exit", HUMAN, ids=[c[0] for c in HUMAN])

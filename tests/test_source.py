@@ -260,3 +260,13 @@ def test_one_public_entry_per_outer_action_job():
                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert defined & {"_classify_extensions", "_pullback_extension", "center_embedding"} == set()
+
+
+def test_split_decided_by_the_one_move_of_a_datum():
+    # a split witness is checked by moving the datum along -b with
+    # transform_datum, not by a second copy of the move's formula
+    tree = ast.parse((SRC / "extensions.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if getattr(n, "name", None) == "check_split_witness")
+    read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    assert "transform_datum" in read
+    assert read & {"covariant_delta", "nr_bracket", "witness_cochain"} == set()
