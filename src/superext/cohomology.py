@@ -27,7 +27,6 @@ from .gvs import (
     Vector,
     _map,
     is_zero_vec,
-    sparse_kernel_basis,
     sparse_transpose,
     vec_add,
     vec_scale,
@@ -316,7 +315,7 @@ def _weight_cohomology(mod: GModule, n: int, y: int, torus, counted=None):
     # the columns of D_{n-1}, whose rank is dim B^n on the block, then the cocycles
     span = IncrementalSpan(sparse_transpose(previous[0], len(previous[1])) if previous else ())
     dim_coboundaries = span.rank
-    cocycles = sparse_kernel_basis(dmat, len(src))
+    cocycles = IncrementalSpan(dmat).kernel(len(src))
     reps = [v for v in cocycles if span.add(v)]
     if span.rank != len(cocycles):
         raise RuntimeError(f"internal fault: a coboundary of degree {n} is not a cocycle")

@@ -158,11 +158,11 @@ def format_algebra(name: str, alg: SuperLieAlgebra) -> dict:
 
 def _parse_matrix(rows: Any, nrows: int, ncols: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(rows, list) or len(rows) != nrows:
-        raise SchemaError(f"{where}: expected {nrows} rows")
+        raise SchemaError(f"{where}: expected {nrows} row{'s' * (nrows != 1)}")
     out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
-            raise SchemaError(f"{where}[{r}]: expected {ncols} entries")
+            raise SchemaError(f"{where}[{r}]: expected {ncols} entr{'ies' if ncols != 1 else 'y'}")
         out.append(tuple(parse_rational(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)))
     return tuple(out)
 

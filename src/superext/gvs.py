@@ -2,10 +2,10 @@
 
 Every scalar a caller passes in or reads out is a `fractions.Fraction`,
 and the library contains no floating point; inside, elimination runs on
-integers in one step, `_absorb`.  It has one entry point per job:
-`IncrementalSpan` for a row span and its RREF, `LinearSystem` for the
-canonical solutions of A x = b, and `sparse_kernel_basis` for a kernel.
-All select the leftmost pivot, so particular solutions, kernel bases and
+integers in one step, `_absorb`.  It is entered through two classes:
+`IncrementalSpan` for a row span (its rank, membership and kernel) and
+`LinearSystem` for the canonical solutions of A x = b and its kept rows.
+Both select the leftmost pivot, so particular solutions, kernel bases and
 echelon spans are canonical: identical inputs give bit-identical outputs.
 
 A vector is a tuple of Fractions, and a sparse vector or row an
@@ -86,14 +86,13 @@ def _absorb(echelon: dict[int, dict[int, int]], row: dict, width: int | None = N
 
     Fraction-free (Bareiss, Math. Comp. 22, 1968): `echelon` maps each
     pivot column to a primitive integer row, positive there and 0 in every
-    other pivot column, whose RREF row is itself over its pivot entry
-    (`_rational`).  The row, which is not modified, is cleared of
-    denominators and reduced by `_cancel`; one pass suffices because of
-    that invariant.  A nonzero remainder is made primitive, its leftmost
-    column is cancelled from the other rows, each then divided by its
-    content, and it joins the basis.  With `width` given, columns from
-    `width` on are carried along but never pivot: a remainder that lives
-    only there is dropped.
+    other pivot column, whose RREF row is itself over its pivot entry.  The
+    row, which is not modified, is cleared of denominators and reduced by
+    `_cancel`; one pass suffices because of that invariant.  A nonzero
+    remainder is made primitive, its leftmost column is cancelled from the
+    other rows, each then divided by its content, and it joins the basis.
+    With `width` given, columns from `width` on are carried along but never
+    pivot: a remainder that lives only there is dropped.
     """
     row = _integral(row)
     for c in [c for c in row if c in echelon]:
@@ -139,12 +138,6 @@ def _cancel(row: dict[int, int], c: int, e: dict[int, int]) -> None:
             row[j] = x
         else:
             del row[j]
-
-
-def _rational(row: dict[int, int], p: int) -> dict[int, Fraction]:
-    """The RREF row of an echelon row with pivot p: its entries over row[p], as Fractions."""
-    d = row[p]
-    return {j: Fraction(x, d) for j, x in row.items()}
 
 
 class LinearSystem:
@@ -214,40 +207,6 @@ class LinearSystem:
         return dense_vec({t - self.nrows: Fraction(-x, s) for t, x in r.items()}, self.ncols)
 
 
-def sparse_kernel_basis(rows: Iterable[dict[int, Fraction]],
-                        ncols: int) -> list[dict[int, Fraction]]:
-    """Exact basis of the kernel of a matrix given as sparse rows, as sparse vectors.
-
-    Each row is a {column: rational} dict, fed to `_absorb` one at
-    a time, as in `IncrementalSpan`.  The echelon rows over their pivot
-    entries are the nonzero rows of the RREF, so the basis is canonical:
-    for each free column f, the vector with 1 at f, minus the reduced
-    rows' entries in column f at their pivots, and 0 elsewhere.  Each
-    vector is a {column: nonzero Fraction} dict.
-    """
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        _absorb(echelon, row)
-    # minus the reduced rows' entries outside their pivots, grouped by column
-    by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for p, row in echelon.items():
-        d = row[p]
-        for j, x in row.items():
-            if j != p:
-                by_col.setdefault(j, []).append((p, Fraction(-x, d)))
-    met = (*echelon, *by_col)  # every column that some row meets, as the echelon spans them
-    if met and (min(met) < 0 or max(met) >= ncols):
-        raise ValueError(f"a row has a column index outside 0..{ncols - 1}")
-    one = Fraction(1)
-    basis = []
-    for f in range(ncols):
-        if f not in echelon:
-            v = {f: one}
-            v.update(by_col.get(f, ()))
-            basis.append(v)
-    return basis
-
-
 def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
     """The columns of a matrix of `ncols` columns given as sparse rows, as sparse dicts."""
     cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
@@ -258,15 +217,14 @@ def sparse_transpose(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[di
 
 
 class IncrementalSpan:
-    """Row span grown one vector at a time; `rows()` is its canonical RREF.
+    """Row span grown one vector at a time, held in `_absorb`'s fully reduced form.
 
-    A vector is a dense sequence or a sparse {index: rational} dict,
-    fed to `_absorb`.  Any exact elimination gives the same `rows()`: the
-    RREF of a matrix depends only on its row space (its nonzero rows are
-    the unique basis of that space with a leading 1 in each pivot column
-    and zeros in the other pivot columns, and the pivot columns are the
-    leftmost-nonzero positions), so the order of row operations cannot
-    change a returned byte.
+    A vector is a dense sequence or a sparse {index: rational} dict, fed to
+    `_absorb`.  Any exact elimination gives the same RREF: it depends only
+    on the row space (its nonzero rows are the unique basis of that space
+    with a leading 1 in each pivot column and zeros in the other pivot
+    columns, and the pivot columns are the leftmost-nonzero positions), so
+    the order of row operations cannot change a returned byte.
     """
 
     def __init__(self, rows: Iterable[Sequence | dict[int, Fraction]] = ()):  # noqa: B008
@@ -279,9 +237,32 @@ class IncrementalSpan:
         row = v if isinstance(v, dict) else {j: x for j, x in enumerate(vec(v)) if x}
         return _absorb(self._echelon, row)
 
-    def rows(self) -> list[dict[int, Fraction]]:
-        """The nonzero rows of the RREF in pivot order, as {index: Fraction} dicts."""
-        return [_rational(self._echelon[p], p) for p in sorted(self._echelon)]
+    def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
+        """The canonical kernel basis of the rows added, as a matrix of `ncols` columns.
+
+        For each free column f of the RREF, the {column: nonzero Fraction}
+        vector with 1 at f and minus the reduced rows' entries in column f
+        at their pivots.
+        """
+        echelon = self._echelon
+        # minus the reduced rows' entries outside their pivots, grouped by column
+        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        for p, row in echelon.items():
+            d = row[p]
+            for j, x in row.items():
+                if j != p:
+                    by_col.setdefault(j, []).append((p, Fraction(-x, d)))
+        met = (*echelon, *by_col)  # every column that some row meets, as the echelon spans them
+        if met and (min(met) < 0 or max(met) >= ncols):
+            raise ValueError(f"a row has a column index outside 0..{ncols - 1}")
+        one = Fraction(1)
+        basis = []
+        for f in range(ncols):
+            if f not in echelon:
+                v = {f: one}
+                v.update(by_col.get(f, ()))
+                basis.append(v)
+        return basis
 
     @property
     def rank(self) -> int:
@@ -415,8 +396,9 @@ class GradedLinearMap(Record):
                 if self.codomain.parities[last] != want:
                     bad.append((last, j))
         if bad:
-            raise ValueError("entry ({},{}) violates homogeneity of degree {}".format(
-                *min(bad), self.degree))
+            i, j = min(bad)
+            raise ValueError(f"the entry from {self.domain.names[j]} to {self.codomain.names[i]} "
+                             f"violates homogeneity of degree {self.degree}")
 
     @staticmethod
     def zero(domain, codomain, degree=0) -> "GradedLinearMap":

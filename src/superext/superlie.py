@@ -20,17 +20,16 @@ from typing import Callable, Iterator, Sequence
 
 from .gvs import (
     GradedLinearMap,
+    IncrementalSpan,
     LinearSystem,
     Record,
     SuperVectorSpace,
     Vector,
     _commutator,
     _map,
-    _rational,
     dense_vec,
     is_zero_vec,
     scalar,
-    sparse_kernel_basis,
     vec,
     vec_scale,
     zero_vec,
@@ -314,7 +313,7 @@ def center(alg: SuperLieAlgebra) -> list[Vector]:
             for k, c in v:
                 ad_rows.setdefault(k, {})[j] = c
         rows.extend(ad_rows.values())
-    return [dense_vec(v, alg.dim) for v in sparse_kernel_basis(rows, alg.dim)]
+    return [dense_vec(v, alg.dim) for v in IncrementalSpan(rows).kernel(alg.dim)]
 
 
 def _leibniz_terms(nz, s: int, a: int, b: int, cols) -> Iterator[tuple[int, int, object]]:
@@ -426,7 +425,7 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
     of (a, b), so only pairs a <= b are written, and the kernel, which
     depends on the row space only, is unchanged.  The rows, summed by
     `_leibniz_terms` over the integer `structure`, are sparse {slot: int}
-    dicts, all den times their values, and go straight to `sparse_kernel_basis`.
+    dicts, all den times their values, and go straight to `IncrementalSpan.kernel`.
     """
     sp = alg.space
     n = alg.dim
@@ -454,7 +453,7 @@ def _derivation_basis_of_parity(alg: SuperLieAlgebra, deg: int) -> list[GradedLi
                         yield r
 
     return [_flat_map(sp, deg, {slots[k][0] * n + slots[k][1]: x for k, x in kv.items()})
-            for kv in sparse_kernel_basis(leibniz_rows(), len(slots))]
+            for kv in IncrementalSpan(leibniz_rows()).kernel(len(slots))]
 
 
 def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
@@ -486,7 +485,7 @@ def derivations(alg: SuperLieAlgebra) -> DerivationSpace:
                     acc[i] = acc.get(i, 0) + t * x
             if {i: x for i, x in acc.items() if x} != r:
                 raise RuntimeError("internal fault: an inner derivation is not an ad_H")
-            inner_maps.append(_flat_map(alg.space, deg, _rational(r, p)))
+            inner_maps.append(_flat_map(alg.space, deg, {i: Fraction(x, r[p]) for i, x in r.items()}))
             preimages.append(dense_vec({gens[j]: Fraction(den * t, r[p]) for j, t in ts.items()}, n))
         outer_maps.append([d for d in _derivation_basis_of_parity(alg, deg)
                            if system.add_column(d._flat_nonzeros())])

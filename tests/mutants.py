@@ -125,9 +125,15 @@ MUTANTS = [
     Mutant("dependent columns allowed to pivot", "gvs.py",
            "_absorb(self._echelon, {**col, nrows + j: 1}, nrows)",
            "_absorb(self._echelon, {**col, nrows + j: 1})", (GVS,)),
-    Mutant("span rows in reversed pivot order", "gvs.py",
-           "for p in sorted(self._echelon)]", "for p in sorted(self._echelon, reverse=True)]",
-           (GVS,)),
+    Mutant("kept rows in reversed pivot order", "gvs.py",
+           "for p in sorted(echelon)]", "for p in sorted(echelon, reverse=True)]", (GVS,)),
+    Mutant("kernel vectors take the reduced rows' entries unnegated", "gvs.py",
+           "by_col.setdefault(j, []).append((p, Fraction(-x, d)))",
+           "by_col.setdefault(j, []).append((p, Fraction(x, d)))", (GVS,)),
+    Mutant("homogeneity refusal swaps the domain and codomain names", "gvs.py",
+           "from {self.domain.names[j]} to {self.codomain.names[i]} ",
+           "from {self.codomain.names[i]} to {self.domain.names[j]} ",
+           ("tests/test_cli_refusals.py",)),
     Mutant("_cancel scales by b, not b/g", "gvs.py", "row[j] *= b // g", "row[j] *= b", (GVS,)),
     Mutant("_integral keeps numerators only", "gvs.py",
            "x.numerator * (d // x.denominator)", "x.numerator", (GVS,)),
@@ -162,9 +168,9 @@ MUTANTS = [
            ("tests/test_cohomology.py",)),
     Mutant("coboundary count read after the representatives are absorbed", "cohomology.py",
            """    dim_coboundaries = span.rank
-    cocycles = sparse_kernel_basis(dmat, len(src))
+    cocycles = IncrementalSpan(dmat).kernel(len(src))
     reps = [v for v in cocycles if span.add(v)]""",
-           """    cocycles = sparse_kernel_basis(dmat, len(src))
+           """    cocycles = IncrementalSpan(dmat).kernel(len(src))
     reps = [v for v in cocycles if span.add(v)]
     dim_coboundaries = span.rank""", (DIFFERENTIAL,)),
     Mutant("representatives chosen in reverse", "cohomology.py",
@@ -264,8 +270,8 @@ MUTANTS = [
 
 EQUIVALENT = {
     "gvs._absorb without the positive-pivot sign": "every echelon row is divided by its pivot "
-    "entry before it is read (`_rational`, `sparse_kernel_basis`, `LinearSystem.solve`), so the "
-    "sign of a stored row changes no result",
+    "entry before it is read (`IncrementalSpan.kernel`, `LinearSystem.solve` and the inner rows "
+    "of `derivations`), so the sign of a stored row changes no result",
     "cohomology._torus lets odd elements be toral": "on degree-0 data an odd element's "
     "eigenvalues are all 0 ([e_k, e_j] and its action change parity, so no diagonal entry is "
     "nonzero), and an element whose eigenvalues are all 0 is skipped anyway",

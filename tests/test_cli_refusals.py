@@ -140,7 +140,7 @@ def test_map_matrix_with_the_wrong_number_of_rows_refused(tmp_path):
 
     witness = changed(tmp_path, "b_split.json", change)
     refused(["transform", "split_datum.json", "--witness", witness, "--json"], 2,
-            f"error: {witness}.matrix: expected 1 rows")
+            f"error: {witness}.matrix: expected 1 row")
 
 
 def datum_refused(tmp_path, change, code, line):
@@ -210,7 +210,7 @@ def test_operator_matrix_that_is_not_homogeneous_refused(tmp_path):
     module = changed(tmp_path, "mod_m2_a20.json", change)
     refused(["cohomology", "a20.json", "--degree", "1", "--module", module, "--json"], 1,
             f"invariant violation: {module}.action[0].matrix: "
-            "entry (0,1) violates homogeneity of degree 0")
+            "the entry from m1 to m0 violates homogeneity of degree 0")
 
 
 # ---------- report branches ----------

@@ -908,8 +908,12 @@ def test_coboundaries_outside_the_cocycles_fire(monkeypatch):
     from superext import cohomology as coh
 
     g = sl2()
-    kernel = coh.sparse_kernel_basis
-    monkeypatch.setattr(coh, "sparse_kernel_basis", lambda rows, ncols: kernel(rows, ncols)[1:])
+
+    class OneShort(coh.IncrementalSpan):
+        def kernel(self, ncols):
+            return super().kernel(ncols)[1:]
+
+    monkeypatch.setattr(coh, "IncrementalSpan", OneShort)
     with pytest.raises(RuntimeError, match="internal fault: a coboundary of degree 2"):
         cohomology_space(g, trivial_module(g), 2)
 

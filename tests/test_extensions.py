@@ -524,25 +524,22 @@ def test_pullback_eliminates_nothing_beyond_der_coordinates(monkeypatch):
     ds = derivations(h)
     g = abelian(1, 0, "t")
     abar = linear_map(g.space, ds.out.space, 0, ((F(1),),))
-    counts = {"LinearSystem": 0, "sparse_kernel_basis": 0, "center": 0}
-    init = gvs.LinearSystem.__init__
+    counts = {"LinearSystem": 0, "IncrementalSpan.kernel": 0, "center": 0}
+    init, kernel, center = gvs.LinearSystem.__init__, gvs.IncrementalSpan.kernel, superlie.center
 
-    def counted_init(self, *args):
-        counts["LinearSystem"] += 1
-        init(self, *args)
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(gvs.LinearSystem, "__init__", counted_init)
-    for name, fn in (("sparse_kernel_basis", gvs.sparse_kernel_basis),
-                     ("center", superlie.center)):
-        def counted(*args, _name=name, _fn=fn):
-            counts[_name] += 1
-            return _fn(*args)
-
-        for mod in list(sys.modules.values()):
-            if mod.__name__.split(".")[0] == "superext" and vars(mod).get(name) is fn:
-                monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(gvs.LinearSystem, "__init__", counter("LinearSystem", init))
+    monkeypatch.setattr(gvs.IncrementalSpan, "kernel", counter("IncrementalSpan.kernel", kernel))
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "superext" and vars(mod).get("center") is center:
+            monkeypatch.setattr(mod, "center", counter("center", center))
     t = pullback_extension(ds, g, abar)
-    assert counts == {"LinearSystem": 0, "sparse_kernel_basis": 0, "center": 0}
+    assert counts == {"LinearSystem": 0, "IncrementalSpan.kernel": 0, "center": 0}
     assert t.e.dim == h.dim + g.dim
 
 

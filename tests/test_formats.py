@@ -161,6 +161,18 @@ def test_map_wrong_shape_is_schema_error():
         formats.parse_map(doc, dom, cod)
 
 
+def test_matrix_shape_refusals_count_one_in_the_singular():
+    from superext.gvs import SuperVectorSpace
+    one, two = SuperVectorSpace(("x",), (0,)), SuperVectorSpace(("y", "w"), (0, 0))
+    for cod, matrix, line in ((one, [["1"], ["2"]], "m.matrix: expected 1 row"),
+                              (two, [["1"]], "m.matrix: expected 2 rows"),
+                              (one, [["1", "2"]], "m.matrix[0]: expected 1 entry")):
+        doc = {"domain": "d", "codomain": "c", "degree": 0, "matrix": matrix}
+        with pytest.raises(SchemaError) as ex:
+            formats.parse_map(doc, ("d", one), ("c", cod), "m")
+        assert str(ex.value) == line
+
+
 def test_cochain_entries_round_trip():
     from superext.gvs import SuperVectorSpace
     src = SuperVectorSpace(("a", "q"), (0, 1))

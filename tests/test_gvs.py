@@ -14,7 +14,6 @@ from superext.gvs import (
     dense_vec,
     linear_map,
     scalar,
-    sparse_kernel_basis,
     unit_vec,
     zero_vec,
 )
@@ -29,8 +28,22 @@ def sparse(rows):
 
 
 def kernel(rows, ncols):
-    """`sparse_kernel_basis` of dense rows, as dense vectors."""
-    return [dense_vec(v, ncols) for v in sparse_kernel_basis(sparse(rows), ncols)]
+    """`IncrementalSpan.kernel` of dense rows, as dense vectors."""
+    return [dense_vec(v, ncols) for v in IncrementalSpan(sparse(rows)).kernel(ncols)]
+
+
+def kept_rref(rows, ncols):
+    """The RREF of the span of `rows`, read off `LinearSystem.kept_rows()` with the rows
+    as the columns, as {index: Fraction} dicts; each row is checked against its tags."""
+    cols, out = [r if isinstance(r, dict) else dict(enumerate(r)) for r in rows], []
+    for p, r, t in LinearSystem(rows, ncols).kept_rows():
+        combo = {}
+        for j, c in t.items():
+            for i, x in cols[j].items():
+                combo[i] = combo.get(i, 0) + c * x
+        assert {i: x for i, x in combo.items() if x} == r
+        out.append({i: F(x, r[p]) for i, x in r.items()})
+    return out
 
 
 def solve(A, b):
@@ -81,7 +94,7 @@ def test_kernel_rank_one():
 
 
 def test_kernel_of_no_rows_is_the_whole_domain():
-    assert sparse_kernel_basis([], 2) == [{0: 1}, {1: 1}]
+    assert IncrementalSpan().kernel(2) == [{0: 1}, {1: 1}]
 
 
 def test_rank_nullity(rng):
@@ -209,11 +222,11 @@ def test_rref_and_kernel_match_dense_oracles(matrix):
     rows, ncols = matrix
     span = IncrementalSpan(rows)
     want_red, want_pivots = dense_rref(rows) if rows else ([], [])
-    assert [dense_vec(r, ncols) for r in span.rows()] == [tuple(r) for r in want_red]
-    assert [min(r) for r in span.rows()] == want_pivots
+    assert [dense_vec(r, ncols) for r in kept_rref(rows, ncols)] == [tuple(r) for r in want_red]
+    assert [min(r) for r in kept_rref(rows, ncols)] == want_pivots
     assert span.rank == len(want_pivots)
     want_kernel = dense_kernel_basis(rows, ncols)
-    kernel = sparse_kernel_basis(sparse(rows), ncols)
+    kernel = IncrementalSpan(sparse(rows)).kernel(ncols)
     assert [dense_vec(v, ncols) for v in kernel] == want_kernel
     assert all(all_fractions(v.values()) and all(v.values()) for v in kernel)
 
@@ -229,8 +242,8 @@ def test_incremental_span_matches_dense_rref(matrix):
         assert grew == (len(dense_rref(rows[:k + 1])[1]) > before)
     want = dense_rref(rows)[0] if rows else []
     assert span.rank == len(want)
-    assert span.rows() == sparse(want)
-    assert all(all_fractions(r.values()) for r in span.rows())
+    assert kept_rref(rows, ncols) == sparse(want)
+    assert all(all_fractions(r.values()) for r in kept_rref(rows, ncols))
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,8 +272,8 @@ def with_zeros(rows):
 def test_sparse_inputs_may_carry_zeros():
     # an explicit zero, here in the leftmost place, is dropped by every entry point
     row = {0: F(0), 1: F(1)}
-    assert IncrementalSpan([row]).rows() == IncrementalSpan([(0, 1)]).rows() == [{1: F(1)}]
-    assert sparse_kernel_basis([row], 2) == [{0: F(1)}]
+    assert kept_rref([row], 2) == kept_rref([(0, 1)], 2) == [{1: F(1)}]
+    assert IncrementalSpan([row]).kernel(2) == IncrementalSpan([(0, 1)]).kernel(2) == [{0: F(1)}]
     assert LinearSystem([{0: F(0), 1: F(2)}], 2).solve({1: F(1)}) == (F(1, 2),)
     assert LinearSystem([[0, 2]], 2).solve({0: F(0), 1: F(1)}) == (F(1, 2),)
 
@@ -269,8 +282,9 @@ def test_sparse_inputs_may_carry_zeros():
 @given(matrices())
 def test_sparse_inputs_with_zeros_match_dense_ones(matrix):
     rows, ncols = matrix
-    assert IncrementalSpan(with_zeros(rows)).rows() == IncrementalSpan(rows).rows()
-    assert sparse_kernel_basis(with_zeros(rows), ncols) == sparse_kernel_basis(sparse(rows), ncols)
+    assert kept_rref(with_zeros(rows), ncols) == kept_rref(rows, ncols)
+    assert (IncrementalSpan(with_zeros(rows)).kernel(ncols)
+            == IncrementalSpan(sparse(rows)).kernel(ncols))
     dense, zeros = LinearSystem(rows, ncols), LinearSystem(with_zeros(rows), ncols)
     for b in [*rows[:2], unit_vec(ncols, 0)]:  # the drawn rows are the columns
         assert zeros.solve(b) == dense.solve(with_zeros([b])[0]) == dense.solve(b)
@@ -284,8 +298,8 @@ def test_entry_points_leave_integer_rows_unchanged():
     kept = [dict(r) for r in rows], dict(rhs)
     system = LinearSystem(rows, 3)
     system.solve(rhs)
-    IncrementalSpan(rows).rows()
-    sparse_kernel_basis(rows, 3)
+    LinearSystem(rows, 3).kept_rows()
+    IncrementalSpan(rows).kernel(3)
     assert (rows, rhs) == kept
 
 
@@ -304,11 +318,11 @@ def test_sparse_indices_outside_the_shape_are_refused():
     with pytest.raises(ValueError, match="column 0 has a row index outside 0..1"):
         LinearSystem([{-1: F(1)}, {0: F(1)}], 2)
     with pytest.raises(ValueError, match="column index outside 0..1"):
-        sparse_kernel_basis([{0: F(1), 3: F(1)}], 2)
+        IncrementalSpan([{0: F(1), 3: F(1)}]).kernel(2)
     with pytest.raises(ValueError, match="column index outside 0..1"):
-        sparse_kernel_basis([{0: F(1), -1: F(2)}, {0: F(1)}], 2)
+        IncrementalSpan([{0: F(1), -1: F(2)}, {0: F(1)}]).kernel(2)
     assert LinearSystem([{1: F(2)}], 2).solve({1: F(1)}) == (F(1, 2),)
-    assert sparse_kernel_basis([{1: F(1)}], 2) == [{0: F(1)}]
+    assert IncrementalSpan([{1: F(1)}]).kernel(2) == [{0: F(1)}]
 
 
 def test_scalar_takes_the_string_rule_of_the_file_formats():

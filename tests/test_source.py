@@ -270,3 +270,17 @@ def test_split_decided_by_the_one_move_of_a_datum():
     read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     assert "transform_datum" in read
     assert read & {"covariant_delta", "nr_bracket", "witness_cochain"} == set()
+
+
+def test_one_row_echelon_class():
+    # gvs is entered through a span (rank, membership, kernel) and a system
+    # (solutions, kept rows): no free-standing kernel function beside the
+    # span, no RREF view that no caller reads, and no helper it alone used
+    defined = {n.name for path in SRC.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"sparse_kernel_basis", "_rational"} == set()
+    tree = ast.parse((SRC / "gvs.py").read_text(encoding="utf-8"))
+    span = next(n for n in tree.body if getattr(n, "name", None) == "IncrementalSpan")
+    methods = {n.name for n in span.body if isinstance(n, ast.FunctionDef)}
+    assert "kernel" in methods and "rows" not in methods

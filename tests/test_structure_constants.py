@@ -27,11 +27,11 @@ from superext.cochains import make_cochain
 from superext.extensions import ExtensionDatum, check_datum
 from superext.gvs import (
     GradedLinearMap,
+    IncrementalSpan,
     LinearSystem,
     _commutator,
     dense_vec,
     linear_map,
-    sparse_kernel_basis,
     unit_vec,
 )
 from superext.superlie import (
@@ -280,7 +280,7 @@ entries = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-5,
 def test_kernel_basis_matches_dense_oracle(shape):
     ncols, rows = shape
     got = [dense_vec(v, ncols) for v in
-           sparse_kernel_basis([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)]
+           IncrementalSpan({j: x for j, x in enumerate(r) if x} for r in rows).kernel(ncols)]
     assert got == dense_kernel_basis(rows, ncols)
     assert all(type(x) is F for v in got for x in v)
 
@@ -325,14 +325,14 @@ def test_leibniz_rows_per_derivations_call(monkeypatch, name, rows):
     # 106, 144 and 100 nonzero rows
     alg = direct_sum(sl2(), sl2()) if name == "sl2+sl2" else ALGEBRAS[name]()
     seen = []
-    kernel = superlie.sparse_kernel_basis
 
-    def counted(rs, ncols):
-        rs = list(rs)
-        seen.extend(rs)
-        return kernel(rs, ncols)
+    class Counted(IncrementalSpan):
+        def __init__(self, rs=()):
+            rs = list(rs)
+            seen.extend(rs)
+            super().__init__(rs)
 
-    monkeypatch.setattr(superlie, "sparse_kernel_basis", counted)
+    monkeypatch.setattr(superlie, "IncrementalSpan", Counted)
     derivations(alg)
     assert len(seen) == rows
     assert all(type(x) is int for r in seen for x in r.values())
@@ -342,8 +342,18 @@ def test_leibniz_rows_per_derivations_call(monkeypatch, name, rows):
 def test_derivations_eliminate_the_ad_columns_once_per_parity(monkeypatch, name):
     # one tagged elimination per parity gives the inner rows, their
     # preimages and the sift of the Leibniz kernel: no span beside it and
-    # no solve per inner row; sl2+heis3 has even elements only, gl(1|1) both
+    # no solve per inner row; sl2+heis3 has even elements only, gl(1|1) both.
+    # A span whose kernel is read is the Leibniz system itself, not a sift
     alg, systems, solves, spans = ALGEBRAS[name](), [], [], []
+
+    class KernelOnly(IncrementalSpan):
+        def __init__(self, rows=()):
+            spans.append(self)
+            super().__init__(rows)
+
+        def kernel(self, ncols):
+            spans.remove(self)
+            return super().kernel(ncols)
 
     class Counted(LinearSystem):
         def __init__(self, cols, nrows):
@@ -355,7 +365,7 @@ def test_derivations_eliminate_the_ad_columns_once_per_parity(monkeypatch, name)
             return super().solve(rhs)
 
     monkeypatch.setattr(superlie, "LinearSystem", Counted)
-    monkeypatch.setattr(superlie, "IncrementalSpan", lambda *a: spans.append(a), raising=False)
+    monkeypatch.setattr(superlie, "IncrementalSpan", KernelOnly)
     ds = derivations(alg)
     assert ds.inner_count > 0
     assert {d.degree for d in ds.basis} == ({0, 1} if name == "gl11" else {0})
