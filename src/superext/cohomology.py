@@ -106,17 +106,19 @@ def center_module(h: SuperLieAlgebra, g: SuperLieAlgebra,
     zspace = SuperVectorSpace(tuple(f"z{k}" for k in range(len(basis))),
                               tuple(map(h.space.vector_parity, basis)))
     incl = _map(zspace, h.space, 0, basis)
-    incl_system = LinearSystem(map(dict, incl.columns), h.dim)
-    ops = []
-    for op in alpha:
-        cols = []
-        for col in op.compose(incl).columns:
-            z = incl_system.solve(dict(col))
-            if z is None:
-                raise RuntimeError("internal fault: lifted derivation leaves the center")
-            cols.append(z)
-        ops.append(_map(incl.domain, incl.domain, op.degree, cols))
-    return gmodule(g, incl.domain, tuple(ops)), incl
+    ops = tuple(_map(zspace, zspace, op.degree,
+                     [_center_coordinates(incl, op.apply(z)) for z in basis]) for op in alpha)
+    return gmodule(g, zspace, ops), incl
+
+
+def _center_coordinates(incl: GradedLinearMap, v: Vector) -> Vector:
+    """v's coordinates over `center`'s basis, the columns of `incl`, checked by recomposing:
+    `IncrementalSpan.kernel`'s vector k is 1 at its free column, its last nonzero entry,
+    and 0 at the other vectors' free columns, so coordinate k is v's entry there."""
+    z = tuple(v[col[-1][0]] for col in incl.columns)
+    if incl.apply(z) != v:
+        raise RuntimeError("internal fault: a vector that must be central is not")
+    return z
 
 
 class WeightReport(Record):
@@ -387,19 +389,12 @@ def obstruction_class(ds: DerivationSpace, g: SuperLieAlgebra,
     center and is closed for the module differential.  Its class in
     weight-0 H^3 decides whether any extension induces abar.
     """
-    h = ds.algebra
     alpha = lift_alpha_bar(ds, g, abar)
-    mod, incl = center_module(h, g, alpha)
+    mod, incl = center_module(ds.algebra, g, alpha)
     rho = rho_from_lift(ds, g, alpha)
     lam_h = covariant_delta(g, alpha, rho)
-    incl_system = LinearSystem(map(incl.column, range(incl.domain.dim)), h.dim)
-    table = {}
-    for tup, val in lam_h.values:
-        z = incl_system.solve(val)
-        if z is None:
-            raise RuntimeError("internal fault: obstruction cocycle not valued in the center")
-        table[tup] = z
-    lam = make_cochain(g.space, mod.space, 3, 0, table)
+    lam = make_cochain(g.space, mod.space, 3, 0,
+                       {tup: _center_coordinates(incl, val) for tup, val in lam_h.values})
 
     # only weight 0 matters: the columns of its D_2, then the H^3
     # representatives, span Z^3, so one solve gives the class, the primitive

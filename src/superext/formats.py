@@ -18,8 +18,8 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, is_zero_vec, linear_map, scalar,
-                  unit_vec, vec_add, vec_scale, zero_vec)
+from .gvs import (GradedLinearMap, SuperVectorSpace, Vector, dense_vec, is_zero_vec, linear_map,
+                  scalar)
 from .superlie import SuperLieAlgebra, antisymmetric_completion, make_algebra
 
 if TYPE_CHECKING:  # the layers above are imported by the parsers that build their records
@@ -91,7 +91,7 @@ def _parse_basis(items: Any, where: str) -> SuperVectorSpace:
 def _parse_value(items: Any, space: SuperVectorSpace, where: str) -> Vector:
     if not isinstance(items, list):
         raise SchemaError(f"{where}: must be a list of {{basis, coeff}} objects")
-    v = zero_vec(space.dim)
+    v: dict[int, Fraction] = {}
     for k, entry in enumerate(items):
         bname = _require(entry, "basis", f"{where}[{k}]")
         coeff = parse_rational(_require(entry, "coeff", f"{where}[{k}]"), f"{where}[{k}].coeff")
@@ -99,8 +99,10 @@ def _parse_value(items: Any, space: SuperVectorSpace, where: str) -> Vector:
             idx = space.index(bname)
         except KeyError:
             raise SchemaError(f"{where}[{k}].basis: unknown basis element {bname!r}") from None
-        v = vec_add(v, vec_scale(coeff, unit_vec(space.dim, idx)))
-    return v
+        if idx in v:
+            raise InvariantError(f"{where}[{k}].basis: basis element {bname!r} listed twice")
+        v[idx] = coeff
+    return dense_vec(v, space.dim)
 
 
 def format_value(v: Vector, space: SuperVectorSpace) -> list[dict]:

@@ -135,12 +135,9 @@ def algebra_from_table(
     by graded antisymmetry; listing both is an error unless consistent.
     """
     space = SuperVectorSpace(tuple(names), tuple(parities))
-    given: dict[tuple[int, int], Vector] = {}
-    for (ln, rn), val in table.items():
-        i, j = space.index(ln), space.index(rn)
-        if (i, j) in given:
-            raise ValueError(f"bracket [{ln},{rn}] listed twice")
-        given[(i, j)] = dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, space.dim)
+    given = {(space.index(ln), space.index(rn)):
+             dense_vec({space.index(bn): scalar(c) for bn, c in val.items()}, space.dim)
+             for (ln, rn), val in table.items()}
     return make_algebra(space, antisymmetric_completion(space, given))
 
 

@@ -235,6 +235,13 @@ MUTANTS = [
     Mutant("the shared check applies delta_alpha to the base datum only", "cohomology.py",
            "_datum_report(d, checks)", "_datum_report(base, checks)",
            ("tests/test_cohomology.py",)),
+    # ---- Z(h) coordinates read off center's canonical basis ----
+    Mutant("center coordinates read at the first nonzero entry, a pivot, instead of the last, "
+           "the free column", "cohomology.py",
+           "v[col[-1][0]] for col in incl.columns", "v[col[0][0]] for col in incl.columns",
+           ("tests/test_cohomology.py",)),
+    Mutant("recomposition check dropped", "cohomology.py",
+           "if incl.apply(z) != v:", "if False:", ("tests/test_cohomology.py",)),
     # ---- der(h) on integer rows: one tagged ad elimination, an integer commutator ----
     Mutant("inner preimage without its den factor", "superlie.py",
            "Fraction(den * t, r[p])", "Fraction(t, r[p])", (STRUCTURE,)),

@@ -125,6 +125,16 @@ def test_bracket_listed_twice_refused(tmp_path):
             f"invariant violation: {path}.brackets[1]: bracket [P,Q] listed twice")
 
 
+def test_basis_element_listed_twice_in_a_value_refused(tmp_path):
+    # [Q,Q] = H + H would otherwise read as 2H
+    def change(doc):
+        doc["brackets"][0]["value"] = [{"basis": "H", "coeff": "1"}] * 2
+
+    path = changed(tmp_path, "susy_line.json", change)
+    refused(["validate", path, "--json"], 1, f"invariant violation: {path}.brackets[0].value[1]"
+            ".basis: basis element 'H' listed twice")
+
+
 def test_value_that_is_not_a_list_refused(tmp_path):
     def change(doc):
         doc["brackets"][0]["value"] = "Z"

@@ -43,9 +43,10 @@ from superext.cohomology import (
     trivial_module,
 )
 
-from oracles import (classical_ce_delta, delta_matrix_by_columns, dense_rref, extension_exists,
-                     graded_commutator, normalized_structure, random_cochain, random_witness,
-                     scalar_cochain)
+from oracles import (classical_ce_delta, delta_matrix_by_columns, dense_curvature_failures,
+                     dense_mat_vec, dense_rref, dense_solve, extension_exists, graded_commutator,
+                     normalized_structure, random_cochain, random_witness, scalar_cochain)
+from test_torus import sheared
 
 F = Fraction
 
@@ -300,9 +301,12 @@ def test_fixed_systems_eliminated_once(monkeypatch):
     assert (len(ds.basis), ds.out.dim) == (9, 4)  # 10 out(h) commutators
     assert sum(cols == der_h for cols in inside["der_and_out"]) == 1
     built.clear()
-    obstruction_class(ds, g, abar)  # on the caller's out(h): it eliminates no der(h) basis
+    obs = obstruction_class(ds, g, abar)  # on the caller's out(h): it eliminates no der(h) basis
     assert not any(cols == der_h for cols in built)
     assert inside["rho_from_lift"] == []
+    # Z(h) coordinates are read off center's basis: its inclusion is never eliminated
+    incl_cols = [dict(col) for col in obs.center_incl.columns]
+    assert incl_cols and incl_cols not in built
 
     # a pullback needs der(h) coordinates for its bracket table and for
     # the inclusion of h: one elimination of the der(h) basis serves both
@@ -867,6 +871,44 @@ def test_obstruction_with_nonzero_action_on_center():
     rep = classify_extensions(h, g, abar)
     for d in rep.data:
         assert check_datum(d).ok
+
+
+def diag_101_abar(h, g):
+    """A(1|0) -> out(heis3) through the outer derivation P -> P, Q -> 0, Z -> Z, which
+    acts on Z(h) by 1; it is diag(1, 0, 1) in the sheared basis P, Q, Z + P too."""
+    ds = derivations(h)
+    coords = ds.coordinates_of(linear_map(h.space, h.space, 0, ((1, 0, 0), (0, 0, 0), (0, 0, 1))))
+    return linear_map(g.space, ds.out.space, 0, tuple((c,) for c in coords[ds.inner_count:]))
+
+
+def test_center_coordinates_off_a_pivot_column():
+    # in the basis P, Q, Z + P the center is spanned by z0 = (-1, 0, 1): its entry
+    # at the pivot, column 0, is -1 and at the free column, 2, is 1, so a reader
+    # of the pivot column would give z0 itself the coordinate -1
+    g, plain, h = abelian(1, 0, "t"), heis3(), sheared(heis3(), 2, 0)
+    assert center(h) == [(-1, 0, 1)]
+    want, obs = (obstruction_class(derivations(k), g, diag_101_abar(k, g)) for k in (plain, h))
+    assert (obs.vanishes, obs.class_coords) == (want.vanishes, want.class_coords)
+    incl = obs.center_incl
+    dense = [dense_solve(incl.matrix, dense_mat_vec(obs.alpha[0].matrix, z), 1)
+             for z in center(h)]
+    assert obs.module.action[0].matrix == tuple(zip(*dense)) == ((1,),)
+    plain_rep, rep = (classify_extensions(k, g, diag_101_abar(k, g)) for k in (plain, h))
+    assert rep.h2.weight(0).dim == plain_rep.h2.weight(0).dim
+    assert len(rep.data) == len(plain_rep.data) == 1
+    assert all(dense_curvature_failures(d) == [] for d in rep.data)
+
+
+def test_center_coordinates_recomposed(monkeypatch):
+    # a basis of Z(h) that is not `center`'s canonical one, each vector doubled:
+    # the entries at the free columns are no longer coordinates over it
+    from superext import cohomology as coh
+
+    g, h = abelian(1, 0, "t"), sheared(heis3(), 2, 0)
+    abar = diag_101_abar(h, g)
+    monkeypatch.setattr(coh, "center", lambda alg: [tuple(2 * x for x in z) for z in center(alg)])
+    with pytest.raises(RuntimeError, match="internal fault: a vector that must be central is not"):
+        obstruction_class(derivations(h), g, abar)
 
 
 def test_susy_line_graded_betti_numbers():

@@ -36,7 +36,6 @@ from superext.gvs import GradedLinearMap, SuperVectorSpace, linear_map
 from superext.superlie import (
     SuperLieAlgebra,
     ad,
-    algebra_from_table,
     is_homomorphism,
     make_algebra,
 )
@@ -59,13 +58,6 @@ def susy_triple(**changed):
               "incl": linear_map(KER, SUSY, 0, ((1,), (0,))),
               "proj": linear_map(SUSY, BASE, 0, ((0, 1),))}
     return ExtensionTriple(**{**fields, **changed})
-
-
-class Pairs:
-    """A bracket table that lists one pair twice, as no dict can."""
-
-    def items(self):
-        return [(("H", "E"), {"E": 2}), (("H", "E"), {"E": 2})]
 
 
 def not_exact():
@@ -98,8 +90,6 @@ CASES = {
         (lambda: SuperLieAlgebra(LINE, (1, ())), "bracket table must be dim x dim"),
     "make_algebra value of the wrong length":
         (lambda: make_algebra(LINE, {(0, 0): (1, 2)}), "bracket value has wrong length"),
-    "algebra_from_table lists a bracket twice":
-        (lambda: algebra_from_table(("H", "E"), (0, 0), Pairs()), "bracket [H,E] listed twice"),
     "ad of an even element at degree 1":
         (lambda: ad(G, (1, 0, 0), degree=1), "element has parity 0, not 1"),
     "is_homomorphism of a map between other algebras":
