@@ -3,13 +3,14 @@
 Exit codes: 0 = success / checked property holds, 1 = a checked property
 fails (or an obstruction class is nonzero, or an invariant of an input
 file is violated), 2 = input error (unparseable file, unknown command,
-refused size).  `--json` switches to a machine-readable report in which
-every number is an exact rational string; reports are byte-stable for
-identical inputs.  Algebras above MAX_DIM dimensions are refused unless
-`--allow-large` is passed.  The environment variable SUPEREXT_ARITY_CAP
-(default 6) bounds `cohomology --degree` and nothing else; the library
-itself has no arity cap.  Each subcommand imports the cochain, extension
-and cohomology layers only if it runs them, which keeps start-up short.
+refused size), 130 = interrupted (Ctrl-C), 141 = stdout closed early by
+its reader, as by `| head`; neither of the last two prints a traceback.
+`--json` switches to a machine-readable report in which every number is
+an exact rational string; reports are byte-stable for identical inputs.
+`--allow-large` lifts both guards, which refuse algebras above MAX_DIM
+dimensions and `cohomology --degree` above MAX_DEGREE; the library has
+neither.  Each subcommand imports the cochain, extension and cohomology
+layers only if it runs them, which keeps start-up short.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
     from .extensions import ExtensionDatum
 
 MAX_DIM = 12
-MAX_DEGREE = 6  # default bound of `cohomology --degree`; the environment overrides it
+MAX_DEGREE = 6
 
 COCHAIN_NOTE = (
     "cochain values are listed on canonical argument tuples only (weakly "
@@ -47,6 +48,7 @@ COCHAIN_NOTE = (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERRUPT, EXIT_PIPE = 130, 141  # 128 + SIGINT and 128 + SIGPIPE, as a shell reports them
 
 
 class CheckFailed(Exception):
@@ -278,8 +280,11 @@ def cmd_out(args) -> int:
 def cmd_cohomology(args) -> int:
     from .cohomology import cohomology_space, gmodule, trivial_module
     name, alg = _load_valid_algebra(args.algebra, args.allow_large)
-    if args.degree < 0 or args.degree > args.arity_cap:
-        raise SchemaError(f"--degree must lie in 0..{args.arity_cap} (the arity cap)")
+    if args.degree < 0:
+        raise SchemaError("--degree must be nonnegative")
+    if args.degree > MAX_DEGREE and not args.allow_large:
+        raise SchemaError(f"--degree {args.degree} exceeds the guard {MAX_DEGREE} "
+                          "(pass --allow-large to override)")
     if args.module:
         mdoc = formats.load_json(args.module)
         mname, mspace, action = formats.parse_module_doc(mdoc, (name, alg), where=args.module)
@@ -560,7 +565,7 @@ COMMANDS = (
 )
 COMMON = (_arg("--json", action="store_true", help="machine-readable report"),
           _arg("--allow-large", action="store_true",
-               help=f"lift the dimension guard (default max {MAX_DIM})"))
+               help=f"lift the guards on dimension (max {MAX_DIM}) and --degree (max {MAX_DEGREE})"))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -579,23 +584,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw = os.environ.get("SUPEREXT_ARITY_CAP")
-    cap = MAX_DEGREE
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = -1
-        if cap < 0:
-            print(f"error: SUPEREXT_ARITY_CAP must be a nonnegative integer, got {raw!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
     parser = make_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
-    args.arity_cap = cap
     try:
         return args.func(args)
     except SchemaError as ex:
@@ -607,6 +600,12 @@ def main(argv=None) -> int:
     except CheckFailed as ex:
         print(f"check failed: {ex}", file=sys.stderr)
         return EXIT_FAIL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
+    except BrokenPipeError:  # the reader is gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ between calls, so the calls are independent.
 tests that cover the process boundary.  Children run in other working
 directories, where a relative `PYTHONPATH=src` does not resolve, so each
 child gets the absolute `src` path of this checkout first on its
-`PYTHONPATH`.
+`PYTHONPATH`; `child_env` builds that environment for tests that start
+a child of their own.
 """
 
 import contextlib
@@ -50,9 +51,14 @@ def run_cli(argv, cwd=INPUTS) -> Run:
     return Run(code, out.getvalue(), err.getvalue().encode())
 
 
-def run_cli_process(argv, cwd=INPUTS, **extra_env: str) -> Run:
-    env = dict(os.environ, **extra_env)
+def child_env() -> dict[str, str]:
+    """This process's environment, with this checkout's `src` first on `PYTHONPATH`."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli_process(argv, cwd=INPUTS) -> Run:
     r = subprocess.run([sys.executable, "-m", "superext.cli"] + list(argv),
-                       cwd=cwd, capture_output=True, env=env)
+                       cwd=cwd, capture_output=True, env=child_env())
     return Run(r.returncode, r.stdout, r.stderr)

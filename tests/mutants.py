@@ -38,6 +38,7 @@ HUMAN = "tests/test_cli_human.py"
 GVS = "tests/test_gvs.py"
 TORUS = "tests/test_torus.py"
 COEFFICIENTS = "tests/test_coefficients.py"
+CLI = "tests/test_cli.py"
 
 
 class Mutant(NamedTuple):
@@ -160,6 +161,13 @@ MUTANTS = [
     Mutant("obstruction exits 0 on a class that does not vanish", "cli.py",
            "return _emit(args, report, lines, obs.vanishes)", "return _emit(args, report, lines)",
            (HUMAN,)),
+    # ---- the CLI's two guards, both lifted by --allow-large ----
+    Mutant("degree guard ignores --allow-large", "cli.py",
+           "args.degree > MAX_DEGREE and not args.allow_large", "args.degree > MAX_DEGREE", (CLI,)),
+    Mutant("degree guard refuses the cap itself", "cli.py",
+           "args.degree > MAX_DEGREE and", "args.degree >= MAX_DEGREE and", (CLI,)),
+    Mutant("a negative degree passes with --allow-large", "cli.py",
+           "if args.degree < 0:", "if args.degree < 0 and not args.allow_large:", (CLI,)),
     Mutant("obstruction ignores the first class coordinate", "cohomology.py",
            "vanishes = is_zero_vec(class_coords)", "vanishes = is_zero_vec(class_coords[1:])",
            ("tests/test_cohomology.py", HUMAN)),

@@ -19,6 +19,9 @@ parsed with its inputs and its claims are checked against `tests/oracles.py`:
   cocycle by the term-by-term differential, the representatives are
   independent modulo the oracle's coboundaries, and the dims are the
   eager dense elimination's;
+- validate (JSON and human reports): the three verdicts and the failures
+  are the dense validation's, and an empty report belongs to a file that
+  the parser refuses before any check runs;
 - datum commands: every datum read or emitted passes the dense curvature
   check; `section-data` and `build` agree with the datum recomputed from
   the total algebra by dense brackets, `check-data`'s flags are the dense
@@ -70,6 +73,9 @@ ONE_ALGEBRA = [(name, argv) for name, argv, _ in CASES
 COHOMOLOGY = [(f"expected/{name}", argv) for name, argv, _ in CASES if argv[0] == "cohomology"]
 COHOMOLOGY += [(f"expected_reduced/cohomology_{alg}_h{n}",
                 ["cohomology", f"{alg}.json", "--degree", str(n), "--json"]) for alg, n in REDUCED]
+VALIDATE = [(f"{where}/{name}", argv) for where in ("expected", "expected_human")
+            for name, argv, _ in CASES
+            if argv[0] == "validate" and (GOLDEN / where / f"{name}.out").exists()]
 DATUM_COMMANDS = ("section-data", "check-data", "build", "transform", "equivalent", "split-check")
 DATUM = [(f"expected/{name}", argv) for name, argv, _ in CASES if argv[0] in DATUM_COMMANDS]
 DATUM += [(f"expected_alpha/{name}", argv) for name, argv, _ in ALPHA]
@@ -193,6 +199,33 @@ def test_cohomology_goldens_hold_their_claims(golden, argv):
         basis = space_basis(g.space, mod.space, n, y)
         together = [cochain_coordinates(phi, basis) for phi in (*coboundaries, *reps)]
         assert len(dense_rref(together)[1]) == len(together)
+
+
+def validate_claims(text):
+    """(degree_zero, antisymmetry, jacobi, failures) as a validate report states them."""
+    if text.startswith("{"):
+        r = json.loads(text)
+        assert r["ok"] == (r["degree_zero"] and r["antisymmetry"] and r["jacobi"])
+        return r["degree_zero"], r["antisymmetry"], r["jacobi"], r["failures"]
+    lines = text.splitlines()
+    verdicts = [line.split(": ") for line in lines[1:4]]
+    assert [k for k, _ in verdicts] == ["degree-0", "antisymmetry", "jacobi"]
+    assert all(line.startswith("  ") for line in lines[4:])
+    return (*(v == "ok" for _, v in verdicts), [line[2:] for line in lines[4:]])
+
+
+@pytest.mark.parametrize("golden, argv", VALIDATE, ids=[g for g, _ in VALIDATE])
+def test_validate_goldens_hold_their_claims(golden, argv):
+    text = (GOLDEN / f"{golden}.out").read_text(encoding="utf-8")
+    if not text:
+        with pytest.raises((formats.SchemaError, formats.InvariantError)):
+            load(argv[1])
+        return
+    rep = dense_validate_algebra(load(argv[1])[1])
+    deg, anti, jac, failures = validate_claims(text)
+    assert (deg, anti, jac, len(failures)) == (rep.degree_zero, rep.antisymmetry, rep.jacobi,
+                                               len(rep.failures))
+    assert failures == list(rep.failures)
 
 
 def load_datum(path):

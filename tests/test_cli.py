@@ -2,12 +2,11 @@
 
 The CLI runs in-process through `cli.main(argv)`; three tests start a real
 `python -m superext.cli` child to cover the process boundary: one golden,
-the environment variable and the usage error.
+a stdout that its reader closes early, and the usage error.
 """
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cli_cases import CASES
-from cli_run import INPUTS, SRC, run_cli, run_cli_process
+from cli_run import INPUTS, child_env, run_cli, run_cli_process
 from superext import cli
 
 EXPECTED = Path(__file__).parent / "golden" / "expected"
@@ -135,10 +134,8 @@ print(json.dumps([code, sorted(sys.modules)]))
     (["check-data", "susy_datum.json"], {"superext.cohomology"}),
 ], ids=["validate", "check-data"])
 def test_command_imports_only_its_layers(argv, absent):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     r = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=INPUTS,
-                       capture_output=True, env=env, check=True)
+                       capture_output=True, env=child_env(), check=True)
     code, loaded = json.loads(r.stdout)
     assert code == 0
     assert absent.isdisjoint(loaded)
@@ -197,44 +194,75 @@ def test_dimension_guard(tmp_path):
     assert r2.returncode == 0
 
 
-def test_arity_cap_env_var(tmp_path):
-    r = run_cli_process(["cohomology", "a01.json", "--degree", "6"], SUPEREXT_ARITY_CAP="3")
-    assert r.returncode == 2
-    assert b"cap" in r.stderr
-    r2 = run_cli_process(["cohomology", "a01.json", "--degree", "3"], SUPEREXT_ARITY_CAP="3")
-    assert r2.returncode == 0
+DEGREE_REFUSED = b"error: --degree 7 exceeds the guard 6 (pass --allow-large to override)\n"
 
 
-def test_arity_cap_is_read_per_call(monkeypatch):
-    # the cap lives in one `main` call: a later call without the variable
-    # gets the default back
-    monkeypatch.setenv("SUPEREXT_ARITY_CAP", "3")
-    r = run_cli(["cohomology", "a01.json", "--degree", "6"])
-    assert r.returncode == 2
-    assert r.stderr == b"error: --degree must lie in 0..3 (the arity cap)\n"
-    monkeypatch.delenv("SUPEREXT_ARITY_CAP")
-    r2 = run_cli(["cohomology", "a01.json", "--degree", "6"])
-    assert r2.returncode == 0, r2.stderr.decode()
+def test_degree_guard_and_allow_large():
+    # one flag lifts the degree guard as it lifts the dimension guard; on the
+    # odd line (0|1) with zero bracket every cochain is a cocycle and none is
+    # a coboundary, and C^n is the line Q^n of weight n mod 2
+    argv = ["cohomology", "a01.json", "--degree", "7", "--json"]
+    r = run_cli(argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, b"", DEGREE_REFUSED)
+    r = run_cli(argv + ["--allow-large"])
+    assert (r.returncode, r.stderr) == (0, b"")
+    got = [(w["weight"], w["dim_cocycles"], w["dim_coboundaries"], w["dim"])
+           for w in json.loads(r.stdout)["weights"]]
+    assert got == [(y, int(y == 7 % 2), 0, int(y == 7 % 2)) for y in (0, 1)]
+
+
+def test_degree_guard_is_back_on_the_next_call():
+    # the flag lives in one `main` call: a later call without it is refused
+    argv = ["cohomology", "a01.json", "--degree", "7"]
+    assert run_cli(argv + ["--allow-large"]).returncode == 0
+    r = run_cli(argv)
+    assert (r.returncode, r.stderr) == (2, DEGREE_REFUSED)
 
 
 @pytest.mark.parametrize("name", ["obstruction", "transform"])
-def test_arity_cap_bounds_only_the_cohomology_degree(name, monkeypatch):
-    # commands without a degree ignore the cap, however small
-    monkeypatch.setenv("SUPEREXT_ARITY_CAP", "0")
+def test_allow_large_changes_no_byte_of_a_command_without_a_degree(name):
     argv, want_exit = next((c[1], c[2]) for c in CASES if c[0] == name)
-    r = run_cli(argv)
+    r = run_cli(argv + ["--allow-large"])
     assert r.returncode == want_exit, r.stderr.decode()
     assert r.stdout == (EXPECTED / f"{name}.out").read_bytes()
 
 
-@pytest.mark.parametrize("value", ["x", "-1", "2.5"])
-def test_arity_cap_env_var_must_be_a_nonnegative_integer(value, monkeypatch):
-    monkeypatch.setenv("SUPEREXT_ARITY_CAP", value)
-    r = run_cli(["validate", "susy_line.json"])
-    assert r.returncode == 2
-    assert r.stdout == b""
-    assert r.stderr == (f"error: SUPEREXT_ARITY_CAP must be a nonnegative integer, "
-                        f"got {value!r}\n").encode()
+@pytest.mark.parametrize("flags", [[], ["--allow-large"]], ids=["guarded", "allow_large"])
+def test_negative_degree_is_refused_even_with_allow_large(flags):
+    r = run_cli(["cohomology", "a01.json", "--degree", "-1", *flags])
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == b"error: --degree must be nonnegative\n"
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    # the abelian (12|0) algebra's degree-4 report is ~144 KB, more than a pipe
+    # holds; with buffered stdout (no PYTHONUNBUFFERED) the write that meets
+    # the closed pipe raises in the child
+    doc = {"name": "a12", "basis": [{"name": f"x{i}", "parity": 0} for i in range(12)],
+           "brackets": []}
+    (tmp_path / "a12.json").write_text(json.dumps(doc))
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "superext.cli", "cohomology", "a12.json", "--degree", "4", "--json"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(10) == b'{\n  "algeb'
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=60), stderr) == (141, b"")
+
+
+def test_interrupt_ends_without_a_traceback(monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.formats, "load_json", interrupted)
+    try:
+        r = run_cli(["validate", "susy_line.json"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt left main")
+    assert (r.returncode, r.stdout, r.stderr) == (130, b"", b"interrupted\n")
+    assert b"Traceback" not in r.stderr
 
 
 def test_section_data_rejects_non_section():
@@ -582,7 +610,7 @@ HELP = (("-h", "--help"), "help", False, None, "_HelpAction", argparse.SUPPRESS,
         "show this help message and exit")
 JSON = (("--json",), "json", False, None, "_StoreTrueAction", False, "machine-readable report")
 ALLOW_LARGE = (("--allow-large",), "allow_large", False, None, "_StoreTrueAction", False,
-               "lift the dimension guard (default max 12)")
+               "lift the guards on dimension (max 12) and --degree (max 6)")
 PARSER_SPEC = [
     ("", None, [
         HELP,
